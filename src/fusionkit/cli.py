@@ -40,6 +40,7 @@ from .groups import (
     Group,
     Subgroup,
     all_subgroups,
+    is_prime,
     sylow,
     upper_central_series_group,
 )
@@ -224,7 +225,12 @@ def _cmd_map_check(args) -> int:
     G, p = _resolve(args)
     F = fusion_of_group(G, p)
     if args.map is not None:
-        data = json.loads(Path(args.map).read_text())
+        try:
+            data = json.loads(Path(args.map).read_text())
+        except OSError as exc:
+            raise InputError(f"cannot read aut-map file {args.map}: {exc}") from None
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ParseError(f"invalid JSON in {args.map}: {exc}") from None
         A = aut_map_from_data(F, data)
         source = args.map
     elif args.sub is not None:
@@ -416,12 +422,6 @@ def _sweep_one(report: dict, name: str, G: Group, p: int, *, t_bound: int, oracl
         )
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    return all(n % d for d in range(2, int(n ** 0.5) + 1))
-
-
 def _cmd_sweep(args) -> int:
     started = time.monotonic()
     report = new_report(
@@ -434,7 +434,7 @@ def _cmd_sweep(args) -> int:
         G = make_group(spec)
         if len(G) > args.max_order:
             continue
-        primes = [p for p in range(2, len(G) + 1) if len(G) % p == 0 and _is_prime(p)]
+        primes = [p for p in range(2, len(G) + 1) if len(G) % p == 0 and is_prime(p)]
         for p in primes:
             _sweep_one(report, name, G, p, t_bound=16, oracle=args.oracle)
     return _finish(report, args, started)

@@ -19,6 +19,7 @@ from .fusion import (
     is_subsystem,
 )
 from .groups import Subgroup, group_centre, p_part, sylow
+from .morphisms import _positions, _restrict
 from .normal_maps import (
     aut_map_of,
     based_range,
@@ -111,13 +112,9 @@ def run_a4xa4() -> list[Result]:
     )
     extendable = False
     for V in raw.subgroups():
-        if not (Q <= V and len(V) > len(Q)):
-            continue
-        pos = {e: i for i, e in enumerate(V.elements)}
-        idx = tuple(pos[e] for e in Q.elements)
-        for psi in raw.isos_between(V, V):
-            if tuple(psi.mapping[i] for i in idx) in sigma:
-                extendable = True
+        if Q < V:
+            idx = _positions(V.elements, Q.elements)
+            extendable |= any(_restrict(m, idx) in sigma for m in raw.iso_mappings(V, V))
     results.append(
         ("the automorphism extends to no overgroup inside the intersection",
          not extendable, Q)

@@ -9,6 +9,11 @@ stored data is a nested dict ``isos[qkey][rkey] = (mapping, ...)`` where
 is aligned to the sorted domain.  All stored families contain the inner
 fusion of P and are closed under composition, restriction, and
 inversion.
+
+Internal code reads and builds these tables as bare mapping tuples, with
+the helpers of :mod:`fusionkit.morphisms` and the one table constructor
+``_iso_table``; :class:`~fusionkit.morphisms.Morphism` objects are made
+only where a public method hands a map to its caller.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from .errors import (
     NotASubgroupOfP,
     NotStronglyClosed,
     NotSylow,
+    ParseError,
     PrimeMismatch,
     SeedNotInjective,
 )
@@ -40,10 +46,19 @@ from .groups import (
     normalizer,
     sylow,
 )
-from .morphisms import AutGroup, Morphism, _iso_search
+from .morphisms import (
+    AutGroup,
+    Key,
+    Morphism,
+    _aut_subgroup,
+    _inverse,
+    _iso_search,
+    _positions,
+    _restrict,
+    _transport,
+)
 from .perms import format_cycles, parse_cycles, perm_from_cycles
 
-Key = tuple[int, ...]
 IsoTable = dict[Key, dict[Key, tuple[Key, ...]]]
 
 
@@ -164,9 +179,8 @@ class FusionSystem:
 
     def aut_p_subgroup(self, Q: Subgroup) -> Subgroup:
         """Aut_P(Q) inside aut_group(Q)'s permutation incarnation."""
-        A = self.aut_group(Q)
         mappings = self.aut_mappings_of_conjugation(Q, self.P)
-        return A.subgroup_from(Morphism(Q, Q, m) for m in mappings)
+        return _aut_subgroup(self.aut_group(Q), mappings)
 
     def n_p(self, Q: Subgroup) -> Subgroup:
         return normalizer(self.P, Q)
@@ -250,28 +264,32 @@ class FusionSystem:
 def deserialize(data: dict) -> FusionSystem:
     if data.get("schema") != "fusionkit-fusion/1":
         raise FusionkitError(f"unknown fusion schema: {data.get('schema')!r}")
+    missing = [k for k in ("p", "degree", "group", "P", "isos") if k not in data]
+    if missing:
+        raise ParseError(f"fusion data is missing {', '.join(missing)}")
     degree = data["degree"]
     perms = [perm_from_cycles(parse_cycles(s), degree) for s in data["group"]]
     group = Group(perms, degree, closed=True)
     if len(group) != len(perms):
         raise FusionkitError("serialized group element list is not closed")
     P = Subgroup(group, data["P"])
-    isos: dict[Key, dict[Key, set[Key]]] = {}
+    isos: dict[Key, list[Key]] = {}
     for qlist, mappings in data["isos"]:
-        qkey = tuple(qlist)
-        bucket = isos.setdefault(qkey, {})
+        isos.setdefault(tuple(qlist), []).extend(tuple(m) for m in mappings)
+    return FusionSystem(group, P, data["p"], _iso_table(isos), name=data.get("name"))
+
+
+def _iso_table(isos: dict[Key, Iterable[Key]]) -> IsoTable:
+    """The stored table of ``{domain key: mappings}``: each domain's
+    mappings deduplicated, bucketed by sorted image and sorted.  Domains
+    keep their order and stay even when they have no mappings."""
+    table: IsoTable = {}
+    for qk, mappings in isos.items():
+        targets: dict[Key, set[Key]] = {}
         for m in mappings:
-            mapping = tuple(m)
-            rkey = tuple(sorted(mapping))
-            bucket.setdefault(rkey, set()).add(mapping)
-    return FusionSystem(group, P, data["p"], _freeze(isos), name=data.get("name"))
-
-
-def _freeze(isos: dict[Key, dict[Key, set[Key]]]) -> IsoTable:
-    return {
-        qk: {rk: tuple(sorted(ms)) for rk, ms in sorted(targets.items())}
-        for qk, targets in isos.items()
-    }
+            targets.setdefault(tuple(sorted(m)), set()).add(m)
+        table[qk] = {rk: tuple(sorted(ms)) for rk, ms in sorted(targets.items())}
+    return table
 
 
 # -- constructors -----------------------------------------------------------
@@ -297,16 +315,12 @@ def fusion_of_group(
             raise NotSylow(
                 f"|P| = {len(P)} is not the {p}-part of |G| = {len(amb)}", witness=P
             )
-    isos: dict[Key, dict[Key, set[Key]]] = {}
     pset = P._set
+    isos: dict[Key, set[Key]] = {}
     for Q in all_subgroups(P):
-        bucket = isos.setdefault(Q.key, {})
-        for g in amb.elements:
-            mapping = tuple(G.conj(x, g) for x in Q.elements)
-            if not pset.issuperset(mapping):
-                continue
-            bucket.setdefault(tuple(sorted(mapping)), set()).add(mapping)
-    return FusionSystem(G, P, p, _freeze(isos), name=name)
+        conjugates = (tuple(G.conj(x, g) for x in Q.elements) for g in amb.elements)
+        isos[Q.key] = {m for m in conjugates if pset.issuperset(m)}
+    return FusionSystem(G, P, p, _iso_table(isos), name=name)
 
 
 def inner_fusion(
@@ -323,15 +337,6 @@ def inner_fusion(
     return fusion_of_group(P, p, P, name=name)
 
 
-def _aligned_restriction(mapping: Key, qkey: Key, skey: Key) -> Key:
-    pos = {e: i for i, e in enumerate(qkey)}
-    return tuple(mapping[pos[x]] for x in skey)
-
-
-def _inverse_mapping(qkey: Key, mapping: Key) -> Key:
-    return tuple(d for _, d in sorted(zip(mapping, qkey)))
-
-
 def generated_fusion(
     P: Subgroup,
     p: int,
@@ -345,30 +350,29 @@ def generated_fusion(
     if not P.is_p_group(p):
         raise NotAPGroup(f"order {len(P)} is not a power of {p}", witness=P)
     inner = fusion_of_group(P, p, P)
-    isos: dict[Key, dict[Key, set[Key]]] = {
-        qk: {rk: set(ms) for rk, ms in targets.items()}
+    isos: dict[Key, set[Key]] = {
+        qk: {m for ms in targets.values() for m in ms}
         for qk, targets in inner._isos.items()
     }
-    contained: dict[Key, list[Key]] = {}
+    # Both restriction to a subgroup S and composition after a map onto Q
+    # read a map on Q at fixed positions: (S key, positions) pairs.
+    contained: dict[Key, list[tuple[Key, Key]]] = {}
     for Q in all_subgroups(P):
-        qset = Q._set
-        contained[Q.key] = [S.key for S in all_subgroups(P) if qset.issuperset(S.elements)]
+        contained[Q.key] = [
+            (S.key, _positions(Q.key, S.key)) for S in all_subgroups(P) if S < Q
+        ]
 
     into: dict[Key, list[tuple[Key, Key]]] = {qk: [] for qk in isos}
-    outof: dict[Key, list[tuple[Key, Key]]] = {qk: [] for qk in isos}
+    outof: dict[Key, list[Key]] = {qk: [] for qk in isos}
     queue: list[tuple[Key, Key]] = []
 
     def push(qkey: Key, mapping: Key) -> None:
-        rkey = tuple(sorted(mapping))
-        bucket = isos[qkey].setdefault(rkey, set())
-        if mapping in bucket:
-            return
-        bucket.add(mapping)
-        queue.append((qkey, mapping))
+        if mapping not in isos[qkey]:
+            isos[qkey].add(mapping)
+            queue.append((qkey, mapping))
 
-    for qk, targets in isos.items():
-        for ms in targets.values():
-            queue.extend((qk, m) for m in ms)
+    for qk, ms in isos.items():
+        queue.extend((qk, m) for m in ms)
 
     pset = P._set
     for phi in seeds:
@@ -384,21 +388,19 @@ def generated_fusion(
     while queue:
         qkey, mapping = queue.pop()
         rkey = tuple(sorted(mapping))
+        then = _positions(rkey, mapping)
         # index first so self-composable maps pair with themselves below
-        into[rkey].append((qkey, mapping))
-        outof[qkey].append((rkey, mapping))
-        push(rkey, _inverse_mapping(qkey, mapping))
-        for skey in contained[qkey]:
-            if skey != qkey:
-                push(skey, _aligned_restriction(mapping, qkey, skey))
-        rpos = {e: i for i, e in enumerate(rkey)}
-        for _, m2 in list(outof[rkey]):
-            push(qkey, tuple(m2[rpos[v]] for v in mapping))
-        qpos = {e: i for i, e in enumerate(qkey)}
-        for skey, m0 in list(into[qkey]):
-            push(skey, tuple(mapping[qpos[v]] for v in m0))
+        into[rkey].append((qkey, then))
+        outof[qkey].append(mapping)
+        push(rkey, _inverse(qkey, mapping))
+        for skey, idx in contained[qkey]:
+            push(skey, _restrict(mapping, idx))
+        for m2 in outof[rkey]:
+            push(qkey, _restrict(m2, then))
+        for skey, idx in into[qkey]:
+            push(skey, _restrict(mapping, idx))
 
-    return FusionSystem(G, P, p, _freeze(isos), name=name)
+    return FusionSystem(G, P, p, _iso_table(isos), name=name)
 
 
 def is_subsystem(E: FusionSystem, F: FusionSystem) -> bool:
@@ -418,14 +420,14 @@ def full_subcategory(F: FusionSystem, S: Subgroup, *, name: str | None = None) -
     subgroups of S."""
     F.require_in_p(S)
     sset = S._set
-    isos: dict[Key, dict[Key, set[Key]]] = {}
+    isos: dict[Key, list[Key]] = {}
     for qk, targets in F._isos.items():
         if not sset.issuperset(qk):
             continue
-        kept = {rk: set(ms) for rk, ms in targets.items() if sset.issuperset(rk)}
+        kept = [m for rk, ms in targets.items() if sset.issuperset(rk) for m in ms]
         if kept:
             isos[qk] = kept
-    return FusionSystem(F.group, S, F.p, _freeze(isos), name=name)
+    return FusionSystem(F.group, S, F.p, _iso_table(isos), name=name)
 
 
 def intersect_raw(E1: FusionSystem, E2: FusionSystem, *, name: str | None = None) -> FusionSystem:
@@ -440,21 +442,18 @@ def intersect_raw(E1: FusionSystem, E2: FusionSystem, *, name: str | None = None
         raise PrimeMismatch(f"{E1.p} != {E2.p}")
     T = E1.P.meet(E2.P)
     tset = T._set
-    isos: dict[Key, dict[Key, set[Key]]] = {}
+    isos: dict[Key, list[Key]] = {}
     for qk, targets in E1._isos.items():
         if not tset.issuperset(qk):
             continue
         other = E2._isos.get(qk, {})
-        kept: dict[Key, set[Key]] = {}
-        for rk, ms in targets.items():
-            if not tset.issuperset(rk):
-                continue
-            common = set(ms) & set(other.get(rk, ()))
-            if common:
-                kept[rk] = common
+        kept = [
+            m for rk, ms in targets.items() if tset.issuperset(rk)
+            for m in set(ms).intersection(other.get(rk, ()))
+        ]
         if kept:
             isos[qk] = kept
-    return FusionSystem(E1.group, T, E1.p, _freeze(isos), name=name)
+    return FusionSystem(E1.group, T, E1.p, _iso_table(isos), name=name)
 
 
 def direct_product(F1: FusionSystem, F2: FusionSystem, *, name: str | None = None) -> FusionSystem:
@@ -463,21 +462,8 @@ def direct_product(F1: FusionSystem, F2: FusionSystem, *, name: str | None = Non
         raise PrimeMismatch(f"{F1.p} != {F2.p}")
     dpd = direct_product_groups(F1.group, F2.group)
     P = dpd.embed_pair(F1.P, F2.P)
-    isos: dict[Key, dict[Key, set[Key]]] = {}
-    for Q in all_subgroups(P):
-        split = [dpd.split_index(x) for x in Q.elements]
-        q1 = Subgroup(F1.group, {a for a, _ in split}, check=False)
-        q2 = Subgroup(F2.group, {b for _, b in split}, check=False)
-        pos1 = {e: i for i, e in enumerate(q1.elements)}
-        pos2 = {e: i for i, e in enumerate(q2.elements)}
-        bucket = isos.setdefault(Q.key, {})
-        for m1 in (m for ms in F1._isos.get(q1.key, {}).values() for m in ms):
-            for m2 in (m for ms in F2._isos.get(q2.key, {}).values() for m in ms):
-                mapping = tuple(
-                    dpd.pair_index(m1[pos1[a]], m2[pos2[b]]) for a, b in split
-                )
-                bucket.setdefault(tuple(sorted(mapping)), set()).add(mapping)
-    return FusionSystem(dpd.group, P, F1.p, _freeze(isos), name=name)
+    isos = _product_table(P, dpd.split_index, dpd.pair_index, F1, F2)
+    return FusionSystem(dpd.group, P, F1.p, isos, name=name)
 
 
 def internal_direct_product(
@@ -504,20 +490,27 @@ def internal_direct_product(
             comp2[x] = b
     E1 = full_subcategory(F, P1)
     E2 = full_subcategory(F, P2)
-    isos: dict[Key, dict[Key, set[Key]]] = {}
+    isos = _product_table(P, lambda x: (comp1[x], comp2[x]), G.mul, E1, E2)
+    return FusionSystem(G, P, F.p, isos, name=name)
+
+
+def _product_table(P: Subgroup, split, pair, E1: FusionSystem, E2: FusionSystem) -> IsoTable:
+    """The table of E1 x E2 on P: on each Q <= P, every coordinatewise pair
+    of an E1-iso and an E2-iso of Q's two projections.  ``split`` gives
+    the coordinates of an element of P and ``pair`` rejoins them."""
+    isos: dict[Key, set[Key]] = {}
     for Q in all_subgroups(P):
-        q1 = Subgroup(G, {comp1[x] for x in Q.elements}, check=False)
-        q2 = Subgroup(G, {comp2[x] for x in Q.elements}, check=False)
-        pos1 = {e: i for i, e in enumerate(q1.elements)}
-        pos2 = {e: i for i, e in enumerate(q2.elements)}
-        bucket = isos.setdefault(Q.key, {})
-        for m1 in (m for ms in E1._isos.get(q1.key, {}).values() for m in ms):
-            for m2 in (m for ms in E2._isos.get(q2.key, {}).values() for m in ms):
-                mapping = tuple(
-                    G.mul(m1[pos1[comp1[x]]], m2[pos2[comp2[x]]]) for x in Q.elements
-                )
-                bucket.setdefault(tuple(sorted(mapping)), set()).add(mapping)
-    return FusionSystem(G, P, F.p, _freeze(isos), name=name)
+        firsts, seconds = zip(*(split(x) for x in Q.elements))
+        q1, q2 = tuple(sorted(set(firsts))), tuple(sorted(set(seconds)))
+        idx = list(zip(_positions(q1, firsts), _positions(q2, seconds)))
+        maps2 = [m for ms in E2._isos.get(q2, {}).values() for m in ms]
+        isos[Q.key] = {
+            tuple(pair(m1[i], m2[j]) for i, j in idx)
+            for ms in E1._isos.get(q1, {}).values()
+            for m1 in ms
+            for m2 in maps2
+        }
+    return _iso_table(isos)
 
 
 # -- strongly closed subgroups and quotients ---------------------------------
@@ -576,13 +569,12 @@ def _induced_quotient_system(
     T = qd.kernel
     tset = T._set
     project = qd.project
-    isos: dict[Key, dict[Key, set[Key]]] = {}
+    isos: dict[Key, set[Key]] = {}
     for qk, targets in E._isos.items():
         if not tset.issubset(qk):
             continue
-        qbar = sorted({project[x] for x in qk})
-        qbar_key = tuple(qbar)
-        bucket = isos.setdefault(qbar_key, {})
+        qbar = tuple(sorted({project[x] for x in qk}))
+        images = isos.setdefault(qbar, set())
         for ms in targets.values():
             for m in ms:
                 bar: dict[int, int] = {}
@@ -592,10 +584,9 @@ def _induced_quotient_system(
                         raise NotStronglyClosed(
                             "morphism does not respect the kernel cosets", witness=m
                         )
-                mapping = tuple(bar[c] for c in qbar)
-                bucket.setdefault(tuple(sorted(mapping)), set()).add(mapping)
+                images.add(tuple(bar[c] for c in qbar))
     Pbar = qd.push(carrier)
-    return FusionSystem(qd.group, Pbar, E.p, _freeze(isos), name=name)
+    return FusionSystem(qd.group, Pbar, E.p, _iso_table(isos), name=name)
 
 
 # -- transport and isomorphism ------------------------------------------------
@@ -605,23 +596,12 @@ def transport_fusion(F: FusionSystem, chi: Morphism, *, name: str | None = None)
     """The image system of F along a group isomorphism chi: P -> P'."""
     if chi.domain != F.P or not chi.is_iso:
         raise FusionkitError("transport needs an isomorphism defined on P")
-    image_group = chi.codomain.group
-    pos = {e: i for i, e in enumerate(F.P.elements)}
-
-    def send(x: int) -> int:
-        return chi.mapping[pos[x]]
-
-    back = {send(x): x for x in F.P.elements}
-    isos: dict[Key, dict[Key, set[Key]]] = {}
+    send = dict(zip(F.P.elements, chi.mapping))
+    isos: dict[Key, list[Key]] = {}
     for qk, targets in F._isos.items():
-        qimg = sorted(send(x) for x in qk)
-        qpos = {e: i for i, e in enumerate(qk)}
-        bucket = isos.setdefault(tuple(qimg), {})
-        for ms in targets.values():
-            for m in ms:
-                mapping = tuple(send(m[qpos[back[x]]]) for x in qimg)
-                bucket.setdefault(tuple(sorted(mapping)), set()).add(mapping)
-    return FusionSystem(image_group, chi.codomain, F.p, _freeze(isos), name=name)
+        images = isos.setdefault(tuple(sorted(send[x] for x in qk)), [])
+        images.extend(_transport(send, qk, m)[1] for ms in targets.values() for m in ms)
+    return FusionSystem(chi.codomain.group, chi.codomain, F.p, _iso_table(isos), name=name)
 
 
 def find_fusion_isomorphism(F1: FusionSystem, F2: FusionSystem) -> Morphism | None:
@@ -666,20 +646,21 @@ def validate_fusion(F: FusionSystem) -> None:
             if mapping not in F._isos[Q.key].get(tuple(sorted(mapping)), ()):
                 raise FusionkitError("inner fusion missing", witness=(Q.key, mapping))
     for qk, targets in F._isos.items():
+        qset = set(qk)
+        contained = [
+            (sk, _positions(qk, sk)) for sk in F._isos if sk != qk and qset.issuperset(sk)
+        ]
         for rk, ms in targets.items():
             for m in ms:
-                inv = _inverse_mapping(qk, m)
-                if inv not in F._isos[rk].get(qk, ()):
+                if _inverse(qk, m) not in F._isos[rk].get(qk, ()):
                     raise FusionkitError("not closed under inversion", witness=m)
-                qset = set(qk)
-                for sk in F._isos:
-                    if sk != qk and qset.issuperset(sk):
-                        sub = _aligned_restriction(m, qk, sk)
-                        if sub not in F._isos[sk].get(tuple(sorted(sub)), ()):
-                            raise FusionkitError("not closed under restriction", witness=(m, sk))
-                rpos = {e: i for i, e in enumerate(rk)}
+                for sk, idx in contained:
+                    sub = _restrict(m, idx)
+                    if sub not in F._isos[sk].get(tuple(sorted(sub)), ()):
+                        raise FusionkitError("not closed under restriction", witness=(m, sk))
+                then = _positions(rk, m)
                 for ms2 in F._isos[rk].values():
                     for m2 in ms2:
-                        comp = tuple(m2[rpos[v]] for v in m)
+                        comp = _restrict(m2, then)
                         if comp not in F._isos[qk].get(tuple(sorted(comp)), ()):
                             raise FusionkitError("not closed under composition", witness=(m, m2))

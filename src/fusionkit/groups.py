@@ -97,9 +97,12 @@ class Group:
         self._lookup = {p: i for i, p in enumerate(self.perms)}
         n = len(self.perms)
         mul = []
-        for a in self.perms:
-            lookup = self._lookup
-            mul.append(tuple(lookup[perm_mul(a, b)] for b in self.perms))
+        lookup = self._lookup
+        try:
+            for a in self.perms:
+                mul.append(tuple(lookup[perm_mul(a, b)] for b in self.perms))
+        except KeyError:
+            raise FusionkitError("element list is not closed under products") from None
         self._mul: tuple[tuple[int, ...], ...] = tuple(mul)
         self._inv = tuple(self._lookup[perm_inv(p)] for p in self.perms)
         self.identity = self._lookup[identity_perm(degree)]

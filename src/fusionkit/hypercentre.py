@@ -35,7 +35,7 @@ from .groups import (
     sylow,
     upper_central_series_group,
 )
-from .morphisms import Morphism
+from .morphisms import Morphism, _positions, _restrict
 from .saturation import is_saturated
 from .subsystems import local_subsystem, strongly_closed_subgroups
 
@@ -101,13 +101,11 @@ def _require_saturated(F: FusionSystem) -> None:
 def _extends_fixing(F: FusionSystem, phi: Morphism, x: int) -> bool:
     X = F.group.generated_subgroup([x])
     dom = phi.domain.join(X)
-    cod = phi.codomain.join(X)
-    for psi in F.hom_set(dom, cod):
-        if psi.apply(x) != x:
-            continue
-        if all(psi.apply(q) == phi.apply(q) for q in phi.domain.elements):
-            return True
-    return False
+    idx = _positions(dom.elements, phi.domain.elements)
+    return any(
+        psi.apply(x) == x and _restrict(psi.mapping, idx) == phi.mapping
+        for psi in F.hom_set(dom, phi.codomain.join(X))
+    )
 
 
 def centre_of(F: FusionSystem) -> Subgroup:

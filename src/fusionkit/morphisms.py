@@ -4,6 +4,11 @@ A :class:`Morphism` maps a domain subgroup into a codomain subgroup,
 possibly of a different ambient group.  ``mapping[i]`` is the image (as
 a codomain-ambient element index) of ``domain.elements[i]``.  Maps
 compose left to right: ``phi.then(psi)`` applies ``phi`` first.
+
+Internal code works on these domain-aligned mapping tuples directly,
+through the module-private helpers below (restriction by positions,
+inverse, composition, transport along an isomorphism); ``Morphism`` is
+the public boundary type that pairs one such tuple with its subgroups.
 """
 
 from __future__ import annotations
@@ -18,6 +23,47 @@ from .errors import (
     OrderBoundExceeded,
 )
 from .groups import DEFAULT_ORDER_BOUND, Group, Subgroup, _as_subgroup, is_p_power
+
+Key = tuple[int, ...]
+
+
+def _positions(domain: Key, elements: Iterable[int]) -> Key:
+    """The positions of ``elements`` in the sorted ``domain``."""
+    index = {e: i for i, e in enumerate(domain)}
+    return tuple(index[x] for x in elements)
+
+
+def _restrict(mapping: Key, positions: Key) -> Key:
+    """The images of the domain elements at ``positions``."""
+    return tuple(mapping[i] for i in positions)
+
+
+def _inverse(domain: Key, mapping: Key) -> Key:
+    """The inverse of an injective map, aligned to its sorted image."""
+    return tuple(d for _, d in sorted(zip(mapping, domain)))
+
+
+def _compose(first: Key, domain: Key, second: Key) -> Key:
+    """``first`` then ``second``, where ``second`` is aligned to ``domain``
+    and ``domain`` contains the image of ``first``."""
+    return _restrict(second, _positions(domain, first))
+
+
+def _transport(send: dict[int, int], domain: Key, mapping: Key) -> tuple[Key, Key]:
+    """A map moved along an isomorphism chi, given as the dict ``send``:
+    the sorted image of ``domain`` under chi, and chi^-1 . map . chi
+    aligned to it.  ``send`` must cover the domain and image of the map."""
+    pairs = sorted((send[x], send[y]) for x, y in zip(domain, mapping))
+    return tuple(x for x, _ in pairs), tuple(y for _, y in pairs)
+
+
+def _stabilizing_restrictions(domain: Key, sub: Key, mappings: Iterable[Key]) -> frozenset[Key]:
+    """Restrictions to ``sub`` of the maps on ``domain`` that map ``sub``
+    onto itself."""
+    idx = _positions(domain, sub)
+    subset = set(sub)
+    restricted = (_restrict(m, idx) for m in mappings)
+    return frozenset(r for r in restricted if set(r) == subset)
 
 
 class Morphism:
@@ -63,13 +109,10 @@ class Morphism:
             raise ImageNotContained("domain not inside codomain", witness=Q)
         return cls(Q, R, Q.elements)
 
-    def _positions(self) -> dict[int, int]:
+    def apply(self, idx: int) -> int:
         if self._pos is None:
             self._pos = {e: i for i, e in enumerate(self.domain.elements)}
-        return self._pos
-
-    def apply(self, idx: int) -> int:
-        return self.mapping[self._positions()[idx]]
+        return self.mapping[self._pos[idx]]
 
     @property
     def key(self) -> tuple:
@@ -117,14 +160,14 @@ class Morphism:
         """Left-to-right composition: apply self, then ``other``."""
         if not other.domain.contains_all(self.mapping):
             raise ImageNotContained("composition undefined", witness=(self, other))
-        return Morphism(
-            self.domain, other.codomain, tuple(other.apply(x) for x in self.mapping)
-        )
+        mapping = _compose(self.mapping, other.domain.elements, other.mapping)
+        return Morphism(self.domain, other.codomain, mapping)
 
     def restrict(self, S: Subgroup) -> "Morphism":
         if not S <= self.domain:
             raise NotASubgroup("restriction target not inside domain", witness=S)
-        return Morphism(S, self.codomain, tuple(self.apply(x) for x in S.elements))
+        idx = _positions(self.domain.elements, S.elements)
+        return Morphism(S, self.codomain, _restrict(self.mapping, idx))
 
     def onto_image(self) -> "Morphism":
         return Morphism(self.domain, self.image(), self.mapping)
@@ -137,8 +180,8 @@ class Morphism:
     def inverse(self) -> "Morphism":
         if not self.is_iso:
             raise NotAnIsomorphism("not onto the codomain", witness=self)
-        pairs = sorted(zip(self.mapping, self.domain.elements))
-        return Morphism(self.codomain, self.domain, tuple(d for _, d in pairs))
+        mapping = _inverse(self.domain.elements, self.mapping)
+        return Morphism(self.codomain, self.domain, mapping)
 
     def conjugated_by(self, chi: "Morphism") -> "Morphism":
         """Transport an automorphism along an isomorphism: chi^-1 . self . chi.
@@ -146,16 +189,17 @@ class Morphism:
         ``self`` must map a subgroup of ``chi.domain`` to itself; the result
         is the corresponding automorphism of the image under ``chi``.
         """
-        if not chi.domain.contains_all(self.domain.elements):
+        S = self.domain.elements
+        if not chi.domain.contains_all(S):
             raise NotASubgroup("automorphism domain not inside the transport map")
-        restricted = chi.restrict(self.domain)
-        target = restricted.image()
-        inv = restricted.onto_image().inverse()
-        return Morphism(
-            target,
-            target,
-            tuple(restricted.apply(self.apply(inv.apply(x))) for x in target.elements),
-        )
+        moved = _restrict(chi.mapping, _positions(chi.domain.elements, S))
+        target = Subgroup(chi.codomain.group, moved, check=False)
+        if len(target) != len(moved):
+            raise NotAnIsomorphism(
+                "not onto the codomain", witness=Morphism(self.domain, target, moved)
+            )
+        _, mapping = _transport(dict(zip(S, moved)), S, self.mapping)
+        return Morphism(target, target, mapping)
 
     def fixes(self, S: Subgroup) -> bool:
         """Whether S is inside the domain and mapped onto itself."""
@@ -254,6 +298,16 @@ class AutGroup:
             if is_p_power(self.group.element_order(i), p)
         ]
         return self.morphisms_of(self.group.generated_subgroup(gens))
+
+
+def _aut_subgroup(ag: AutGroup, mappings: Iterable[Key], *, check: bool = False) -> Subgroup:
+    """The automorphisms with the given mappings, as a subgroup of
+    ``ag.group``."""
+    try:
+        positions = [ag._index[m] for m in mappings]
+    except KeyError as exc:
+        raise NotASubgroup("automorphism not in this group", witness=exc.args[0]) from None
+    return Subgroup(ag.group, positions, check=check)
 
 
 def _hom_extend(

@@ -22,6 +22,7 @@ from .errors import (
     NotASubgroup,
     NotNormalInAutF,
     NotStronglyClosed,
+    ParseError,
     PostconditionViolation,
     PreconditionFailed,
     TheoremViolation,
@@ -35,7 +36,13 @@ from .fusion import (
     is_subsystem,
 )
 from .groups import Subgroup, all_subgroups, centralizer, normalizer, p_part, subgroups_between
-from .morphisms import Morphism
+from .morphisms import (
+    Morphism,
+    _aut_subgroup,
+    _compose,
+    _stabilizing_restrictions,
+    _transport,
+)
 from .saturation import is_saturated
 from .subsystems import normality_status, o_p_prime_subsystem
 
@@ -138,29 +145,8 @@ def aut_map_of(E: FusionSystem) -> AutMap:
 
 
 def _transported(Q: Subgroup, mappings, phi: Morphism) -> frozenset[Key]:
-    return frozenset(
-        Morphism(Q, Q, m).conjugated_by(phi).mapping for m in mappings
-    )
-
-
-def _stabilizing_restrictions(V: Subgroup, Q: Subgroup, mappings) -> frozenset[Key]:
-    """Restrictions to Q of the given automorphisms of V that map Q onto Q."""
-    qset = set(Q.elements)
-    out = set()
-    for m in mappings:
-        psi = Morphism(V, V, m)
-        if {psi.apply(x) for x in Q.elements} == qset:
-            out.add(psi.restrict(Q).with_codomain(Q).mapping)
-    return frozenset(out)
-
-
-def _aut_positions(F: FusionSystem, Q: Subgroup, mappings) -> Subgroup:
-    ag = F.aut_group(Q)
-    return Subgroup(
-        ag.group,
-        (ag.index_of(Morphism(Q, Q, m)) for m in mappings),
-        check=True,
-    )
+    send = dict(zip(Q.elements, phi.mapping))
+    return frozenset(_transport(send, Q.elements, m)[1] for m in mappings)
 
 
 def check_weakly_normal_map(F: FusionSystem, A: AutMap) -> MapVerdict:
@@ -184,7 +170,7 @@ def check_weakly_normal_map(F: FusionSystem, A: AutMap) -> MapVerdict:
                 "A(U) must be contained in Aut_F(U)", witness=Q
             )
         try:
-            _aut_positions(F, Q, A.assignment[Q.key])
+            _aut_subgroup(F.aut_group(Q), A.assignment[Q.key], check=True)
         except NotASubgroup:
             raise PreconditionFailed(
                 "A(U) must be a subgroup of Aut_F(U)", witness=Q
@@ -230,7 +216,7 @@ def check_weakly_normal_map(F: FusionSystem, A: AutMap) -> MapVerdict:
     # for fully normalized U.
     for Q in fully_normalized:
         V = Q.join(centralizer(T, Q))
-        restrictions = _stabilizing_restrictions(V, Q, A.assignment[V.key])
+        restrictions = _stabilizing_restrictions(V.key, Q.key, A.assignment[V.key])
         missing = A.assignment[Q.key] - restrictions
         if missing:
             return MapVerdict(
@@ -248,13 +234,13 @@ def check_weakly_normal_map(F: FusionSystem, A: AutMap) -> MapVerdict:
         if not centralizer(T, Q) <= Q:
             continue
         ag = F.aut_group(Q)
-        a_pos = _aut_positions(F, Q, A.assignment[Q.key])
+        a_pos = _aut_subgroup(ag, A.assignment[Q.key], check=True)
         for V in subgroups_between(Q, normalizer(T, Q)):
-            autv_pos = _aut_positions(F, Q, F.aut_mappings_of_conjugation(Q, V))
+            autv_pos = _aut_subgroup(ag, F.aut_mappings_of_conjugation(Q, V), check=True)
             needed = {
                 m.mapping for m in ag.morphisms_of(normalizer(a_pos, autv_pos))
             }
-            got = _stabilizing_restrictions(V, Q, A.assignment[V.key])
+            got = _stabilizing_restrictions(V.key, Q.key, A.assignment[V.key])
             if not got <= needed:
                 return MapVerdict(
                     False,
@@ -304,9 +290,7 @@ def complete_partial_map(F: FusionSystem, T: Subgroup, partial) -> AutMap:
                 assigned[Q.key] = given[Q.key]
             else:
                 V = Q.join(centralizer(T, Q))
-                assigned[Q.key] = _stabilizing_restrictions(
-                    V, Q, assigned[V.key]
-                )
+                assigned[Q.key] = _stabilizing_restrictions(V.key, Q.key, assigned[V.key])
         for Q in normalized:
             base = assigned[Q.key]
             for phi in F.isos_from(Q):
@@ -364,14 +348,6 @@ def generate_from_map(
     return E
 
 
-def _aut_subgroup_of(F: FusionSystem, E: FusionSystem, T: Subgroup) -> Subgroup:
-    return _aut_positions(F, T, E.iso_mappings(T, T))
-
-
-def _compose_into(psi: Morphism, h: Morphism) -> Key:
-    return tuple(h.apply(x) for x in psi.mapping)
-
-
 def enlarge_weakly_normal(
     F: FusionSystem,
     E: FusionSystem,
@@ -396,7 +372,7 @@ def enlarge_weakly_normal(
         h_pos = Subgroup(
             ag.group, (ag.index_of(m) for m in H), check=True
         )
-    aut_e = _aut_subgroup_of(F, E, T)
+    aut_e = _aut_subgroup(ag, E.iso_mappings(T, T), check=True)
     if not aut_e <= h_pos:
         raise PreconditionFailed("H must contain Aut_E(T)")
     if not h_pos.is_normal_in(ag.group.full_subgroup):
@@ -415,7 +391,7 @@ def enlarge_weakly_normal(
     for Q in E2.subgroups():
         lhs = {m.mapping for m in E2.hom_set(Q, T)}
         rhs = {
-            _compose_into(psi, h)
+            _compose(psi.mapping, T.elements, h.mapping)
             for psi in E.hom_set(Q, T)
             for h in h_morphs
         }
@@ -454,7 +430,7 @@ def weakly_normal_systems_on(F: FusionSystem, T: Subgroup) -> tuple[FusionSystem
         Q = seeds[0]
         ag = F.aut_group(Q)
         full = ag.group.full_subgroup
-        inn_t = _aut_positions(F, Q, F.aut_mappings_of_conjugation(Q, T))
+        inn_t = _aut_subgroup(ag, F.aut_mappings_of_conjugation(Q, T), check=True)
         choices = []
         for S in all_subgroups(full):
             if not (inn_t <= S and S.is_normal_in(full)):
@@ -487,9 +463,15 @@ def weakly_normal_systems_on(F: FusionSystem, T: Subgroup) -> tuple[FusionSystem
             continue
         E = generate_from_map(F, A)
         found.setdefault(E.to_key(), E)
-    return tuple(
-        found[k] for k in sorted(found, key=lambda k: (len(str(k)), str(k)))
-    )
+    return tuple(sorted(found.values(), key=lambda E: (E.iso_count(), E.to_key())))
+
+
+def _minimum(systems: tuple[FusionSystem, ...], T: Subgroup) -> FusionSystem:
+    """The system contained in all the others; TheoremViolation if none is."""
+    for E in systems:
+        if all(is_subsystem(E, other) for other in systems):
+            return E
+    raise TheoremViolation("weakly normal systems on T have no minimum", witness=T)
 
 
 def based_range(F: FusionSystem, T: Subgroup) -> BasedRange | NotBased:
@@ -504,13 +486,7 @@ def based_range(F: FusionSystem, T: Subgroup) -> BasedRange | NotBased:
         return NotBased(T=F.require_in_p(T), reason="no weakly normal subsystem on this subgroup")
     T = F.require_in_p(T)
 
-    minimal = None
-    for E in systems:
-        if all(is_subsystem(E, other) for other in systems):
-            minimal = E
-            break
-    if minimal is None:
-        raise TheoremViolation("weakly normal systems on T have no minimum", witness=T)
+    minimal = _minimum(systems, T)
     residue = o_p_prime_subsystem(systems[0])
     if residue != minimal:
         raise TheoremViolation(
@@ -519,7 +495,7 @@ def based_range(F: FusionSystem, T: Subgroup) -> BasedRange | NotBased:
 
     ag = F.aut_group(T)
     full = ag.group.full_subgroup
-    aut_min = _aut_subgroup_of(F, minimal, T)
+    aut_min = _aut_subgroup(ag, minimal.iso_mappings(T, T), check=True)
     h_max = aut_min
     for S in all_subgroups(full):
         if (
@@ -554,11 +530,7 @@ def t_core(F: FusionSystem, D: FusionSystem, T: Subgroup) -> FusionSystem:
     systems = weakly_normal_systems_on(F, T)
     if not systems:
         raise PreconditionFailed("T is not based in F", witness=T)
-    minimal = next(
-        (E for E in systems if all(is_subsystem(E, o) for o in systems)), None
-    )
-    if minimal is None:
-        raise TheoremViolation("weakly normal systems on T have no minimum", witness=T)
+    minimal = _minimum(systems, T)
     if not is_subsystem(minimal, D):
         raise CoreUndefined(
             "the minimal weakly normal system on T is not contained in D",
@@ -645,8 +617,11 @@ def aut_map_to_data(A: AutMap) -> dict:
 
 
 def aut_map_from_data(F: FusionSystem, data: dict) -> AutMap:
-    if data.get("schema") != AUT_MAP_SCHEMA:
+    if not isinstance(data, dict) or data.get("schema") != AUT_MAP_SCHEMA:
         raise PreconditionFailed(f"expected schema {AUT_MAP_SCHEMA}")
+    missing = [k for k in ("T", "assignment") if k not in data]
+    if missing:
+        raise ParseError(f"aut-map data is missing {', '.join(missing)}")
     T = F.require_in_p(Subgroup(F.group, data["T"]))
     assignment = {
         tuple(key): frozenset(tuple(m) for m in mappings)

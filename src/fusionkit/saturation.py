@@ -7,7 +7,14 @@ from dataclasses import dataclass
 from .errors import NotAnIsomorphism, NotASubgroupOfP
 from .fusion import FusionSystem
 from .groups import Subgroup, normalizer, p_part, subgroups_between
-from .morphisms import Morphism
+from .morphisms import (
+    Morphism,
+    _aut_subgroup,
+    _positions,
+    _restrict,
+    _stabilizing_restrictions,
+    _transport,
+)
 
 
 @dataclass(frozen=True)
@@ -46,10 +53,10 @@ def n_phi(F: FusionSystem, phi: Morphism) -> NPhi:
     R = phi.image()
     target = F.aut_mappings_of_conjugation(R, F.P)
     G = F.group
+    send = dict(zip(S.elements, phi.mapping))
     members = []
     for g in normalizer(F.P, S).elements:
-        cg = Morphism(S, S, tuple(G.conj(x, g) for x in S.elements))
-        if cg.conjugated_by(phi).mapping in target:
+        if _transport(send, S.elements, [G.conj(x, g) for x in S.elements])[1] in target:
             members.append(g)
     return NPhi(phi, Subgroup(G, members, check=False))
 
@@ -60,10 +67,9 @@ def extend_morphism(F: FusionSystem, phi: Morphism, D: Subgroup) -> Morphism | N
     F.require_in_p(D)
     if not S <= D:
         raise NotASubgroupOfP("extension domain must contain the domain of phi", witness=S)
-    dpos = {e: i for i, e in enumerate(D.elements)}
-    restriction = tuple(dpos[x] for x in S.elements)
+    restriction = _positions(D.elements, S.elements)
     for psi in F.hom_set(D, F.P):
-        if tuple(psi.mapping[i] for i in restriction) == phi.mapping:
+        if _restrict(psi.mapping, restriction) == phi.mapping:
             return psi
     return None
 
@@ -103,16 +109,10 @@ def has_surjectivity_property(F: FusionSystem, Q: Subgroup) -> bool:
     R between QC_P(Q) and N_P(Q)."""
     F.require_in_p(Q)
     A = F.aut_group(Q)
-    qset = Q._set
     for R in subgroups_between(Q.join(F.c_p(Q)), F.n_p(Q)):
-        aut_r = A.subgroup_from(
-            Morphism(Q, Q, m) for m in F.aut_mappings_of_conjugation(Q, R)
-        )
+        aut_r = _aut_subgroup(A, F.aut_mappings_of_conjugation(Q, R))
         needed = normalizer(A.group.full_subgroup, aut_r)
-        restrictions = set()
-        for psi in F.isos_between(R, R):
-            if qset == {psi.apply(x) for x in Q.elements}:
-                restrictions.add(psi.restrict(Q).with_codomain(Q).mapping)
+        restrictions = _stabilizing_restrictions(R.key, Q.key, F.iso_mappings(R, R))
         if not {A.morphisms[i].mapping for i in needed.elements} <= restrictions:
             return False
     return True
@@ -142,11 +142,10 @@ def is_saturated(F: FusionSystem) -> SaturationVerdict:
 def normalizer_map(F: FusionSystem, R: Subgroup, Q: Subgroup) -> Morphism | None:
     """Some F-morphism N_P(R) -> N_P(Q) carrying R onto Q, if one exists."""
     NR, NQ = F.n_p(R), F.n_p(Q)
-    pos = {e: i for i, e in enumerate(NR.elements)}
-    idx = tuple(pos[x] for x in R.elements)
+    idx = _positions(NR.elements, R.elements)
     qset = Q._set
     for psi in F.hom_set(NR, NQ):
-        if {psi.mapping[i] for i in idx} == qset:
+        if set(_restrict(psi.mapping, idx)) == qset:
             return psi
     return None
 

@@ -21,6 +21,7 @@ from .errors import (
 )
 from .fusion import (
     FusionSystem,
+    _iso_table,
     generated_fusion,
     is_strongly_closed,
     is_subsystem,
@@ -28,7 +29,7 @@ from .fusion import (
     quotient_with_data,
 )
 from .groups import QuotientData, Subgroup, all_subgroups, coset_quotient
-from .morphisms import Morphism
+from .morphisms import Morphism, _compose, _inverse, _positions, _restrict, _transport
 from .saturation import is_centric, is_saturated
 
 
@@ -104,11 +105,8 @@ def is_invariant(F: FusionSystem, E: FusionSystem) -> Morphism | None:
                     continue
                 send = dict(zip(qk, m))
                 for q2k, m2 in inner_isos:
-                    image = dict(zip(q2k, m2))
-                    dom = sorted(send[x] for x in q2k)
-                    back = {send[x]: x for x in q2k}
-                    mapping = tuple(send[image[back[y]]] for y in dom)
-                    if mapping not in E._isos.get(tuple(dom), {}).get(
+                    dom, mapping = _transport(send, q2k, m2)
+                    if mapping not in E._isos.get(dom, {}).get(
                         tuple(sorted(mapping)), ()
                     ):
                         D = Subgroup(F.group, dom, check=False)
@@ -118,15 +116,20 @@ def is_invariant(F: FusionSystem, E: FusionSystem) -> Morphism | None:
 
 def _normal_extension(F: FusionSystem, T: Subgroup, phi: Morphism) -> Morphism | None:
     """An extension of phi in Aut_F(TC_P(T)) with [ext, C_P(T)] ≤ Z(T)."""
-    C = F.c_p(T)
-    TC = T.join(C)
-    ZT = T.centre()
-    pos = {e: i for i, e in enumerate(TC.elements)}
-    idx = tuple(pos[x] for x in T.elements)
-    for psi in F.isos_between(TC, TC):
-        if tuple(psi.mapping[i] for i in idx) != phi.mapping:
-            continue
-        if comm_set(psi, C) <= ZT._set:
+    return _extension(F, F.c_p(T), T, phi.mapping, T.centre())
+
+
+def _extension(
+    F: FusionSystem, C: Subgroup, Q: Subgroup, mapping, Z: Subgroup
+) -> Morphism | None:
+    """The first F-morphism psi: QC -> RC, for R the image of ``mapping``,
+    that restricts to ``mapping`` on Q and has [psi, C] ≤ Z."""
+    QC = Q.join(C)
+    R = Subgroup(F.group, mapping, check=False)
+    RC = QC if R == Q else R.join(C)
+    idx = _positions(QC.elements, Q.elements)
+    for psi in F.hom_set(QC, RC):
+        if _restrict(psi.mapping, idx) == mapping and comm_set(psi, C) <= Z._set:
             return psi
     return None
 
@@ -161,11 +164,11 @@ def _frattini_sample(F: FusionSystem, E: FusionSystem) -> tuple | None:
         for rk in sorted(targets):
             if not tset.issuperset(rk):
                 continue
+            inside = E._isos.get(qk, {}).get(rk, ())
             for m in targets[rk]:
-                psi = Morphism(F.subgroup(qk), F.subgroup(rk), m)
-                if E.contains_morphism(psi):
-                    continue
-                return (psi,) + frattini_decompose(F, E, psi)
+                if m not in inside:
+                    psi = Morphism(F.subgroup(qk), F.subgroup(rk), m)
+                    return (psi,) + frattini_decompose(F, E, psi)
     psi = Morphism.identity(T)
     return (psi,) + frattini_decompose(F, E, psi)
 
@@ -179,14 +182,13 @@ def frattini_decompose(
     if not A <= T or not T.contains_all(psi.mapping):
         raise NotASubsystem("morphism does not live inside T", witness=psi)
     AutT = F.aut_group(T)
+    idx = _positions(T.elements, A.elements)
     for alpha in AutT.morphisms:
-        al = alpha.restrict(A)
-        dom = sorted(al.mapping)
-        back = {y: x for x, y in zip(A.elements, al.mapping)}
-        mapping = tuple(psi.apply(back[y]) for y in dom)
-        beta = Morphism(Subgroup(F.group, dom, check=False), T, mapping)
-        if E.contains_morphism(beta):
-            return alpha, beta
+        moved = _restrict(alpha.mapping, idx)
+        dom = tuple(sorted(moved))
+        mapping = _compose(_inverse(A.elements, moved), A.elements, psi.mapping)
+        if mapping in E._isos.get(dom, {}).get(tuple(sorted(mapping)), ()):
+            return alpha, Morphism(Subgroup(F.group, dom, check=False), T, mapping)
     raise NoDecomposition("no Frattini decomposition found", witness=psi)
 
 
@@ -216,25 +218,18 @@ def local_subsystem(F: FusionSystem, Q: Subgroup, kind: str) -> FusionSystem:
         allowed = {Q.elements}
     else:
         allowed = None
-    isos: dict = {}
+    isos = {}
     for R in all_subgroups(carrier):
         QR = Q.join(R)
-        pos = {e: i for i, e in enumerate(QR.elements)}
-        q_idx = tuple(pos[x] for x in Q.elements)
-        r_idx = tuple(pos[x] for x in R.elements)
-        bucket = isos.setdefault(R.key, {})
-        for psi in F.hom_set(QR, F.P):
-            if {psi.mapping[i] for i in q_idx} != qset:
-                continue
-            if allowed is not None and tuple(psi.mapping[i] for i in q_idx) not in allowed:
-                continue
-            mapping = tuple(psi.mapping[i] for i in r_idx)
-            bucket.setdefault(tuple(sorted(mapping)), set()).add(mapping)
-    frozen = {
-        qk: {rk: tuple(sorted(ms)) for rk, ms in targets.items()}
-        for qk, targets in isos.items()
-    }
-    return FusionSystem(G, carrier, F.p, frozen)
+        q_idx = _positions(QR.elements, Q.elements)
+        r_idx = _positions(QR.elements, R.elements)
+        images = isos[R.key] = set()
+        for ms in F._isos.get(QR.key, {}).values():
+            for m in ms:
+                on_q = _restrict(m, q_idx)
+                if set(on_q) == qset and (allowed is None or on_q in allowed):
+                    images.add(_restrict(m, r_idx))
+    return FusionSystem(G, carrier, F.p, _iso_table(isos))
 
 
 def o_p(F: FusionSystem) -> Subgroup:
@@ -316,20 +311,10 @@ def is_detecting_subgroup(
         raise NotCentric("Q must be E-centric", witness=Q)
     if alpha.domain != T or not E.contains_morphism(alpha):
         raise NotASubsystem("alpha must be an E-automorphism of T", witness=alpha)
-    C = F.c_p(T)
-    R = Subgroup(F.group, sorted(alpha.apply(x) for x in Q.elements), check=False)
-    ZR = R.centre()
-    QC = Q.join(C)
-    RC = R.join(C)
-    pos = {e: i for i, e in enumerate(QC.elements)}
-    q_idx = tuple(pos[x] for x in Q.elements)
-    target = tuple(alpha.apply(x) for x in Q.elements)
-    for beta in F.hom_set(QC, RC):
-        if tuple(beta.mapping[i] for i in q_idx) != target:
-            continue
-        if comm_set(beta, C) <= ZR._set:
-            return Detection(True, beta)
-    return Detection(False)
+    target = _restrict(alpha.mapping, _positions(T.elements, Q.elements))
+    ZR = Subgroup(F.group, target, check=False).centre()
+    beta = _extension(F, F.c_p(T), Q, target, ZR)
+    return Detection(beta is not None, beta)
 
 
 def verify_theorem_a(F: FusionSystem, E: FusionSystem) -> TheoremAReport:

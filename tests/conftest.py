@@ -13,13 +13,10 @@ from fusionkit import (
     strongly_closed_subgroups,
     weakly_normal_systems_on,
 )
+from fusionkit.groups import is_prime
 
 SWEEP_MAX_ORDER = 24
 SWEEP_T_BOUND = 16
-
-
-def _is_prime(n: int) -> bool:
-    return n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))
 
 
 def sweep_pairs(max_order: int = SWEEP_MAX_ORDER):
@@ -33,7 +30,7 @@ def sweep_pairs(max_order: int = SWEEP_MAX_ORDER):
         if len(G) > max_order:
             continue
         for p in range(2, len(G) + 1):
-            if len(G) % p == 0 and _is_prime(p):
+            if len(G) % p == 0 and is_prime(p):
                 yield name, p, G
 
 

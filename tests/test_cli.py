@@ -91,6 +91,28 @@ def test_map_check_needs_a_source(capsys):
     assert code == 2
 
 
+def test_map_check_missing_map_file_is_an_input_error(tmp_path, capsys):
+    code, _ = run_cli(capsys, "map-check", "--group", "a4", "--prime", "2",
+                      "--map", str(tmp_path / "absent.json"))
+    assert code == 2
+
+
+def test_map_check_non_json_map_file_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "map.json"
+    path.write_text("not json {")
+    code, _ = run_cli(capsys, "map-check", "--group", "a4", "--prime", "2",
+                      "--map", str(path))
+    assert code == 2
+
+
+def test_map_check_map_file_missing_a_key_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps({"schema": "fusionkit-autmap/1", "T": [0]}))
+    code, _ = run_cli(capsys, "map-check", "--group", "a4", "--prime", "2",
+                      "--map", str(path))
+    assert code == 2
+
+
 def test_strongly_closed_lists_orders(capsys):
     code, out = run_cli(capsys, "strongly-closed", "--group", "s4",
                         "--prime", "2")
@@ -189,3 +211,11 @@ def test_sweep_small_and_deterministic(capsys):
     assert all(r["holds"] for r in report["results"])
     _, second = run_cli(capsys, "sweep", "--max-order", "8", "--assert")
     assert first == second
+
+
+def test_sweep_with_the_subgroup_oracle(capsys):
+    code, out = run_cli(capsys, "sweep", "--max-order", "8", "--oracle", "--assert")
+    assert code == 0
+    results = parse(out)["results"]
+    checks = [r for r in results if r["predicate"].endswith("matches the closure oracle")]
+    assert checks and all(r["holds"] for r in checks)

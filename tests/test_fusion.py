@@ -30,7 +30,7 @@ from fusionkit import (
     transport_fusion,
     validate_fusion,
 )
-from fusionkit.errors import NotStronglyClosed
+from fusionkit.errors import FusionkitError, NotStronglyClosed, ParseError
 
 ISO_COUNTS = {
     ("a4", 2): 13,
@@ -93,6 +93,23 @@ def test_serialization_round_trip():
     F = fusion_of_group(G, 3)
     data = json.loads(json.dumps(F.serialize()))
     assert deserialize(data) == F
+
+
+def test_deserialize_rejects_a_non_closed_group_list():
+    G, _ = load_group_spec("s3xs3")
+    data = fusion_of_group(G, 3).serialize()
+    data["group"] = data["group"][:-1]
+    with pytest.raises(FusionkitError):
+        deserialize(data)
+
+
+@pytest.mark.parametrize("key", ["degree", "group", "P", "isos", "p"])
+def test_deserialize_missing_key_is_a_parse_error(key):
+    G, _ = load_group_spec("s3")
+    data = fusion_of_group(G, 3).serialize()
+    del data[key]
+    with pytest.raises(ParseError):
+        deserialize(data)
 
 
 def test_quotient_by_centre_of_inner_d8():

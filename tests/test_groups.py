@@ -5,7 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fusionkit import (
+    AutGroup,
+    Group,
     Subgroup,
+    automorphisms,
     all_subgroups,
     catalog_names,
     centralizer,
@@ -19,6 +22,7 @@ from fusionkit import (
     sylow,
     upper_central_series_group,
 )
+from fusionkit.errors import FusionkitError
 from oracles import oracle_subgroup_count
 
 # counts of isomorphism types per order, as published for orders 1..24
@@ -172,3 +176,17 @@ def test_subgroup_conjugates_are_subgroups(name, data):
     H = G.generated_subgroup(gens)
     image = Subgroup(G, {G.conj(x, g) for x in H.elements}, check=True)
     assert len(image) == len(H)
+
+
+def test_closed_group_rejects_a_non_closed_element_list():
+    # a 3-cycle without its square
+    with pytest.raises(FusionkitError):
+        Group([(1, 2, 0)], 3, closed=True)
+
+
+def test_aut_group_rejects_a_set_not_closed_under_composition():
+    G, _ = load_group_spec("v4")
+    A = automorphisms(G.full_subgroup)
+    rotation = next(m for i, m in enumerate(A.morphisms) if A.group.element_order(i) == 3)
+    with pytest.raises(FusionkitError):
+        AutGroup(G.full_subgroup, [rotation])

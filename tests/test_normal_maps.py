@@ -31,7 +31,7 @@ from fusionkit import (
     t_core,
     weakly_normal_systems_on,
 )
-from fusionkit.errors import NotStronglyClosed, PreconditionFailed
+from fusionkit.errors import NotStronglyClosed, ParseError, PreconditionFailed
 
 
 @pytest.fixture(scope="module")
@@ -160,6 +160,15 @@ def test_aut_map_serialization_round_trip(s3xs3):
     A = aut_map_of(EK)
     data = json.loads(json.dumps(aut_map_to_data(A)))
     assert aut_map_from_data(F, data).assignment == A.assignment
+
+
+@pytest.mark.parametrize("key", ["T", "assignment"])
+def test_aut_map_missing_key_is_a_parse_error(s3xs3, key):
+    G, F, EK, FH = s3xs3
+    data = aut_map_to_data(aut_map_of(EK))
+    del data[key]
+    with pytest.raises(ParseError):
+        aut_map_from_data(F, data)
 
 
 def test_the_small_maps_assignment_generates_inner_not_itself(a4):
