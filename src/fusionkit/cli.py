@@ -342,8 +342,9 @@ def _cmd_examples(args) -> int:
     return _finish(report, args, started)
 
 
-def _oracle_subgroup_count(P: Subgroup) -> int:
-    """Subgroup count by subset closure, independent of all_subgroups."""
+def _oracle_subgroup_sets(P: Subgroup) -> set[frozenset[int]]:
+    """Every subgroup of P as an element set, by subset closure,
+    independent of all_subgroups."""
     G = P.group
     found = set()
     frontier = {frozenset((G.identity,))}
@@ -371,7 +372,7 @@ def _oracle_subgroup_count(P: Subgroup) -> int:
                         grown.add(inv)
                         changed = True
             frontier.add(frozenset(grown))
-    return len(found)
+    return found
 
 
 def _sweep_one(report: dict, name: str, G: Group, p: int, *, t_bound: int, oracle: bool) -> None:
@@ -416,9 +417,11 @@ def _sweep_one(report: dict, name: str, G: Group, p: int, *, t_bound: int, oracl
                 return
     add_result(report, f"{tag}: theorem A and round trips over {count} subsystems", True, count)
     if oracle:
+        lattice, expected = all_subgroups(F.P), _oracle_subgroup_sets(F.P)
         add_result(
-            report, f"{tag}: subgroup count matches the closure oracle",
-            len(all_subgroups(F.P)) == _oracle_subgroup_count(F.P), None,
+            report, f"{tag}: subgroup lattice matches the closure oracle",
+            len(lattice) == len(expected) and {S._set for S in lattice} == expected,
+            None,
         )
 
 

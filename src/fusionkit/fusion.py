@@ -262,20 +262,39 @@ class FusionSystem:
 
 
 def deserialize(data: dict) -> FusionSystem:
+    """The system ``serialize`` wrote; malformed fields raise ``ParseError``.
+
+    The iso table is checked for shape only: ``validate_fusion`` checks it
+    against the group."""
+    if not isinstance(data, dict):
+        raise ParseError("fusion data is not a JSON object")
     if data.get("schema") != "fusionkit-fusion/1":
         raise FusionkitError(f"unknown fusion schema: {data.get('schema')!r}")
     missing = [k for k in ("p", "degree", "group", "P", "isos") if k not in data]
     if missing:
         raise ParseError(f"fusion data is missing {', '.join(missing)}")
+    bad = [k for k in ("group", "P", "isos") if not isinstance(data[k], list)]
+    if bad:
+        raise ParseError(f"fusion data field {', '.join(bad)} is not a list")
+    bad = [k for k in ("p", "degree") if not isinstance(data[k], int) or data[k] < 1]
+    if bad:
+        raise ParseError(f"fusion data field {', '.join(bad)} is not a positive integer")
     degree = data["degree"]
+    if not all(isinstance(s, str) for s in data["group"]):
+        raise ParseError("fusion data group entries are not cycle strings")
     perms = [perm_from_cycles(parse_cycles(s), degree) for s in data["group"]]
     group = Group(perms, degree, closed=True)
     if len(group) != len(perms):
         raise FusionkitError("serialized group element list is not closed")
+    if not all(isinstance(x, int) and 0 <= x < len(group) for x in data["P"]):
+        raise ParseError("fusion data P entries are not element indices")
     P = Subgroup(group, data["P"])
     isos: dict[Key, list[Key]] = {}
-    for qlist, mappings in data["isos"]:
-        isos.setdefault(tuple(qlist), []).extend(tuple(m) for m in mappings)
+    try:
+        for qlist, mappings in data["isos"]:
+            isos.setdefault(tuple(qlist), []).extend(tuple(m) for m in mappings)
+    except (TypeError, ValueError):
+        raise ParseError("fusion data isos entries are not [domain, mappings] pairs") from None
     return FusionSystem(group, P, data["p"], _iso_table(isos), name=data.get("name"))
 
 
@@ -356,10 +375,12 @@ def generated_fusion(
     }
     # Both restriction to a subgroup S and composition after a map onto Q
     # read a map on Q at fixed positions: (S key, positions) pairs.
+    # The lattice is sorted by order, so every S < Q comes before Q.
+    lattice = all_subgroups(P)
     contained: dict[Key, list[tuple[Key, Key]]] = {}
-    for Q in all_subgroups(P):
+    for i, Q in enumerate(lattice):
         contained[Q.key] = [
-            (S.key, _positions(Q.key, S.key)) for S in all_subgroups(P) if S < Q
+            (S.key, _positions(Q.key, S.key)) for S in lattice[:i] if S < Q
         ]
 
     into: dict[Key, list[tuple[Key, Key]]] = {qk: [] for qk in isos}

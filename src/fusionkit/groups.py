@@ -5,6 +5,13 @@ and an order-by-order multiplication table, so group arithmetic is
 integer indexing.  Subgroups are immutable sorted index tuples inside a
 fixed ambient group, which makes them usable as dictionary keys and
 keeps every enumeration in the library deterministic.
+
+Each ambient group keeps one memo of subgroup lattices, keyed by the
+carrier's element key, so :func:`all_subgroups` builds the lattice of a
+carrier at most once while the group lives.  A build is a join closure
+of cyclic subgroups in which every subgroup carries the short generator
+tuple it was reached by.  A join <H, gens> is the union of the right
+cosets of H that those generators reach from H.
 """
 
 from __future__ import annotations
@@ -65,7 +72,7 @@ class Group:
         "_orders",
         "identity",
         "_full",
-        "_all_subgroups",
+        "_lattices",
     )
 
     def __init__(
@@ -121,7 +128,7 @@ class Group:
         else:
             self.generator_indices = None
         self._full = None
-        self._all_subgroups = None
+        self._lattices: dict[tuple[int, ...], tuple[Subgroup, ...]] = {}
 
     @property
     def order(self) -> int:
@@ -306,7 +313,7 @@ class Subgroup:
         return True
 
     def join(self, other: "Subgroup") -> "Subgroup":
-        return subgroup_closure(self.group, self.elements + other.elements)
+        return Subgroup(self.group, _join(self, self.elements + other.elements), check=False)
 
     def meet(self, other: "Subgroup") -> "Subgroup":
         return Subgroup(self.group, self._set & other._set, check=False)
@@ -368,40 +375,75 @@ def _require_subgroup_of(H: Subgroup, container: Group | Subgroup) -> Subgroup:
 def all_subgroups(container: Group | Subgroup) -> tuple[Subgroup, ...]:
     """Every subgroup of ``container``, sorted by (order, element key).
 
-    Built as the join closure of the cyclic subgroups: each subgroup is a
-    join of cyclics, and adding one cyclic at a time stays inside the
-    subgroup lattice, so the fixpoint reaches everything.
+    The lattice of a carrier is built once per ambient group: it is kept
+    in the group's ``_lattices`` memo under the carrier's element key, so
+    every ``Subgroup`` with that key, and the group itself for its full
+    subgroup, reads the same tuple.  The memo goes with the group.
     """
     amb = _as_subgroup(container)
-    if isinstance(container, Group):
-        if container._all_subgroups is not None:
-            return container._all_subgroups
+    lattices = amb.group._lattices
+    lattice = lattices.get(amb.elements)
+    if lattice is None:
+        lattice = lattices[amb.elements] = _subgroup_lattice(amb)
+    return lattice
+
+
+def _subgroup_lattice(amb: Subgroup) -> tuple[Subgroup, ...]:
+    """The join closure of the cyclic subgroups of ``amb``.
+
+    Each subgroup is a join of cyclics, and adding one cyclic at a time
+    stays inside the subgroup lattice, so the fixpoint reaches everything.
+    Every subgroup found keeps the generators it was reached by, one per
+    join step, so <H, x> is searched with those and x alone.
+    """
     G = amb.group
-    cyclics: dict[tuple[int, ...], Subgroup] = {}
+    mul, identity = G._mul, G.identity
+    # one generator per cyclic subgroup: x, and skip the other generators
+    # x^k (k prime to the order of x) of the same cyclic
+    cyclic_gens: list[int] = []
+    covered = {identity}
     for x in amb.elements:
-        c = subgroup_closure(G, (x,))
-        cyclics.setdefault(c.key, c)
-    triv = Subgroup(G, (G.identity,), check=False)
+        if x in covered:
+            continue
+        cyclic_gens.append(x)
+        n = G._orders[x]
+        power = x
+        for k in range(1, n):
+            if math.gcd(k, n) == 1:
+                covered.add(power)
+            power = mul[power][x]
+    triv = Subgroup(G, (identity,), check=False)
     found: dict[tuple[int, ...], Subgroup] = {triv.key: triv}
-    for c in cyclics.values():
-        found.setdefault(c.key, c)
-    frontier = list(found.values())
-    cyc_list = list(cyclics.values())
+    frontier: list[tuple[Subgroup, tuple[int, ...]]] = [(triv, ())]
     while frontier:
-        new: list[Subgroup] = []
-        for H in frontier:
-            for c in cyc_list:
-                if c <= H:
+        new = []
+        for H, gens in frontier:
+            for x in cyclic_gens:
+                if x in H._set:
                     continue
-                J = H.join(c)
-                if J.key not in found:
-                    found[J.key] = J
-                    new.append(J)
+                key = tuple(sorted(_join(H, gens + (x,))))
+                if key not in found:
+                    found[key] = J = Subgroup(G, key, check=False)
+                    new.append((J, gens + (x,)))
         frontier = new
-    out = tuple(sorted(found.values(), key=lambda s: (len(s.elements), s.elements)))
-    if isinstance(container, Group):
-        container._all_subgroups = out
-    return out
+    return tuple(sorted(found.values(), key=lambda s: (len(s.elements), s.elements)))
+
+
+def _join(H: Subgroup, gens: tuple[int, ...]) -> set[int]:
+    """The elements of <H, gens>, where ``gens`` alone generate it, as the
+    union of the right cosets of H it contains: a generator g takes the
+    coset Hy to H(yg), so a search over cosets from H reaches every coset."""
+    mul = H.group._mul
+    span = set(H.elements)
+    reps = [H.group.identity]
+    for y in reps:
+        row = mul[y]
+        for g in gens:
+            z = row[g]
+            if z not in span:
+                span.update([mul[h][z] for h in H.elements])
+                reps.append(z)
+    return span
 
 
 def subgroups_between(lo: Subgroup, hi: Subgroup) -> tuple[Subgroup, ...]:

@@ -148,7 +148,11 @@ class Morphism:
 
     @property
     def is_iso(self) -> bool:
-        return len(self.mapping) == len(self.codomain.elements)
+        """Whether the mapping hits every codomain element exactly once."""
+        return (
+            len(self.mapping) == len(self.codomain.elements)
+            and set(self.mapping) == self.codomain._set
+        )
 
     def is_identity(self) -> bool:
         return (

@@ -45,7 +45,7 @@ from fusionkit.groups import all_subgroups
 from fusionkit.saturation import has_surjectivity_property
 from fusionkit.errors import PreconditionFailed
 from oracles import (
-    oracle_subgroup_count,
+    oracle_subgroup_sets,
     oracle_subsystem_tables,
     system_from_table,
     system_table,
@@ -397,7 +397,9 @@ def test_criterion_12_oracle_equivalences(catalog_systems):
             continue
         seen_groups.add(name)
         G = make_group(spec)
-        if len(all_subgroups(G.full_subgroup)) != oracle_subgroup_count(G.full_subgroup):
+        lattice = all_subgroups(G.full_subgroup)
+        oracle = oracle_subgroup_sets(G.full_subgroup)
+        if {S._set for S in lattice} != oracle or len(lattice) != len(oracle):
             lattice_mismatches.append(name)
 
     range_mismatches = []
@@ -431,7 +433,7 @@ def test_criterion_12_oracle_equivalences(catalog_systems):
             if T.elements == F.P.elements and o_p_prime_subsystem(F) != smallest:
                 range_mismatches.append((name, p, len(T), "o_p_prime"))
     _criterion(12, f"oracles: {len(seen_groups)} lattices, {carriers} carriers", [
-        ("subgroup counts match the subset-closure oracle",
+        ("subgroup lattices match the subset-closure oracle",
          not lattice_mismatches),
         ("ranges and O^{p'} match the exhaustive enumeration",
          not range_mismatches),

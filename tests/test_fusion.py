@@ -112,6 +112,33 @@ def test_deserialize_missing_key_is_a_parse_error(key):
         deserialize(data)
 
 
+@pytest.mark.parametrize("field,value", [
+    pytest.param("isos", [[1]], id="isos-short-entry"),
+    pytest.param("isos", [[[0], 5]], id="isos-mappings-not-a-list"),
+    pytest.param("isos", {"0": []}, id="isos-object"),
+    pytest.param("isos", "[]", id="isos-string"),
+    pytest.param("P", 3, id="P-number"),
+    pytest.param("P", [0, 99], id="P-index-out-of-range"),
+    pytest.param("P", ["0"], id="P-string-index"),
+    pytest.param("group", "()", id="group-string"),
+    pytest.param("group", [[]], id="group-entry-not-a-string"),
+    pytest.param("degree", "3", id="degree-string"),
+    pytest.param("p", None, id="p-null"),
+])
+def test_deserialize_malformed_field_is_a_parse_error(field, value):
+    G, _ = load_group_spec("s3")
+    data = fusion_of_group(G, 3).serialize()
+    data[field] = value
+    with pytest.raises(ParseError):
+        deserialize(data)
+
+
+@pytest.mark.parametrize("document", [[], "fusion", 3, None])
+def test_deserialize_non_object_document_is_a_parse_error(document):
+    with pytest.raises(ParseError):
+        deserialize(document)
+
+
 def test_quotient_by_centre_of_inner_d8():
     G, _ = load_group_spec("d8")
     F = inner_fusion(G.full_subgroup, 2)

@@ -23,7 +23,8 @@ from fusionkit import (
     upper_central_series_group,
 )
 from fusionkit.errors import FusionkitError
-from oracles import oracle_subgroup_count
+from fusionkit.groups import is_prime
+from oracles import oracle_subgroup_sets
 
 # counts of isomorphism types per order, as published for orders 1..24
 GROUPS_PER_ORDER = [
@@ -74,11 +75,51 @@ def test_subgroup_counts_frozen(name, count):
     assert len(all_subgroups(G.full_subgroup)) == count
 
 
-@pytest.mark.parametrize("name", ["d8", "q8", "a4", "s4", "sl23", "d12", "dic3"])
+@pytest.mark.parametrize("name", [name for name, _ in _catalog_upto(24)])
 def test_subgroup_lattice_matches_subset_closure_oracle(name):
     G, _ = load_group_spec(name)
-    P = G.full_subgroup
-    assert len(all_subgroups(P)) == oracle_subgroup_count(P)
+    carriers = [G.full_subgroup]
+    carriers += [sylow(G.full_subgroup, p) for p in range(2, len(G) + 1)
+                 if len(G) % p == 0 and is_prime(p)]
+    for P in carriers:
+        lattice, oracle = all_subgroups(P), oracle_subgroup_sets(P)
+        assert {S._set for S in lattice} == oracle and len(lattice) == len(oracle)
+        assert [S.key for S in lattice] == sorted(
+            (S.key for S in lattice), key=lambda k: (len(k), k)
+        )
+
+
+def test_join_matches_the_closure_of_the_union():
+    G, _ = load_group_spec("s4")
+    lattice = all_subgroups(G)
+    for H in lattice:
+        for K in lattice:
+            assert H.join(K).key == G.generated_subgroup(H.elements + K.elements).key
+
+
+def test_lattice_memo_is_shared_by_carriers_with_one_key():
+    G, _ = load_group_spec("s4")
+    P = sylow(G.full_subgroup, 2)
+    twin = Subgroup(G, reversed(P.elements))
+    assert twin is not P
+    assert all_subgroups(twin) is all_subgroups(P)
+    assert all_subgroups(G) is all_subgroups(G.full_subgroup)
+    assert set(G._lattices) == {P.key, G.full_subgroup.key}
+
+
+def test_lattice_of_a_subgroup_carrier_is_the_filtered_lattice():
+    G, _ = load_group_spec("s4")
+    for H in all_subgroups(G):
+        assert all_subgroups(H) == tuple(S for S in all_subgroups(G) if S <= H)
+
+
+def test_an_equal_group_starts_with_an_empty_lattice_memo():
+    G, _ = load_group_spec("d8")
+    all_subgroups(G)
+    H = Group(G.perms, G.degree)
+    assert H == G and G._lattices and not H._lattices
+    assert all_subgroups(H) is not all_subgroups(G)
+    assert all_subgroups(H) == all_subgroups(G)
 
 
 def test_sylow_orders():

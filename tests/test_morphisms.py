@@ -1,8 +1,12 @@
-"""The mapping-tuple helpers against the raw-table operations of the oracles."""
+"""Morphisms: the mapping-tuple helpers against the raw-table operations of
+the oracles, and the isomorphism check behind inverse and AutGroup."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fusionkit import AutGroup, Morphism, fusion_of_group, load_group_spec
+from fusionkit.errors import NotAnIsomorphism
 from fusionkit.morphisms import _compose, _inverse, _positions, _restrict, _transport
 from oracles import _compose as raw_compose
 from oracles import _invert as raw_invert
@@ -52,3 +56,26 @@ def test_tuple_helpers_match_the_raw_oracle(catalog_systems, data):
     assert moved == expected
     if alpha.codomain == S:
         assert alpha.conjugated_by(phi).key == (moved[0], moved[0], moved[1])
+
+
+def _s3_sylow():
+    G, _ = load_group_spec("s3")
+    return fusion_of_group(G, 3).P
+
+
+def test_a_non_injective_map_onto_a_set_of_the_right_size_is_not_an_iso():
+    P = _s3_sylow()
+    collapse = Morphism(P, P, (P.elements[0],) * len(P))
+    assert not collapse.is_iso
+    with pytest.raises(NotAnIsomorphism):
+        collapse.inverse()
+    with pytest.raises(NotAnIsomorphism):
+        AutGroup(P, [Morphism.identity(P), collapse])
+
+
+def test_a_map_out_of_the_codomain_is_not_an_iso():
+    P = _s3_sylow()
+    outside = next(x for x in range(len(P.group)) if x not in P)
+    stray = Morphism(P, P, P.elements[:-1] + (outside,))
+    assert not stray.is_iso
+    assert Morphism.identity(P).is_iso
