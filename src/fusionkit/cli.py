@@ -1,5 +1,13 @@
-"""Command line front end: build systems, run predicates, reproduce the
-worked examples, and sweep the catalog, emitting deterministic JSON.
+"""Command line front end: one table of subcommands and one runner.
+
+Each row of ``COMMANDS`` names a subcommand, its help line, its own
+arguments and a body.  A body returns (predicate, holds, witness) triples,
+the shape the worked examples return.  The runner owns everything else:
+for a group command it resolves --group and --prime and builds F_P(G)
+before the body runs; then it folds the triples into a
+``fusionkit-report/1`` report whose inputs are the group, the prime and
+the command's own arguments, and handles --timing, rendering and
+--assert.  The argparse tree is built from the table once per process.
 
 Exit codes: 0 on success, 1 when --assert is given and some predicate
 fails, 2 on input errors.  Reports are byte-identical across runs unless
@@ -9,15 +17,15 @@ fails, 2 on input errors.  Reports are byte-identical across runs unless
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
-from itertools import combinations
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .catalog import catalog_names, load_catalog, load_group_spec, make_group
 from .errors import (
-    FusionkitError,
     InputError,
     NotAPGroup,
     NotASubgroup,
@@ -27,9 +35,9 @@ from .errors import (
     ParseError,
     PreconditionFailed,
     PrimeMismatch,
-    UnknownCatalogName,
 )
 from .fusion import (
+    FusionSystem,
     fusion_of_group,
     inner_fusion,
     is_subsystem,
@@ -41,7 +49,6 @@ from .groups import (
     Subgroup,
     all_subgroups,
     is_prime,
-    sylow,
     upper_central_series_group,
 )
 from .hypercentre import (
@@ -70,12 +77,11 @@ from .subsystems import (
     strongly_closed_subgroups,
     verify_theorem_a,
 )
-from .examples import EXAMPLES, run_example
+from .examples import EXAMPLES, Result, run_example
 
+# InputError also covers ParseError and UnknownCatalogName.
 _INPUT_ERRORS = (
     InputError,
-    ParseError,
-    UnknownCatalogName,
     NotASubgroup,
     NotSylow,
     NotAPGroup,
@@ -111,119 +117,75 @@ def _resolve(args) -> tuple[Group, int]:
     return G, p
 
 
-def _subsystem_on(F, G: Group, p: int, text: str):
-    H = _parse_subgroup(G, text)
-    T = Subgroup(G, H._set & F.P._set)
-    return fusion_of_group(H, p, T)
+def _subsystem_on(F: FusionSystem, text: str) -> FusionSystem:
+    H = _parse_subgroup(F.group, text)
+    T = Subgroup(F.group, H._set & F.P._set)
+    return fusion_of_group(H, F.p, T)
 
 
-def _finish(report: dict, args, started: float) -> int:
-    if getattr(args, "timing", False):
-        report["timing_ms"] = round((time.monotonic() - started) * 1000.0, 3)
-    sys.stdout.write(render(report, pretty=args.pretty) + "\n")
-    if getattr(args, "assert_", False) and not all_hold(report):
-        return 1
-    return 0
+# -- command bodies: (args, F) -> triples; F is None for non-group commands --
 
 
-def _cmd_build(args) -> int:
-    started = time.monotonic()
-    G, p = _resolve(args)
-    P = sylow(G.full_subgroup, p)
-    F = fusion_of_group(G, p, P)
+def _build(args, F: FusionSystem) -> list[Result]:
     validate_fusion(F)
-    report = new_report("build", {"group": args.group, "prime": p})
-    add_result(report, "group built", True, {"order": len(G), "degree": G.degree})
-    add_result(report, "Sylow subgroup found", True, P)
-    add_result(report, "fusion system built", True, F)
-    add_result(report, "conjugacy classes", True, len(F.classes()))
-    add_result(report, "saturated", is_saturated(F).saturated, None)
-    return _finish(report, args, started)
+    G = F.group
+    return [
+        ("group built", True, {"order": len(G), "degree": G.degree}),
+        ("Sylow subgroup found", True, F.P),
+        ("fusion system built", True, F),
+        ("conjugacy classes", True, len(F.classes())),
+        ("saturated", is_saturated(F).saturated, None),
+    ]
 
 
-def _cmd_saturated(args) -> int:
-    started = time.monotonic()
-    G, p = _resolve(args)
-    F = fusion_of_group(G, p)
+def _saturated(args, F: FusionSystem) -> list[Result]:
     verdict = is_saturated(F)
     puig = is_saturated_puig(F)
-    report = new_report("saturated", {"group": args.group, "prime": p})
-    add_result(report, "saturated", verdict.saturated, verdict.witness)
-    add_result(
-        report, "the two saturation criteria agree",
-        verdict.saturated == puig.saturated, puig.witness,
-    )
-    return _finish(report, args, started)
+    return [
+        ("saturated", verdict.saturated, verdict.witness),
+        ("the two saturation criteria agree", verdict.saturated == puig.saturated, puig.witness),
+    ]
 
 
-def _cmd_strongly_closed(args) -> int:
-    started = time.monotonic()
-    G, p = _resolve(args)
-    F = fusion_of_group(G, p)
-    closed = strongly_closed_subgroups(F)
-    report = new_report("strongly-closed", {"group": args.group, "prime": p})
-    add_result(report, "strongly closed subgroups", True, closed)
-    return _finish(report, args, started)
+def _strongly_closed(args, F: FusionSystem) -> list[Result]:
+    return [("strongly closed subgroups", True, strongly_closed_subgroups(F))]
 
 
-def _cmd_normality(args) -> int:
-    started = time.monotonic()
-    G, p = _resolve(args)
-    F = fusion_of_group(G, p)
-    E = _subsystem_on(F, G, p, args.sub)
+def _normality(args, F: FusionSystem) -> list[Result]:
+    E = _subsystem_on(F, args.sub)
     status = normality_status(F, E)
-    report = new_report(
-        "normality", {"group": args.group, "prime": p, "sub": args.sub}
-    )
-    add_result(report, "subsystem built", True, E)
-    add_result(report, "invariant", status.invariant, status.failure_witness)
-    add_result(report, "weakly normal", status.weakly_normal, None)
-    add_result(report, "normal", status.normal, None)
-    return _finish(report, args, started)
+    return [
+        ("subsystem built", True, E),
+        ("invariant", status.invariant, status.failure_witness),
+        ("weakly normal", status.weakly_normal, None),
+        ("normal", status.normal, None),
+    ]
 
 
-def _cmd_quotient(args) -> int:
-    started = time.monotonic()
-    G, p = _resolve(args)
-    F = fusion_of_group(G, p)
-    T = _parse_subgroup(G, args.kernel)
+def _quotient(args, F: FusionSystem) -> list[Result]:
+    T = _parse_subgroup(F.group, args.kernel)
     Fbar, _ = quotient_with_data(F, T)
-    report = new_report(
-        "quotient", {"group": args.group, "prime": p, "kernel": args.kernel}
-    )
-    add_result(report, "kernel is strongly closed", True, T)
-    add_result(report, "quotient built", True, Fbar)
-    add_result(report, "quotient is saturated", is_saturated(Fbar).saturated, None)
-    add_result(
-        report, "quotient is the inner system",
-        Fbar == inner_fusion(Fbar.P, p), None,
-    )
-    return _finish(report, args, started)
+    return [
+        ("kernel is strongly closed", True, T),
+        ("quotient built", True, Fbar),
+        ("quotient is saturated", is_saturated(Fbar).saturated, None),
+        ("quotient is the inner system", Fbar == inner_fusion(Fbar.P, F.p), None),
+    ]
 
 
-def _cmd_opprime(args) -> int:
-    started = time.monotonic()
-    G, p = _resolve(args)
-    F = fusion_of_group(G, p)
+def _opprime(args, F: FusionSystem) -> list[Result]:
     sub = o_p_prime_subsystem(F)
-    report = new_report("opprime", {"group": args.group, "prime": p})
-    add_result(report, "O^{p'}(F) built", True, sub)
-    add_result(report, "equal to F", sub == F, None)
-    add_result(
-        report, "automizer index at P is prime to p",
-        (len(F.iso_mappings(F.P, F.P)) // len(sub.iso_mappings(F.P, F.P))) % p != 0,
-        len(sub.iso_mappings(F.P, F.P)),
-    )
-    add_result(
-        report, "weakly normal in F", normality_status(F, sub).weakly_normal, None
-    )
-    return _finish(report, args, started)
+    sub_auts = len(sub.iso_mappings(F.P, F.P))
+    return [
+        ("O^{p'}(F) built", True, sub),
+        ("equal to F", sub == F, None),
+        ("automizer index at P is prime to p",
+         (len(F.iso_mappings(F.P, F.P)) // sub_auts) % F.p != 0, sub_auts),
+        ("weakly normal in F", normality_status(F, sub).weakly_normal, None),
+    ]
 
 
-def _cmd_map_check(args) -> int:
-    started = time.monotonic()
-    G, p = _resolve(args)
-    F = fusion_of_group(G, p)
+def _map_check(args, F: FusionSystem) -> list[Result]:
     if args.map is not None:
         try:
             data = json.loads(Path(args.map).read_text())
@@ -232,114 +194,71 @@ def _cmd_map_check(args) -> int:
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ParseError(f"invalid JSON in {args.map}: {exc}") from None
         A = aut_map_from_data(F, data)
-        source = args.map
     elif args.sub is not None:
-        A = aut_map_of(_subsystem_on(F, G, p, args.sub))
-        source = args.sub
+        A = aut_map_of(_subsystem_on(F, args.sub))
     else:
         raise InputError("map-check needs --map FILE or --sub GENERATORS")
     verdict = check_weakly_normal_map(F, A)
-    report = new_report(
-        "map-check", {"group": args.group, "prime": p, "map": source}
-    )
-    add_result(
-        report, "the map satisfies the weakly normal axioms",
+    results = [(
+        "the map satisfies the weakly normal axioms",
         bool(verdict), {"axiom": verdict.axiom, "reason": verdict.reason},
-    )
+    )]
     if verdict:
-        E = generate_from_map(F, A)
-        add_result(report, "generated subsystem", True, E)
-    return _finish(report, args, started)
+        results.append(("generated subsystem", True, generate_from_map(F, A)))
+    return results
 
 
-def _cmd_wedge(args) -> int:
-    started = time.monotonic()
-    G, p = _resolve(args)
-    F = fusion_of_group(G, p)
-    E1 = _subsystem_on(F, G, p, args.sub)
-    E2 = _subsystem_on(F, G, p, args.sub2)
+def _wedge(args, F: FusionSystem) -> list[Result]:
+    E1 = _subsystem_on(F, args.sub)
+    E2 = _subsystem_on(F, args.sub2)
     W = intersection_wedge(F, E1, E2)
-    report = new_report(
-        "wedge", {"group": args.group, "prime": p, "sub": args.sub, "sub2": args.sub2}
-    )
-    add_result(report, "wedge built", True, W)
-    add_result(report, "contained in the first subsystem", is_subsystem(W, E1), None)
-    add_result(report, "contained in the second subsystem", is_subsystem(W, E2), None)
-    add_result(report, "saturated", is_saturated(W).saturated, None)
-    return _finish(report, args, started)
+    return [
+        ("wedge built", True, W),
+        ("contained in the first subsystem", is_subsystem(W, E1), None),
+        ("contained in the second subsystem", is_subsystem(W, E2), None),
+        ("saturated", is_saturated(W).saturated, None),
+    ]
 
 
-def _cmd_based(args) -> int:
-    started = time.monotonic()
-    G, p = _resolve(args)
-    F = fusion_of_group(G, p)
-    T = _parse_subgroup(G, args.target)
+def _based(args, F: FusionSystem) -> list[Result]:
+    T = _parse_subgroup(F.group, args.target)
     outcome = based_range(F, T)
-    report = new_report(
-        "based", {"group": args.group, "prime": p, "target": args.target}
-    )
-    if outcome:
-        add_result(report, "T is based", True, T)
-        add_result(report, "minimal weakly normal subsystem", True, outcome.minimal)
-        add_result(report, "maximal weakly normal subsystem", True, outcome.maximal)
-    else:
-        add_result(report, "T is based", False, outcome.reason)
-    return _finish(report, args, started)
+    if not outcome:
+        return [("T is based", False, outcome.reason)]
+    return [
+        ("T is based", True, T),
+        ("minimal weakly normal subsystem", True, outcome.minimal),
+        ("maximal weakly normal subsystem", True, outcome.maximal),
+    ]
 
 
-def _cmd_hypercentre(args) -> int:
-    started = time.monotonic()
-    G, p = _resolve(args)
-    F = fusion_of_group(G, p)
+def _hypercentre(args, F: FusionSystem) -> list[Result]:
     series = upper_central_series(F)
     X = x_subgroup(F)
-    report = new_report("hypercentre", {"group": args.group, "prime": p})
-    add_result(report, "centre", True, series.terms[0])
-    add_result(report, "upper central series", True, list(series.terms))
-    add_result(report, "hypercentre", True, series.limit)
-    add_result(report, "X_F equals the hypercentre", True, X.value)
-    add_result(
-        report, "hypercentre is contained in O_p(F)",
-        series.limit <= o_p(F), None,
-    )
-    return _finish(report, args, started)
+    return [
+        ("centre", True, series.terms[0]),
+        ("upper central series", True, list(series.terms)),
+        ("hypercentre", True, series.limit),
+        ("X_F equals the hypercentre", True, X.value),
+        ("hypercentre is contained in O_p(F)", series.limit <= o_p(F), None),
+    ]
 
 
-def _cmd_perfect(args) -> int:
-    started = time.monotonic()
-    G, p = _resolve(args)
-    F = fusion_of_group(G, p)
-    perfect = is_perfect(F)
-    report = new_report("perfect", {"group": args.group, "prime": p})
-    add_result(report, "perfect", perfect, None)
-    if perfect:
-        rep = verify_perfect_z2(F)
-        add_result(report, "Z_2(F) equals Z(F)", rep.holds, rep.centre)
-    return _finish(report, args, started)
+def _perfect(args, F: FusionSystem) -> list[Result]:
+    if not is_perfect(F):
+        return [("perfect", False, None)]
+    rep = verify_perfect_z2(F)
+    return [("perfect", True, None), ("Z_2(F) equals Z(F)", rep.holds, rep.centre)]
 
 
-def _cmd_theorem_a(args) -> int:
-    started = time.monotonic()
-    G, p = _resolve(args)
-    F = fusion_of_group(G, p)
-    E = _subsystem_on(F, G, p, args.sub)
+def _theorem_a(args, F: FusionSystem) -> list[Result]:
+    E = _subsystem_on(F, args.sub)
     rep = verify_theorem_a(F, E)
-    report = new_report(
-        "theorem-a", {"group": args.group, "prime": p, "sub": args.sub}
-    )
-    add_result(report, "E is weakly normal in F", True, E)
-    add_result(report, "O^{p'}(E) built", True, rep.subsystem)
-    add_result(report, "O^{p'}(E) is normal in F", rep.verdict.normal, None)
-    return _finish(report, args, started)
-
-
-def _cmd_examples(args) -> int:
-    started = time.monotonic()
-    results = run_example(args.name)
-    report = new_report("examples", {"name": args.name})
-    for predicate, holds, witness in results:
-        add_result(report, predicate, holds, witness)
-    return _finish(report, args, started)
+    return [
+        ("E is weakly normal in F", True, E),
+        ("O^{p'}(E) built", True, rep.subsystem),
+        ("O^{p'}(E) is normal in F", rep.verdict.normal, None),
+    ]
 
 
 def _oracle_subgroup_sets(P: Subgroup) -> set[frozenset[int]]:
@@ -375,18 +294,15 @@ def _oracle_subgroup_sets(P: Subgroup) -> set[frozenset[int]]:
     return found
 
 
-def _sweep_one(report: dict, name: str, G: Group, p: int, *, t_bound: int, oracle: bool) -> None:
+def _sweep_one(results: list[Result], name: str, G: Group, p: int, *, t_bound: int, oracle: bool) -> None:
     tag = f"{name} p={p}"
     F = fusion_of_group(G, p)
     verdict = is_saturated(F)
     puig = is_saturated_puig(F)
-    add_result(
-        report, f"{tag}: saturation criteria agree",
-        verdict.saturated == puig.saturated, None,
-    )
+    results.append((f"{tag}: saturation criteria agree", verdict.saturated == puig.saturated, None))
     series = upper_central_series(F)
     X = x_subgroup(F)
-    add_result(report, f"{tag}: X_F equals the hypercentre", True, X.value)
+    results.append((f"{tag}: X_F equals the hypercentre", True, X.value))
     zp_series = upper_central_series_group(F.P)
     find_ok = True
     for i, term in enumerate(series.terms):
@@ -394,14 +310,14 @@ def _sweep_one(report: dict, name: str, G: Group, p: int, *, t_bound: int, oracl
         expected = Subgroup(G, series.limit._set & zi_p._set)
         if term.elements != expected.elements:
             find_ok = False
-    add_result(report, f"{tag}: Z_i(F) = Z_inf(F) n Z_i(P)", find_ok, None)
-    add_result(report, f"{tag}: hypercentre inside O_p(F)", series.limit <= o_p(F), None)
+    results.append((f"{tag}: Z_i(F) = Z_inf(F) n Z_i(P)", find_ok, None))
+    results.append((f"{tag}: hypercentre inside O_p(F)", series.limit <= o_p(F), None))
     if is_perfect(F):
         rep = verify_perfect_z2(F)
-        add_result(report, f"{tag}: perfect gives Z_2 = Z_1", rep.holds, None)
+        results.append((f"{tag}: perfect gives Z_2 = Z_1", rep.holds, None))
     try:
         comparison = group_vs_fusion_centres(G, p)
-        add_result(report, f"{tag}: group and fusion centres agree", comparison.equal, None)
+        results.append((f"{tag}: group and fusion centres agree", comparison.equal, None))
     except PreconditionFailed:
         pass
     count = 0
@@ -413,23 +329,20 @@ def _sweep_one(report: dict, name: str, G: Group, p: int, *, t_bound: int, oracl
             verify_theorem_a(F, E)
             A = aut_map_of(E)
             if generate_from_map(F, A) != E:
-                add_result(report, f"{tag}: map round trip", False, E)
+                results.append((f"{tag}: map round trip", False, E))
                 return
-    add_result(report, f"{tag}: theorem A and round trips over {count} subsystems", True, count)
+    results.append((f"{tag}: theorem A and round trips over {count} subsystems", True, count))
     if oracle:
         lattice, expected = all_subgroups(F.P), _oracle_subgroup_sets(F.P)
-        add_result(
-            report, f"{tag}: subgroup lattice matches the closure oracle",
+        results.append((
+            f"{tag}: subgroup lattice matches the closure oracle",
             len(lattice) == len(expected) and {S._set for S in lattice} == expected,
             None,
-        )
+        ))
 
 
-def _cmd_sweep(args) -> int:
-    started = time.monotonic()
-    report = new_report(
-        "sweep", {"max_order": args.max_order, "oracle": bool(args.oracle)}
-    )
+def _sweep(args, F: None) -> list[Result]:
+    results: list[Result] = []
     for name in sorted(catalog_names()):
         spec = load_catalog(name)
         if spec.get("order", 0) > args.max_order:
@@ -439,102 +352,115 @@ def _cmd_sweep(args) -> int:
             continue
         primes = [p for p in range(2, len(G) + 1) if len(G) % p == 0 and is_prime(p)]
         for p in primes:
-            _sweep_one(report, name, G, p, t_bound=16, oracle=args.oracle)
-    return _finish(report, args, started)
+            _sweep_one(results, name, G, p, t_bound=16, oracle=args.oracle)
+    return results
 
 
-def _add_common(sub) -> None:
-    sub.add_argument("--prime", type=int, default=None, help="the prime p")
-    sub.add_argument("--pretty", action="store_true", help="indent the JSON report")
-    sub.add_argument(
-        "--assert", dest="assert_", action="store_true",
-        help="exit 1 unless every predicate holds",
-    )
-    sub.add_argument("--timing", action="store_true", help="record elapsed time")
+def _example(args, F: None) -> list[Result]:
+    return run_example(args.name)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# -- the table and the runner ----------------------------------------------
+
+Argument = tuple[str, dict]
+
+
+class Command(NamedTuple):
+    """One subcommand.  ``args`` are its own arguments, which also become
+    the report's inputs unless ``inputs`` maps the parsed arguments to them."""
+
+    name: str
+    help: str
+    body: Callable[..., list[Result]]
+    args: tuple[Argument, ...] = ()
+    group: bool = True
+    inputs: Callable[..., dict] | None = None
+
+
+_SUB: Argument = ("--sub", {"required": True, "help": "generators of a subgroup H of G"})
+
+COMMANDS = (
+    Command("build", "build F_P(G) and run basic checks", _build),
+    Command("saturated", "test saturation both ways", _saturated),
+    Command("strongly-closed", "list strongly closed subgroups", _strongly_closed),
+    Command("opprime", "compute O^{p'}(F)", _opprime),
+    Command("hypercentre", "centre, central series, X_F", _hypercentre),
+    Command("perfect", "perfectness and the Z_2 = Z_1 check", _perfect),
+    Command("normality", "normality status of a subsystem", _normality, (_SUB,)),
+    Command("quotient", "F/T for a strongly closed kernel", _quotient,
+            (("--kernel", {"required": True, "help": "generators of the kernel"}),)),
+    Command("map-check", "check the weakly normal map axioms", _map_check, (
+        ("--map", {"default": None, "help": "path to an aut-map JSON file"}),
+        ("--sub", {"default": None, "help": "generators of a subsystem source"}),
+    ), inputs=lambda args: {"map": args.map if args.map is not None else args.sub}),
+    Command("wedge", "intersection wedge of two subsystems", _wedge,
+            (_SUB, ("--sub2", {"required": True, "help": "generators of the second subgroup"}))),
+    Command("based", "minimal and maximal weakly normal subsystems", _based,
+            (("--target", {"required": True, "help": "generators of T"}),)),
+    Command("theorem-a", "O^{p'}(E) is normal for weakly normal E", _theorem_a, (_SUB,)),
+    Command("examples", "run a named worked example", _example,
+            (("name", {"choices": sorted(EXAMPLES)}),), group=False),
+    Command("sweep", "invariant suite over the catalog", _sweep, (
+        ("--max-order", {"type": int, "default": 24}),
+        ("--oracle", {"action": "store_true", "help": "enable brute-force cross checks"}),
+    ), group=False),
+)
+
+_GROUP: Argument = ("--group", {"required": True, "help": "catalog name or spec file"})
+_COMMON: tuple[Argument, ...] = (
+    ("--prime", {"type": int, "default": None, "help": "the prime p"}),
+    ("--pretty", {"action": "store_true", "help": "indent the JSON report"}),
+    ("--assert", {"dest": "assert_", "action": "store_true",
+                  "help": "exit 1 unless every predicate holds"}),
+    ("--timing", {"action": "store_true", "help": "record elapsed time"}),
+)
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fusionkit",
         description="exact computation with fusion systems on finite p-groups",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    for cmd, func, help_text in [
-        ("build", _cmd_build, "build F_P(G) and run basic checks"),
-        ("saturated", _cmd_saturated, "test saturation both ways"),
-        ("strongly-closed", _cmd_strongly_closed, "list strongly closed subgroups"),
-        ("opprime", _cmd_opprime, "compute O^{p'}(F)"),
-        ("hypercentre", _cmd_hypercentre, "centre, central series, X_F"),
-        ("perfect", _cmd_perfect, "perfectness and the Z_2 = Z_1 check"),
-    ]:
-        sub = subs.add_parser(cmd, help=help_text)
-        sub.add_argument("--group", required=True, help="catalog name or spec file")
-        _add_common(sub)
-        sub.set_defaults(func=func)
-
-    sub = subs.add_parser("normality", help="normality status of a subsystem")
-    sub.add_argument("--group", required=True)
-    sub.add_argument("--sub", required=True, help="generators of the acting subgroup")
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_normality)
-
-    sub = subs.add_parser("quotient", help="F/T for a strongly closed kernel")
-    sub.add_argument("--group", required=True)
-    sub.add_argument("--kernel", required=True, help="generators of the kernel")
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_quotient)
-
-    sub = subs.add_parser("map-check", help="check the weakly normal map axioms")
-    sub.add_argument("--group", required=True)
-    sub.add_argument("--map", default=None, help="path to an aut-map JSON file")
-    sub.add_argument("--sub", default=None, help="generators of a subsystem source")
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_map_check)
-
-    sub = subs.add_parser("wedge", help="intersection wedge of two subsystems")
-    sub.add_argument("--group", required=True)
-    sub.add_argument("--sub", required=True)
-    sub.add_argument("--sub2", required=True)
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_wedge)
-
-    sub = subs.add_parser("based", help="minimal and maximal weakly normal subsystems")
-    sub.add_argument("--group", required=True)
-    sub.add_argument("--target", required=True, help="generators of T")
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_based)
-
-    sub = subs.add_parser("theorem-a", help="O^{p'}(E) is normal for weakly normal E")
-    sub.add_argument("--group", required=True)
-    sub.add_argument("--sub", required=True)
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_theorem_a)
-
-    sub = subs.add_parser("examples", help="run a named worked example")
-    sub.add_argument("name", choices=sorted(EXAMPLES))
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_examples)
-
-    sub = subs.add_parser("sweep", help="invariant suite over the catalog")
-    sub.add_argument("--max-order", type=int, default=24)
-    sub.add_argument("--oracle", action="store_true", help="enable brute-force cross checks")
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_sweep)
-
+    for cmd in COMMANDS:
+        sub = subs.add_parser(cmd.name, help=cmd.help)
+        for flag, options in ((_GROUP,) if cmd.group else ()) + cmd.args + _COMMON:
+            sub.add_argument(flag, **options)
+        sub.set_defaults(spec=cmd)
     return parser
 
 
+def _inputs(cmd: Command, args) -> dict:
+    if cmd.inputs is not None:
+        return cmd.inputs(args)
+    dests = (flag.lstrip("-").replace("-", "_") for flag, _ in cmd.args)
+    return {dest: getattr(args, dest) for dest in dests}
+
+
 def run(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    cmd: Command = args.spec
+    started = time.monotonic()
     try:
-        return args.func(args)
+        if cmd.group:
+            F = fusion_of_group(*_resolve(args))
+            inputs = {"group": args.group, "prime": F.p}
+        else:
+            F, inputs = None, {}
+        results = cmd.body(args, F)
     except _INPUT_ERRORS as exc:
         sys.stderr.write(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n"
         )
         return 2
+    report = new_report(cmd.name, inputs | _inputs(cmd, args))
+    for predicate, holds, witness in results:
+        add_result(report, predicate, holds, witness)
+    if args.timing:
+        report["timing_ms"] = round((time.monotonic() - started) * 1000.0, 3)
+    sys.stdout.write(render(report, pretty=args.pretty) + "\n")
+    return 1 if args.assert_ and not all_hold(report) else 0
 
 
 def main() -> None:

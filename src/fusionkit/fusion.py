@@ -172,10 +172,8 @@ class FusionSystem:
     def aut_mappings_of_conjugation(self, Q: Subgroup, source: Subgroup) -> set[Key]:
         """Mappings of the automorphisms of Q induced by N_source(Q)."""
         G = self.group
-        out = set()
-        for g in normalizer(source, Q).elements:
-            out.add(tuple(G.conj(x, g) for x in Q.elements))
-        return out
+        N = self.n_p(Q) if source == self.P else normalizer(source, Q)
+        return {tuple(G.conj(x, g) for x in Q.elements) for g in N.elements}
 
     def aut_p_subgroup(self, Q: Subgroup) -> Subgroup:
         """Aut_P(Q) inside aut_group(Q)'s permutation incarnation."""
@@ -183,7 +181,13 @@ class FusionSystem:
         return _aut_subgroup(self.aut_group(Q), mappings)
 
     def n_p(self, Q: Subgroup) -> Subgroup:
-        return normalizer(self.P, Q)
+        """N_P(Q), computed once per subgroup of P."""
+        if Q.group is not self.P.group:
+            return normalizer(self.P, Q)
+        cached = self._cache.setdefault("n_p", {})
+        if Q.key not in cached:
+            cached[Q.key] = normalizer(self.P, Q)
+        return cached[Q.key]
 
     def c_p(self, Q: Subgroup) -> Subgroup:
         return centralizer(self.P, Q)

@@ -622,9 +622,17 @@ def aut_map_from_data(F: FusionSystem, data: dict) -> AutMap:
     missing = [k for k in ("T", "assignment") if k not in data]
     if missing:
         raise ParseError(f"aut-map data is missing {', '.join(missing)}")
+    bad = [k for k in ("T", "assignment") if not isinstance(data[k], list)]
+    if bad:
+        raise ParseError(f"aut-map data field {', '.join(bad)} is not a list")
+    if not all(isinstance(x, int) and 0 <= x < len(F.group) for x in data["T"]):
+        raise ParseError("aut-map data T entries are not element indices")
     T = F.require_in_p(Subgroup(F.group, data["T"]))
-    assignment = {
-        tuple(key): frozenset(tuple(m) for m in mappings)
-        for key, mappings in data["assignment"]
-    }
+    try:
+        assignment = {
+            tuple(key): frozenset(tuple(m) for m in mappings)
+            for key, mappings in data["assignment"]
+        }
+    except (TypeError, ValueError):
+        raise ParseError("aut-map data assignment entries are not [key, mappings] pairs") from None
     return AutMap(T, assignment)

@@ -55,7 +55,7 @@ def n_phi(F: FusionSystem, phi: Morphism) -> NPhi:
     G = F.group
     send = dict(zip(S.elements, phi.mapping))
     members = []
-    for g in normalizer(F.P, S).elements:
+    for g in F.n_p(S).elements:
         if _transport(send, S.elements, [G.conj(x, g) for x in S.elements])[1] in target:
             members.append(g)
     return NPhi(phi, Subgroup(G, members, check=False))

@@ -219,3 +219,44 @@ def test_sweep_with_the_subgroup_oracle(capsys):
     results = parse(out)["results"]
     checks = [r for r in results if r["predicate"].endswith("matches the closure oracle")]
     assert checks and all(r["holds"] for r in checks)
+
+
+def test_map_check_malformed_map_field_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(
+        {"schema": "fusionkit-autmap/1", "T": [0], "assignment": [[1]]}
+    ))
+    code = run(["map-check", "--group", "s3", "--prime", "3", "--map", str(path)])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ParseError"
+
+
+@pytest.mark.parametrize("argv", [[], ["nosuch"], ["build"]])
+def test_usage_errors_exit_two(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: fusionkit")
+
+
+def test_runs_in_one_process_do_not_share_flags(capsys):
+    _, out = run_cli(capsys, "sweep", "--max-order", "4", "--oracle")
+    assert parse(out)["inputs"]["oracle"] is True
+    _, out = run_cli(capsys, "sweep", "--max-order", "4")
+    assert parse(out)["inputs"] == {"max_order": 4, "oracle": False}
+
+
+def test_map_check_source_does_not_leak_between_runs(tmp_path, capsys):
+    from fusionkit import aut_map_of, aut_map_to_data, fusion_of_group, load_group_spec
+
+    G, _ = load_group_spec("s3xs3")
+    r1, s1, _, _ = G.generator_indices
+    EK = fusion_of_group(G.generated_subgroup([r1, s1]), 3, G.generated_subgroup([r1]))
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(aut_map_to_data(aut_map_of(EK))))
+    _, out = run_cli(capsys, "map-check", "--group", "s3xs3", "--map", str(path))
+    assert parse(out)["inputs"]["map"] == str(path)
+    code, out = run_cli(capsys, "map-check", "--group", "s3xs3",
+                        "--sub", "(1,2,3);(1,2)", "--assert")
+    assert code == 0
+    assert parse(out)["inputs"]["map"] == "(1,2,3);(1,2)"

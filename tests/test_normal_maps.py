@@ -171,6 +171,23 @@ def test_aut_map_missing_key_is_a_parse_error(s3xs3, key):
         aut_map_from_data(F, data)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("T", [0, 999]),
+    ("T", [[0]]),
+    ("T", "0"),
+    ("assignment", [[1]]),
+    ("assignment", 5),
+    ("assignment", [[5, [[0]]]]),
+    ("assignment", [[[0], [[[0]]]]]),
+])
+def test_aut_map_malformed_field_is_a_parse_error(s3xs3, key, value):
+    G, F, EK, FH = s3xs3
+    data = aut_map_to_data(aut_map_of(EK))
+    data[key] = value
+    with pytest.raises(ParseError):
+        aut_map_from_data(F, data)
+
+
 def test_the_small_maps_assignment_generates_inner_not_itself(a4):
     """An assignment can satisfy the axioms while its source category is
     not weakly normal: the trivial-automizer map of the order-two-maps
