@@ -121,9 +121,5 @@ class TheoremViolation(FusionkitError):
     """A consistency assertion backed by a proved statement failed."""
 
 
-class SaturationValidationFailed(FusionkitError):
-    """A constructed subsystem fails the required saturation check."""
-
-
 class PostconditionViolation(FusionkitError):
     """A constructed object violates its defining postcondition."""

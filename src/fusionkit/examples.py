@@ -10,6 +10,7 @@ asserts that every entry holds.
 from __future__ import annotations
 
 from .catalog import load_catalog, make_group
+from .errors import InputError
 from .fusion import (
     fusion_of_group,
     generated_fusion,
@@ -244,5 +245,5 @@ EXAMPLES = {
 def run_example(name: str) -> list[Result]:
     if name not in EXAMPLES:
         known = ", ".join(sorted(EXAMPLES))
-        raise KeyError(f"unknown example {name!r}; known: {known}")
+        raise InputError(f"unknown example {name!r}; known: {known}")
     return EXAMPLES[name]()

@@ -61,6 +61,11 @@ from .perms import format_cycles, parse_cycles, perm_from_cycles
 
 IsoTable = dict[Key, dict[Key, tuple[Key, ...]]]
 
+# The largest p and degree a fusion document may give, so that a malformed
+# one cannot make ``deserialize`` trial-divide a huge number or allocate a
+# permutation of a huge degree.
+_DOCUMENT_MAX = {"p": 1 << 31, "degree": 1 << 12}
+
 
 @dataclass(frozen=True)
 class ConjClass:
@@ -268,8 +273,9 @@ class FusionSystem:
 def deserialize(data: dict) -> FusionSystem:
     """The system ``serialize`` wrote; malformed fields raise ``ParseError``.
 
-    The iso table is checked for shape only: ``validate_fusion`` checks it
-    against the group."""
+    The iso table is checked for shape only: every domain and every mapping
+    is a list of element indices of P, and each mapping is as long as its
+    domain.  ``validate_fusion`` checks the table against the group."""
     if not isinstance(data, dict):
         raise ParseError("fusion data is not a JSON object")
     if data.get("schema") != "fusionkit-fusion/1":
@@ -280,9 +286,12 @@ def deserialize(data: dict) -> FusionSystem:
     bad = [k for k in ("group", "P", "isos") if not isinstance(data[k], list)]
     if bad:
         raise ParseError(f"fusion data field {', '.join(bad)} is not a list")
-    bad = [k for k in ("p", "degree") if not isinstance(data[k], int) or data[k] < 1]
+    bad = [
+        k for k, top in _DOCUMENT_MAX.items()
+        if not isinstance(data[k], int) or not 1 <= data[k] <= top
+    ]
     if bad:
-        raise ParseError(f"fusion data field {', '.join(bad)} is not a positive integer")
+        raise ParseError(f"fusion data field {', '.join(bad)} is not a positive integer in range")
     degree = data["degree"]
     if not all(isinstance(s, str) for s in data["group"]):
         raise ParseError("fusion data group entries are not cycle strings")
@@ -293,12 +302,21 @@ def deserialize(data: dict) -> FusionSystem:
     if not all(isinstance(x, int) and 0 <= x < len(group) for x in data["P"]):
         raise ParseError("fusion data P entries are not element indices")
     P = Subgroup(group, data["P"])
+    # Looking an entry up here both rejects what is not an element of P and
+    # turns a JSON number such as 1.0 into the index itself.
+    index = {x: x for x in P.elements}.__getitem__
     isos: dict[Key, list[Key]] = {}
     try:
         for qlist, mappings in data["isos"]:
-            isos.setdefault(tuple(qlist), []).extend(tuple(m) for m in mappings)
-    except (TypeError, ValueError):
-        raise ParseError("fusion data isos entries are not [domain, mappings] pairs") from None
+            qk = tuple(map(index, qlist))
+            ms = [tuple(map(index, m)) for m in mappings]
+            if any(len(m) != len(qk) for m in ms):
+                raise ParseError("fusion data iso mapping is not as long as its domain", witness=qk)
+            isos.setdefault(qk, []).extend(ms)
+    except (KeyError, TypeError, ValueError):
+        raise ParseError(
+            "fusion data isos entries are not [domain, mappings] pairs of element indices of P"
+        ) from None
     return FusionSystem(group, P, data["p"], _iso_table(isos), name=data.get("name"))
 
 

@@ -16,7 +16,6 @@ from .errors import (
     NotSaturated,
     NotStronglyClosed,
     PreconditionFailed,
-    SaturationValidationFailed,
     TheoremViolation,
 )
 from .fusion import (
@@ -245,47 +244,19 @@ def o_p(F: FusionSystem) -> Subgroup:
     return result
 
 
-def o_p_by_central_series(F: FusionSystem) -> Subgroup:
-    """The largest strongly closed subgroup with a central series whose
-    terms are all strongly closed; an independent route to O_p(F)."""
-    closed = strongly_closed_subgroups(F)
-    best = Subgroup(F.group, (F.group.identity,), check=False)
-    for T in closed:
-        chain = [S for S in closed if S <= T]
-        reachable = {chain[0].key}
-        changed = True
-        while changed:
-            changed = False
-            for S in chain:
-                if S.key in reachable:
-                    continue
-                for below in chain:
-                    if below.key in reachable and below <= S:
-                        comms = {
-                            F.group.comm(x, t) for x in S.elements for t in T.elements
-                        }
-                        if below.contains_all(comms):
-                            reachable.add(S.key)
-                            changed = True
-                            break
-        if T.key in reachable and len(T) > len(best):
-            best = T
-    return best
-
-
 def o_p_prime_subsystem(E: FusionSystem) -> FusionSystem:
-    """O^{p'}(E): generated by O^{p'}(Aut_E(Q)) over all Q ≤ T."""
+    """O^{p'}(E): generated by O^{p'}(Aut_E(Q)) over all Q ≤ T.
+
+    E must be saturated, or NotSaturated is raised.  The result is saturated
+    by theorem; ``verify_theorem_a`` certifies that through
+    ``normality_status``, and this call does not re-check it.
+    """
     if not is_saturated(E).saturated:
         raise NotSaturated("O^{p'} needs a saturated system", witness=E)
     seeds: list[Morphism] = []
     for Q in E.subgroups():
         seeds.extend(E.aut_group(Q).o_p_prime_part(E.p))
-    result = generated_fusion(E.P, E.p, seeds)
-    if not is_saturated(result).saturated:
-        raise SaturationValidationFailed(
-            "O^{p'} produced a non-saturated system", witness=result
-        )
-    return result
+    return generated_fusion(E.P, E.p, seeds)
 
 
 # -- detecting subgroups and Theorem A ----------------------------------------
@@ -394,7 +365,6 @@ __all__ = [
     "local_subsystem",
     "normality_status",
     "o_p",
-    "o_p_by_central_series",
     "o_p_prime_subsystem",
     "quotient",
     "quotient_with_data",

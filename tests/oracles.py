@@ -4,12 +4,21 @@ Subgroups are found by raw subset closure over the multiplication table, and
 subsystems on a carrier by a from-scratch closure operator on plain mapping
 tables (domain elements paired with their images).  Nothing here touches
 all_subgroups, generated_fusion, or FusionSystem internals, so agreement with
-the library is evidence, not tautology.
+the library is evidence, not tautology.  The centre and O_p(F) also get a
+second description each, by fixed points and by strongly closed central
+series, to compare with ``centre_of`` and ``o_p``.
 """
 
 from __future__ import annotations
 
-from fusionkit import FusionSystem, Morphism, Subgroup, generated_fusion
+from fusionkit import (
+    FusionSystem,
+    Morphism,
+    Subgroup,
+    generated_fusion,
+    group_centre,
+    strongly_closed_subgroups,
+)
 
 RawIso = tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -155,3 +164,42 @@ def system_from_table(F: FusionSystem, T: Subgroup, table: frozenset[RawIso]):
         for dom, img in table
     ]
     return generated_fusion(T, F.p, isos)
+
+
+def centre_by_fixed_points(F: FusionSystem) -> Subgroup:
+    """Z(F) of a saturated F as the central elements of P fixed by every
+    morphism whose domain contains them."""
+    fixed = [
+        x
+        for x in group_centre(F.P).elements
+        if all(phi.apply(x) == x for phi in F.all_isos() if x in phi.domain)
+    ]
+    return Subgroup(F.group, fixed, check=True)
+
+
+def o_p_by_central_series(F: FusionSystem) -> Subgroup:
+    """O_p(F) of a saturated F as the largest strongly closed subgroup with
+    a central series whose terms are all strongly closed."""
+    closed = strongly_closed_subgroups(F)
+    best = Subgroup(F.group, (F.group.identity,), check=False)
+    for T in closed:
+        chain = [S for S in closed if S <= T]
+        reachable = {chain[0].key}
+        changed = True
+        while changed:
+            changed = False
+            for S in chain:
+                if S.key in reachable:
+                    continue
+                for below in chain:
+                    if below.key in reachable and below <= S:
+                        comms = {
+                            F.group.comm(x, t) for x in S.elements for t in T.elements
+                        }
+                        if below.contains_all(comms):
+                            reachable.add(S.key)
+                            changed = True
+                            break
+        if T.key in reachable and len(T) > len(best):
+            best = T
+    return best

@@ -5,6 +5,8 @@ import json
 import pytest
 
 from fusionkit.cli import run
+from fusionkit.errors import InputError
+from fusionkit.examples import run_example
 from fusionkit.reports import REPORT_SCHEMA
 
 
@@ -204,6 +206,11 @@ def test_examples_all_pass(capsys, name):
     assert all(r["holds"] for r in parse(out)["results"])
 
 
+def test_unknown_example_is_an_input_error():
+    with pytest.raises(InputError, match="known: a4xa4, d8xc2, ea9-s3, s3xs3, v4-a4"):
+        run_example("nosuch")
+
+
 def test_sweep_small_and_deterministic(capsys):
     code, first = run_cli(capsys, "sweep", "--max-order", "8", "--assert")
     assert code == 0
@@ -211,14 +218,6 @@ def test_sweep_small_and_deterministic(capsys):
     assert all(r["holds"] for r in report["results"])
     _, second = run_cli(capsys, "sweep", "--max-order", "8", "--assert")
     assert first == second
-
-
-def test_sweep_with_the_subgroup_oracle(capsys):
-    code, out = run_cli(capsys, "sweep", "--max-order", "8", "--oracle", "--assert")
-    assert code == 0
-    results = parse(out)["results"]
-    checks = [r for r in results if r["predicate"].endswith("matches the closure oracle")]
-    assert checks and all(r["holds"] for r in checks)
 
 
 def test_map_check_malformed_map_field_is_an_input_error(tmp_path, capsys):
@@ -240,10 +239,29 @@ def test_usage_errors_exit_two(capsys, argv):
 
 
 def test_runs_in_one_process_do_not_share_flags(capsys):
-    _, out = run_cli(capsys, "sweep", "--max-order", "4", "--oracle")
-    assert parse(out)["inputs"]["oracle"] is True
+    _, out = run_cli(capsys, "sweep", "--max-order", "4", "--timing")
+    assert parse(out)["timing_ms"] is not None
     _, out = run_cli(capsys, "sweep", "--max-order", "4")
-    assert parse(out)["inputs"] == {"max_order": 4, "oracle": False}
+    report = parse(out)
+    assert report["timing_ms"] is None
+    assert report["inputs"] == {"max_order": 4}
+
+
+@pytest.mark.parametrize("argv", [
+    ["examples", "v4-a4", "--prime", "7"],
+    ["sweep", "--max-order", "4", "--prime", "2"],
+])
+def test_prime_is_only_accepted_by_group_commands(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: fusionkit")
+
+
+@pytest.mark.parametrize("prime", ["0", "-3"])
+def test_non_positive_prime_is_an_input_error(capsys, prime):
+    assert run(["build", "--group", "a4", "--prime", prime]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] in {"InputError", "PreconditionFailed"}
 
 
 def test_map_check_source_does_not_leak_between_runs(tmp_path, capsys):

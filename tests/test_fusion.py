@@ -133,6 +133,39 @@ def test_deserialize_malformed_field_is_a_parse_error(field, value):
         deserialize(data)
 
 
+@pytest.mark.parametrize("entry", [
+    pytest.param([[0, 3, 4], [[0]]], id="mapping-shorter-than-domain"),
+    pytest.param([[0, 3, 4], [[0, 999, 1]]], id="mapping-index-out-of-range"),
+    pytest.param([[0, 3, 4], [[0, 1, 2]]], id="mapping-outside-P"),
+    pytest.param([[0, 3, 4], [[0, 3, 4, 0]]], id="mapping-longer-than-domain"),
+    pytest.param([[0, 3, 4], [[0, 3, "4"]]], id="mapping-string-index"),
+    pytest.param([[0, 3, 4], [[0, 3, 4.5]]], id="mapping-fractional-index"),
+    pytest.param([[0, 3, 4], [[0, [3], 4]]], id="mapping-nested-list"),
+    pytest.param([[0, 3, 4], [0, 3, 4]], id="mapping-not-a-list"),
+    pytest.param([[0, 1, 2], [[0, 1, 2]]], id="domain-outside-P"),
+    pytest.param([[0, None, 4], [[0, 3, 4]]], id="domain-null-index"),
+])
+def test_deserialize_malformed_iso_entry_is_a_parse_error(entry):
+    G, _ = load_group_spec("s3")
+    data = fusion_of_group(G, 3).serialize()
+    data["isos"][1] = entry  # the entry of the domain P = [0, 3, 4]
+    with pytest.raises(ParseError):
+        deserialize(data)
+
+
+@pytest.mark.parametrize("field,value", [
+    pytest.param("degree", 1 << 40, id="degree-huge"),
+    pytest.param("p", (1 << 61) - 1, id="p-huge-prime"),
+    pytest.param("p", 0, id="p-zero"),
+])
+def test_deserialize_out_of_range_number_is_a_parse_error(field, value):
+    G, _ = load_group_spec("s3")
+    data = fusion_of_group(G, 3).serialize()
+    data[field] = value
+    with pytest.raises(ParseError):
+        deserialize(data)
+
+
 @pytest.mark.parametrize("document", [[], "fusion", 3, None])
 def test_deserialize_non_object_document_is_a_parse_error(document):
     with pytest.raises(ParseError):

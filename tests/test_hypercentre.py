@@ -3,7 +3,6 @@
 import pytest
 
 from fusionkit import (
-    centre_by_fixed_points,
     centre_of,
     fusion_of_group,
     group_centre,
@@ -17,6 +16,7 @@ from fusionkit import (
     x_subgroup,
 )
 from fusionkit.errors import NotSaturated, PreconditionFailed
+from oracles import centre_by_fixed_points
 
 CENTRE_ORDERS = {
     ("s4", 2): 1,

@@ -1,0 +1,122 @@
+"""Fuzz the two JSON loaders: a mutated document either loads or raises a
+FusionkitError, never another exception.
+
+Each example starts from a valid ``serialize()`` or ``aut_map_to_data()``
+document and applies one to three mutations at random places: drop a key or
+an element, replace a value with arbitrary JSON, truncate or extend a list,
+or wrap a value in a list or unwrap one.
+"""
+
+import copy
+import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fusionkit import (
+    aut_map_from_data,
+    aut_map_of,
+    aut_map_to_data,
+    deserialize,
+    fusion_of_group,
+    load_group_spec,
+    o_p_prime_subsystem,
+)
+from fusionkit.errors import FusionkitError
+
+EXAMPLES_PER_LOADER = 150
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=10,
+)
+MUTATIONS = ("drop", "replace", "truncate", "extend", "wrap", "unwrap")
+
+
+def _system(name, p):
+    G, _ = load_group_spec(name)
+    return fusion_of_group(G, p)
+
+
+def _document(data):
+    return json.loads(json.dumps(data))
+
+
+_SYSTEMS = [_system("s3", 3), _system("a4", 2), _system("d8", 2), _system("s3xs3", 3)]
+FUSION_DOCUMENTS = [_document(F.serialize()) for F in _SYSTEMS]
+AUT_MAP_DOCUMENTS = [
+    (F, _document(aut_map_to_data(aut_map_of(E))))
+    for F in _SYSTEMS
+    for E in (F, o_p_prime_subsystem(F))
+]
+
+
+def _paths(value, path=()):
+    yield path
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _paths(item, path + (key,))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _paths(item, path + (i,))
+
+
+def _at(document, path):
+    for step in path:
+        document = document[step]
+    return document
+
+
+def _mutate(draw, document):
+    path = draw(st.sampled_from(list(_paths(document))))
+    value = _at(document, path)
+    kind = draw(st.sampled_from(MUTATIONS))
+    if kind == "drop" and path:
+        del _at(document, path[:-1])[path[-1]]
+        return document
+    if kind == "truncate" and isinstance(value, list) and value:
+        new = value[: draw(st.integers(0, len(value) - 1))]
+    elif kind == "extend" and isinstance(value, list):
+        pool = JSON | st.sampled_from(value) if value else JSON
+        new = value + draw(st.lists(pool, min_size=1, max_size=3))
+    elif kind == "wrap":
+        new = [value]
+    elif kind == "unwrap" and isinstance(value, list) and value:
+        new = value[0]
+    else:
+        new = draw(JSON)
+    if not path:
+        return new
+    _at(document, path[:-1])[path[-1]] = new
+    return document
+
+
+@st.composite
+def _mutated(draw, document):
+    document = copy.deepcopy(document)
+    for _ in range(draw(st.integers(1, 3))):
+        document = _mutate(draw, document)
+    return document
+
+
+@settings(max_examples=EXAMPLES_PER_LOADER, deadline=None)
+@given(st.data())
+def test_deserialize_loads_or_raises_a_typed_error(data):
+    document = data.draw(_mutated(data.draw(st.sampled_from(FUSION_DOCUMENTS))))
+    try:
+        deserialize(document)
+    except FusionkitError:
+        pass
+
+
+@settings(max_examples=EXAMPLES_PER_LOADER, deadline=None)
+@given(st.data())
+def test_aut_map_from_data_loads_or_raises_a_typed_error(data):
+    F, document = data.draw(st.sampled_from(AUT_MAP_DOCUMENTS))
+    document = data.draw(_mutated(document))
+    try:
+        aut_map_from_data(F, document)
+    except FusionkitError:
+        pass

@@ -5,8 +5,10 @@ import json
 import pytest
 
 from fusionkit import (
+    Morphism,
     NotBased,
     Subgroup,
+    all_subgroups,
     aut_map_from_data,
     aut_map_of,
     aut_map_to_data,
@@ -31,7 +33,8 @@ from fusionkit import (
     t_core,
     weakly_normal_systems_on,
 )
-from fusionkit.errors import NotStronglyClosed, ParseError, PreconditionFailed
+from fusionkit.errors import NotStronglyClosed, ParseError, PreconditionFailed, TheoremViolation
+from fusionkit.normal_maps import _maximum, _minimum
 
 
 @pytest.fixture(scope="module")
@@ -134,6 +137,53 @@ def test_minimal_system_is_the_p_prime_residue(a4):
     rng = based_range(F, F.P)
     assert rng.minimal == o_p_prime_subsystem(F)
     assert rng.maximal == F
+
+
+def _largest_coprime_enlargement(F, E):
+    """The join of every normal subgroup of Aut_F(T) that contains
+    Aut_E(T) with index prime to p, as a subgroup of F.aut_group(T).group."""
+    ag = F.aut_group(E.P)
+    full = ag.group.full_subgroup
+    aut_e = ag.subgroup_from(E.isos_between(E.P, E.P))
+    joined = aut_e
+    for S in all_subgroups(full):
+        if aut_e <= S and S.is_normal_in(full) and (len(S) // len(aut_e)) % F.p != 0:
+            joined = joined.join(S)
+    return joined
+
+
+def test_based_ranges_are_the_residue_and_the_largest_enlargement(sweep_weakly_normal):
+    """based_range reads both ends off the enumeration.  On every carrier of
+    the catalog sweep they must be what the theory says: the minimum is
+    O^{p'}(E) for each weakly normal E on T, and the maximum is the largest
+    coprime enlargement of the minimum."""
+    carriers = systems_seen = 0
+    for name, p, F, T, systems in sweep_weakly_normal:
+        rng = based_range(F, T)
+        if not systems:
+            assert not rng, (name, p, T.elements)
+            continue
+        carriers += 1
+        systems_seen += len(systems)
+        for E in systems:
+            assert o_p_prime_subsystem(E) == rng.minimal, (name, p, T.elements)
+        largest = enlarge_weakly_normal(
+            F, rng.minimal, _largest_coprime_enlargement(F, rng.minimal)
+        )
+        assert rng.maximal == largest, (name, p, T.elements)
+    assert (carriers, systems_seen) == (571, 604)
+
+
+def test_systems_without_a_minimum_or_maximum_raise():
+    G, _ = load_group_spec("v4")
+    P = G.full_subgroup
+    e, a, b, c = P.elements
+    E1 = generated_fusion(P, 2, [Morphism(P, P, (e, b, a, c))])
+    E2 = generated_fusion(P, 2, [Morphism(P, P, (e, a, c, b))])
+    for extreme in (_minimum, _maximum):
+        assert extreme((E1,), P) == E1
+        with pytest.raises(TheoremViolation):
+            extreme((E1, E2), P)
 
 
 def test_enlargement_recovers_the_maximal_system(a4):

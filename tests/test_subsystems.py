@@ -17,13 +17,12 @@ from fusionkit import (
     local_subsystem,
     normality_status,
     o_p,
-    o_p_by_central_series,
     o_p_prime_subsystem,
     strongly_closed_subgroups,
     verify_theorem_a,
 )
 from fusionkit.errors import PreconditionFailed
-from oracles import oracle_subsystem_tables, system_table
+from oracles import o_p_by_central_series, oracle_subsystem_tables, system_table
 
 STRONGLY_CLOSED_ORDERS = {
     ("s4", 2): [1, 4, 8],
