@@ -13,7 +13,7 @@ import json
 from pathlib import Path
 
 from .errors import InputError, ParseError, UnknownCatalogName
-from .groups import DEFAULT_ORDER_BOUND, Group, is_prime
+from .groups import _DOCUMENT_MAX, DEFAULT_ORDER_BOUND, Group, is_prime
 from .perms import parse_perm
 
 _CATALOG_DIR = Path(__file__).resolve().parent / "catalog"
@@ -41,8 +41,10 @@ def make_group(spec: dict, *, order_bound: int | None = DEFAULT_ORDER_BOUND) -> 
     if missing:
         raise ParseError(f"group spec is missing {', '.join(missing)}", witness=spec)
     degree = spec["degree"]
-    if not isinstance(degree, int) or degree < 1:
-        raise ParseError(f"degree must be a positive integer, got {degree!r}")
+    if not isinstance(degree, int) or not 1 <= degree <= _DOCUMENT_MAX["degree"]:
+        raise ParseError(
+            f"degree must be an integer from 1 to {_DOCUMENT_MAX['degree']}, got {degree!r}"
+        )
     raw = spec["generators"]
     if not isinstance(raw, list):
         raise ParseError("generators must be a list of permutations", witness=raw)
@@ -51,8 +53,10 @@ def make_group(spec: dict, *, order_bound: int | None = DEFAULT_ORDER_BOUND) -> 
     if name is not None and not isinstance(name, str):
         raise ParseError(f"name must be a string, got {name!r}")
     prime = spec.get("prime")
-    if prime is not None and (not isinstance(prime, int) or not is_prime(prime)):
-        raise ParseError(f"prime must be a prime number, got {prime!r}")
+    if prime is not None and not (
+        isinstance(prime, int) and prime <= _DOCUMENT_MAX["p"] and is_prime(prime)
+    ):
+        raise ParseError(f"prime must be a prime number up to {_DOCUMENT_MAX['p']}, got {prime!r}")
     G = Group(gens, degree, name=name, generators=gens, order_bound=order_bound)
     declared = spec.get("order")
     if declared is not None and declared != len(G):
@@ -60,6 +64,17 @@ def make_group(spec: dict, *, order_bound: int | None = DEFAULT_ORDER_BOUND) -> 
             f"spec declares order {declared} but the generators produce order {len(G)}"
         )
     return G
+
+
+def _read_json(path: Path, what: str):
+    """The JSON document in a file; a read error raises ``InputError`` and
+    undecodable bytes or invalid JSON raise ``ParseError``."""
+    try:
+        return json.loads(path.read_text())
+    except OSError as exc:
+        raise InputError(f"cannot read {what} file {path}: {exc}") from None
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise ParseError(f"invalid JSON in {what} file {path}: {exc}") from None
 
 
 def load_group_spec(
@@ -74,10 +89,7 @@ def load_group_spec(
         path = Path(source)
         if not path.is_file():
             raise InputError(f"no such group spec file: {source}")
-        try:
-            spec = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON in {source}: {exc}") from None
+        spec = _read_json(path, "group spec")
     else:
         spec = load_catalog(source)
     group = make_group(spec, order_bound=order_bound)

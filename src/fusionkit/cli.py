@@ -24,7 +24,7 @@ import time
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from .catalog import catalog_names, load_catalog, load_group_spec, make_group
+from .catalog import _read_json, catalog_names, load_catalog, load_group_spec, make_group
 from .errors import (
     InputError,
     NotAPGroup,
@@ -32,7 +32,6 @@ from .errors import (
     NotStronglyClosed,
     NotSylow,
     OrderBoundExceeded,
-    ParseError,
     PreconditionFailed,
     PrimeMismatch,
 )
@@ -186,13 +185,7 @@ def _opprime(args, F: FusionSystem) -> list[Result]:
 
 def _map_check(args, F: FusionSystem) -> list[Result]:
     if args.map is not None:
-        try:
-            data = json.loads(Path(args.map).read_text())
-        except OSError as exc:
-            raise InputError(f"cannot read aut-map file {args.map}: {exc}") from None
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ParseError(f"invalid JSON in {args.map}: {exc}") from None
-        A = aut_map_from_data(F, data)
+        A = aut_map_from_data(F, _read_json(Path(args.map), "aut-map"))
     elif args.sub is not None:
         A = aut_map_of(_subsystem_on(F, args.sub))
     else:

@@ -33,6 +33,7 @@ from .errors import (
     SeedNotInjective,
 )
 from .groups import (
+    _DOCUMENT_MAX,
     Group,
     QuotientData,
     Subgroup,
@@ -60,11 +61,6 @@ from .morphisms import (
 from .perms import format_cycles, parse_cycles, perm_from_cycles
 
 IsoTable = dict[Key, dict[Key, tuple[Key, ...]]]
-
-# The largest p and degree a fusion document may give, so that a malformed
-# one cannot make ``deserialize`` trial-divide a huge number or allocate a
-# permutation of a huge degree.
-_DOCUMENT_MAX = {"p": 1 << 31, "degree": 1 << 12}
 
 
 @dataclass(frozen=True)
@@ -165,6 +161,17 @@ class FusionSystem:
             if R.contains_all(rkey):
                 out.extend(Morphism(Q, R, m) for m in mappings)
         return tuple(sorted(out))
+
+    def _extension(self, D: Subgroup, C: Subgroup, points: Key, accept) -> Key | None:
+        """The least mapping of an F-morphism D -> C, in ``hom_set``'s
+        order, whose images of ``points`` (elements of D) pass ``accept``;
+        None when no mapping does."""
+        idx = _positions(D.elements, points)
+        cset = C._set
+        candidates = sorted(
+            m for rk, ms in self._isos.get(D.key, {}).items() if cset.issuperset(rk) for m in ms
+        )
+        return next((m for m in candidates if accept(_restrict(m, idx))), None)
 
     def aut_group(self, Q: Subgroup) -> AutGroup:
         self.require_in_p(Q)
@@ -581,39 +588,10 @@ def quotient_with_data(
     if not is_strongly_closed(F, T):
         raise NotStronglyClosed("quotient kernel must be strongly closed", witness=T)
     qd = coset_quotient(F.P, T)
-    Fbar = _induced_quotient_system(F, qd, F.P, name=name)
-    return Fbar, qd
-
-
-def quotient(F: FusionSystem, T: Subgroup, *, name: str | None = None) -> FusionSystem:
-    return quotient_with_data(F, T, name=name)[0]
-
-
-def push_through_quotient(
-    E: FusionSystem, qd: QuotientData, *, name: str | None = None
-) -> FusionSystem:
-    """The system induced by E on E.P/T inside an existing quotient of P.
-
-    T = qd.kernel must lie inside E.P and be strongly E-closed, so that
-    every E-morphism between subgroups containing T induces a map of
-    cosets.
-    """
-    T = qd.kernel
-    if not T <= E.P:
-        raise NotASubgroup("quotient kernel must lie inside the subsystem", witness=T)
-    if not is_strongly_closed(E, T):
-        raise NotStronglyClosed("kernel is not strongly closed in the subsystem", witness=T)
-    return _induced_quotient_system(E, qd, E.P, name=name)
-
-
-def _induced_quotient_system(
-    E: FusionSystem, qd: QuotientData, carrier: Subgroup, *, name: str | None
-) -> FusionSystem:
-    T = qd.kernel
     tset = T._set
     project = qd.project
     isos: dict[Key, set[Key]] = {}
-    for qk, targets in E._isos.items():
+    for qk, targets in F._isos.items():
         if not tset.issubset(qk):
             continue
         qbar = tuple(sorted({project[x] for x in qk}))
@@ -628,8 +606,12 @@ def _induced_quotient_system(
                             "morphism does not respect the kernel cosets", witness=m
                         )
                 images.add(tuple(bar[c] for c in qbar))
-    Pbar = qd.push(carrier)
-    return FusionSystem(qd.group, Pbar, E.p, _iso_table(isos), name=name)
+    Fbar = FusionSystem(qd.group, qd.push(F.P), F.p, _iso_table(isos), name=name)
+    return Fbar, qd
+
+
+def quotient(F: FusionSystem, T: Subgroup, *, name: str | None = None) -> FusionSystem:
+    return quotient_with_data(F, T, name=name)[0]
 
 
 # -- transport and isomorphism ------------------------------------------------

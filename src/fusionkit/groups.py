@@ -30,6 +30,11 @@ from .perms import Perm, format_cycles, identity_perm, perm_inv, perm_mul
 #: Default cap on ambient group orders; constructions refuse to go past it.
 DEFAULT_ORDER_BOUND = 400
 
+# The largest prime and degree a fusion document or a group spec may give,
+# so that a malformed one cannot make a loader trial-divide a huge number
+# or allocate a permutation of a huge degree.
+_DOCUMENT_MAX = {"p": 1 << 31, "degree": 1 << 12}
+
 
 def is_prime(n: int) -> bool:
     if n < 2:
@@ -169,10 +174,6 @@ class Group:
             self._full = Subgroup(self, range(len(self.perms)), check=False)
         return self._full
 
-    @property
-    def trivial_subgroup(self) -> "Subgroup":
-        return Subgroup(self, (self.identity,), check=False)
-
     def subgroup(self, indices: Iterable[int]) -> "Subgroup":
         return Subgroup(self, indices)
 
@@ -298,10 +299,6 @@ class Subgroup:
             self._gens = tuple(chosen)
         return self._gens
 
-    def conjugate(self, g: int) -> "Subgroup":
-        G = self.group
-        return Subgroup(G, (G.conj(x, g) for x in self.elements), check=False)
-
     def is_normal_in(self, other: "Subgroup") -> bool:
         if not self <= other:
             return False
@@ -331,13 +328,6 @@ class Subgroup:
 
     def centre(self) -> "Subgroup":
         return centralizer(self, self)
-
-    def derived_subgroup(self) -> "Subgroup":
-        G = self.group
-        comms = {
-            G.comm(a, b) for a in self.elements for b in self.elements
-        }
-        return subgroup_closure(G, comms)
 
 
 def subgroup_closure(group: Group, indices: Iterable[int]) -> Subgroup:

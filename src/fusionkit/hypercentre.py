@@ -36,7 +36,7 @@ from .groups import (
     sylow,
     upper_central_series_group,
 )
-from .morphisms import Morphism, _positions, _restrict
+from .morphisms import Morphism
 from .saturation import is_saturated
 from .subsystems import local_subsystem, strongly_closed_subgroups
 
@@ -100,12 +100,11 @@ def _require_saturated(F: FusionSystem) -> None:
 
 def _extends_fixing(F: FusionSystem, phi: Morphism, x: int) -> bool:
     X = F.group.generated_subgroup([x])
-    dom = phi.domain.join(X)
-    idx = _positions(dom.elements, phi.domain.elements)
-    return any(
-        psi.apply(x) == x and _restrict(psi.mapping, idx) == phi.mapping
-        for psi in F.hom_set(dom, phi.codomain.join(X))
+    wanted = phi.mapping + (x,)
+    found = F._extension(
+        phi.domain.join(X), phi.codomain.join(X), phi.domain.elements + (x,), lambda r: r == wanted
     )
+    return found is not None
 
 
 def centre_of(F: FusionSystem) -> Subgroup:

@@ -103,12 +103,6 @@ class Morphism:
     def identity(cls, Q: Subgroup) -> "Morphism":
         return cls(Q, Q, Q.elements)
 
-    @classmethod
-    def inclusion(cls, Q: Subgroup, R: Subgroup) -> "Morphism":
-        if not Q <= R:
-            raise ImageNotContained("domain not inside codomain", witness=Q)
-        return cls(Q, R, Q.elements)
-
     def apply(self, idx: int) -> int:
         if self._pos is None:
             self._pos = {e: i for i, e in enumerate(self.domain.elements)}
@@ -154,12 +148,6 @@ class Morphism:
             and set(self.mapping) == self.codomain._set
         )
 
-    def is_identity(self) -> bool:
-        return (
-            self.domain.elements == self.mapping
-            and self.domain.group == self.codomain.group
-        )
-
     def then(self, other: "Morphism") -> "Morphism":
         """Left-to-right composition: apply self, then ``other``."""
         if not other.domain.contains_all(self.mapping):
@@ -172,14 +160,6 @@ class Morphism:
             raise NotASubgroup("restriction target not inside domain", witness=S)
         idx = _positions(self.domain.elements, S.elements)
         return Morphism(S, self.codomain, _restrict(self.mapping, idx))
-
-    def onto_image(self) -> "Morphism":
-        return Morphism(self.domain, self.image(), self.mapping)
-
-    def with_codomain(self, R: Subgroup) -> "Morphism":
-        if not R.contains_all(self.mapping):
-            raise ImageNotContained("image not inside new codomain", witness=self)
-        return Morphism(self.domain, R, self.mapping)
 
     def inverse(self) -> "Morphism":
         if not self.is_iso:
@@ -204,17 +184,6 @@ class Morphism:
             )
         _, mapping = _transport(dict(zip(S, moved)), S, self.mapping)
         return Morphism(target, target, mapping)
-
-    def fixes(self, S: Subgroup) -> bool:
-        """Whether S is inside the domain and mapped onto itself."""
-        return self.domain.contains_all(S.elements) and {
-            self.apply(x) for x in S.elements
-        } == set(S.elements)
-
-    def fixes_pointwise(self, S: Subgroup) -> bool:
-        return self.domain.contains_all(S.elements) and all(
-            self.apply(x) == x for x in S.elements
-        )
 
 
 def conj_morphism(container: Group | Subgroup, g: int, Q: Subgroup, R: Subgroup) -> Morphism:
@@ -273,9 +242,6 @@ class AutGroup:
     def __iter__(self):
         return iter(self.morphisms)
 
-    def morphism_of(self, idx: int) -> Morphism:
-        return self.morphisms[idx]
-
     def index_of(self, m: Morphism) -> int:
         try:
             return self._index[m.mapping]
@@ -289,10 +255,6 @@ class AutGroup:
         if sub.group != self.group:
             raise NotASubgroup("subgroup of a different automorphism group")
         return tuple(self.morphisms[i] for i in sub.elements)
-
-    def generated_by(self, morphisms: Iterable[Morphism]) -> tuple[Morphism, ...]:
-        sub = self.group.generated_subgroup([self.index_of(m) for m in morphisms])
-        return self.morphisms_of(sub)
 
     def o_p_prime_part(self, p: int) -> tuple[Morphism, ...]:
         """O^{p'}: the subgroup generated by all p-power order elements."""
@@ -401,15 +363,5 @@ def automorphisms(container: Group | Subgroup, *, order_bound: int | None = DEFA
     return AutGroup(Q, morphs)
 
 
-def find_isomorphism(A: Group | Subgroup, B: Group | Subgroup) -> Morphism | None:
-    """Some isomorphism A -> B, or None; deterministic first hit."""
-    SA, SB = _as_subgroup(A), _as_subgroup(B)
-    maps = _iso_search(SA, SB, find_all=False)
-    if not maps:
-        return None
-    m = maps[0]
-    return Morphism(SA, SB, tuple(m[x] for x in SA.elements))
-
-
 def is_isomorphic(A: Group | Subgroup, B: Group | Subgroup) -> bool:
-    return find_isomorphism(A, B) is not None
+    return bool(_iso_search(_as_subgroup(A), _as_subgroup(B), find_all=False))

@@ -85,9 +85,6 @@ class AutMap:
     def at(self, U: Subgroup) -> frozenset[Key]:
         return self.assignment[U.key]
 
-    def morphisms_at(self, U: Subgroup) -> tuple[Morphism, ...]:
-        return tuple(Morphism(U, U, m) for m in sorted(self.assignment[U.key]))
-
 
 @dataclass(frozen=True)
 class MapVerdict:

@@ -8,7 +8,6 @@ the points 0..n-1.  Composition is left to right throughout fusionkit:
 
 from __future__ import annotations
 
-import math
 import re
 
 from .errors import InvalidPermutation
@@ -50,10 +49,6 @@ def perm_cycles(a: Perm) -> list[list[int]]:
             x = a[x]
         cycles.append(cyc)
     return cycles
-
-
-def perm_order(a: Perm) -> int:
-    return math.lcm(1, *(len(c) for c in perm_cycles(a)))
 
 
 def format_cycles(a: Perm) -> str:
@@ -120,7 +115,9 @@ def parse_perm(spec, degree: int | None = None) -> Perm:
         cycles = []
         seen: set[int] = set()
         flat = bool(spec) and all(isinstance(x, int) for x in spec)
-        raw_cycles = [list(spec)] if flat else [list(c) for c in spec]
+        if not flat and not all(isinstance(c, (list, tuple)) for c in spec):
+            raise InvalidPermutation(f"cycles must be lists of points: {spec!r}", witness=spec)
+        raw_cycles = [spec] if flat else spec
         for raw in raw_cycles:
             cyc = []
             for point in raw:

@@ -7,14 +7,7 @@ from dataclasses import dataclass
 from .errors import NotAnIsomorphism, NotASubgroupOfP
 from .fusion import FusionSystem
 from .groups import Subgroup, normalizer, p_part, subgroups_between
-from .morphisms import (
-    Morphism,
-    _aut_subgroup,
-    _positions,
-    _restrict,
-    _stabilizing_restrictions,
-    _transport,
-)
+from .morphisms import Morphism, _aut_subgroup, _stabilizing_restrictions, _transport
 
 
 @dataclass(frozen=True)
@@ -67,11 +60,8 @@ def extend_morphism(F: FusionSystem, phi: Morphism, D: Subgroup) -> Morphism | N
     F.require_in_p(D)
     if not S <= D:
         raise NotASubgroupOfP("extension domain must contain the domain of phi", witness=S)
-    restriction = _positions(D.elements, S.elements)
-    for psi in F.hom_set(D, F.P):
-        if _restrict(psi.mapping, restriction) == phi.mapping:
-            return psi
-    return None
+    mapping = F._extension(D, F.P, S.elements, lambda r: r == phi.mapping)
+    return None if mapping is None else Morphism(D, F.P, mapping)
 
 
 def is_receptive(F: FusionSystem, R: Subgroup) -> bool:
@@ -142,12 +132,8 @@ def is_saturated(F: FusionSystem) -> SaturationVerdict:
 def normalizer_map(F: FusionSystem, R: Subgroup, Q: Subgroup) -> Morphism | None:
     """Some F-morphism N_P(R) -> N_P(Q) carrying R onto Q, if one exists."""
     NR, NQ = F.n_p(R), F.n_p(Q)
-    idx = _positions(NR.elements, R.elements)
-    qset = Q._set
-    for psi in F.hom_set(NR, NQ):
-        if set(_restrict(psi.mapping, idx)) == qset:
-            return psi
-    return None
+    mapping = F._extension(NR, NQ, R.elements, lambda r: set(r) == Q._set)
+    return None if mapping is None else Morphism(NR, NQ, mapping)
 
 
 def is_saturated_puig(F: FusionSystem) -> SaturationVerdict:

@@ -1,6 +1,5 @@
 """Strong closure, normality verdicts, local subsystems, O_p, O^{p'},
-Frattini decomposition, detecting subgroups, and the normality theorem
-verifier."""
+Frattini decomposition, and the normality theorem verifier."""
 
 from __future__ import annotations
 
@@ -10,7 +9,6 @@ from .errors import (
     InputError,
     NoDecomposition,
     NotASubsystem,
-    NotCentric,
     NotFullyCentralized,
     NotFullyNormalized,
     NotSaturated,
@@ -24,12 +22,10 @@ from .fusion import (
     generated_fusion,
     is_strongly_closed,
     is_subsystem,
-    quotient,
-    quotient_with_data,
 )
-from .groups import QuotientData, Subgroup, all_subgroups, coset_quotient
-from .morphisms import Morphism, _compose, _inverse, _positions, _restrict, _transport
-from .saturation import is_centric, is_saturated
+from .groups import Subgroup, all_subgroups
+from .morphisms import Key, Morphism, _compose, _inverse, _positions, _restrict, _transport
+from .saturation import is_saturated
 
 
 @dataclass(frozen=True)
@@ -39,24 +35,6 @@ class NormalityVerdict:
     normal: bool
     frattini_witness: tuple[Morphism, Morphism, Morphism] | None = None
     failure_witness: Morphism | None = None
-
-
-@dataclass(frozen=True)
-class DetectionContext:
-    """The subquotient Y_Q = Z(Q)C_P(T)/Z(Q) attached to an E-centric Q."""
-
-    T: Subgroup
-    Q: Subgroup
-    yq: QuotientData
-
-
-@dataclass(frozen=True)
-class Detection:
-    detecting: bool
-    witness: Morphism | None = None
-
-    def __bool__(self) -> bool:
-        return self.detecting
 
 
 @dataclass(frozen=True)
@@ -72,12 +50,6 @@ class TheoremAReport:
 
 def strongly_closed_subgroups(F: FusionSystem) -> list[Subgroup]:
     return [T for T in F.subgroups() if is_strongly_closed(F, T)]
-
-
-def comm_set(phi: Morphism, X: Subgroup) -> set[int]:
-    """{x^-1 (x phi) : x in X}; X must lie inside the domain of phi."""
-    G = X.group
-    return {G.mul(G.inv(x), phi.apply(x)) for x in X.elements}
 
 
 def is_invariant(F: FusionSystem, E: FusionSystem) -> Morphism | None:
@@ -114,23 +86,22 @@ def is_invariant(F: FusionSystem, E: FusionSystem) -> Morphism | None:
 
 
 def _normal_extension(F: FusionSystem, T: Subgroup, phi: Morphism) -> Morphism | None:
-    """An extension of phi in Aut_F(TC_P(T)) with [ext, C_P(T)] ≤ Z(T)."""
-    return _extension(F, F.c_p(T), T, phi.mapping, T.centre())
+    """The first extension psi of the automorphism phi of T in
+    Aut_F(TC_P(T)) with [psi, C_P(T)] ≤ Z(T), i.e. x^-1 (x psi) in Z(T)
+    for every x in C_P(T)."""
+    C = F.c_p(T)
+    TC = T.join(C)
+    G = F.group
+    zset = T.centre()._set
+    n = len(T)
 
+    def accept(images: Key) -> bool:
+        return images[:n] == phi.mapping and all(
+            G.mul(G.inv(x), y) in zset for x, y in zip(C.elements, images[n:])
+        )
 
-def _extension(
-    F: FusionSystem, C: Subgroup, Q: Subgroup, mapping, Z: Subgroup
-) -> Morphism | None:
-    """The first F-morphism psi: QC -> RC, for R the image of ``mapping``,
-    that restricts to ``mapping`` on Q and has [psi, C] ≤ Z."""
-    QC = Q.join(C)
-    R = Subgroup(F.group, mapping, check=False)
-    RC = QC if R == Q else R.join(C)
-    idx = _positions(QC.elements, Q.elements)
-    for psi in F.hom_set(QC, RC):
-        if _restrict(psi.mapping, idx) == mapping and comm_set(psi, C) <= Z._set:
-            return psi
-    return None
+    mapping = F._extension(TC, TC, T.elements + C.elements, accept)
+    return None if mapping is None else Morphism(TC, TC, mapping)
 
 
 def normality_status(F: FusionSystem, E: FusionSystem) -> NormalityVerdict:
@@ -259,33 +230,7 @@ def o_p_prime_subsystem(E: FusionSystem) -> FusionSystem:
     return generated_fusion(E.P, E.p, seeds)
 
 
-# -- detecting subgroups and Theorem A ----------------------------------------
-
-
-def detection_context(F: FusionSystem, E: FusionSystem, Q: Subgroup) -> DetectionContext:
-    """Y_Q = Z(Q)C_P(T)/Z(Q) for an E-centric Q ≤ T."""
-    T = E.P
-    if not is_centric(E, Q):
-        raise NotCentric("Q must be E-centric", witness=Q)
-    ZQ = Q.centre()
-    top = ZQ.join(F.c_p(T))
-    return DetectionContext(T, Q, coset_quotient(top, ZQ))
-
-
-def is_detecting_subgroup(
-    F: FusionSystem, E: FusionSystem, alpha: Morphism, Q: Subgroup
-) -> Detection:
-    """Whether Q detects alpha: some beta: QC_P(T) -> RC_P(T) restricts to
-    alpha on Q and satisfies [beta, C_P(T)] ≤ Z(R)."""
-    T = E.P
-    if not is_centric(E, Q):
-        raise NotCentric("Q must be E-centric", witness=Q)
-    if alpha.domain != T or not E.contains_morphism(alpha):
-        raise NotASubsystem("alpha must be an E-automorphism of T", witness=alpha)
-    target = _restrict(alpha.mapping, _positions(T.elements, Q.elements))
-    ZR = Subgroup(F.group, target, check=False).centre()
-    beta = _extension(F, F.c_p(T), Q, target, ZR)
-    return Detection(beta is not None, beta)
+# -- Theorem A -----------------------------------------------------------------
 
 
 def verify_theorem_a(F: FusionSystem, E: FusionSystem) -> TheoremAReport:
@@ -352,22 +297,15 @@ def enumerate_subsystems_on(
 
 
 __all__ = [
-    "Detection",
-    "DetectionContext",
     "NormalityVerdict",
     "TheoremAReport",
-    "comm_set",
-    "detection_context",
     "enumerate_subsystems_on",
     "frattini_decompose",
-    "is_detecting_subgroup",
     "is_invariant",
     "local_subsystem",
     "normality_status",
     "o_p",
     "o_p_prime_subsystem",
-    "quotient",
-    "quotient_with_data",
     "strongly_closed_subgroups",
     "verify_theorem_a",
 ]

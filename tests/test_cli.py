@@ -230,6 +230,13 @@ def test_map_check_malformed_map_field_is_an_input_error(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "ParseError"
 
 
+def test_non_utf8_group_spec_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert run(["build", "--group", str(path), "--prime", "2"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ParseError"
+
+
 @pytest.mark.parametrize("argv", [[], ["nosuch"], ["build"]])
 def test_usage_errors_exit_two(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -1,7 +1,8 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and a
+module's ``__all__`` lists only names the module itself defines.
 
-Package re-exports (``__init__.py``) and names a module lists in its
-``__all__`` are exempt.  Uses inside string annotations count.
+Package re-exports (``__init__.py``) are exempt.  Uses inside string
+annotations count.
 """
 
 import ast
@@ -52,8 +53,27 @@ def _exported(tree: ast.Module) -> set[str]:
     return set()
 
 
+def _defined(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return names
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text())
-    unused = _imported(tree) - _used(tree) - _exported(tree)
+    unused = _imported(tree) - _used(tree)
     assert not unused, f"{path.name} imports but never uses: {sorted(unused)}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_all_lists_only_own_names(path):
+    tree = ast.parse(path.read_text())
+    foreign = _exported(tree) - _defined(tree)
+    assert not foreign, f"{path.name} exports names it does not define: {sorted(foreign)}"

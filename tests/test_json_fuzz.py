@@ -1,28 +1,34 @@
-"""Fuzz the two JSON loaders: a mutated document either loads or raises a
+"""Fuzz the three JSON loaders: a mutated document either loads or raises a
 FusionkitError, never another exception.
 
-Each example starts from a valid ``serialize()`` or ``aut_map_to_data()``
-document and applies one to three mutations at random places: drop a key or
-an element, replace a value with arbitrary JSON, truncate or extend a list,
-or wrap a value in a list or unwrap one.
+Each example starts from a valid ``serialize()``, ``aut_map_to_data()`` or
+catalog group-spec document and applies one to three mutations at random
+places: drop a key or an element, replace a value with arbitrary JSON,
+truncate or extend a list, or wrap a value in a list or unwrap one.  The
+group-spec loader's bounds on ``degree`` and ``prime`` are also checked
+directly, without ever running an unbounded case.
 """
 
 import copy
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fusionkit.catalog as catalog
 from fusionkit import (
     aut_map_from_data,
     aut_map_of,
     aut_map_to_data,
     deserialize,
     fusion_of_group,
+    load_catalog,
     load_group_spec,
+    make_group,
     o_p_prime_subsystem,
 )
-from fusionkit.errors import FusionkitError
+from fusionkit.errors import FusionkitError, ParseError
 
 EXAMPLES_PER_LOADER = 150
 
@@ -51,6 +57,7 @@ AUT_MAP_DOCUMENTS = [
     for F in _SYSTEMS
     for E in (F, o_p_prime_subsystem(F))
 ]
+GROUP_SPECS = [load_catalog(name) for name in ("a4", "d8", "v4")] + [{**load_catalog("s3"), "prime": 3}]
 
 
 def _paths(value, path=()):
@@ -120,3 +127,40 @@ def test_aut_map_from_data_loads_or_raises_a_typed_error(data):
         aut_map_from_data(F, document)
     except FusionkitError:
         pass
+
+
+@settings(max_examples=EXAMPLES_PER_LOADER, deadline=None)
+@given(st.data())
+def test_make_group_builds_or_raises_a_typed_error(data):
+    document = data.draw(_mutated(data.draw(st.sampled_from(GROUP_SPECS))))
+    try:
+        make_group(document)
+    except FusionkitError:
+        pass
+
+
+def test_make_group_refuses_a_huge_degree_before_building(monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("make_group started building at an out-of-range degree")
+
+    monkeypatch.setattr(catalog, "parse_perm", no_build)
+    monkeypatch.setattr(catalog, "Group", no_build)
+    with pytest.raises(ParseError):
+        make_group({"degree": 10**12, "generators": ["(1,2)"]})
+
+
+def test_make_group_refuses_a_huge_prime_before_testing_it(monkeypatch):
+    is_prime = catalog.is_prime
+
+    def bounded(n):
+        assert n <= 1 << 31, "make_group trial-divided an out-of-range prime"
+        return is_prime(n)
+
+    monkeypatch.setattr(catalog, "is_prime", bounded)
+    with pytest.raises(ParseError):
+        make_group({"degree": 3, "generators": [], "prime": 2**61 - 1})
+
+
+def test_make_group_rejects_a_cycle_that_is_not_a_list():
+    with pytest.raises(ParseError):
+        make_group({"degree": 4, "generators": [[None], "(1,2)"]})

@@ -20,7 +20,7 @@ from fusionkit import (
     subgroup_status,
     sylow,
 )
-from fusionkit.saturation import has_surjectivity_property
+from fusionkit.saturation import has_surjectivity_property, n_phi
 
 
 def small_maps_system(F, bound=2):
@@ -99,6 +99,25 @@ def test_extend_morphism_from_receptive_target():
     phi = F.isos_between(Z, Z)[0]
     lifted = extend_morphism(F, phi, F.P)
     assert lifted is not None and lifted.domain == F.P
+
+
+def test_extend_morphism_returns_the_first_extension_in_hom_set(catalog_systems):
+    """The extension is the first one a plain scan of ``hom_set`` accepts,
+    so the witnesses built on it do not depend on how the search runs."""
+    checked = 0
+    for name, p, F in catalog_systems:
+        if len(F.group) > 12:
+            continue
+        for phi in F.all_isos():
+            control = n_phi(F, phi).n_phi
+            expected = next(
+                (psi for psi in F.hom_set(control, F.P)
+                 if psi.restrict(phi.domain).mapping == phi.mapping),
+                None,
+            )
+            assert extend_morphism(F, phi, control) == expected, (name, p, phi)
+            checked += expected is not None
+    assert checked > 100
 
 
 def test_raw_intersection_can_break_saturation():

@@ -170,3 +170,26 @@ def test_ea9_carrier_has_nineteen_subsystems_four_saturated():
     assert sorted(E.iso_count() for E in saturated) == [6, 10, 10, 10]
     for E in systems:
         assert is_subsystem(E, F)
+
+
+def test_theorem_a_extensions_are_the_first_in_hom_set(sweep_weakly_normal):
+    """Each Theorem A witness is the first psi of a plain ``hom_set`` scan
+    of TC_P(T) that extends phi and has [psi, C_P(T)] inside Z(T)."""
+    checked = 0
+    for name, p, F, T, systems in sweep_weakly_normal:
+        if len(F.group) > 12:
+            continue
+        G = F.group
+        C = F.c_p(T)
+        TC = T.join(C)
+        Z = T.centre()
+        for E in systems:
+            for phi, ext in verify_theorem_a(F, E).w_set:
+                expected = next(
+                    psi for psi in F.hom_set(TC, TC)
+                    if psi.restrict(T).mapping == phi.mapping
+                    and all(G.mul(G.inv(x), psi.apply(x)) in Z for x in C.elements)
+                )
+                assert ext == expected, (name, p, T, phi)
+                checked += 1
+    assert checked > 20
