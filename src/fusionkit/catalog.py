@@ -41,7 +41,8 @@ def make_group(spec: dict, *, order_bound: int | None = DEFAULT_ORDER_BOUND) -> 
     if missing:
         raise ParseError(f"group spec is missing {', '.join(missing)}", witness=spec)
     degree = spec["degree"]
-    if not isinstance(degree, int) or not 1 <= degree <= _DOCUMENT_MAX["degree"]:
+    # type(...) is int, not isinstance: a JSON true or false is no number.
+    if type(degree) is not int or not 1 <= degree <= _DOCUMENT_MAX["degree"]:
         raise ParseError(
             f"degree must be an integer from 1 to {_DOCUMENT_MAX['degree']}, got {degree!r}"
         )
@@ -54,12 +55,12 @@ def make_group(spec: dict, *, order_bound: int | None = DEFAULT_ORDER_BOUND) -> 
         raise ParseError(f"name must be a string, got {name!r}")
     prime = spec.get("prime")
     if prime is not None and not (
-        isinstance(prime, int) and prime <= _DOCUMENT_MAX["p"] and is_prime(prime)
+        type(prime) is int and prime <= _DOCUMENT_MAX["p"] and is_prime(prime)
     ):
         raise ParseError(f"prime must be a prime number up to {_DOCUMENT_MAX['p']}, got {prime!r}")
     G = Group(gens, degree, name=name, generators=gens, order_bound=order_bound)
     declared = spec.get("order")
-    if declared is not None and declared != len(G):
+    if declared is not None and (type(declared) is not int or declared != len(G)):
         raise ParseError(
             f"spec declares order {declared} but the generators produce order {len(G)}"
         )

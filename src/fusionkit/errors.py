@@ -89,10 +89,6 @@ class NotSaturated(FusionkitError):
     """The fusion system is not saturated, as required."""
 
 
-class NotCentric(FusionkitError):
-    """The subgroup is not centric, as required."""
-
-
 class IndexNotCoprime(FusionkitError):
     """The index of the automorphism subgroup is divisible by p."""
 

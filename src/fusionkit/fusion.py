@@ -51,7 +51,6 @@ from .morphisms import (
     AutGroup,
     Key,
     Morphism,
-    _aut_subgroup,
     _inverse,
     _iso_search,
     _positions,
@@ -181,16 +180,19 @@ class FusionSystem:
             cached[Q.key] = AutGroup(Q, morphs)
         return cached[Q.key]
 
-    def aut_mappings_of_conjugation(self, Q: Subgroup, source: Subgroup) -> set[Key]:
-        """Mappings of the automorphisms of Q induced by N_source(Q)."""
+    def aut_mappings_of_conjugation(self, Q: Subgroup, source: Subgroup) -> frozenset[Key]:
+        """Mappings of the automorphisms of Q induced by N_source(Q).  The
+        table for source P, Aut_P(Q), is computed once per subgroup of P."""
         G = self.group
-        N = self.n_p(Q) if source == self.P else normalizer(source, Q)
-        return {tuple(G.conj(x, g) for x in Q.elements) for g in N.elements}
-
-    def aut_p_subgroup(self, Q: Subgroup) -> Subgroup:
-        """Aut_P(Q) inside aut_group(Q)'s permutation incarnation."""
-        mappings = self.aut_mappings_of_conjugation(Q, self.P)
-        return _aut_subgroup(self.aut_group(Q), mappings)
+        at_p = source == self.P and Q.group is G
+        cached = self._cache.setdefault("aut_p", {})
+        if at_p and Q.key in cached:
+            return cached[Q.key]
+        N = self.n_p(Q) if at_p else normalizer(source, Q)
+        table = frozenset(tuple(G.conj(x, g) for x in Q.elements) for g in N.elements)
+        if at_p:
+            cached[Q.key] = table
+        return table
 
     def n_p(self, Q: Subgroup) -> Subgroup:
         """N_P(Q), computed once per subgroup of P."""
@@ -208,10 +210,12 @@ class FusionSystem:
 
     def conjugacy_class(self, Q: Subgroup) -> ConjClass:
         self.require_in_p(Q)
-        for cls in self.classes():
-            if Q.key in {S.key for S in cls.members}:
-                return cls
-        raise NotASubgroupOfP("not a subgroup of P", witness=Q)
+        if "class_of" not in self._cache:
+            self._cache["class_of"] = {S.key: cls for cls in self.classes() for S in cls}
+        try:
+            return self._cache["class_of"][Q.key]
+        except KeyError:
+            raise NotASubgroupOfP("not a subgroup of P", witness=Q) from None
 
     def classes(self) -> tuple[ConjClass, ...]:
         if "classes" not in self._cache:
@@ -293,9 +297,10 @@ def deserialize(data: dict) -> FusionSystem:
     bad = [k for k in ("group", "P", "isos") if not isinstance(data[k], list)]
     if bad:
         raise ParseError(f"fusion data field {', '.join(bad)} is not a list")
+    # type(...) is int rather than isinstance, which lets a JSON true through
     bad = [
         k for k, top in _DOCUMENT_MAX.items()
-        if not isinstance(data[k], int) or not 1 <= data[k] <= top
+        if type(data[k]) is not int or not 1 <= data[k] <= top
     ]
     if bad:
         raise ParseError(f"fusion data field {', '.join(bad)} is not a positive integer in range")
@@ -306,7 +311,7 @@ def deserialize(data: dict) -> FusionSystem:
     group = Group(perms, degree, closed=True)
     if len(group) != len(perms):
         raise FusionkitError("serialized group element list is not closed")
-    if not all(isinstance(x, int) and 0 <= x < len(group) for x in data["P"]):
+    if not all(type(x) is int and 0 <= x < len(group) for x in data["P"]):
         raise ParseError("fusion data P entries are not element indices")
     P = Subgroup(group, data["P"])
     # Looking an entry up here both rejects what is not an element of P and

@@ -605,7 +605,7 @@ def aut_map_from_data(F: FusionSystem, data: dict) -> AutMap:
     bad = [k for k in ("T", "assignment") if not isinstance(data[k], list)]
     if bad:
         raise ParseError(f"aut-map data field {', '.join(bad)} is not a list")
-    if not all(isinstance(x, int) and 0 <= x < len(F.group) for x in data["T"]):
+    if not all(type(x) is int and 0 <= x < len(F.group) for x in data["T"]):
         raise ParseError("aut-map data T entries are not element indices")
     T = F.require_in_p(Subgroup(F.group, data["T"]))
     try:

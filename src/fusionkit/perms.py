@@ -114,14 +114,15 @@ def parse_perm(spec, degree: int | None = None) -> Perm:
     elif isinstance(spec, (list, tuple)):
         cycles = []
         seen: set[int] = set()
-        flat = bool(spec) and all(isinstance(x, int) for x in spec)
+        # type(x) is int rather than isinstance, which lets True through as 1
+        flat = bool(spec) and all(type(x) is int for x in spec)
         if not flat and not all(isinstance(c, (list, tuple)) for c in spec):
             raise InvalidPermutation(f"cycles must be lists of points: {spec!r}", witness=spec)
         raw_cycles = [spec] if flat else spec
         for raw in raw_cycles:
             cyc = []
             for point in raw:
-                if not isinstance(point, int) or point < 1:
+                if type(point) is not int or point < 1:
                     raise InvalidPermutation(f"cycle points are 1-based ints: {spec!r}", witness=spec)
                 if point - 1 in seen:
                     raise InvalidPermutation(f"point {point} repeated in {spec!r}", witness=spec)

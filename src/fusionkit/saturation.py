@@ -7,7 +7,9 @@ from dataclasses import dataclass
 from .errors import NotAnIsomorphism, NotASubgroupOfP
 from .fusion import FusionSystem
 from .groups import Subgroup, normalizer, p_part, subgroups_between
-from .morphisms import Morphism, _aut_subgroup, _stabilizing_restrictions, _transport
+from .morphisms import (
+    Morphism, _aut_subgroup, _positions, _restrict, _stabilizing_restrictions, _transport
+)
 
 
 @dataclass(frozen=True)
@@ -20,14 +22,6 @@ class SubgroupStatus:
 
 
 @dataclass(frozen=True)
-class NPhi:
-    """The extension-control subgroup of an isomorphism phi: S -> R."""
-
-    morphism: Morphism
-    n_phi: Subgroup
-
-
-@dataclass(frozen=True)
 class SaturationVerdict:
     saturated: bool
     witness: Subgroup | None = None
@@ -37,21 +31,26 @@ class SaturationVerdict:
         return self.saturated
 
 
-def n_phi(F: FusionSystem, phi: Morphism) -> NPhi:
+def n_phi(F: FusionSystem, phi: Morphism) -> Subgroup:
     """N_phi: the preimage in N_P(S) of Aut_P(S) ∩ Aut_P(R)^{phi^-1}."""
     S = phi.domain
     F.require_in_p(S)
     if len(set(phi.mapping)) != len(phi.mapping) or not F.contains_morphism(phi):
         raise NotAnIsomorphism("phi must be an isomorphism of the system", witness=phi)
-    R = phi.image()
-    target = F.aut_mappings_of_conjugation(R, F.P)
-    G = F.group
+    target = F.aut_mappings_of_conjugation(phi.image(), F.P)
     send = dict(zip(S.elements, phi.mapping))
-    members = []
-    for g in F.n_p(S).elements:
-        if _transport(send, S.elements, [G.conj(x, g) for x in S.elements])[1] in target:
-            members.append(g)
-    return NPhi(phi, Subgroup(G, members, check=False))
+    # c_g on S is known by its images of S's generators, so each member of
+    # Aut_P(S) is transported once and each g of N_P(S) is matched by those.
+    gens = S.generators()
+    at_gens = _positions(S.elements, gens)
+    wanted = {
+        _restrict(a, at_gens)
+        for a in F.aut_mappings_of_conjugation(S, F.P)
+        if _transport(send, S.elements, a)[1] in target
+    }
+    G = F.group
+    members = [g for g in F.n_p(S).elements if tuple(G.conj(x, g) for x in gens) in wanted]
+    return Subgroup(G, members, check=False)
 
 
 def extend_morphism(F: FusionSystem, phi: Morphism, D: Subgroup) -> Morphism | None:
@@ -65,18 +64,28 @@ def extend_morphism(F: FusionSystem, phi: Morphism, D: Subgroup) -> Morphism | N
 
 
 def is_receptive(F: FusionSystem, R: Subgroup) -> bool:
-    """Whether every F-isomorphism onto R extends to its N_phi."""
+    """Whether every F-isomorphism onto R extends to its N_phi.
+
+    phi and phi followed by c_h, for c_h in Aut_P(R), have the same N_phi
+    and extend together (extend by the first, then c_h on P), so one phi
+    per coset phi . Aut_P(R) is tried."""
     F.require_in_p(R)
+    aut_p = F.aut_mappings_of_conjugation(R, F.P)
     for S in F.conjugacy_class(R):
-        for phi in F.isos_between(S, R):
-            control = n_phi(F, phi).n_phi
-            if extend_morphism(F, phi, control) is None:
+        seen = set()
+        for m in F.iso_mappings(S, R):
+            if m in seen:
+                continue
+            then = _positions(R.elements, m)
+            seen.update(_restrict(a, then) for a in aut_p)
+            phi = Morphism(S, R, m)
+            if extend_morphism(F, phi, n_phi(F, phi)) is None:
                 return False
     return True
 
 
 def is_fully_automized(F: FusionSystem, Q: Subgroup) -> bool:
-    return len(F.aut_p_subgroup(Q)) == p_part(len(F.aut_group(Q)), F.p)
+    return len(F.aut_mappings_of_conjugation(Q, F.P)) == p_part(len(F.iso_mappings(Q, Q)), F.p)
 
 
 def is_centric(F: FusionSystem, Q: Subgroup) -> bool:
@@ -110,15 +119,20 @@ def has_surjectivity_property(F: FusionSystem, Q: Subgroup) -> bool:
 
 def is_saturated(F: FusionSystem) -> SaturationVerdict:
     """Roberts-Shpectorov criterion: every class has a fully automized,
-    receptive member."""
+    receptive member.
+
+    A fully automized receptive subgroup is fully normalized, and every
+    fully normalized conjugate of it is again fully automized and receptive
+    (Aschbacher-Kessar-Oliver, Fusion Systems in Algebra and Topology,
+    I.2.6(c)).  So the first member with the largest N_P decides its
+    class."""
     cached = F._cache.get("saturated")
     if cached is not None:
         return cached
     verdict = SaturationVerdict(True)
     for cls in F.classes():
-        if not any(
-            is_fully_automized(F, Q) and is_receptive(F, Q) for Q in cls.members
-        ):
+        Q = max(cls.members, key=lambda S: len(F.n_p(S)))
+        if not (is_fully_automized(F, Q) and is_receptive(F, Q)):
             verdict = SaturationVerdict(
                 False,
                 witness=cls.representative,

@@ -33,7 +33,6 @@ class NormalityVerdict:
     invariant: bool
     weakly_normal: bool
     normal: bool
-    frattini_witness: tuple[Morphism, Morphism, Morphism] | None = None
     failure_witness: Morphism | None = None
 
 
@@ -115,32 +114,10 @@ def normality_status(F: FusionSystem, E: FusionSystem) -> NormalityVerdict:
         return NormalityVerdict(False, False, False, failure_witness=bad)
     if not is_saturated(E).saturated:
         return NormalityVerdict(True, False, False)
-    frattini = _frattini_sample(F, E)
     for phi in E.isos_between(T, T):
         if _normal_extension(F, T, phi) is None:
-            return NormalityVerdict(
-                True, True, False, frattini_witness=frattini, failure_witness=phi
-            )
-    return NormalityVerdict(True, True, True, frattini_witness=frattini)
-
-
-def _frattini_sample(F: FusionSystem, E: FusionSystem) -> tuple | None:
-    """A decomposition psi = alpha . beta for some F-morphism inside T."""
-    T = E.P
-    tset = T._set
-    for qk, targets in sorted(F._isos.items()):
-        if not tset.issuperset(qk):
-            continue
-        for rk in sorted(targets):
-            if not tset.issuperset(rk):
-                continue
-            inside = E._isos.get(qk, {}).get(rk, ())
-            for m in targets[rk]:
-                if m not in inside:
-                    psi = Morphism(F.subgroup(qk), F.subgroup(rk), m)
-                    return (psi,) + frattini_decompose(F, E, psi)
-    psi = Morphism.identity(T)
-    return (psi,) + frattini_decompose(F, E, psi)
+            return NormalityVerdict(True, True, False, failure_witness=phi)
+    return NormalityVerdict(True, True, True)
 
 
 def frattini_decompose(

@@ -6,7 +6,9 @@ tables (domain elements paired with their images).  Nothing here touches
 all_subgroups, generated_fusion, or FusionSystem internals, so agreement with
 the library is evidence, not tautology.  The centre and O_p(F) also get a
 second description each, by fixed points and by strongly closed central
-series, to compare with ``centre_of`` and ``o_p``.
+series, to compare with ``centre_of`` and ``o_p``.  Saturation gets the
+plain Roberts-Shpectorov scan over every member of every class and every
+isomorphism onto it, to compare with ``is_saturated`` and ``is_receptive``.
 """
 
 from __future__ import annotations
@@ -14,11 +16,14 @@ from __future__ import annotations
 from fusionkit import (
     FusionSystem,
     Morphism,
+    SaturationVerdict,
     Subgroup,
+    extend_morphism,
     generated_fusion,
     group_centre,
     strongly_closed_subgroups,
 )
+from fusionkit.groups import p_part
 
 RawIso = tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -203,3 +208,56 @@ def o_p_by_central_series(F: FusionSystem) -> Subgroup:
         if T.key in reachable and len(T) > len(best):
             best = T
     return best
+
+
+def _fully_automized(F: FusionSystem, Q: Subgroup) -> bool:
+    """Aut_P(Q), found by conjugating Q by every element of P, is a Sylow
+    p-subgroup of Aut_F(Q)."""
+    G = F.group
+    aut_p = {
+        m
+        for g in F.P.elements
+        if set(m := tuple(G.conj(x, g) for x in Q.elements)) == Q._set
+    }
+    return len(aut_p) == p_part(len(F.iso_mappings(Q, Q)), F.p)
+
+
+def n_phi_by_every_element(F: FusionSystem, phi: Morphism) -> Subgroup:
+    """N_phi, by moving c_g along phi for every g of P normalizing S."""
+    G = F.group
+    S, R = phi.domain, phi.image()
+    send = dict(zip(S.elements, phi.mapping))
+    members = []
+    for g in F.P.elements:
+        c_g = {x: G.conj(x, g) for x in S.elements}
+        if set(c_g.values()) != S._set:
+            continue
+        moved = {send[x]: send[y] for x, y in c_g.items()}
+        if any(moved == {y: G.conj(y, h) for y in R.elements} for h in F.P.elements):
+            members.append(g)
+    return Subgroup(G, members)
+
+
+def receptive_by_every_iso(F: FusionSystem, R: Subgroup) -> bool:
+    """Whether every F-isomorphism onto R, from every member of R's class,
+    extends to its N_phi."""
+    F.require_in_p(R)
+    for S in F.conjugacy_class(R):
+        for phi in F.isos_between(S, R):
+            if extend_morphism(F, phi, n_phi_by_every_element(F, phi)) is None:
+                return False
+    return True
+
+
+def saturated_by_every_member(F: FusionSystem) -> SaturationVerdict:
+    """Roberts-Shpectorov criterion, trying every member of every class."""
+    for cls in F.classes():
+        if not any(
+            _fully_automized(F, Q) and receptive_by_every_iso(F, Q) for Q in cls.members
+        ):
+            return SaturationVerdict(
+                False,
+                witness=cls.representative,
+                reason="class has no fully automized receptive member",
+            )
+    return SaturationVerdict(True)

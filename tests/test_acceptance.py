@@ -43,10 +43,11 @@ from fusionkit import (
 )
 from fusionkit.groups import all_subgroups
 from fusionkit.saturation import has_surjectivity_property
-from fusionkit.errors import PreconditionFailed
+from fusionkit.errors import InputError, PreconditionFailed
 from oracles import (
     oracle_subgroup_sets,
     oracle_subsystem_tables,
+    saturated_by_every_member,
     system_from_table,
     system_table,
 )
@@ -308,9 +309,13 @@ def test_criterion_08_theorem_c_sweep(catalog_systems):
     ])
 
 
-def test_criterion_09_saturation_criteria_agree(
+@pytest.fixture(scope="module")
+def saturation_pool(
     catalog_systems, sweep_weakly_normal, v4_a4, a4xa4, d8xc2, s3xs3, ea9
 ):
+    """The systems criterion 9 judges: the catalog, every weakly normal
+    subsystem of the sweep, and the worked examples with their raw
+    intersections and enumerated subsystems."""
     pool = [F for _, _, F in catalog_systems]
     for _, _, F, _, systems in sweep_weakly_normal:
         pool.extend(systems)
@@ -324,6 +329,11 @@ def test_criterion_09_saturation_criteria_agree(
     pool.extend([EK, FH, intersect_raw(EK, FH)])
     G, F, Q, R = ea9
     pool.extend(enumerate_subsystems_on(F, Q))
+    return pool
+
+
+def test_criterion_09_saturation_criteria_agree(saturation_pool):
+    pool = saturation_pool
     disagreements = [
         E for E in pool
         if is_saturated(E).saturated != is_saturated_puig(E).saturated
@@ -334,6 +344,29 @@ def test_criterion_09_saturation_criteria_agree(
         ("no disagreements", not disagreements),
         ("unsaturated systems are represented", saturated < len(pool)),
     ])
+
+
+def test_is_saturated_matches_the_every_member_scan(saturation_pool, catalog_systems):
+    """Deciding each class on its first fully normalized member gives the
+    verdict, witness and reason of the scan over every member.  Besides
+    criterion 9's pool, the systems on every carrier of order at least 4
+    in the catalog p-groups of order at most 16 are compared, since about
+    half of them are not saturated."""
+    pool = list(saturation_pool)
+    for _, _, F in catalog_systems:
+        if len(F.P) > 16:
+            continue
+        for S in F.subgroups():
+            if len(S) >= 4:
+                try:
+                    pool.extend(enumerate_subsystems_on(F, S, limit=400))
+                except InputError:
+                    pass
+    reference = [saturated_by_every_member(E) for E in pool]
+    mismatches = [E for E, want in zip(pool, reference) if is_saturated(E) != want]
+    unsaturated = sum(not want.saturated for want in reference)
+    assert not mismatches, mismatches[:3]
+    assert len(pool) > 1400 and unsaturated > 350, (len(pool), unsaturated)
 
 
 def test_criterion_10_perfect_and_group_centres(catalog_systems):

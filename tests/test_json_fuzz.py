@@ -28,7 +28,8 @@ from fusionkit import (
     make_group,
     o_p_prime_subsystem,
 )
-from fusionkit.errors import FusionkitError, ParseError
+from fusionkit.errors import FusionkitError, InvalidPermutation, ParseError
+from fusionkit.perms import parse_perm
 
 EXAMPLES_PER_LOADER = 150
 
@@ -164,3 +165,50 @@ def test_make_group_refuses_a_huge_prime_before_testing_it(monkeypatch):
 def test_make_group_rejects_a_cycle_that_is_not_a_list():
     with pytest.raises(ParseError):
         make_group({"degree": 4, "generators": [[None], "(1,2)"]})
+
+
+# JSON true and false are no numbers, although isinstance(True, int) holds.
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"degree": True, "generators": []},
+        {"degree": 3, "generators": [[True, 2]]},
+        {"degree": 3, "generators": [[[1, 2], [False, 3]]]},
+        {"degree": 3, "generators": [], "prime": True},
+        {"degree": 1, "generators": [], "order": True},
+    ],
+)
+def test_make_group_rejects_json_booleans(spec):
+    with pytest.raises(ParseError):
+        make_group(spec)
+
+
+def test_parse_perm_rejects_a_boolean_point():
+    with pytest.raises(InvalidPermutation):
+        parse_perm([True, 2], 3)
+
+
+@pytest.mark.parametrize("field", ["p", "degree"])
+def test_deserialize_rejects_a_boolean_number(field):
+    document = {**FUSION_DOCUMENTS[2], field: True}
+    with pytest.raises(ParseError, match=f"field {field} is not a positive integer"):
+        deserialize(document)
+
+
+def test_deserialize_rejects_a_boolean_element_of_p():
+    document = copy.deepcopy(FUSION_DOCUMENTS[2])
+    assert document["P"][0] == 0
+    document["P"][0] = False
+    with pytest.raises(ParseError, match="P entries"):
+        deserialize(document)
+
+
+def test_aut_map_from_data_rejects_a_boolean_element_of_t():
+    F, document = AUT_MAP_DOCUMENTS[4]
+    document = copy.deepcopy(document)
+    assert document["T"][0] == 0
+    document["T"][0] = False
+    with pytest.raises(ParseError, match="T entries"):
+        aut_map_from_data(F, document)

@@ -21,6 +21,7 @@ from fusionkit import (
     sylow,
 )
 from fusionkit.saturation import has_surjectivity_property, n_phi
+from oracles import n_phi_by_every_element, receptive_by_every_iso
 
 
 def small_maps_system(F, bound=2):
@@ -109,7 +110,7 @@ def test_extend_morphism_returns_the_first_extension_in_hom_set(catalog_systems)
         if len(F.group) > 12:
             continue
         for phi in F.all_isos():
-            control = n_phi(F, phi).n_phi
+            control = n_phi(F, phi)
             expected = next(
                 (psi for psi in F.hom_set(control, F.P)
                  if psi.restrict(phi.domain).mapping == phi.mapping),
@@ -153,3 +154,29 @@ def test_inner_fusion_is_saturated_for_all_small_p_groups():
         F = inner_fusion(P, p)
         assert is_saturated(F).saturated
         assert is_saturated_puig(F).saturated
+
+
+def test_n_phi_matches_the_every_element_scan(catalog_systems):
+    checked = 0
+    for name, p, F in catalog_systems:
+        for E in (F, small_maps_system(F)):
+            for phi in E.all_isos():
+                assert n_phi(E, phi) == n_phi_by_every_element(E, phi), (name, p, phi)
+                checked += 1
+    assert checked > 2000, checked
+
+
+def test_is_receptive_matches_the_every_iso_scan(catalog_systems):
+    """Trying one isomorphism per coset of Aut_P(R) decides receptivity as
+    trying every isomorphism onto R does, on every subgroup, fully
+    normalized or not, of the catalog systems and of their small-maps
+    subsystems."""
+    checked = refused = 0
+    for name, p, F in catalog_systems:
+        for E in (F, small_maps_system(F)):
+            for R in E.subgroups():
+                want = receptive_by_every_iso(E, R)
+                assert is_receptive(E, R) == want, (name, p, R)
+                checked += 1
+                refused += not want
+    assert checked > 1000 and refused > 10, (checked, refused)
