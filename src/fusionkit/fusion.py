@@ -38,6 +38,8 @@ from .groups import (
     QuotientData,
     Subgroup,
     _as_subgroup,
+    _conj_rows,
+    _picker,
     all_subgroups,
     centralizer,
     coset_quotient,
@@ -180,16 +182,22 @@ class FusionSystem:
             cached[Q.key] = AutGroup(Q, morphs)
         return cached[Q.key]
 
+    def _p_rows(self) -> dict[int, Key]:
+        """The conjugation rows x -> x^g of the ambient group for g in P."""
+        if "p_rows" not in self._cache:
+            self._cache["p_rows"] = _conj_rows(self.group, self.P.elements)
+        return self._cache["p_rows"]
+
     def aut_mappings_of_conjugation(self, Q: Subgroup, source: Subgroup) -> frozenset[Key]:
         """Mappings of the automorphisms of Q induced by N_source(Q).  The
         table for source P, Aut_P(Q), is computed once per subgroup of P."""
-        G = self.group
-        at_p = source == self.P and Q.group is G
+        at_p = source == self.P and Q.group is self.group
         cached = self._cache.setdefault("aut_p", {})
         if at_p and Q.key in cached:
             return cached[Q.key]
         N = self.n_p(Q) if at_p else normalizer(source, Q)
-        table = frozenset(tuple(G.conj(x, g) for x in Q.elements) for g in N.elements)
+        rows = self._p_rows() if N <= self.P else _conj_rows(self.group, N.elements)
+        table = frozenset(map(_picker(Q.elements), [rows[g] for g in N.elements]))
         if at_p:
             cached[Q.key] = table
         return table
@@ -315,8 +323,12 @@ def deserialize(data: dict) -> FusionSystem:
         raise ParseError("fusion data P entries are not element indices")
     P = Subgroup(group, data["P"])
     # Looking an entry up here both rejects what is not an element of P and
-    # turns a JSON number such as 1.0 into the index itself.
-    index = {x: x for x in P.elements}.__getitem__
+    # turns a JSON number such as 1.0 into the index itself; a JSON true,
+    # equal to 1, is looked up as None and rejected.
+    elements = {x: x for x in P.elements}
+
+    def index(x):
+        return elements[None if type(x) is bool else x]
     isos: dict[Key, list[Key]] = {}
     try:
         for qlist, mappings in data["isos"]:
@@ -369,10 +381,10 @@ def fusion_of_group(
                 f"|P| = {len(P)} is not the {p}-part of |G| = {len(amb)}", witness=P
             )
     pset = P._set
+    rows = _conj_rows(G, amb.elements).values()
     isos: dict[Key, set[Key]] = {}
     for Q in all_subgroups(P):
-        conjugates = (tuple(G.conj(x, g) for x in Q.elements) for g in amb.elements)
-        isos[Q.key] = {m for m in conjugates if pset.issuperset(m)}
+        isos[Q.key] = {m for m in map(_picker(Q.elements), rows) if pset.issuperset(m)}
     return FusionSystem(G, P, p, _iso_table(isos), name=name)
 
 
@@ -572,18 +584,18 @@ def _product_table(P: Subgroup, split, pair, E1: FusionSystem, E2: FusionSystem)
 
 
 def is_strongly_closed(F: FusionSystem, T: Subgroup) -> bool:
-    """Whether no element of T is moved outside T by any F-morphism."""
+    """Whether no element of T is moved outside T by any F-morphism.  The
+    F-images of each element of P are collected once per system."""
     F.require_in_p(T)
-    tset = T._set
-    for qk, targets in F._isos.items():
-        hits = [i for i, x in enumerate(qk) if x in tset]
-        if not hits:
-            continue
-        for ms in targets.values():
-            for m in ms:
-                if any(m[i] not in tset for i in hits):
-                    return False
-    return True
+    if "images" not in F._cache:
+        images: dict[int, set[int]] = {x: set() for x in F.P.elements}
+        for qk, targets in F._isos.items():
+            mappings = [m for ms in targets.values() for m in ms]
+            for x, column in zip(qk, zip(*mappings)):
+                images[x].update(column)
+        F._cache["images"] = images
+    images, tset = F._cache["images"], T._set
+    return all(images[x] <= tset for x in T.elements)
 
 
 def quotient_with_data(
@@ -654,7 +666,6 @@ def is_isomorphic_fusion(F1: FusionSystem, F2: FusionSystem) -> bool:
 
 def validate_fusion(F: FusionSystem) -> None:
     """Check every stored axiom; raises FusionkitError on the first failure."""
-    G = F.group
     subgroup_keys = {S.key for S in F.subgroups()}
     pset = F.P._set
     if set(F._isos) != subgroup_keys:
@@ -668,9 +679,9 @@ def validate_fusion(F: FusionSystem) -> None:
                 if tuple(sorted(m)) != rk:
                     raise FusionkitError("mapping does not match its target key", witness=m)
                 Morphism.build(Q, F.subgroup(rk), m)
+    rows = F._p_rows().values()
     for Q in F.subgroups():
-        for g in F.P.elements:
-            mapping = tuple(G.conj(x, g) for x in Q.elements)
+        for mapping in map(_picker(Q.elements), rows):
             if not pset.issuperset(mapping):
                 raise FusionkitError("P is not closed under its own conjugation")
             if mapping not in F._isos[Q.key].get(tuple(sorted(mapping)), ()):
@@ -678,19 +689,19 @@ def validate_fusion(F: FusionSystem) -> None:
     for qk, targets in F._isos.items():
         qset = set(qk)
         contained = [
-            (sk, _positions(qk, sk)) for sk in F._isos if sk != qk and qset.issuperset(sk)
+            (sk, _picker(_positions(qk, sk))) for sk in F._isos if sk != qk and qset.issuperset(sk)
         ]
         for rk, ms in targets.items():
             for m in ms:
                 if _inverse(qk, m) not in F._isos[rk].get(qk, ()):
                     raise FusionkitError("not closed under inversion", witness=m)
-                for sk, idx in contained:
-                    sub = _restrict(m, idx)
+                for sk, on_sk in contained:
+                    sub = on_sk(m)
                     if sub not in F._isos[sk].get(tuple(sorted(sub)), ()):
                         raise FusionkitError("not closed under restriction", witness=(m, sk))
-                then = _positions(rk, m)
+                then = _picker(_positions(rk, m))
                 for ms2 in F._isos[rk].values():
                     for m2 in ms2:
-                        comp = _restrict(m2, then)
+                        comp = then(m2)
                         if comp not in F._isos[qk].get(tuple(sorted(comp)), ()):
                             raise FusionkitError("not closed under composition", witness=(m, m2))

@@ -17,6 +17,7 @@ cosets of H that those generators reach from H.
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -25,7 +26,7 @@ from .errors import (
     OrderBoundExceeded,
     PreconditionFailed,
 )
-from .perms import Perm, format_cycles, identity_perm, perm_inv, perm_mul
+from .perms import Perm, format_cycles, identity_perm, perm_mul
 
 #: Default cap on ambient group orders; constructions refuse to go past it.
 DEFAULT_ORDER_BOUND = 400
@@ -34,6 +35,13 @@ DEFAULT_ORDER_BOUND = 400
 # so that a malformed one cannot make a loader trial-divide a huge number
 # or allocate a permutation of a huge degree.
 _DOCUMENT_MAX = {"p": 1 << 31, "degree": 1 << 12}
+
+
+def _picker(positions: Sequence[int]):
+    """``operator.itemgetter(*positions)``, always returning a tuple."""
+    if len(positions) == 1:
+        return lambda seq, i=positions[0]: (seq[i],)
+    return itemgetter(*positions) if positions else lambda seq: ()
 
 
 def is_prime(n: int) -> bool:
@@ -107,21 +115,12 @@ class Group:
         self.perms: tuple[Perm, ...] = tuple(sorted(elements))
         self.name = name
         self._lookup = {p: i for i, p in enumerate(self.perms)}
-        n = len(self.perms)
-        mul = []
-        lookup = self._lookup
-        try:
-            for a in self.perms:
-                mul.append(tuple(lookup[perm_mul(a, b)] for b in self.perms))
-        except KeyError:
-            raise FusionkitError("element list is not closed under products") from None
-        self._mul: tuple[tuple[int, ...], ...] = tuple(mul)
-        self._inv = tuple(self._lookup[perm_inv(p)] for p in self.perms)
-        self.identity = self._lookup[identity_perm(degree)]
-        if self.identity != 0:
-            raise FusionkitError("identity is not the least permutation")
+        # every list holds the identity, the least permutation of all
+        self.identity = 0
+        self._mul: tuple[tuple[int, ...], ...] = _cayley_rows(self.perms, self._lookup)
+        self._inv = tuple(row.index(0) for row in self._mul)
         orders = []
-        for i in range(n):
+        for i in range(len(self.perms)):
             k, cur = 1, i
             while cur != self.identity:
                 cur = self._mul[cur][i]
@@ -193,6 +192,34 @@ class Group:
     def __repr__(self) -> str:
         label = self.name or f"degree {self.degree}"
         return f"Group({label}, order {len(self.perms)})"
+
+
+def _cayley_rows(perms: tuple[Perm, ...], lookup: dict[Perm, int]) -> tuple[tuple[int, ...], ...]:
+    """The table of a sorted element list led by the identity.  Only the
+    rows of generators, each the least element not yet reached (so at most
+    log2 |G| of them), multiply permutations, which checks closure under
+    their products; any other row is row(a.s) = row(a) read at row(s)."""
+    n = len(perms)
+    rows: list[tuple[int, ...] | None] = [None] * n
+    rows[0] = tuple(range(n))
+    gens, reached = [], [0]
+    for g in range(n):
+        if rows[g] is not None:
+            continue
+        try:
+            rows[g] = tuple(lookup[perm_mul(perms[g], b)] for b in perms)
+        except KeyError:
+            raise FusionkitError("element list is not closed under products") from None
+        gens.append(g)
+        reached.append(g)
+        for a in reached:
+            row = rows[a]
+            for s in gens:
+                c = row[s]
+                if rows[c] is None:
+                    rows[c] = _picker(rows[s])(row)
+                    reached.append(c)
+    return tuple(rows)
 
 
 def _closure(seed: list[Perm], degree: int, order_bound: int | None) -> set[Perm]:
@@ -421,17 +448,18 @@ def _subgroup_lattice(amb: Subgroup) -> tuple[Subgroup, ...]:
 
 def _join(H: Subgroup, gens: tuple[int, ...]) -> set[int]:
     """The elements of <H, gens>, where ``gens`` alone generate it, as the
-    union of the right cosets of H it contains: a generator g takes the
-    coset Hy to H(yg), so a search over cosets from H reaches every coset."""
+    union of the left cosets of H it contains: a generator g takes the
+    coset yH to (gy)H, so a search over cosets from H reaches every coset.
+    The coset zH is the row of z read at H's elements."""
     mul = H.group._mul
+    coset = _picker(H.elements)
     span = set(H.elements)
     reps = [H.group.identity]
     for y in reps:
-        row = mul[y]
         for g in gens:
-            z = row[g]
+            z = mul[g][y]
             if z not in span:
-                span.update([mul[h][z] for h in H.elements])
+                span.update(coset(mul[z]))
                 reps.append(z)
     return span
 
@@ -441,13 +469,19 @@ def subgroups_between(lo: Subgroup, hi: Subgroup) -> tuple[Subgroup, ...]:
 
 
 def normalizer(container: Group | Subgroup, H: Subgroup) -> Subgroup:
+    """N(H) inside ``container``: g normalizes H when it conjugates H's
+    generators into H."""
     amb = _require_subgroup_of(H, container)
-    G = H.group
-    members = []
-    for g in amb.elements:
-        if all(G.conj(x, g) in H for x in H.elements):
-            members.append(g)
+    G, hset, gens = H.group, H._set, H.generators()
+    members = [g for g in amb.elements if all(G.conj(x, g) in hset for x in gens)]
     return Subgroup(G, members, check=False)
+
+
+def _conj_rows(G: Group, gs: Iterable[int]) -> dict[int, tuple[int, ...]]:
+    """The conjugation rows x -> x^g of G, one per g in ``gs``: x^g is
+    (g^-1 x) g, so row g^-1 of the table indexes column g."""
+    cols = tuple(zip(*G._mul))
+    return {g: _picker(G._mul[G._inv[g]])(cols[g]) for g in gs}
 
 
 def centralizer(container: Group | Subgroup, H: Subgroup) -> Subgroup:

@@ -22,7 +22,7 @@ from .errors import (
     NotASubgroup,
     OrderBoundExceeded,
 )
-from .groups import DEFAULT_ORDER_BOUND, Group, Subgroup, _as_subgroup, is_p_power
+from .groups import DEFAULT_ORDER_BOUND, Group, Subgroup, _as_subgroup, _picker, is_p_power
 
 Key = tuple[int, ...]
 
@@ -35,7 +35,7 @@ def _positions(domain: Key, elements: Iterable[int]) -> Key:
 
 def _restrict(mapping: Key, positions: Key) -> Key:
     """The images of the domain elements at ``positions``."""
-    return tuple(mapping[i] for i in positions)
+    return _picker(positions)(mapping)
 
 
 def _inverse(domain: Key, mapping: Key) -> Key:
@@ -60,9 +60,8 @@ def _transport(send: dict[int, int], domain: Key, mapping: Key) -> tuple[Key, Ke
 def _stabilizing_restrictions(domain: Key, sub: Key, mappings: Iterable[Key]) -> frozenset[Key]:
     """Restrictions to ``sub`` of the maps on ``domain`` that map ``sub``
     onto itself."""
-    idx = _positions(domain, sub)
     subset = set(sub)
-    restricted = (_restrict(m, idx) for m in mappings)
+    restricted = map(_picker(_positions(domain, sub)), mappings)
     return frozenset(r for r in restricted if set(r) == subset)
 
 
@@ -90,13 +89,16 @@ class Morphism:
             raise NotAnIsomorphism("mapping is not injective", witness=m)
         if not codomain.contains_all(m.mapping):
             raise ImageNotContained("image is not inside the codomain", witness=m)
-        Gd, Gc = domain.group, codomain.group
-        els = domain.elements
-        for i, a in enumerate(els):
-            for j, b in enumerate(els):
-                prod = Gd.mul(a, b)
-                if m.apply(prod) != Gc.mul(m.mapping[i], m.mapping[j]):
-                    raise FusionkitError("not a homomorphism", witness=(a, b))
+        # f(a.b) against f(a).f(b) one row a at a time; the first b that fails
+        els, mapping = domain.elements, m.mapping
+        dmul, cmul = domain.group._mul, codomain.group._mul
+        on_domain, on_images, image = _picker(els), _picker(mapping), dict(zip(els, mapping))
+        for a, fa in zip(els, mapping):
+            got = tuple(map(image.get, on_domain(dmul[a])))
+            want = on_images(cmul[fa])
+            if got != want:
+                j = next(j for j, (x, y) in enumerate(zip(got, want)) if x != y)
+                raise FusionkitError("not a homomorphism", witness=(a, els[j]))
         return m
 
     @classmethod

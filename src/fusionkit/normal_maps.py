@@ -609,10 +609,12 @@ def aut_map_from_data(F: FusionSystem, data: dict) -> AutMap:
         raise ParseError("aut-map data T entries are not element indices")
     T = F.require_in_p(Subgroup(F.group, data["T"]))
     try:
-        assignment = {
-            tuple(key): frozenset(tuple(m) for m in mappings)
-            for key, mappings in data["assignment"]
-        }
+        pairs = [(list(key), [list(m) for m in mappings]) for key, mappings in data["assignment"]]
+        # checked before the dict and sets are built, where a JSON false
+        # would merge into an equal 0; type(...) is int, as isinstance lets it through
+        if not all(type(x) is int for key, ms in pairs for m in (key, *ms) for x in m):
+            raise TypeError
+        assignment = {tuple(key): frozenset(map(tuple, ms)) for key, ms in pairs}
     except (TypeError, ValueError):
         raise ParseError("aut-map data assignment entries are not [key, mappings] pairs") from None
     return AutMap(T, assignment)

@@ -6,9 +6,9 @@ from dataclasses import dataclass
 
 from .errors import NotAnIsomorphism, NotASubgroupOfP
 from .fusion import FusionSystem
-from .groups import Subgroup, normalizer, p_part, subgroups_between
+from .groups import Subgroup, _picker, normalizer, p_part, subgroups_between
 from .morphisms import (
-    Morphism, _aut_subgroup, _positions, _restrict, _stabilizing_restrictions, _transport
+    Morphism, _aut_subgroup, _positions, _stabilizing_restrictions, _transport
 )
 
 
@@ -42,15 +42,15 @@ def n_phi(F: FusionSystem, phi: Morphism) -> Subgroup:
     # c_g on S is known by its images of S's generators, so each member of
     # Aut_P(S) is transported once and each g of N_P(S) is matched by those.
     gens = S.generators()
-    at_gens = _positions(S.elements, gens)
+    at_gens = _picker(_positions(S.elements, gens))
     wanted = {
-        _restrict(a, at_gens)
+        at_gens(a)
         for a in F.aut_mappings_of_conjugation(S, F.P)
         if _transport(send, S.elements, a)[1] in target
     }
-    G = F.group
-    members = [g for g in F.n_p(S).elements if tuple(G.conj(x, g) for x in gens) in wanted]
-    return Subgroup(G, members, check=False)
+    rows, on_gens = F._p_rows(), _picker(gens)
+    members = [g for g in F.n_p(S).elements if on_gens(rows[g]) in wanted]
+    return Subgroup(F.group, members, check=False)
 
 
 def extend_morphism(F: FusionSystem, phi: Morphism, D: Subgroup) -> Morphism | None:
@@ -76,8 +76,7 @@ def is_receptive(F: FusionSystem, R: Subgroup) -> bool:
         for m in F.iso_mappings(S, R):
             if m in seen:
                 continue
-            then = _positions(R.elements, m)
-            seen.update(_restrict(a, then) for a in aut_p)
+            seen.update(map(_picker(_positions(R.elements, m)), aut_p))
             phi = Morphism(S, R, m)
             if extend_morphism(F, phi, n_phi(F, phi)) is None:
                 return False

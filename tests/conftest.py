@@ -7,6 +7,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from fusionkit import (
     catalog_names,
+    direct_product_groups,
     fusion_of_group,
     load_catalog,
     make_group,
@@ -17,6 +18,7 @@ from fusionkit.groups import is_prime
 
 SWEEP_MAX_ORDER = 24
 SWEEP_T_BOUND = 16
+LADDER = (("a4", "d8"), ("s4", "d8"), ("s4", "q16"))
 
 
 def sweep_pairs(max_order: int = SWEEP_MAX_ORDER):
@@ -39,6 +41,16 @@ def catalog_systems():
     """[(name, prime, F)] over the order-bounded catalog sweep."""
     return [
         (name, p, fusion_of_group(G, p)) for name, p, G in sweep_pairs()
+    ]
+
+
+@pytest.fixture(scope="session")
+def ladder_groups():
+    """a4 x d8, s4 x d8 and s4 x q16, whose Sylow 2-subgroups have orders
+    32, 64 and 128."""
+    return [
+        direct_product_groups(make_group(load_catalog(a)), make_group(load_catalog(b))).group
+        for a, b in LADDER
     ]
 
 

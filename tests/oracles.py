@@ -9,12 +9,17 @@ second description each, by fixed points and by strongly closed central
 series, to compare with ``centre_of`` and ``o_p``.  Saturation gets the
 plain Roberts-Shpectorov scan over every member of every class and every
 isomorphism onto it, to compare with ``is_saturated`` and ``is_receptive``.
+The multiplication table, the homomorphism witness of ``Morphism.build``,
+normalizers and the strongly closed subgroups are also computed one element
+at a time, as the library did before it read whole table rows and tested
+only generators.
 """
 
 from __future__ import annotations
 
 from fusionkit import (
     FusionSystem,
+    Group,
     Morphism,
     SaturationVerdict,
     Subgroup,
@@ -24,6 +29,7 @@ from fusionkit import (
     strongly_closed_subgroups,
 )
 from fusionkit.groups import p_part
+from fusionkit.perms import perm_mul
 
 RawIso = tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -261,3 +267,41 @@ def saturated_by_every_member(F: FusionSystem) -> SaturationVerdict:
                 reason="class has no fully automized receptive member",
             )
     return SaturationVerdict(True)
+
+
+def cayley_table_by_perm_mul(G: Group) -> tuple[tuple[int, ...], ...]:
+    """G's multiplication table with every entry a product of two
+    permutations."""
+    return tuple(tuple(G.index_of(perm_mul(a, b)) for b in G.perms) for a in G.perms)
+
+
+def homomorphism_witness_pairwise(
+    domain: Subgroup, codomain: Subgroup, mapping: tuple[int, ...]
+) -> tuple[int, int] | None:
+    """The first pair (a, b) of domain elements, in row-major order, with
+    f(ab) != f(a)f(b), one product at a time; None when there is none."""
+    Gd, Gc = domain.group, codomain.group
+    image = dict(zip(domain.elements, mapping))
+    for a in domain.elements:
+        for b in domain.elements:
+            if image.get(Gd.mul(a, b)) != Gc.mul(image[a], image[b]):
+                return (a, b)
+    return None
+
+
+def normalizer_by_every_element(container: Subgroup, H: Subgroup) -> Subgroup:
+    """The g in ``container`` that conjugate every element of H into H."""
+    G = H.group
+    members = [g for g in container.elements if all(G.conj(x, g) in H for x in H.elements)]
+    return Subgroup(G, members, check=False)
+
+
+def strongly_closed_by_each_subgroup(F: FusionSystem) -> list[Subgroup]:
+    """The subgroups T of P that no F-isomorphism moves out of themselves,
+    each T checked against every isomorphism in turn."""
+    maps = [dict(zip(phi.domain.elements, phi.mapping)) for phi in F.all_isos()]
+
+    def closed(T: Subgroup) -> bool:
+        return all(f[x] in T for f in maps for x in T.elements if x in f)
+
+    return [T for T in F.subgroups() if closed(T)]

@@ -31,6 +31,7 @@ from fusionkit import (
     validate_fusion,
 )
 from fusionkit.errors import FusionkitError, NotStronglyClosed, ParseError
+from oracles import normalizer_by_every_element
 
 ISO_COUNTS = {
     ("a4", 2): 13,
@@ -288,3 +289,13 @@ def test_full_subcategory_is_a_subsystem(pair, data):
     E = full_subcategory(F, S)
     validate_fusion(E)
     assert is_subsystem(E, F)
+
+
+def test_n_p_and_aut_p_tables_match_the_every_element_scan_on_the_ladder(ladder_groups):
+    for G in ladder_groups:
+        F = fusion_of_group(G, 2)
+        for Q in F.subgroups():
+            N = normalizer_by_every_element(F.P, Q)
+            assert F.n_p(Q) == N, Q
+            conjugations = {tuple(G.conj(x, g) for x in Q.elements) for g in N.elements}
+            assert F.aut_mappings_of_conjugation(Q, F.P) == conjugations, Q

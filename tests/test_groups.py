@@ -1,5 +1,8 @@
 """Group layer: lattice, Sylow theory, series, against brute-force oracles."""
 
+import itertools
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,9 +25,11 @@ from fusionkit import (
     sylow,
     upper_central_series_group,
 )
+import fusionkit.groups as groups
 from fusionkit.errors import FusionkitError
 from fusionkit.groups import is_prime
-from oracles import oracle_subgroup_sets
+from fusionkit.perms import perm_mul
+from oracles import cayley_table_by_perm_mul, normalizer_by_every_element, oracle_subgroup_sets
 
 # counts of isomorphism types per order, as published for orders 1..24
 GROUPS_PER_ORDER = [
@@ -155,6 +160,13 @@ def test_normalizer_centralizer_basics():
     assert centralizer(G.full_subgroup, Z) >= P
 
 
+def test_normalizer_matches_the_every_element_scan():
+    for name, spec in _catalog_upto(24):
+        G = make_group(spec).full_subgroup
+        for H in all_subgroups(G):
+            assert normalizer(G, H) == normalizer_by_every_element(G, H), (name, H)
+
+
 def test_upper_central_series_group():
     G, _ = load_group_spec("d8")
     series = upper_central_series_group(G.full_subgroup)
@@ -223,6 +235,38 @@ def test_closed_group_rejects_a_non_closed_element_list():
     # a 3-cycle without its square
     with pytest.raises(FusionkitError):
         Group([(1, 2, 0)], 3, closed=True)
+
+
+@pytest.mark.parametrize("name", ["a4", "d8", "q16"])
+def test_closed_group_rejects_a_list_missing_or_adding_one_element(name):
+    G = make_group(load_catalog(name))
+    stray = next(p for p in itertools.permutations(range(G.degree)) if p not in G.perms)
+    lists = [G.perms[:i] + G.perms[i + 1 :] for i in range(1, len(G))] + [G.perms + (stray,)]
+    for perms in lists:
+        with pytest.raises(FusionkitError, match="not closed under products"):
+            Group(perms, G.degree, closed=True)
+
+
+def test_cayley_table_is_the_product_of_permutations(ladder_groups):
+    for G in [make_group(spec) for _, spec in _catalog_upto(400)] + ladder_groups:
+        assert G._mul == cayley_table_by_perm_mul(G), G
+
+
+def test_closed_build_multiplies_permutations_only_for_generator_rows(monkeypatch, ladder_groups):
+    # each generator lies outside the subgroup the earlier ones generate, so
+    # there are at most log2 |G| of them, with one row of products each
+    calls = 0
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return perm_mul(a, b)
+
+    monkeypatch.setattr(groups, "perm_mul", counted)
+    for G in [make_group(spec) for _, spec in _catalog_upto(400)] + ladder_groups:
+        calls = 0
+        assert Group(G.perms, G.degree, closed=True)._mul == G._mul
+        assert calls <= math.ceil(math.log2(len(G))) * len(G), G
 
 
 def test_aut_group_rejects_a_set_not_closed_under_composition():

@@ -212,3 +212,33 @@ def test_aut_map_from_data_rejects_a_boolean_element_of_t():
     document["T"][0] = False
     with pytest.raises(ParseError, match="T entries"):
         aut_map_from_data(F, document)
+
+
+@pytest.mark.parametrize("where", ["domain", "mapping"])
+def test_deserialize_rejects_a_boolean_in_an_iso_entry(where):
+    document = copy.deepcopy(FUSION_DOCUMENTS[2])
+    domain, mappings = document["isos"][1]
+    assert domain == [0, 1] and mappings[0] == [0, 1]
+    (domain if where == "domain" else mappings[0])[1] = True
+    with pytest.raises(ParseError, match="isos entries"):
+        deserialize(document)
+
+
+@pytest.mark.parametrize("where", ["key", "mapping", "repeated key", "repeated mapping"])
+def test_aut_map_from_data_rejects_a_boolean_in_the_assignment(where):
+    # a false after an equal 0, as a second key or a second mapping of one
+    # key, would be merged into it by the dict or the set
+    F, document = AUT_MAP_DOCUMENTS[4]
+    document = copy.deepcopy(document)
+    key, mappings = document["assignment"][0]
+    assert key == [0] and mappings == [[0]]
+    if where == "key":
+        key[0] = False
+    elif where == "mapping":
+        mappings[0][0] = False
+    elif where == "repeated key":
+        document["assignment"].insert(1, [[False], [[0]]])
+    else:
+        mappings.append([False])
+    with pytest.raises(ParseError, match="assignment entries"):
+        aut_map_from_data(F, document)

@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fusionkit import AutGroup, Morphism, fusion_of_group, load_group_spec
-from fusionkit.errors import NotAnIsomorphism
+from fusionkit.errors import FusionkitError, NotAnIsomorphism
 from fusionkit.morphisms import _compose, _inverse, _positions, _restrict, _transport
 from oracles import _compose as raw_compose
 from oracles import _invert as raw_invert
 from oracles import _restrictions as raw_restrictions
+from oracles import homomorphism_witness_pairwise
 
 
 def _raw_restrict(iso, S):
@@ -79,3 +80,23 @@ def test_a_map_out_of_the_codomain_is_not_an_iso():
     stray = Morphism(P, P, P.elements[:-1] + (outside,))
     assert not stray.is_iso
     assert Morphism.identity(P).is_iso
+
+
+def test_build_witness_is_the_first_failing_pair_of_the_pairwise_scan(catalog_systems):
+    # swapping two neighbouring images of an F-isomorphism keeps it injective
+    # and inside its codomain, and mostly breaks the homomorphism law
+    failing = 0
+    for _name, _p, F in catalog_systems:
+        for phi in F.all_isos():
+            m = phi.mapping
+            for i in range(1, len(m) - 1):
+                swapped = m[:i] + (m[i + 1], m[i]) + m[i + 2 :]
+                expected = homomorphism_witness_pairwise(phi.domain, phi.codomain, swapped)
+                try:
+                    Morphism.build(phi.domain, phi.codomain, swapped)
+                except FusionkitError as exc:
+                    assert str(exc) == "not a homomorphism" and exc.witness == expected
+                    failing += 1
+                else:
+                    assert expected is None
+    assert failing > 2000

@@ -1,9 +1,12 @@
 """Subsystems: invariance, normality, O^{p'}, O_p, local systems, Theorem A."""
 
+import json
+
 import pytest
 
 from fusionkit import (
     Subgroup,
+    deserialize,
     enumerate_subsystems_on,
     frattini_decompose,
     full_subcategory,
@@ -22,7 +25,12 @@ from fusionkit import (
     verify_theorem_a,
 )
 from fusionkit.errors import PreconditionFailed
-from oracles import o_p_by_central_series, oracle_subsystem_tables, system_table
+from oracles import (
+    o_p_by_central_series,
+    oracle_subsystem_tables,
+    strongly_closed_by_each_subgroup,
+    system_table,
+)
 
 STRONGLY_CLOSED_ORDERS = {
     ("s4", 2): [1, 4, 8],
@@ -193,3 +201,27 @@ def test_theorem_a_extensions_are_the_first_in_hom_set(sweep_weakly_normal):
                 assert ext == expected, (name, p, T, phi)
                 checked += 1
     assert checked > 20
+
+
+def test_strongly_closed_subgroups_match_the_per_subgroup_scan(catalog_systems):
+    for name, p, F in catalog_systems:
+        assert strongly_closed_subgroups(F) == strongly_closed_by_each_subgroup(F), (name, p)
+
+
+def test_strong_closure_on_a_table_not_closed_under_restriction():
+    # inner fusion of D8 in S4, plus one automorphism of order 3 of the
+    # normal four-group V but none of its restrictions: it moves the centre
+    # Z of D8, though no map on Z does
+    G, _ = load_group_spec("s4")
+    F = fusion_of_group(G, 2)
+    V = next(Q for Q in F.subgroups() if len(Q) == 4 and len(F.iso_mappings(Q, Q)) == 6)
+    inner = inner_fusion(F.P, 2)
+    rotation = next(m for m in F.iso_mappings(V, V) if m not in inner.iso_mappings(V, V))
+    document = inner.serialize()
+    next(maps for domain, maps in document["isos"] if domain == list(V.key)).append(list(rotation))
+    E = deserialize(json.loads(json.dumps(document)))
+    Z = group_centre(F.P)
+    assert Z <= V and len(E.iso_mappings(Z, Z)) == 1
+    assert Z in strongly_closed_subgroups(inner)
+    assert Z not in strongly_closed_subgroups(E)
+    assert strongly_closed_subgroups(E) == strongly_closed_by_each_subgroup(E)
