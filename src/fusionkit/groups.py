@@ -8,15 +8,19 @@ keeps every enumeration in the library deterministic.
 
 Each ambient group keeps one memo of subgroup lattices, keyed by the
 carrier's element key, so :func:`all_subgroups` builds the lattice of a
-carrier at most once while the group lives.  A build is a join closure
-of cyclic subgroups in which every subgroup carries the short generator
-tuple it was reached by.  A join <H, gens> is the union of the right
-cosets of H that those generators reach from H.
+carrier at most once while the group lives.  A p-group is built layer by
+layer, each subgroup of order p^(k+1) as a normal subgroup of index p
+plus one element, which reaches all of them because every non-trivial
+p-group has a normal subgroup of index p.  Any other carrier may have
+subgroups no such chain reaches (A5 in S5), and is built as a join
+closure of cyclic subgroups.  Either build carries with each subgroup
+the short generator tuple it was reached by.
 """
 
 from __future__ import annotations
 
 import math
+from functools import reduce
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
@@ -395,14 +399,51 @@ def all_subgroups(container: Group | Subgroup) -> tuple[Subgroup, ...]:
     The lattice of a carrier is built once per ambient group: it is kept
     in the group's ``_lattices`` memo under the carrier's element key, so
     every ``Subgroup`` with that key, and the group itself for its full
-    subgroup, reads the same tuple.  The memo goes with the group.
+    subgroup, reads the same tuple.  The memo goes with the group.  A
+    carrier of order p^n > 1 takes the layer build, any other the join
+    closure.
     """
     amb = _as_subgroup(container)
     lattices = amb.group._lattices
     lattice = lattices.get(amb.elements)
     if lattice is None:
-        lattice = lattices[amb.elements] = _subgroup_lattice(amb)
+        n = len(amb.elements)
+        p = min((d for d in range(2, n + 1) if n % d == 0), default=1)
+        lattice = lattices[amb.elements] = (
+            _layer_lattice(amb, p) if p > 1 and is_p_power(n, p) else _subgroup_lattice(amb)
+        )
     return lattice
+
+
+def _layer_lattice(amb: Subgroup, p: int) -> tuple[Subgroup, ...]:
+    """The subgroups of the p-group ``amb``, one layer per order: each M
+    of a layer, with the generators it was reached by, yields <M, g> =
+    M u gM u ... u g^(p-1)M for each g that conjugates those generators
+    into M with g^p in M, unless g lies in a <M, g'> found before."""
+    G, mul = amb.group, amb.group._mul
+    pth = {g: reduce(lambda x, _: mul[x][g], range(p - 1), g) for g in amb.elements}
+    triv = Subgroup(G, (G.identity,), check=False)
+    found: dict[tuple[int, ...], Subgroup] = {triv.key: triv}
+    layer: list[tuple[Subgroup, tuple[int, ...]]] = [(triv, ())]
+    while layer:
+        new = []
+        for M, gens in layer:
+            mset, coset = M._set, _picker(M.elements)
+            done = set(M.elements)
+            for g in amb.elements:
+                if g in done or pth[g] not in mset or any(G.conj(x, g) not in mset for x in gens):
+                    continue
+                span, power = list(M.elements), g
+                for _ in range(p - 1):
+                    span += coset(mul[power])
+                    power = mul[power][g]
+                done.update(span)
+                key = tuple(sorted(span))
+                if key not in found:
+                    found[key] = J = Subgroup(G, key, check=False)
+                    new.append((J, gens + (g,)))
+        layer = new
+    return tuple(sorted(found.values(), key=lambda s: (len(s.elements), s.elements)))
 
 
 def _subgroup_lattice(amb: Subgroup) -> tuple[Subgroup, ...]:
@@ -470,10 +511,17 @@ def subgroups_between(lo: Subgroup, hi: Subgroup) -> tuple[Subgroup, ...]:
 
 def normalizer(container: Group | Subgroup, H: Subgroup) -> Subgroup:
     """N(H) inside ``container``: g normalizes H when it conjugates H's
-    generators into H."""
+    generators into H.  As H <= N(H), a left coset gH lies wholly inside
+    N(H) or wholly outside it, so one g is tested per coset."""
     amb = _require_subgroup_of(H, container)
-    G, hset, gens = H.group, H._set, H.generators()
-    members = [g for g in amb.elements if all(G.conj(x, g) in hset for x in gens)]
+    G, hset, gens, coset = H.group, H._set, H.generators(), _picker(H.elements)
+    members, decided = [], set()
+    for g in amb.elements:
+        if g not in decided:
+            gH = coset(G._mul[g])
+            decided.update(gH)
+            if all(G.conj(x, g) in hset for x in gens):
+                members += gH
     return Subgroup(G, members, check=False)
 
 

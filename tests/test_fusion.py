@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from fusionkit import (
     conj_morphism,
+    FusionSystem,
     Morphism,
     Subgroup,
     deserialize,
@@ -299,3 +300,66 @@ def test_n_p_and_aut_p_tables_match_the_every_element_scan_on_the_ladder(ladder_
             assert F.n_p(Q) == N, Q
             conjugations = {tuple(G.conj(x, g) for x in Q.elements) for g in N.elements}
             assert F.aut_mappings_of_conjugation(Q, F.P) == conjugations, Q
+
+
+def _span(*bounds):
+    """The indices of the half-open ranges [bounds[0], bounds[1]), ..."""
+    return tuple(i for a, b in zip(bounds[::2], bounds[1::2]) for i in range(a, b))
+
+
+# (system, mappings removed as (domain, target, mapping), first failure and
+# its witness); the failures were taken from validate_fusion as it was when
+# it still looked up each mapping by its sorted image.  On d8 in S4 and on
+# the ladder system no single missing mapping is first seen by the
+# restriction check: a smaller domain's inversion or composition check sees
+# it earlier.  So the d8 restriction case cuts <z> off from its two
+# F-conjugates in both directions, and s3 x s3 at p = 3 gives the
+# one-mapping case.
+VALIDATE_PINS = {
+    "d8-inversion": (
+        ("s4", 2), [((0, 16), (0, 7), (0, 7))],
+        "not closed under inversion", (0, 16),
+    ),
+    "d8-composition": (
+        ("s4", 2), [((0, 7), (0, 16), (0, 16))],
+        "not closed under composition", ((0, 23), (0, 16)),
+    ),
+    "d8-restriction": (
+        ("s4", 2),
+        [((0, 7), (0, 16), (0, 16)), ((0, 16), (0, 7), (0, 7)),
+         ((0, 7), (0, 23), (0, 23)), ((0, 23), (0, 7), (0, 7))],
+        "not closed under restriction", ((0, 16, 7, 23), (0, 7)),
+    ),
+    "s3xs3-restriction": (
+        ("s3xs3", 3), [((0, 3, 4), (0, 3, 4), (0, 4, 3))],
+        "not closed under restriction", ((0, 4, 3, 18, 22, 21, 24, 28, 27), (0, 3, 4)),
+    ),
+    "ladder-inversion": (
+        None,
+        [(_span(0, 8, 24, 32, 64, 72, 88, 96), _span(0, 8, 24, 32, 64, 72, 88, 96),
+          _span(0, 8, 64, 72, 88, 96, 24, 32))],
+        "not closed under inversion", _span(0, 8, 88, 96, 24, 32, 64, 72),
+    ),
+    "ladder-composition": (
+        None, [(_span(0, 8, 24, 32), _span(0, 8, 64, 72), _span(0, 8, 64, 72))],
+        "not closed under composition",
+        ((0, 1, 7, 6, 4, 5, 3, 2, 24, 25, 31, 30, 28, 29, 27, 26),
+         (0, 1, 7, 6, 4, 5, 3, 2, 64, 65, 71, 70, 68, 69, 67, 66)),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VALIDATE_PINS))
+def test_validate_fusion_reports_the_first_missing_mapping(case, ladder_groups):
+    source, removed, message, witness = VALIDATE_PINS[case]
+    if source is None:
+        F = fusion_of_group(ladder_groups[0], 2)
+    else:
+        F = fusion_of_group(load_group_spec(source[0])[0], source[1])
+    isos = {qk: dict(targets) for qk, targets in F._isos.items()}
+    for qk, rk, m in removed:
+        assert m in isos[qk][rk]
+        isos[qk][rk] = tuple(x for x in isos[qk][rk] if x != m)
+    with pytest.raises(FusionkitError) as info:
+        validate_fusion(FusionSystem(F.group, F.P, F.p, isos))
+    assert (str(info.value), info.value.witness) == (message, witness)

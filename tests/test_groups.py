@@ -16,6 +16,7 @@ from fusionkit import (
     catalog_names,
     centralizer,
     commutator_subgroup,
+    direct_product_groups,
     group_centre,
     load_catalog,
     load_group_spec,
@@ -92,6 +93,55 @@ def test_subgroup_lattice_matches_subset_closure_oracle(name):
         assert [S.key for S in lattice] == sorted(
             (S.key for S in lattice), key=lambda k: (len(k), k)
         )
+
+
+def _product(*names):
+    G = make_group(load_catalog(names[0]))
+    for name in names[1:]:
+        G = direct_product_groups(G, make_group(load_catalog(name))).group
+    return G
+
+
+# products whose lattices take the layer build at p = 3 and p = 5
+ODD_PRODUCTS = [(("ea9", "ea9"), 3), (("ea9", "c9"), 3), (("c5", "c5"), 5)]
+
+
+def test_layer_lattice_equals_the_join_closure(ladder_groups):
+    carriers = [sylow(G.full_subgroup, 2) for G in ladder_groups]
+    carriers += [sylow(_product(*names).full_subgroup, p) for names, p in ODD_PRODUCTS]
+    for P in carriers:
+        assert [S.key for S in all_subgroups(P)] == [
+            S.key for S in groups._subgroup_lattice(P)
+        ], P
+
+
+def test_layer_lattice_matches_the_subset_closure_oracle(ladder_groups):
+    carriers = [sylow(ladder_groups[0].full_subgroup, 2)]
+    carriers += [sylow(_product(*names).full_subgroup, p) for names, p in
+                 [(("ea9", "c3"), 3), (("c5", "c5"), 5), (("c4", "c4", "c2"), 2)]]
+    for P in carriers:
+        assert len(P) <= 32
+        lattice, oracle = all_subgroups(P), oracle_subgroup_sets(P)
+        assert {S._set for S in lattice} == oracle and len(lattice) == len(oracle), P
+
+
+def test_prime_power_lattices_need_no_join_or_closure(monkeypatch):
+    # every carrier is fresh, so each all_subgroups call below builds
+    carriers = [sylow(_product(a, b).full_subgroup, 2) for a, b in
+                [("a4", "d8"), ("s4", "q16")]]
+    carriers += [sylow(_product(*names).full_subgroup, p) for names, p in ODD_PRODUCTS]
+    for name, spec in _catalog_upto(24):
+        G = make_group(spec)
+        carriers += [sylow(G.full_subgroup, p) for p in range(2, len(G) + 1)
+                     if len(G) % p == 0 and is_prime(p)]
+    calls = []
+    monkeypatch.setattr(groups, "_join", lambda *a: calls.append("_join"))
+    monkeypatch.setattr(groups, "subgroup_closure", lambda *a: calls.append("closure"))
+    for P in carriers:
+        assert P.key not in P.group._lattices
+        for Q in all_subgroups(P)[::8]:
+            all_subgroups(Q)
+    assert calls == []
 
 
 def test_join_matches_the_closure_of_the_union():
