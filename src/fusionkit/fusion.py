@@ -53,6 +53,7 @@ from .morphisms import (
     AutGroup,
     Key,
     Morphism,
+    _hom_test,
     _inverse,
     _iso_search,
     _positions,
@@ -367,7 +368,10 @@ def fusion_of_group(
     *,
     name: str | None = None,
 ) -> FusionSystem:
-    """F_P(G): all conjugation maps between subgroups of P by elements of G."""
+    """F_P(G): all conjugation maps between subgroups of P by elements of G.
+    The map x -> x^g on Q is fixed by its images of Q's generators, and
+    Q^g <= P exactly when they lie in P, so every row is read at Q's
+    generators and only one row per distinct image inside P at all of Q."""
     ensure_prime(p)
     amb = _as_subgroup(container)
     G = amb.group
@@ -382,9 +386,11 @@ def fusion_of_group(
             )
     pset = P._set
     rows = _conj_rows(G, amb.elements).values()
-    isos: dict[Key, set[Key]] = {}
+    isos: dict[Key, list[Key]] = {}
     for Q in all_subgroups(P):
-        isos[Q.key] = {m for m in map(_picker(Q.elements), rows) if pset.issuperset(m)}
+        distinct = dict(zip(map(_picker(Q.generators()), rows), rows))
+        on_q = _picker(Q.elements)
+        isos[Q.key] = [on_q(row) for images, row in distinct.items() if pset.issuperset(images)]
     return FusionSystem(G, P, p, _iso_table(isos), name=name)
 
 
@@ -666,42 +672,53 @@ def is_isomorphic_fusion(F1: FusionSystem, F2: FusionSystem) -> bool:
 
 def validate_fusion(F: FusionSystem) -> None:
     """Check every stored axiom; raises FusionkitError on the first failure.
-    Once each mapping is known to sit under its sorted image, the later
-    checks test membership in one set of all mappings per domain."""
-    subgroup_keys = {S.key for S in F.subgroups()}
+    Each mapping is tested against the homomorphism law on its domain's
+    generators, and ``Morphism.build`` runs only to name a failure.  A
+    homomorphism is fixed by its images of generators, so the later checks
+    compare the images of generators against one set per domain."""
+    lattice = {S.key: S for S in F.subgroups()}
     pset = F.P._set
-    if set(F._isos) != subgroup_keys:
+    if set(F._isos) != set(lattice):
         raise FusionkitError("iso table does not range over the subgroups of P")
     for qk, targets in F._isos.items():
-        Q = F.subgroup(qk)
+        is_hom = _hom_test(lattice[qk], F.group)
         for rk, ms in targets.items():
-            if rk not in subgroup_keys:
+            if rk not in lattice:
                 raise FusionkitError("target is not a subgroup of P", witness=rk)
             for m in ms:
                 if tuple(sorted(m)) != rk:
                     raise FusionkitError("mapping does not match its target key", witness=m)
-                Morphism.build(Q, F.subgroup(rk), m)
-    stored = {qk: {m for ms in targets.values() for m in ms} for qk, targets in F._isos.items()}
+                if len(m) != len(qk) or not is_hom(m):
+                    Morphism.build(lattice[qk], lattice[rk], m)
+    gens = {qk: S.generators() for qk, S in lattice.items()}
+    index = {qk: {x: i for i, x in enumerate(qk)} for qk in lattice}
+    on_gens = {qk: _picker([index[qk][x] for x in gens[qk]]) for qk in lattice}
+    stored = {qk: {on_gens[qk](m) for ms in t.values() for m in ms} for qk, t in F._isos.items()}
     rows = F._p_rows().values()
     for Q in F.subgroups():
-        for mapping in map(_picker(Q.elements), rows):
+        # rows that agree on Q's generators agree on Q
+        on_q = _picker(Q.elements)
+        for images, row in dict(zip(map(_picker(gens[Q.key]), rows), rows)).items():
+            mapping = on_q(row)
             if not pset.issuperset(mapping):
                 raise FusionkitError("P is not closed under its own conjugation")
-            if mapping not in stored[Q.key]:
+            if images not in stored[Q.key]:
                 raise FusionkitError("inner fusion missing", witness=(Q.key, mapping))
     for qk, targets in F._isos.items():
-        qset = set(qk)
+        # a smaller subgroup lies in Q when its generators do
+        qset, n, at = lattice[qk]._set, len(qk), index[qk]
         contained = [
-            (sk, _picker(_positions(qk, sk))) for sk in F._isos if sk != qk and qset.issuperset(sk)
+            (sk, _picker([at[x] for x in gens[sk]]))
+            for sk in F._isos if len(sk) < n and qset.issuperset(gens[sk])
         ]
         for rk, ms in targets.items():
             for m in ms:
-                if _inverse(qk, m) not in stored[rk]:
+                if tuple(qk[m.index(y)] for y in gens[rk]) not in stored[rk]:
                     raise FusionkitError("not closed under inversion", witness=m)
                 for sk, on_sk in contained:
                     if on_sk(m) not in stored[sk]:
                         raise FusionkitError("not closed under restriction", witness=(m, sk))
-                then = _picker(_positions(rk, m))
+                then = _picker([index[rk][y] for y in on_gens[qk](m)])
                 for ms2 in F._isos[rk].values():
                     for m2 in ms2:
                         if then(m2) not in stored[qk]:

@@ -321,10 +321,10 @@ class Subgroup:
             G = self.group
             chosen: list[int] = []
             span = {G.identity}
-            for x in sorted(self.elements, key=lambda i: (-G.element_order(i), i)):
+            for x in sorted(self.elements, key=lambda i: (-G._orders[i], i)):
                 if x not in span:
                     chosen.append(x)
-                    span = set(subgroup_closure(G, chosen).elements)
+                    span = _join(G, tuple(span), tuple(chosen))
                     if len(span) == len(self.elements):
                         break
             self._gens = tuple(chosen)
@@ -341,7 +341,8 @@ class Subgroup:
         return True
 
     def join(self, other: "Subgroup") -> "Subgroup":
-        return Subgroup(self.group, _join(self, self.elements + other.elements), check=False)
+        span = _join(self.group, self.elements, self.elements + other.elements)
+        return Subgroup(self.group, span, check=False)
 
     def meet(self, other: "Subgroup") -> "Subgroup":
         return Subgroup(self.group, self._set & other._set, check=False)
@@ -422,16 +423,17 @@ def _layer_lattice(amb: Subgroup, p: int) -> tuple[Subgroup, ...]:
     into M with g^p in M, unless g lies in a <M, g'> found before."""
     G, mul = amb.group, amb.group._mul
     pth = {g: reduce(lambda x, _: mul[x][g], range(p - 1), g) for g in amb.elements}
+    conj = _conj_rows(G, amb.elements)
     triv = Subgroup(G, (G.identity,), check=False)
     found: dict[tuple[int, ...], Subgroup] = {triv.key: triv}
     layer: list[tuple[Subgroup, tuple[int, ...]]] = [(triv, ())]
     while layer:
         new = []
         for M, gens in layer:
-            mset, coset = M._set, _picker(M.elements)
+            mset, coset, on_gens = M._set, _picker(M.elements), _picker(gens)
             done = set(M.elements)
             for g in amb.elements:
-                if g in done or pth[g] not in mset or any(G.conj(x, g) not in mset for x in gens):
+                if g in done or pth[g] not in mset or not mset.issuperset(on_gens(conj[g])):
                     continue
                 span, power = list(M.elements), g
                 for _ in range(p - 1):
@@ -479,7 +481,7 @@ def _subgroup_lattice(amb: Subgroup) -> tuple[Subgroup, ...]:
             for x in cyclic_gens:
                 if x in H._set:
                     continue
-                key = tuple(sorted(_join(H, gens + (x,))))
+                key = tuple(sorted(_join(G, H.elements, gens + (x,))))
                 if key not in found:
                     found[key] = J = Subgroup(G, key, check=False)
                     new.append((J, gens + (x,)))
@@ -487,15 +489,16 @@ def _subgroup_lattice(amb: Subgroup) -> tuple[Subgroup, ...]:
     return tuple(sorted(found.values(), key=lambda s: (len(s.elements), s.elements)))
 
 
-def _join(H: Subgroup, gens: tuple[int, ...]) -> set[int]:
-    """The elements of <H, gens>, where ``gens`` alone generate it, as the
-    union of the left cosets of H it contains: a generator g takes the
-    coset yH to (gy)H, so a search over cosets from H reaches every coset.
-    The coset zH is the row of z read at H's elements."""
-    mul = H.group._mul
-    coset = _picker(H.elements)
-    span = set(H.elements)
-    reps = [H.group.identity]
+def _join(G: Group, H: Sequence[int], gens: tuple[int, ...]) -> set[int]:
+    """The elements of <H, gens>, for the elements H of a subgroup of G and
+    ``gens`` that alone generate <H, gens>, as the union of the left cosets
+    of H it contains: a generator g takes the coset yH to (gy)H, so a search
+    over cosets from H reaches every coset.  The coset zH is the row of z
+    read at H's elements."""
+    mul = G._mul
+    coset = _picker(H)
+    span = set(H)
+    reps = [G.identity]
     for y in reps:
         for g in gens:
             z = mul[g][y]

@@ -2,17 +2,22 @@
 
 Subgroups are found by raw subset closure over the multiplication table, and
 subsystems on a carrier by a from-scratch closure operator on plain mapping
-tables (domain elements paired with their images).  Nothing here touches
+tables (domain elements paired with their images).  Neither touches
 all_subgroups, generated_fusion, or FusionSystem internals, so agreement with
-the library is evidence, not tautology.  The centre and O_p(F) also get a
-second description each, by fixed points and by strongly closed central
-series, to compare with ``centre_of`` and ``o_p``.  Saturation gets the
-plain Roberts-Shpectorov scan over every member of every class and every
-isomorphism onto it, to compare with ``is_saturated`` and ``is_receptive``.
+the library is evidence, not tautology.  The per-subgroup oracles below take
+the library's lattice as given, since the subset closure certifies it.  The
+centre and O_p(F) also get a second description each, by fixed points and
+by strongly closed central series, to compare with ``centre_of`` and
+``o_p``.  Saturation gets the plain Roberts-Shpectorov scan over every
+member of every class and every isomorphism onto it, to compare with
+``is_saturated`` and ``is_receptive``.
 The multiplication table, the homomorphism witness of ``Morphism.build``,
 normalizers and the strongly closed subgroups are also computed one element
 at a time, as the library did before it read whole table rows and tested
-only generators.
+only generators, and ``Subgroup.generators`` closes each span from scratch.
+F_P(G) is also built from every element's whole conjugation row, and
+``validate_fusion`` run on whole mapping tuples, as the library did before
+it read maps off their images of generators.
 """
 
 from __future__ import annotations
@@ -28,7 +33,9 @@ from fusionkit import (
     group_centre,
     strongly_closed_subgroups,
 )
-from fusionkit.groups import p_part
+from fusionkit.errors import FusionkitError
+from fusionkit.groups import _picker, all_subgroups, p_part
+from fusionkit.morphisms import _inverse, _positions
 from fusionkit.perms import perm_mul
 
 RawIso = tuple[tuple[int, ...], tuple[int, ...]]
@@ -289,6 +296,20 @@ def homomorphism_witness_pairwise(
     return None
 
 
+def generators_by_closure(H: Subgroup) -> tuple[int, ...]:
+    """``Subgroup.generators`` with every span closed from scratch: the
+    elements of H by decreasing order, then index, each taken when the
+    span of those taken before misses it."""
+    G = H.group
+    chosen: list[int] = []
+    span = {G.identity}
+    for x in sorted(H.elements, key=lambda i: (-G.element_order(i), i)):
+        if x not in span:
+            chosen.append(x)
+            span = set(G.generated_subgroup(chosen).elements)
+    return tuple(chosen)
+
+
 def normalizer_by_every_element(container: Subgroup, H: Subgroup) -> Subgroup:
     """The g in ``container`` that conjugate every element of H into H."""
     G = H.group
@@ -305,3 +326,65 @@ def strongly_closed_by_each_subgroup(F: FusionSystem) -> list[Subgroup]:
         return all(f[x] in T for f in maps for x in T.elements if x in f)
 
     return [T for T in F.subgroups() if closed(T)]
+
+
+def fusion_by_every_element(container: Subgroup, P: Subgroup) -> dict:
+    """The iso table of F_P(container): for every subgroup Q of P, the
+    whole conjugation row x -> x^g of every g in the container read at Q,
+    kept when it lands in P, bucketed by sorted image and sorted."""
+    G = P.group
+    rows = [tuple(G.conj(x, g) for x in range(len(G))) for g in container.elements]
+    table = {}
+    for Q in all_subgroups(P):
+        targets: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
+        for m in map(_picker(Q.elements), rows):
+            if P.contains_all(m):
+                targets.setdefault(tuple(sorted(m)), set()).add(m)
+        table[Q.key] = {rk: tuple(sorted(ms)) for rk, ms in sorted(targets.items())}
+    return table
+
+
+def validate_fusion_by_full_tuples(F: FusionSystem) -> None:
+    """``validate_fusion`` on whole mappings: the homomorphism law of every
+    stored mapping through ``Morphism.build``, and every inner, inverse,
+    restricted and composite mapping looked up in one set of all mappings
+    per domain."""
+    subgroup_keys = {S.key for S in F.subgroups()}
+    pset = F.P._set
+    if set(F._isos) != subgroup_keys:
+        raise FusionkitError("iso table does not range over the subgroups of P")
+    for qk, targets in F._isos.items():
+        Q = F.subgroup(qk)
+        for rk, ms in targets.items():
+            if rk not in subgroup_keys:
+                raise FusionkitError("target is not a subgroup of P", witness=rk)
+            for m in ms:
+                if tuple(sorted(m)) != rk:
+                    raise FusionkitError("mapping does not match its target key", witness=m)
+                Morphism.build(Q, F.subgroup(rk), m)
+    stored = {qk: {m for ms in targets.values() for m in ms} for qk, targets in F._isos.items()}
+    G = F.group
+    rows = [tuple(G.conj(x, g) for x in range(len(G))) for g in F.P.elements]
+    for Q in F.subgroups():
+        for mapping in map(_picker(Q.elements), rows):
+            if not pset.issuperset(mapping):
+                raise FusionkitError("P is not closed under its own conjugation")
+            if mapping not in stored[Q.key]:
+                raise FusionkitError("inner fusion missing", witness=(Q.key, mapping))
+    for qk, targets in F._isos.items():
+        qset = set(qk)
+        contained = [
+            (sk, _picker(_positions(qk, sk))) for sk in F._isos if sk != qk and qset.issuperset(sk)
+        ]
+        for rk, ms in targets.items():
+            for m in ms:
+                if _inverse(qk, m) not in stored[rk]:
+                    raise FusionkitError("not closed under inversion", witness=m)
+                for sk, on_sk in contained:
+                    if on_sk(m) not in stored[sk]:
+                        raise FusionkitError("not closed under restriction", witness=(m, sk))
+                then = _picker(_positions(rk, m))
+                for ms2 in F._isos[rk].values():
+                    for m2 in ms2:
+                        if then(m2) not in stored[qk]:
+                            raise FusionkitError("not closed under composition", witness=(m, m2))

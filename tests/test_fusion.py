@@ -32,7 +32,11 @@ from fusionkit import (
     validate_fusion,
 )
 from fusionkit.errors import FusionkitError, NotStronglyClosed, ParseError
-from oracles import normalizer_by_every_element
+from oracles import (
+    fusion_by_every_element,
+    normalizer_by_every_element,
+    validate_fusion_by_full_tuples,
+)
 
 ISO_COUNTS = {
     ("a4", 2): 13,
@@ -50,6 +54,14 @@ def test_fusion_of_group_iso_counts_frozen(key, count):
     F = fusion_of_group(G, p)
     assert F.iso_count() == count
     validate_fusion(F)
+
+
+def test_fusion_of_group_matches_the_every_element_scan(catalog_systems, ladder_groups):
+    systems = [F for _, _, F in catalog_systems]
+    systems += [fusion_of_group(G, 2) for G in ladder_groups]
+    for F in systems:
+        assert F._isos == fusion_by_every_element(F.group.full_subgroup, F.P), F
+        assert fusion_of_group(F.P, F.p, F.P)._isos == fusion_by_every_element(F.P, F.P), F
 
 
 def test_inner_fusion_of_abelian_group_has_only_identities():
@@ -363,3 +375,71 @@ def test_validate_fusion_reports_the_first_missing_mapping(case, ladder_groups):
     with pytest.raises(FusionkitError) as info:
         validate_fusion(FusionSystem(F.group, F.P, F.p, isos))
     assert (str(info.value), info.value.witness) == (message, witness)
+
+
+def _outcome(check, F):
+    try:
+        check(F)
+    except FusionkitError as exc:
+        return type(exc), str(exc), exc.witness
+    return None
+
+
+def _with_bucket(F, qk, rk, mappings):
+    isos = {k: dict(targets) for k, targets in F._isos.items()}
+    isos[qk][rk] = mappings
+    return FusionSystem(F.group, F.P, F.p, isos)
+
+
+def _removals(F):
+    for qk, targets in F._isos.items():
+        for rk, ms in targets.items():
+            for j in range(len(ms)):
+                yield qk, rk, ms[:j] + ms[j + 1 :]
+
+
+def _swaps(F):
+    for qk, targets in F._isos.items():
+        for rk, ms in targets.items():
+            for j, m in enumerate(ms):
+                for i in range(len(m) - 1):
+                    swapped = m[:i] + (m[i + 1], m[i]) + m[i + 2 :]
+                    yield qk, rk, ms[:j] + (swapped,) + ms[j + 1 :]
+
+
+def test_validate_fusion_fails_first_where_the_full_tuple_check_does(ladder_groups):
+    # every removal and neighbouring swap on three small systems, and a
+    # fixed sample of both on the |P| = 32 ladder system
+    cases = []
+    for name, p in [("s4", 2), ("s3xs3", 3), ("sl23", 2)]:
+        F = fusion_of_group(load_group_spec(name)[0], p)
+        cases += [(F, c) for c in [*_removals(F), *_swaps(F)]]
+    F = fusion_of_group(ladder_groups[0], 2)
+    cases += [(F, c) for c in [*list(_removals(F))[::20], *list(_swaps(F))[::200]]]
+    messages = set()
+    for F, case in cases:
+        expected = _outcome(validate_fusion_by_full_tuples, _with_bucket(F, *case))
+        assert _outcome(validate_fusion, _with_bucket(F, *case)) == expected, case
+        messages.add(expected and expected[1])
+    assert messages >= {
+        "not a homomorphism", "inner fusion missing", "not closed under inversion",
+        "not closed under restriction", "not closed under composition",
+    }
+
+
+def test_validate_fusion_builds_no_morphism_on_a_valid_table(ladder_groups, monkeypatch):
+    F = fusion_of_group(ladder_groups[1], 2)
+    build, calls = Morphism.build.__func__, []
+
+    def counted(cls, *args):
+        calls.append(args)
+        return build(cls, *args)
+
+    monkeypatch.setattr(Morphism, "build", classmethod(counted))
+    validate_fusion(F)
+    assert calls == []
+    # one mapping that breaks the law is built, to name the failing pair
+    qk, rk, ms = next(c for c in _swaps(F) if len(c[0]) > 2)
+    with pytest.raises(FusionkitError, match="not a homomorphism"):
+        validate_fusion(_with_bucket(F, qk, rk, ms))
+    assert len(calls) == 1

@@ -30,7 +30,12 @@ import fusionkit.groups as groups
 from fusionkit.errors import FusionkitError
 from fusionkit.groups import is_prime
 from fusionkit.perms import perm_mul
-from oracles import cayley_table_by_perm_mul, normalizer_by_every_element, oracle_subgroup_sets
+from oracles import (
+    cayley_table_by_perm_mul,
+    generators_by_closure,
+    normalizer_by_every_element,
+    oracle_subgroup_sets,
+)
 
 # counts of isomorphism types per order, as published for orders 1..24
 GROUPS_PER_ORDER = [
@@ -215,6 +220,13 @@ def test_normalizer_matches_the_every_element_scan():
         G = make_group(spec).full_subgroup
         for H in all_subgroups(G):
             assert normalizer(G, H) == normalizer_by_every_element(G, H), (name, H)
+
+
+def test_generators_are_the_greedy_choice_of_the_closure_scan(ladder_groups):
+    subgroups = [H for _, spec in _catalog_upto(24) for H in all_subgroups(make_group(spec))]
+    subgroups += [H for G in ladder_groups for H in all_subgroups(sylow(G, 2))]
+    for H in subgroups:
+        assert H.generators() == generators_by_closure(H), H
 
 
 def test_upper_central_series_group():

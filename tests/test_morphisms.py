@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fusionkit import AutGroup, Morphism, fusion_of_group, load_group_spec
+from fusionkit import AutGroup, Morphism, Subgroup, fusion_of_group, load_group_spec
 from fusionkit.errors import FusionkitError, NotAnIsomorphism
 from fusionkit.morphisms import _compose, _inverse, _positions, _restrict, _transport
 from oracles import _compose as raw_compose
@@ -80,6 +80,17 @@ def test_a_map_out_of_the_codomain_is_not_an_iso():
     stray = Morphism(P, P, P.elements[:-1] + (outside,))
     assert not stray.is_iso
     assert Morphism.identity(P).is_iso
+
+
+def test_build_rejects_a_trivial_domain_sent_off_the_identity():
+    # the trivial group has no generators, so its law is f(1.1) = f(1).f(1)
+    P = _s3_sylow()
+    one = Subgroup(P.group, (P.group.identity,))
+    for x in P.elements[1:]:
+        with pytest.raises(FusionkitError, match="not a homomorphism") as info:
+            Morphism.build(one, P, (x,))
+        assert info.value.witness == (one.elements[0],) * 2
+    assert Morphism.build(one, P, one.elements).mapping == one.elements
 
 
 def test_build_witness_is_the_first_failing_pair_of_the_pairwise_scan(catalog_systems):
