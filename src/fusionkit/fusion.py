@@ -205,15 +205,19 @@ class FusionSystem:
 
     def n_p(self, Q: Subgroup) -> Subgroup:
         """N_P(Q), computed once per subgroup of P."""
-        if Q.group is not self.P.group:
-            return normalizer(self.P, Q)
-        cached = self._cache.setdefault("n_p", {})
-        if Q.key not in cached:
-            cached[Q.key] = normalizer(self.P, Q)
-        return cached[Q.key]
+        return self._once_per_subgroup("n_p", normalizer, Q)
 
     def c_p(self, Q: Subgroup) -> Subgroup:
-        return centralizer(self.P, Q)
+        """C_P(Q), computed once per subgroup of P."""
+        return self._once_per_subgroup("c_p", centralizer, Q)
+
+    def _once_per_subgroup(self, name: str, local, Q: Subgroup) -> Subgroup:
+        if Q.group is not self.P.group:
+            return local(self.P, Q)
+        cached = self._cache.setdefault(name, {})
+        if Q.key not in cached:
+            cached[Q.key] = local(self.P, Q)
+        return cached[Q.key]
 
     # -- conjugacy classes ----------------------------------------------
 
@@ -241,8 +245,11 @@ class FusionSystem:
         return self._cache["classes"]
 
     def is_fully_normalized(self, Q: Subgroup) -> bool:
-        n = len(self.n_p(Q))
-        return all(len(self.n_p(R)) <= n for R in self.conjugacy_class(Q))
+        cached = self._cache.setdefault("fully_normalized", {})
+        if Q.group is not self.P.group or Q.key not in cached:
+            n = len(self.n_p(Q))
+            cached[Q.key] = all(len(self.n_p(R)) <= n for R in self.conjugacy_class(Q))
+        return cached[Q.key]
 
     def is_fully_centralized(self, Q: Subgroup) -> bool:
         c = len(self.c_p(Q))
@@ -356,6 +363,31 @@ def _iso_table(isos: dict[Key, Iterable[Key]]) -> IsoTable:
             targets.setdefault(tuple(sorted(m)), set()).add(m)
         table[qk] = {rk: tuple(sorted(ms)) for rk, ms in sorted(targets.items())}
     return table
+
+
+def _routes(F: FusionSystem, T: Subgroup) -> list[tuple[Subgroup, list[tuple[Subgroup, Key]]]]:
+    """For each F-class that meets T, its first member Q0 inside T with the
+    largest N_P(Q0) and the routes from Q0, as (target, mapping) pairs:
+    (Q0, beta) for generators beta of Aut_F(Q0), then (R, t_R) with one
+    stored F-isomorphism t_R: Q0 -> R for each other member R.
+
+    Every F-isomorphism Q -> R in the class is t_Q^-1 . beta . t_R with beta
+    in Aut_F(Q0).  So a condition that holds on a set of isomorphisms closed
+    under composition and inverse holds on the whole class exactly when it
+    holds on the routes.  Computed once per T."""
+    cached = F._cache.setdefault("routes", {})
+    if T.key not in cached:
+        cached[T.key] = out = []
+        for cls in F.classes():
+            inside = [R for R in cls if T._set.issuperset(R.key)]
+            if inside:
+                Q0 = max(inside, key=lambda R: len(F.n_p(R)))
+                ag = F.aut_group(Q0)
+                gens = ag.group.full_subgroup.generators()
+                routes = [(Q0, ag.morphisms[i].mapping) for i in gens]
+                routes += [(R, F._isos[Q0.key][R.key][0]) for R in cls if R != Q0]
+                out.append((Q0, routes))
+    return cached[T.key]
 
 
 # -- constructors -----------------------------------------------------------

@@ -38,7 +38,7 @@ from .groups import (
 )
 from .morphisms import Morphism
 from .saturation import is_saturated
-from .subsystems import local_subsystem, strongly_closed_subgroups
+from .subsystems import _local_is_all, strongly_closed_subgroups
 
 __all__ = [
     "CentralSeries",
@@ -160,9 +160,10 @@ def upper_central_series(F: FusionSystem) -> CentralSeries:
 def _has_central_quotient(F: FusionSystem, Q: Subgroup) -> bool:
     if not Q.is_normal_in(F.P):
         return False
-    if set(F.iso_mappings(Q, Q)) != F.aut_mappings_of_conjugation(Q, F.P):
+    aut_p = F.aut_mappings_of_conjugation(Q, F.P)
+    if set(F.iso_mappings(Q, Q)) != aut_p:
         return False
-    return local_subsystem(F, Q, "p_centralizer") == F
+    return _local_is_all(F, Q, aut_p)
 
 
 def x_subgroup(F: FusionSystem) -> XSubgroup:
@@ -173,6 +174,11 @@ def x_subgroup(F: FusionSystem) -> XSubgroup:
     strongly closed, or TheoremViolation is raised.  X_F equals the
     hypercentre Z_inf(F) by theorem; that is checked by the test suite,
     not by this call.
+
+    F = P C_F(Q) holds when every F-isomorphism extends to QR, mapping Q
+    onto Q by an element of Aut_P(Q).  Those isomorphisms are closed under
+    composition and inverse, so ``_local_is_all`` tests only the routes of
+    each class and stops at the first that fails.
     """
     _require_saturated(F)
     G = F.group

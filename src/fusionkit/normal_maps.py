@@ -30,18 +30,18 @@ from .errors import (
 from .fusion import (
     FusionSystem,
     Key,
+    _routes,
     generated_fusion,
     intersect_raw,
     is_strongly_closed,
     is_subsystem,
 )
-from .groups import Subgroup, all_subgroups, centralizer, normalizer, p_part, subgroups_between
+from .groups import Subgroup, _picker, all_subgroups, normalizer, p_part, subgroups_between
 from .morphisms import (
     Morphism,
     _aut_subgroup,
     _compose,
     _stabilizing_restrictions,
-    _transport,
 )
 from .saturation import is_saturated
 from .subsystems import normality_status
@@ -129,7 +129,7 @@ def partial_domain(F: FusionSystem, T: Subgroup) -> tuple[Subgroup, ...]:
     return tuple(
         Q
         for Q in F.subgroups()
-        if Q <= T and F.is_fully_normalized(Q) and centralizer(T, Q) <= Q
+        if Q <= T and F.is_fully_normalized(Q) and F.c_p(Q).meet(T) <= Q
     )
 
 
@@ -141,9 +141,41 @@ def aut_map_of(E: FusionSystem) -> AutMap:
     return AutMap(E.P, assignment)
 
 
-def _transported(Q: Subgroup, mappings, phi: Morphism) -> frozenset[Key]:
-    send = dict(zip(Q.elements, phi.mapping))
-    return frozenset(_transport(send, Q.elements, m)[1] for m in mappings)
+def _transported(Q: Subgroup, mappings, image: Key) -> frozenset[Key]:
+    """The automorphisms ``mappings`` of Q moved along the isomorphism with
+    ``image`` from Q."""
+    send = dict(zip(Q.elements, image))
+    # position j of the image's sorted elements comes from position order[j] of Q
+    order = _picker(sorted(range(len(image)), key=image.__getitem__))
+    return frozenset(tuple(map(send.__getitem__, order(m))) for m in mappings)
+
+
+def _moved_on_routes(routes, values) -> dict | None:
+    """For each class whose Q0 has a value, that value moved along the
+    routes to every member; None when a member that has a value, Q0 among
+    them, gets a different one."""
+    moved = {}
+    for Q0, class_routes in routes:
+        if Q0.key not in values:
+            continue
+        for R, t in class_routes:
+            moved[R.key] = value = _transported(Q0, values[Q0.key], t)
+            if values.get(R.key, value) != value:
+                return None
+    return moved
+
+
+def _first_disagreement(F: FusionSystem, subs, values) -> tuple[Subgroup, Morphism] | None:
+    """Move the value of each Q in ``subs`` along every F-isomorphism phi
+    from Q, in order, giving it to each Q phi that has none; the first
+    (Q, phi) that meets a different value."""
+    for Q in subs:
+        base = values[Q.key]
+        for phi in F.isos_from(Q):
+            value = _transported(Q, base, phi.mapping)
+            if values.setdefault(phi.codomain.key, value) != value:
+                return Q, phi
+    return None
 
 
 def check_weakly_normal_map(F: FusionSystem, A: AutMap) -> MapVerdict:
@@ -153,6 +185,12 @@ def check_weakly_normal_map(F: FusionSystem, A: AutMap) -> MapVerdict:
     witness.  Raises on structural problems: T not strongly closed, the
     assignment not covering exactly the subgroups of T, or some A(U) not
     being a subgroup of Aut_F(U).
+
+    Axiom (i) is tested on the routes of ``_routes`` only: A(Q0)^beta = A(Q0)
+    for the generators beta of Aut_F(Q0), and A(R) = A(Q0)^t_R for each
+    other member R.  The F-isomorphisms phi with A(Q phi) = A(Q)^phi are
+    closed under composition and inverse, so this is exact; when it fails,
+    ``_first_disagreement`` names the first failure of the full scan.
     """
     T = F.require_in_p(A.T)
     if not is_strongly_closed(F, T):
@@ -174,17 +212,13 @@ def check_weakly_normal_map(F: FusionSystem, A: AutMap) -> MapVerdict:
             ) from None
 
     # (i) A(U phi) = A(U)^phi for every F-isomorphism phi with domain in T.
-    for Q in subs:
-        base = A.assignment[Q.key]
-        for phi in F.isos_from(Q):
-            R = phi.codomain
-            if _transported(Q, base, phi) != A.assignment[R.key]:
-                return MapVerdict(
-                    False,
-                    axiom="i",
-                    reason="conjugation transport disagrees with the assignment",
-                    witness=(Q, phi),
-                )
+    if _moved_on_routes(_routes(F, T), A.assignment) is None:
+        return MapVerdict(
+            False,
+            axiom="i",
+            reason="conjugation transport disagrees with the assignment",
+            witness=_first_disagreement(F, subs, A.assignment),
+        )
 
     fully_normalized = [Q for Q in subs if F.is_fully_normalized(Q)]
 
@@ -212,7 +246,7 @@ def check_weakly_normal_map(F: FusionSystem, A: AutMap) -> MapVerdict:
     # (iv) every element of A(U) extends to an element of A(U C_T(U)),
     # for fully normalized U.
     for Q in fully_normalized:
-        V = Q.join(centralizer(T, Q))
+        V = Q.join(F.c_p(Q).meet(T))
         restrictions = _stabilizing_restrictions(V.key, Q.key, A.assignment[V.key])
         missing = A.assignment[Q.key] - restrictions
         if missing:
@@ -228,7 +262,7 @@ def check_weakly_normal_map(F: FusionSystem, A: AutMap) -> MapVerdict:
     # surjection onto N_{A(U)}(Aut_V(U)): restrictions must land inside A(U)
     # and must cover the whole normalizer.
     for Q in fully_normalized:
-        if not centralizer(T, Q) <= Q:
+        if not F.c_p(Q).meet(T) <= Q:
             continue
         ag = F.aut_group(Q)
         a_pos = _aut_subgroup(ag, A.assignment[Q.key], check=True)
@@ -264,6 +298,10 @@ def complete_partial_map(F: FusionSystem, T: Subgroup, partial) -> AutMap:
     transport within each size, and restriction from U C_T(U) for fully
     normalized subgroups not in the domain.  Disagreement between transport
     routes raises InconsistentPartial.
+
+    Transport runs along the routes of ``_routes``, one per class member,
+    as in axiom (i) of ``check_weakly_normal_map``; when two disagree,
+    ``_first_disagreement`` names the first disagreement of the full scan.
     """
     T = F.require_in_p(T)
     if isinstance(partial, AutMap):
@@ -286,21 +324,17 @@ def complete_partial_map(F: FusionSystem, T: Subgroup, partial) -> AutMap:
             if Q.key in given:
                 assigned[Q.key] = given[Q.key]
             else:
-                V = Q.join(centralizer(T, Q))
+                V = Q.join(F.c_p(Q).meet(T))
                 assigned[Q.key] = _stabilizing_restrictions(V.key, Q.key, assigned[V.key])
-        for Q in normalized:
-            base = assigned[Q.key]
-            for phi in F.isos_from(Q):
-                R = phi.codomain
-                value = _transported(Q, base, phi)
-                prev = assigned.get(R.key)
-                if prev is None:
-                    assigned[R.key] = value
-                elif prev != value:
-                    raise InconsistentPartial(
-                        "conjugation transport disagrees between two routes",
-                        witness=(Q, R),
-                    )
+        values = {Q.key: assigned[Q.key] for Q in normalized}
+        moved = _moved_on_routes(_routes(F, T), values)
+        bad = _first_disagreement(F, normalized, assigned) if moved is None else None
+        if bad:
+            raise InconsistentPartial(
+                "conjugation transport disagrees between two routes",
+                witness=(bad[0], bad[1].codomain),
+            )
+        assigned.update(moved or {})
         for Q in layer:
             if Q.key not in assigned:
                 raise PreconditionFailed(
@@ -452,8 +486,7 @@ def weakly_normal_systems_on(F: FusionSystem, T: Subgroup) -> tuple[FusionSystem
         for (rep, seeds, _), value in zip(class_choices, combo):
             partial[rep.key] = value
             for Q in seeds[1:]:
-                phi = F.isos_between(rep, Q)[0]
-                partial[Q.key] = _transported(rep, value, phi)
+                partial[Q.key] = _transported(rep, value, F.iso_mappings(rep, Q)[0])
         try:
             A = complete_partial_map(F, T, partial)
         except InconsistentPartial:

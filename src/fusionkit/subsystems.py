@@ -19,11 +19,12 @@ from .errors import (
 from .fusion import (
     FusionSystem,
     _iso_table,
+    _routes,
     generated_fusion,
     is_strongly_closed,
     is_subsystem,
 )
-from .groups import Subgroup, all_subgroups
+from .groups import Subgroup, _join, _picker, all_subgroups
 from .morphisms import Key, Morphism, _compose, _inverse, _positions, _restrict, _transport
 from .saturation import is_saturated
 
@@ -52,7 +53,43 @@ def strongly_closed_subgroups(F: FusionSystem) -> list[Subgroup]:
 
 
 def is_invariant(F: FusionSystem, E: FusionSystem) -> Morphism | None:
-    """None if E is F-invariant, else a transported morphism outside E."""
+    """None if E is F-invariant, else a transported morphism outside E.
+
+    E is F-invariant when every F-isomorphism Q -> R between subgroups of
+    T = E.P carries E's maps inside Q onto E's maps inside R.  A map moves
+    along phi as along the restriction of phi to the subgroup S that the
+    map's domain and image generate, so it is enough that phi: S -> R
+    carries E's maps with span S onto those with span R.  The phi that do
+    are closed under composition and inverse, so it is exact to test only
+    the routes of ``_routes``; when one fails, ``_invariance_witness``
+    scans every isomorphism for the first failure."""
+    T = E.P
+    spans = _by_span(E)
+    for Q0, routes in _routes(F, T):
+        base = spans.get(Q0.key, set())
+        for R, t in routes:
+            send = dict(zip(Q0.elements, t))
+            if R <= T and spans.get(R.key, set()) != {
+                _transport(send, dk, m) for dk, m in base
+            }:
+                return _invariance_witness(F, E)
+    return None
+
+
+def _by_span(E: FusionSystem) -> dict[Key, set[tuple[Key, Key]]]:
+    """E's maps as (domain, mapping) pairs, keyed by the subgroup that
+    their domain and image generate."""
+    out: dict[Key, set[tuple[Key, Key]]] = {}
+    for dk, targets in E._isos.items():
+        for rk, ms in targets.items():
+            span = dk if rk == dk else tuple(sorted(_join(E.group, dk, dk + rk)))
+            out.setdefault(span, set()).update((dk, m) for m in ms)
+    return out
+
+
+def _invariance_witness(F: FusionSystem, E: FusionSystem) -> Morphism | None:
+    """The first E-map inside some Q <= T that an F-isomorphism from Q
+    moves outside E, trying every F-isomorphism in table order."""
     T = E.P
     tset = T._set
     for qk, targets in F._isos.items():
@@ -179,15 +216,44 @@ def local_subsystem(F: FusionSystem, Q: Subgroup, kind: str) -> FusionSystem:
     return FusionSystem(G, carrier, F.p, _iso_table(isos))
 
 
+def _local_is_all(F: FusionSystem, Q: Subgroup, allowed: frozenset[Key] | None) -> bool:
+    """Whether N_F(Q) (``allowed`` None) or N_P(Q)C_F(Q) (``allowed`` the
+    table Aut_P(Q)) is all of F, for Q normal in P, without building it.
+
+    The local system lies inside F.  It holds an F-isomorphism phi: R -> R'
+    exactly when phi is the restriction of a stored F-isomorphism
+    QR -> QR' that maps Q onto Q, with restriction to Q in ``allowed``.
+    Those phi are closed under composition and inverse, so the routes of
+    ``_routes`` decide it; the first route that fails ends the test."""
+    qset = Q._set
+    for Q0, routes in _routes(F, F.P):
+        if not routes:
+            continue
+        QR = Q.join(Q0)
+        on_q = _picker(_positions(QR.elements, Q.elements))
+        on_r = _picker(_positions(QR.elements, Q0.elements))
+        for R, t in routes:
+            if not any(
+                on_r(m) == t and set(on_q(m)) == qset and (allowed is None or on_q(m) in allowed)
+                for m in F.iso_mappings(QR, Q.join(R))
+            ):
+                return False
+    return True
+
+
 def o_p(F: FusionSystem) -> Subgroup:
-    """O_p(F): the largest subgroup with F = N_F(Q)."""
+    """O_p(F): the largest subgroup with F = N_F(Q).
+
+    F = N_F(Q) is decided by ``_local_is_all`` on the routes of each class,
+    which is exact because the isomorphisms that extend to QR normalizing Q
+    are closed under composition and inverse."""
     if not is_saturated(F).saturated:
         raise NotSaturated("O_p needs a saturated system", witness=F)
     result = Subgroup(F.group, (F.group.identity,), check=False)
     for Q in strongly_closed_subgroups(F):
-        if F.n_p(Q) == F.P and local_subsystem(F, Q, "normalizer") == F:
+        if F.n_p(Q) == F.P and _local_is_all(F, Q, None):
             result = result.join(Q)
-    if not (F.n_p(result) == F.P and local_subsystem(F, result, "normalizer") == F):
+    if not (F.n_p(result) == F.P and _local_is_all(F, result, None)):
         raise TheoremViolation("join of normal subgroups is not normal", witness=result)
     return result
 

@@ -55,6 +55,20 @@ def ladder_groups():
 
 
 @pytest.fixture(scope="session")
+def a4xd8_system(ladder_groups):
+    """F_P(A4 x D8), on a Sylow 2-subgroup of order 32."""
+    return fusion_of_group(ladder_groups[0], 2)
+
+
+@pytest.fixture(scope="session")
+def strongly_closed_cases(catalog_systems, a4xd8_system):
+    """[(F, T)] for every strongly closed T of every catalog system and of
+    F_P(A4 x D8)."""
+    systems = [F for _, _, F in catalog_systems] + [a4xd8_system]
+    return [(F, T) for F in systems for T in strongly_closed_subgroups(F)]
+
+
+@pytest.fixture(scope="session")
 def sweep_weakly_normal(catalog_systems):
     """[(name, prime, F, T, systems)] for every strongly closed T with
     |T| <= SWEEP_T_BOUND, with the full list of weakly normal subsystems

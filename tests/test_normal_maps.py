@@ -16,6 +16,7 @@ from fusionkit import (
     check_weakly_normal_map,
     complete_partial_map,
     enlarge_weakly_normal,
+    full_subcategory,
     fusion_of_group,
     generate_from_map,
     generated_fusion,
@@ -27,14 +28,25 @@ from fusionkit import (
     is_saturated,
     is_subsystem,
     load_group_spec,
+    normal_maps,
     normality_status,
     o_p_prime_subsystem,
     partial_domain,
+    strongly_closed_subgroups,
     t_core,
+    upper_central_series,
+    verify_theorem_a,
     weakly_normal_systems_on,
+    x_subgroup,
 )
-from fusionkit.errors import NotStronglyClosed, ParseError, PreconditionFailed, TheoremViolation
-from fusionkit.normal_maps import _maximum, _minimum
+from fusionkit.errors import (
+    InconsistentPartial,
+    NotStronglyClosed,
+    ParseError,
+    PreconditionFailed,
+    TheoremViolation,
+)
+from fusionkit.normal_maps import _first_disagreement, _maximum, _minimum
 
 
 @pytest.fixture(scope="module")
@@ -335,3 +347,126 @@ def test_every_enumerated_system_is_weakly_normal_and_round_trips(ea9):
     for E in weakly_normal_systems_on(F, R):
         assert normality_status(F, E).weakly_normal
         assert generate_from_map(F, aut_map_of(E)) == E
+
+
+@pytest.fixture(scope="module")
+def s4_inner():
+    G, _ = load_group_spec("s4")
+    F = fusion_of_group(G, 2)
+    return F, inner_fusion(F.P, 2)
+
+
+def test_inner_map_of_d8_fails_axiom_i_in_s4(s4_inner):
+    """The axiom (i) witness, pinned: the first F-isomorphism, in subgroup
+    and table order, along which A(U) does not move onto A(U phi)."""
+    F, E = s4_inner
+    verdict = check_weakly_normal_map(F, aut_map_of(E))
+    assert (verdict.ok, verdict.axiom) == (False, "i")
+    V, phi = verdict.witness
+    assert V.describe() == "<(1,2)(3,4), (1,3)(2,4)>"
+    assert repr(phi) == "Morphism((1,2)(3,4)->(1,3)(2,4), (1,3)(2,4)->(1,2)(3,4))"
+    assert (phi.domain, phi.codomain, phi.mapping) == (V, V, (0, 16, 7, 23))
+
+
+def test_completing_the_inner_values_of_d8_in_s4_is_inconsistent(s4_inner):
+    """The InconsistentPartial witness, pinned: transport from the four-group
+    V disagrees with V's own value."""
+    F, E = s4_inner
+    A = aut_map_of(E)
+    partial = {U.key: A.assignment[U.key] for U in partial_domain(F, F.P)}
+    with pytest.raises(InconsistentPartial) as info:
+        complete_partial_map(F, F.P, partial)
+    V, R = info.value.witness
+    assert V.describe() == "<(1,2)(3,4), (1,3)(2,4)>"
+    assert R == V
+
+
+def _completed(F, T, partial):
+    try:
+        return complete_partial_map(F, T, partial)
+    except InconsistentPartial as exc:
+        return exc
+
+
+def test_axiom_i_and_completion_scan_only_to_name_a_failure(strongly_closed_cases, monkeypatch):
+    """On every candidate map that ``weakly_normal_systems_on`` tries, over
+    every strongly closed T of the catalog systems and of F_P(A4 x D8), on
+    the maps of inner fusion and of the full subcategory on each T, and, for
+    the catalog systems, on the full subcategory's map with A(R) cut down to
+    the identity at one R (so that some fail on one route alone):
+
+    - axiom (i) fails exactly when ``_first_disagreement``, the scan over
+      every F-isomorphism, finds a failure, and with its witness;
+    - ``complete_partial_map`` gives the same map, or the same
+      InconsistentPartial witness, as with every layer moved by that scan,
+      and calls the scan only to name a disagreement."""
+    check = normal_maps.check_weakly_normal_map
+    seen = {"i": 0, "ok": 0, "inconsistent": 0, "completed": 0}
+
+    def checked(F, A):
+        verdict = check(F, A)
+        scan = _first_disagreement(F, [Q for Q in F.subgroups() if Q <= A.T], dict(A.assignment))
+        assert (verdict.axiom == "i") == (scan is not None)
+        assert scan is None or verdict.witness == scan
+        seen["i" if scan else "ok"] += 1
+        return verdict
+
+    def completed(F, T, partial):
+        scans = []
+
+        def recorded(*args):
+            scans.append(args)
+            return _first_disagreement(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(normal_maps, "_first_disagreement", recorded)
+            got = _completed(F, T, partial)
+        with monkeypatch.context() as m:
+            m.setattr(normal_maps, "_moved_on_routes", lambda *a: None)
+            every_iso = _completed(F, T, partial)
+        inconsistent = isinstance(got, InconsistentPartial)
+        assert len(scans) == inconsistent
+        if inconsistent:
+            assert (got.args, got.witness) == (every_iso.args, every_iso.witness)
+            seen["inconsistent"] += 1
+            raise got
+        assert got.assignment == every_iso.assignment
+        seen["completed"] += 1
+        return got
+
+    monkeypatch.setattr(normal_maps, "check_weakly_normal_map", checked)
+    monkeypatch.setattr(normal_maps, "complete_partial_map", completed)
+    for F, T in strongly_closed_cases:
+        weakly_normal_systems_on(F, T)
+        maps = [aut_map_of(E) for E in (inner_fusion(T, F.p), full_subcategory(F, T))]
+        if len(F.P) <= 16:
+            full = maps[1].assignment
+            maps += [
+                normal_maps.AutMap(T, {**full, R.key: frozenset([R.elements])})
+                for R in F.subgroups()
+                if R <= T and len(full[R.key]) > 1
+            ]
+        for A in maps:
+            checked(F, A)
+            try:
+                completed(F, T, {U.key: A.assignment[U.key] for U in partial_domain(F, T)})
+            except InconsistentPartial:
+                pass
+    assert min(seen.values()) > 0, seen
+
+
+def test_theorems_a_to_c_on_a4xd8(a4xd8_system):
+    """Theorems A and B on every weakly normal subsystem on every strongly
+    closed T of F_P(A4 x D8), |P| = 32: ``verify_theorem_a`` holds, and the
+    map of E generates E again.  Theorem C once: X_F is the limit of the
+    upper central series."""
+    F = a4xd8_system
+    counts = []
+    for T in strongly_closed_subgroups(F):
+        found = weakly_normal_systems_on(F, T)
+        for E in found:
+            assert verify_theorem_a(F, E).holds, T.elements
+            assert generate_from_map(F, aut_map_of(E)) == E, T.elements
+        counts.append(len(found))
+    assert (len(counts), sum(counts)) == (12, 18)
+    assert x_subgroup(F).value == upper_central_series(F).limit

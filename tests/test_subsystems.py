@@ -11,6 +11,7 @@ from fusionkit import (
     frattini_decompose,
     full_subcategory,
     fusion_of_group,
+    generated_fusion,
     group_centre,
     inner_fusion,
     is_saturated,
@@ -22,9 +23,11 @@ from fusionkit import (
     o_p,
     o_p_prime_subsystem,
     strongly_closed_subgroups,
+    subsystems,
     verify_theorem_a,
 )
 from fusionkit.errors import PreconditionFailed
+from fusionkit.subsystems import _invariance_witness, _local_is_all, is_invariant
 from oracles import (
     o_p_by_central_series,
     oracle_subsystem_tables,
@@ -111,8 +114,6 @@ def test_theorem_a_on_the_weakly_normal_case():
 
 
 def test_theorem_a_requires_weak_normality():
-    from fusionkit import generated_fusion
-
     G, _ = load_group_spec("a4")
     F = fusion_of_group(G, 2)
     isos = [phi for Q in F.subgroups() if len(Q) <= 2
@@ -225,3 +226,72 @@ def test_strong_closure_on_a_table_not_closed_under_restriction():
     assert Z in strongly_closed_subgroups(inner)
     assert Z not in strongly_closed_subgroups(E)
     assert strongly_closed_subgroups(E) == strongly_closed_by_each_subgroup(E)
+
+
+def test_inner_fusion_of_d8_is_not_invariant_in_s4():
+    """The failure witness of the invariance test, pinned: the first
+    F-isomorphism in table order that moves an inner map of D8 out of
+    inner fusion."""
+    G, _ = load_group_spec("s4")
+    F = fusion_of_group(G, 2)
+    status = normality_status(F, inner_fusion(F.P, 2))
+    assert (status.invariant, status.weakly_normal, status.normal) == (False, False, False)
+    bad = status.failure_witness
+    assert repr(bad) == "Morphism((1,2)(3,4)->(1,4)(2,3))"
+    assert (bad.domain.elements, bad.codomain, bad.mapping) == ((0, 7), F.P, (0, 23))
+
+
+def test_is_invariant_scans_only_to_name_a_failure(
+    strongly_closed_cases, sweep_weakly_normal, monkeypatch
+):
+    """``is_invariant`` decides on the routes of each class and calls
+    ``_invariance_witness``, the scan over every F-isomorphism, only when a
+    route fails.  Its answer is the scan's for every weakly normal E of the
+    catalog sweep, for inner fusion and the full subcategory on every
+    strongly closed T of the catalog systems and of F_P(A4 x D8), and for
+    each system on such a T of a catalog system generated by the first
+    F-isomorphism Q -> R between two subgroups of T, Q != R; some of those
+    fail only on the last route of a class."""
+    scans = []
+
+    def recorded(F, E):
+        scans.append(_invariance_witness(F, E))
+        return scans[-1]
+
+    monkeypatch.setattr(subsystems, "_invariance_witness", recorded)
+    cases = [(F, E) for _, _, F, _, systems in sweep_weakly_normal for E in systems]
+    for F, T in strongly_closed_cases:
+        cases += [(F, inner_fusion(T, F.p)), (F, full_subcategory(F, T))]
+        if len(F.P) <= 16:
+            cases += [
+                (F, generated_fusion(T, F.p, [F.isos_between(Q, R)[0]]))
+                for Q in F.subgroups()
+                if Q <= T
+                for R in F.conjugacy_class(Q)
+                if R != Q and R <= T
+            ]
+    failures = 0
+    for F, E in cases:
+        scans.clear()
+        expected = _invariance_witness(F, E)
+        assert is_invariant(F, E) == expected, (F, E.P.elements)
+        assert scans == ([] if expected is None else [expected])
+        failures += expected is not None
+    assert 0 < failures < len(cases)
+
+
+def test_local_test_on_routes_matches_local_subsystem(catalog_systems, a4xd8_system):
+    """``_local_is_all`` (used by ``o_p`` and ``x_subgroup``) agrees with
+    building ``local_subsystem`` and comparing it with F, for both kinds, on
+    every normal subgroup of P of every catalog system and of F_P(A4 x D8)."""
+    verdicts = []
+    for F in [F for _, _, F in catalog_systems] + [a4xd8_system]:
+        for Q in F.subgroups():
+            if F.n_p(Q) != F.P:
+                continue
+            aut_p = F.aut_mappings_of_conjugation(Q, F.P)
+            for kind, allowed in (("normalizer", None), ("p_centralizer", aut_p)):
+                got = _local_is_all(F, Q, allowed)
+                assert got == (local_subsystem(F, Q, kind) == F), (F, Q.elements, kind)
+                verdicts.append(got)
+    assert True in verdicts and False in verdicts
