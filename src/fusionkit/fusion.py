@@ -190,17 +190,17 @@ class FusionSystem:
         return self._cache["p_rows"]
 
     def aut_mappings_of_conjugation(self, Q: Subgroup, source: Subgroup) -> frozenset[Key]:
-        """Mappings of the automorphisms of Q induced by N_source(Q).  The
-        table for source P, Aut_P(Q), is computed once per subgroup of P."""
-        at_p = source == self.P and Q.group is self.group
+        """Mappings of the automorphisms of Q induced by N_source(Q),
+        computed once per pair of subgroups of the ambient group."""
+        in_group = Q.group is self.group and source.group is self.group
         cached = self._cache.setdefault("aut_p", {})
-        if at_p and Q.key in cached:
-            return cached[Q.key]
-        N = self.n_p(Q) if at_p else normalizer(source, Q)
+        if in_group and (source.key, Q.key) in cached:
+            return cached[source.key, Q.key]
+        N = self.n_p(Q) if source == self.P else normalizer(source, Q)
         rows = self._p_rows() if N <= self.P else _conj_rows(self.group, N.elements)
         table = frozenset(map(_picker(Q.elements), [rows[g] for g in N.elements]))
-        if at_p:
-            cached[Q.key] = table
+        if in_group:
+            cached[source.key, Q.key] = table
         return table
 
     def n_p(self, Q: Subgroup) -> Subgroup:

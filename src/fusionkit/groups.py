@@ -508,6 +508,12 @@ def _join(G: Group, H: Sequence[int], gens: tuple[int, ...]) -> set[int]:
     return span
 
 
+def _join_normalized(H: Subgroup, gens: tuple[int, ...]) -> Subgroup:
+    """<H, gens> for ``gens`` that normalize H.  Then <gens>H is a
+    subgroup, so the cosets of H that ``gens`` reach from H are all of it."""
+    return Subgroup(H.group, _join(H.group, H.elements, gens), check=False)
+
+
 def subgroups_between(lo: Subgroup, hi: Subgroup) -> tuple[Subgroup, ...]:
     return tuple(S for S in all_subgroups(hi) if lo <= S)
 

@@ -22,6 +22,7 @@ from .errors import (
 )
 from .fusion import (
     FusionSystem,
+    _routes,
     fusion_of_group,
     inner_fusion,
     is_strongly_closed,
@@ -30,13 +31,15 @@ from .fusion import (
 from .groups import (
     Group,
     Subgroup,
+    _join_normalized,
+    _picker,
     commutator_subgroup,
     group_centre,
     o_p_prime_group,
     sylow,
     upper_central_series_group,
 )
-from .morphisms import Morphism
+from .morphisms import _positions
 from .saturation import is_saturated
 from .subsystems import _local_is_all, strongly_closed_subgroups
 
@@ -98,13 +101,17 @@ def _require_saturated(F: FusionSystem) -> None:
         raise NotSaturated("a saturated system is required", witness=F)
 
 
-def _extends_fixing(F: FusionSystem, phi: Morphism, x: int) -> bool:
-    X = F.group.generated_subgroup([x])
-    wanted = phi.mapping + (x,)
-    found = F._extension(
-        phi.domain.join(X), phi.codomain.join(X), phi.domain.elements + (x,), lambda r: r == wanted
-    )
-    return found is not None
+def _routes_extend_fixing(F: FusionSystem, Q0: Subgroup, routes, x: int) -> bool:
+    """Whether every route t: Q0 -> R extends to an F-isomorphism
+    Q0<x> -> R<x> fixing x, for x in Z(P).  Such an extension carries
+    Q0<x> onto R<x>, the span of R and x, so only that bucket is read."""
+    D = _join_normalized(Q0, (x,))
+    on = _picker(_positions(D.elements, Q0.elements + (x,)))
+    for R, t in routes:
+        C = D if R == Q0 else _join_normalized(R, (x,))
+        if t + (x,) not in map(on, F.iso_mappings(D, C)):
+            return False
+    return True
 
 
 def centre_of(F: FusionSystem) -> Subgroup:
@@ -115,14 +122,18 @@ def centre_of(F: FusionSystem) -> Subgroup:
     the extension of each c_y: P -> P is c_y itself and must fix x, so the
     search runs over Z(P).  Checking isomorphisms suffices: a morphism is
     an isomorphism onto its image followed by an inclusion.
+
+    For a fixed x, the isomorphisms that extend this way are closed under
+    composition (compose the extensions) and inverse (invert the
+    extension, which is onto R<x>).  So x qualifies exactly when every
+    route of ``_routes`` extends.
     """
     _require_saturated(F)
     G = F.group
+    routes = _routes(F, F.P)
     fixed = [G.identity]
     for x in group_centre(F.P).elements:
-        if x == G.identity:
-            continue
-        if all(_extends_fixing(F, phi, x) for phi in F.all_isos()):
+        if x != G.identity and all(_routes_extend_fixing(F, Q0, rs, x) for Q0, rs in routes):
             fixed.append(x)
     try:
         return Subgroup(G, fixed, check=True)
@@ -158,7 +169,7 @@ def upper_central_series(F: FusionSystem) -> CentralSeries:
 
 
 def _has_central_quotient(F: FusionSystem, Q: Subgroup) -> bool:
-    if not Q.is_normal_in(F.P):
+    if F.n_p(Q) != F.P:
         return False
     aut_p = F.aut_mappings_of_conjugation(Q, F.P)
     if set(F.iso_mappings(Q, Q)) != aut_p:
@@ -203,19 +214,18 @@ def is_perfect(F: FusionSystem) -> bool:
     A quotient map to F_A(A) with A abelian factors through F/T for a
     strongly closed T containing [P, P], so it suffices to test whether
     some such proper T gives quotient(F, T) equal to the inner system on
-    P/T.
+    P/T.  Decided once per system.
     """
     _require_saturated(F)
-    derived = commutator_subgroup(F.P, F.P, F.P)
-    for T in strongly_closed_subgroups(F):
-        if len(T) == len(F.P):
-            continue
-        if not derived <= T:
-            continue
-        Fbar, _ = quotient_with_data(F, T)
-        if Fbar == inner_fusion(Fbar.P, F.p):
-            return False
-    return True
+    if "perfect" not in F._cache:
+        derived = commutator_subgroup(F.P, F.P, F.P)
+        quotients = (
+            quotient_with_data(F, T)[0]
+            for T in strongly_closed_subgroups(F)
+            if len(T) < len(F.P) and derived <= T
+        )
+        F._cache["perfect"] = all(Fbar != inner_fusion(Fbar.P, F.p) for Fbar in quotients)
+    return F._cache["perfect"]
 
 
 def verify_perfect_z2(F: FusionSystem) -> PerfectCentreReport:

@@ -133,6 +133,14 @@ def partial_domain(F: FusionSystem, T: Subgroup) -> tuple[Subgroup, ...]:
     )
 
 
+def _with_centralizer(F: FusionSystem, Q: Subgroup, T: Subgroup) -> Subgroup:
+    """Q C_T(Q), computed once per pair of subgroups Q <= T of P."""
+    cached = F._cache.setdefault("q_c_t", {}).setdefault(T.key, {})
+    if Q.key not in cached:
+        cached[Q.key] = Q.join(F.c_p(Q).meet(T))
+    return cached[Q.key]
+
+
 def aut_map_of(E: FusionSystem) -> AutMap:
     """The automizer assignment U -> Aut_E(U) of a subsystem."""
     assignment = {
@@ -246,7 +254,7 @@ def check_weakly_normal_map(F: FusionSystem, A: AutMap) -> MapVerdict:
     # (iv) every element of A(U) extends to an element of A(U C_T(U)),
     # for fully normalized U.
     for Q in fully_normalized:
-        V = Q.join(F.c_p(Q).meet(T))
+        V = _with_centralizer(F, Q, T)
         restrictions = _stabilizing_restrictions(V.key, Q.key, A.assignment[V.key])
         missing = A.assignment[Q.key] - restrictions
         if missing:
@@ -324,7 +332,7 @@ def complete_partial_map(F: FusionSystem, T: Subgroup, partial) -> AutMap:
             if Q.key in given:
                 assigned[Q.key] = given[Q.key]
             else:
-                V = Q.join(F.c_p(Q).meet(T))
+                V = _with_centralizer(F, Q, T)
                 assigned[Q.key] = _stabilizing_restrictions(V.key, Q.key, assigned[V.key])
         values = {Q.key: assigned[Q.key] for Q in normalized}
         moved = _moved_on_routes(_routes(F, T), values)

@@ -24,7 +24,7 @@ from .fusion import (
     is_strongly_closed,
     is_subsystem,
 )
-from .groups import Subgroup, _join, _picker, all_subgroups
+from .groups import Subgroup, _join, _join_normalized, _picker, all_subgroups
 from .morphisms import Key, Morphism, _compose, _inverse, _positions, _restrict, _transport
 from .saturation import is_saturated
 
@@ -224,18 +224,20 @@ def _local_is_all(F: FusionSystem, Q: Subgroup, allowed: frozenset[Key] | None) 
     exactly when phi is the restriction of a stored F-isomorphism
     QR -> QR' that maps Q onto Q, with restriction to Q in ``allowed``.
     Those phi are closed under composition and inverse, so the routes of
-    ``_routes`` decide it; the first route that fails ends the test."""
+    ``_routes`` decide it; the first route that fails ends the test.  As Q
+    is normal in P, QR is the join of Q with R's generators alone."""
     qset = Q._set
     for Q0, routes in _routes(F, F.P):
         if not routes:
             continue
-        QR = Q.join(Q0)
+        QR = _join_normalized(Q, Q0.generators())
         on_q = _picker(_positions(QR.elements, Q.elements))
         on_r = _picker(_positions(QR.elements, Q0.elements))
         for R, t in routes:
+            target = QR if R == Q0 else _join_normalized(Q, R.generators())
             if not any(
                 on_r(m) == t and set(on_q(m)) == qset and (allowed is None or on_q(m) in allowed)
-                for m in F.iso_mappings(QR, Q.join(R))
+                for m in F.iso_mappings(QR, target)
             ):
                 return False
     return True
@@ -263,14 +265,18 @@ def o_p_prime_subsystem(E: FusionSystem) -> FusionSystem:
 
     E must be saturated, or NotSaturated is raised.  The result is saturated
     by theorem; ``verify_theorem_a`` certifies that through
-    ``normality_status``, and this call does not re-check it.
+    ``normality_status``, and this call does not re-check it.  When the
+    result has E's table it has every fact of E, so it shares E's cache.
     """
     if not is_saturated(E).saturated:
         raise NotSaturated("O^{p'} needs a saturated system", witness=E)
     seeds: list[Morphism] = []
     for Q in E.subgroups():
         seeds.extend(E.aut_group(Q).o_p_prime_part(E.p))
-    return generated_fusion(E.P, E.p, seeds)
+    sub = generated_fusion(E.P, E.p, seeds)
+    if sub._isos == E._isos:
+        sub._cache = E._cache
+    return sub
 
 
 # -- Theorem A -----------------------------------------------------------------

@@ -7,10 +7,13 @@ from fusionkit import (
     fusion_of_group,
     group_centre,
     group_vs_fusion_centres,
+    hypercentre,
     inner_fusion,
     is_perfect,
     load_group_spec,
     o_p,
+    quotient,
+    strongly_closed_subgroups,
     upper_central_series,
     verify_perfect_z2,
     x_subgroup,
@@ -36,6 +39,23 @@ def test_centre_orders_frozen(key, order):
     Z = centre_of(F)
     assert len(Z) == order
     assert Z.elements == centre_by_fixed_points(F).elements
+
+
+def test_centre_on_routes_matches_the_fixed_points(catalog_systems, a4xd8_system):
+    """``centre_of`` decides each x on the routes of each class; it agrees
+    with the fixed points of every morphism on every catalog system, on its
+    quotient by every proper nontrivial strongly closed T, and on
+    F_P(A4 x D8)."""
+    systems = [a4xd8_system]
+    for _, _, F in catalog_systems:
+        systems.append(F)
+        systems += [quotient(F, T) for T in strongly_closed_subgroups(F) if 1 < len(T) < len(F.P)]
+    orders = []
+    for F in systems:
+        Z = centre_of(F)
+        assert Z.elements == centre_by_fixed_points(F).elements, F
+        orders.append(len(Z))
+    assert orders.count(1) > 10 and len(orders) - orders.count(1) > 100
 
 
 def test_centre_definitions_agree_on_inner_systems():
@@ -84,6 +104,22 @@ def test_perfect_systems_have_stalled_series():
         for x, table in report.lambda_tables:
             for g, value in table:
                 assert value in report.centre._set
+
+
+def test_verify_perfect_z2_decides_perfectness_once(monkeypatch):
+    G, _ = load_group_spec("a4")
+    expected = verify_perfect_z2(fusion_of_group(G, 2))
+    derived, calls = hypercentre.commutator_subgroup, []
+
+    def counted(*args):
+        calls.append(args)
+        return derived(*args)
+
+    monkeypatch.setattr(hypercentre, "commutator_subgroup", counted)
+    F = fusion_of_group(G, 2)
+    assert is_perfect(F)
+    assert verify_perfect_z2(F) == expected
+    assert len(calls) == 1
 
 
 def test_perfect_verification_needs_a_perfect_system():

@@ -22,6 +22,7 @@ from fusionkit import (
     normality_status,
     o_p,
     o_p_prime_subsystem,
+    saturation,
     strongly_closed_subgroups,
     subsystems,
     verify_theorem_a,
@@ -68,6 +69,8 @@ def test_o_p_prime_of_v4_in_a4_is_inner():
     G, _ = load_group_spec("a4")
     F = fusion_of_group(G, 2)
     sub = o_p_prime_subsystem(F)
+    # a table other than F's starts with none of F's cached facts
+    assert sub._cache == {}
     assert sub == inner_fusion(F.P, 2)
     assert normality_status(F, sub).weakly_normal
 
@@ -76,6 +79,27 @@ def test_o_p_prime_of_s4_is_everything():
     G, _ = load_group_spec("s4")
     F = fusion_of_group(G, 2)
     assert o_p_prime_subsystem(F) == F
+
+
+def test_o_p_prime_of_a_p_group_system_decides_no_saturation(catalog_systems, monkeypatch):
+    """On F_P(P), O^{p'}(F) = F, and it reuses F's facts: deciding its
+    saturation and its normality in F runs no saturation test."""
+    systems = [F for _, _, F in catalog_systems if len(F.P) == len(F.group)]
+    calls = []
+
+    def counted(F, Q):
+        calls.append(Q)
+        return True
+
+    for F in systems:
+        assert is_saturated(F).saturated
+    monkeypatch.setattr(saturation, "is_fully_automized", counted)
+    monkeypatch.setattr(saturation, "is_receptive", counted)
+    for F in systems:
+        sub = o_p_prime_subsystem(F)
+        assert sub == F
+        assert normality_status(F, sub).normal
+    assert len(systems) > 10 and calls == []
 
 
 def test_first_factor_of_s3xs3_is_normal():
