@@ -19,7 +19,8 @@ only where a public method hands a map to its caller.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from itertools import groupby
+from typing import Callable, Iterable, Iterator
 
 from .errors import (
     FusionkitError,
@@ -382,12 +383,28 @@ def _routes(F: FusionSystem, T: Subgroup) -> list[tuple[Subgroup, list[tuple[Sub
             inside = [R for R in cls if T._set.issuperset(R.key)]
             if inside:
                 Q0 = max(inside, key=lambda R: len(F.n_p(R)))
-                ag = F.aut_group(Q0)
-                gens = ag.group.full_subgroup.generators()
-                routes = [(Q0, ag.morphisms[i].mapping) for i in gens]
+                routes = [(Q0, m) for m in _generators(Q0.key, F.iso_mappings(Q0, Q0))]
                 routes += [(R, F._isos[Q0.key][R.key][0]) for R in cls if R != Q0]
                 out.append((Q0, routes))
     return cached[T.key]
+
+
+def _generators(domain: Key, auts: tuple[Key, ...]) -> list[Key]:
+    """A generating set of the group of automorphism mappings ``auts`` on
+    ``domain``: each mapping, in order, that the span of those taken
+    before it misses.  Spans are closed as permutations of positions."""
+    span: set[Key] = {tuple(range(len(domain)))}
+    gens: list[Key] = []
+    for perm in (_positions(domain, m) for m in auts):
+        if perm not in span:
+            gens.append(perm)
+            reached = list(span)
+            for x in reached:
+                # x then s sends position i to s[x[i]]
+                new = {tuple(map(s.__getitem__, x)) for s in gens} - span
+                span |= new
+                reached += new
+    return [_picker(g)(domain) for g in gens]
 
 
 # -- constructors -----------------------------------------------------------
@@ -447,65 +464,101 @@ def generated_fusion(
     *,
     name: str | None = None,
 ) -> FusionSystem:
-    """The smallest fusion system on P containing the seed morphisms."""
+    """The smallest fusion system on P containing the seed morphisms: the
+    closure of P's inner fusion with the seeds, by ``_close``."""
     ensure_prime(p)
     G = P.group
     if not P.is_p_group(p):
         raise NotAPGroup(f"order {len(P)} is not a power of {p}", witness=P)
-    inner = fusion_of_group(P, p, P)
-    isos: dict[Key, set[Key]] = {
-        qk: {m for ms in targets.values() for m in ms}
-        for qk, targets in inner._isos.items()
-    }
-    # Both restriction to a subgroup S and composition after a map onto Q
-    # read a map on Q at fixed positions: (S key, positions) pairs.
-    # The lattice is sorted by order, so every S < Q comes before Q.
+    pset = P._set
+
+    def checked() -> Iterator[tuple[Key, Key]]:
+        for phi in seeds:
+            if phi.domain.group != G or not phi.domain <= P:
+                raise NotASubgroupOfP("seed domain not inside P", witness=phi)
+            if not pset.issuperset(phi.mapping):
+                raise NotASubgroupOfP("seed image not inside P", witness=phi)
+            if len(set(phi.mapping)) != len(phi.mapping):
+                raise SeedNotInjective("seed is not injective", witness=phi)
+            yield phi.domain.key, phi.mapping
+
+    table = _close(P, fusion_of_group(P, p, P)._isos, checked())
+    return FusionSystem(G, P, p, table, name=name)
+
+
+def _close(P: Subgroup, base: IsoTable, seeds: Iterable[tuple[Key, Key]]) -> IsoTable:
+    """The table of the smallest fusion system on the p-group P holding
+    the closed table ``base`` and the ``seeds``, injective maps into P as
+    (domain key, mapping) pairs.  A seed not yet held is tested against
+    the homomorphism law, and ``Morphism.build`` runs only to name a failure.
+
+    Only new maps are queued: two maps of ``base`` compose inside it, and
+    a composite with a new map is formed when the later of the two is
+    popped.  Base maps are indexed only as maps out of their domain: a
+    base map b followed by a new map m is the inverse of m^-1 b^-1, formed
+    when the new map m^-1 is popped.  A popped map is restricted to the
+    maximal subgroups of its domain, of index p, and those restrictions
+    are popped in turn, so every subgroup is reached down a chain.  A
+    domain that gains no map keeps base's buckets."""
     lattice = all_subgroups(P)
-    contained: dict[Key, list[tuple[Key, Key]]] = {}
-    for i, Q in enumerate(lattice):
-        contained[Q.key] = [
-            (S.key, _positions(Q.key, S.key)) for S in lattice[:i] if S < Q
+    subgroup = {S.key: S for S in lattice}
+    isos: dict[Key, set[Key]] = {
+        S.key: {m for ms in base.get(S.key, {}).values() for m in ms} for S in lattice
+    }
+    layers = {n: list(same) for n, same in groupby(lattice, len)}
+    p = len(lattice[1]) if len(lattice) > 1 else 1
+    # per domain, on first use: the new maps into it with their positions
+    # in it, the maps out of it, and its maximal subgroups with theirs
+    into: dict[Key, list[tuple[Key, Key]]] = {}
+    outof: dict[Key, list[Key]] = {}
+    maximal: dict[Key, list[tuple[Key, Key]]] = {}
+
+    def index(key: Key) -> None:
+        into[key], qset = [], subgroup[key]._set
+        outof[key] = [m for ms in base.get(key, {}).values() for m in ms]
+        maximal[key] = [
+            (S.key, _positions(key, S.key)) for S in layers.get(len(key) // p, ()) if S._set < qset
         ]
 
-    into: dict[Key, list[tuple[Key, Key]]] = {qk: [] for qk in isos}
-    outof: dict[Key, list[Key]] = {qk: [] for qk in isos}
     queue: list[tuple[Key, Key]] = []
+    grown: set[Key] = set()
 
     def push(qkey: Key, mapping: Key) -> None:
         if mapping not in isos[qkey]:
             isos[qkey].add(mapping)
             queue.append((qkey, mapping))
+            grown.add(qkey)
 
-    for qk, ms in isos.items():
-        queue.extend((qk, m) for m in ms)
-
-    pset = P._set
-    for phi in seeds:
-        if phi.domain.group != G or not phi.domain <= P:
-            raise NotASubgroupOfP("seed domain not inside P", witness=phi)
-        if not pset.issuperset(phi.mapping):
-            raise NotASubgroupOfP("seed image not inside P", witness=phi)
-        if len(set(phi.mapping)) != len(phi.mapping):
-            raise SeedNotInjective("seed is not injective", witness=phi)
-        Morphism.build(phi.domain, P, phi.mapping)
-        push(phi.domain.key, phi.mapping)
+    tests: dict[Key, Callable[[Key], bool]] = {}
+    for qk, m in seeds:
+        if m in isos[qk]:
+            continue
+        if qk not in tests:
+            tests[qk] = _hom_test(subgroup[qk], P.group)
+        if len(m) != len(qk) or not tests[qk](m):
+            Morphism.build(subgroup[qk], P, m)
+        push(qk, m)
 
     while queue:
         qkey, mapping = queue.pop()
         rkey = tuple(sorted(mapping))
         then = _positions(rkey, mapping)
+        for key in (qkey, rkey):
+            if key not in into:
+                index(key)
         # index first so self-composable maps pair with themselves below
         into[rkey].append((qkey, then))
         outof[qkey].append(mapping)
         push(rkey, _inverse(qkey, mapping))
-        for skey, idx in contained[qkey]:
+        for skey, idx in maximal[qkey]:
             push(skey, _restrict(mapping, idx))
         for m2 in outof[rkey]:
             push(qkey, _restrict(m2, then))
         for skey, idx in into[qkey]:
             push(skey, _restrict(mapping, idx))
 
-    return FusionSystem(G, P, p, _iso_table(isos), name=name)
+    table = _iso_table({qk: isos[qk] for qk in grown})
+    return {qk: table[qk] if qk in grown else base.get(qk, {}) for qk in isos}
 
 
 def is_subsystem(E: FusionSystem, F: FusionSystem) -> bool:

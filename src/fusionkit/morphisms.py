@@ -22,7 +22,7 @@ from .errors import (
     NotASubgroup,
     OrderBoundExceeded,
 )
-from .groups import DEFAULT_ORDER_BOUND, Group, Subgroup, _as_subgroup, _picker, is_p_power
+from .groups import DEFAULT_ORDER_BOUND, Group, Subgroup, _as_subgroup, _picker
 
 Key = tuple[int, ...]
 
@@ -277,15 +277,6 @@ class AutGroup:
         if sub.group != self.group:
             raise NotASubgroup("subgroup of a different automorphism group")
         return tuple(self.morphisms[i] for i in sub.elements)
-
-    def o_p_prime_part(self, p: int) -> tuple[Morphism, ...]:
-        """O^{p'}: the subgroup generated by all p-power order elements."""
-        gens = [
-            i
-            for i in range(len(self.group))
-            if is_p_power(self.group.element_order(i), p)
-        ]
-        return self.morphisms_of(self.group.generated_subgroup(gens))
 
 
 def _aut_subgroup(ag: AutGroup, mappings: Iterable[Key], *, check: bool = False) -> Subgroup:

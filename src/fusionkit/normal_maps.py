@@ -30,8 +30,9 @@ from .errors import (
 from .fusion import (
     FusionSystem,
     Key,
+    _close,
     _routes,
-    generated_fusion,
+    fusion_of_group,
     intersect_raw,
     is_strongly_closed,
     is_subsystem,
@@ -374,13 +375,9 @@ def _generate(F: FusionSystem, A: AutMap, *, name: str | None = None) -> FusionS
     """The generate step of ``generate_from_map``, for a map whose axioms
     the caller has just checked."""
     T = F.require_in_p(A.T)
-    seeds = [
-        Morphism(Q, Q, m)
-        for Q in F.subgroups()
-        if Q <= T
-        for m in sorted(A.assignment[Q.key])
-    ]
-    E = generated_fusion(T, F.p, seeds, name=name)
+    seeds = [(qk, m) for qk, ms in A.assignment.items() for m in ms]
+    inner = fusion_of_group(T, F.p, T)._isos
+    E = FusionSystem(F.group, T, F.p, _close(T, inner, seeds), name=name)
     for Q in E.subgroups():
         if frozenset(E.iso_mappings(Q, Q)) != A.assignment[Q.key]:
             raise PostconditionViolation(
@@ -424,8 +421,8 @@ def enlarge_weakly_normal(
         )
 
     h_morphs = ag.morphisms_of(h_pos)
-    seeds = list(E.all_isos()) + list(h_morphs)
-    E2 = generated_fusion(T, F.p, seeds, name=name)
+    seeds = [(T.key, h.mapping) for h in h_morphs]
+    E2 = FusionSystem(F.group, T, F.p, _close(T, E._isos, seeds), name=name)
 
     if frozenset(E2.iso_mappings(T, T)) != {m.mapping for m in h_morphs}:
         raise PostconditionViolation("Aut of the enlargement is not H", witness=E2)

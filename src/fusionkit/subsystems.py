@@ -18,13 +18,15 @@ from .errors import (
 )
 from .fusion import (
     FusionSystem,
+    _close,
     _iso_table,
     _routes,
+    fusion_of_group,
     generated_fusion,
     is_strongly_closed,
     is_subsystem,
 )
-from .groups import Subgroup, _join, _join_normalized, _picker, all_subgroups
+from .groups import Subgroup, _join, _join_normalized, _picker, all_subgroups, is_p_power
 from .morphisms import Key, Morphism, _compose, _inverse, _positions, _restrict, _transport
 from .saturation import is_saturated
 
@@ -263,20 +265,41 @@ def o_p(F: FusionSystem) -> Subgroup:
 def o_p_prime_subsystem(E: FusionSystem) -> FusionSystem:
     """O^{p'}(E): generated by O^{p'}(Aut_E(Q)) over all Q ≤ T.
 
-    E must be saturated, or NotSaturated is raised.  The result is saturated
-    by theorem; ``verify_theorem_a`` certifies that through
+    E must be saturated, or NotSaturated is raised.  O^{p'}(A) is the
+    subgroup of A generated by its p-elements, and the closure composes
+    its seeds, so the seeds are the p-elements of each Aut_E(Q).  When
+    they are all of every Aut_E(Q), the result is E by Alperin's fusion
+    theorem (AKO I.3.5), and no closure runs.  The result is saturated by
+    theorem; ``verify_theorem_a`` certifies that through
     ``normality_status``, and this call does not re-check it.  When the
     result has E's table it has every fact of E, so it shares E's cache.
     """
     if not is_saturated(E).saturated:
         raise NotSaturated("O^{p'} needs a saturated system", witness=E)
-    seeds: list[Morphism] = []
-    for Q in E.subgroups():
-        seeds.extend(E.aut_group(Q).o_p_prime_part(E.p))
-    sub = generated_fusion(E.P, E.p, seeds)
-    if sub._isos == E._isos:
+    auts = [(Q.key, m) for Q in E.subgroups() for m in E.iso_mappings(Q, Q)]
+    seeds = [(qk, m) for qk, m in auts if _is_p_element(qk, m, E.p)]
+    if len(seeds) == len(auts):
+        table = E._isos
+    else:
+        table = _close(E.P, fusion_of_group(E.P, E.p, E.P)._isos, seeds)
+    sub = FusionSystem(E.group, E.P, E.p, table)
+    if table == E._isos:
         sub._cache = E._cache
     return sub
+
+
+def _is_p_element(domain: Key, mapping: Key, p: int) -> bool:
+    """Whether the automorphism ``mapping`` of ``domain`` has p-power
+    order, that is, each of its cycles has p-power length."""
+    send = dict(zip(domain, mapping))
+    while send:
+        x, y = send.popitem()
+        length = 1
+        while y != x:
+            y, length = send.pop(y), length + 1
+        if not is_p_power(length, p):
+            return False
+    return True
 
 
 # -- Theorem A -----------------------------------------------------------------
@@ -308,18 +331,16 @@ def enumerate_subsystems_on(
 ) -> tuple[FusionSystem, ...]:
     """All subsystems of F on the carrier S, by closure search.
 
-    Starts from inner fusion and repeatedly closes under one more ambient
-    isomorphism; every subsystem on S is the closure of finitely many of
-    its isomorphisms, so the search is exhaustive.  Exceeding `limit`
-    distinct subsystems raises InputError.
+    Starts from inner fusion and repeatedly closes a system found, as the
+    closed base, with one more ambient isomorphism; every subsystem on S
+    is the closure of finitely many of its isomorphisms, so the search is
+    exhaustive.  Exceeding `limit` distinct subsystems raises InputError.
     """
     S = F.require_in_p(S)
+    sset = S._set
     pool = [
-        m
-        for Q in F.subgroups()
-        if Q <= S
-        for m in F.isos_from(Q)
-        if m.codomain <= S
+        (qk, rk, m) for qk, targets in F._isos.items() if sset.issuperset(qk)
+        for rk, ms in targets.items() if sset.issuperset(rk) for m in ms
     ]
     start = generated_fusion(S, F.p, [])
     seen = {start.to_key(): start}
@@ -327,10 +348,10 @@ def enumerate_subsystems_on(
     while frontier:
         grown = []
         for E in frontier:
-            for m in pool:
-                if E.contains_morphism(m):
+            for qk, rk, m in pool:
+                if m in E._isos[qk].get(rk, ()):
                     continue
-                E2 = generated_fusion(S, F.p, list(E.all_isos()) + [m])
+                E2 = FusionSystem(F.group, S, F.p, _close(S, E._isos, [(qk, m)]))
                 key = E2.to_key()
                 if key not in seen:
                     if len(seen) >= limit:

@@ -17,24 +17,30 @@ at a time, as the library did before it read whole table rows and tested
 only generators, and ``Subgroup.generators`` closes each span from scratch.
 F_P(G) is also built from every element's whole conjugation row, and
 ``validate_fusion`` run on whole mapping tuples, as the library did before
-it read maps off their images of generators.
+it read maps off their images of generators.  ``generated_fusion`` also
+closes by queueing every map and restricting to every proper subgroup, and
+O^{p'}(E) is also built from the permutation groups of ``AutGroup``, as the
+library did before it closed over a closed table.
 """
 
 from __future__ import annotations
 
 from fusionkit import (
+    AutGroup,
     FusionSystem,
     Group,
     Morphism,
     SaturationVerdict,
     Subgroup,
     extend_morphism,
+    fusion_of_group,
     generated_fusion,
     group_centre,
     strongly_closed_subgroups,
 )
-from fusionkit.errors import FusionkitError
-from fusionkit.groups import _picker, all_subgroups, p_part
+from fusionkit.errors import FusionkitError, NotASubgroupOfP, SeedNotInjective
+from fusionkit.fusion import _iso_table
+from fusionkit.groups import _picker, all_subgroups, is_p_power, p_part
 from fusionkit.morphisms import _inverse, _positions
 from fusionkit.perms import perm_mul
 
@@ -388,3 +394,65 @@ def validate_fusion_by_full_tuples(F: FusionSystem) -> None:
                     for m2 in ms2:
                         if then(m2) not in stored[qk]:
                             raise FusionkitError("not closed under composition", witness=(m, m2))
+
+
+def generated_fusion_by_full_closure(P: Subgroup, p: int, seeds) -> FusionSystem:
+    """``generated_fusion`` as the library closed it before it started from
+    a closed table: every seed is checked whole, through ``Morphism.build``,
+    every map of P's inner fusion and every seed goes through the queue, and
+    each popped map is restricted to every proper subgroup of its domain,
+    found by a scan over all pairs of subgroups."""
+    isos = {
+        qk: {m for ms in targets.values() for m in ms}
+        for qk, targets in fusion_of_group(P, p, P)._isos.items()
+    }
+    lattice = all_subgroups(P)
+    contained = {
+        Q.key: [(S.key, _positions(Q.key, S.key)) for S in lattice[:i] if S < Q]
+        for i, Q in enumerate(lattice)
+    }
+    into: dict = {qk: [] for qk in isos}
+    outof: dict = {qk: [] for qk in isos}
+    queue = [(qk, m) for qk, ms in isos.items() for m in ms]
+
+    def push(qkey, mapping):
+        if mapping not in isos[qkey]:
+            isos[qkey].add(mapping)
+            queue.append((qkey, mapping))
+
+    for phi in seeds:
+        if phi.domain.group != P.group or not phi.domain <= P:
+            raise NotASubgroupOfP("seed domain not inside P", witness=phi)
+        if not P.contains_all(phi.mapping):
+            raise NotASubgroupOfP("seed image not inside P", witness=phi)
+        if len(set(phi.mapping)) != len(phi.mapping):
+            raise SeedNotInjective("seed is not injective", witness=phi)
+        Morphism.build(phi.domain, P, phi.mapping)
+        push(phi.domain.key, phi.mapping)
+    while queue:
+        qkey, mapping = queue.pop()
+        rkey = tuple(sorted(mapping))
+        then = _positions(rkey, mapping)
+        into[rkey].append((qkey, then))
+        outof[qkey].append(mapping)
+        push(rkey, _inverse(qkey, mapping))
+        for skey, idx in contained[qkey]:
+            push(skey, _picker(idx)(mapping))
+        for m2 in outof[rkey]:
+            push(qkey, _picker(then)(m2))
+        for skey, idx in into[qkey]:
+            push(skey, _picker(idx)(mapping))
+    return FusionSystem(P.group, P, p, _iso_table(isos))
+
+
+def o_p_prime_by_aut_groups(E: FusionSystem) -> FusionSystem:
+    """O^{p'}(E) as the library built it before it read p-elements off the
+    mapping tuples: for each Q, the subgroup of the permutation group of
+    Aut_E(Q) generated by its elements of p-power order, with every
+    automorphism in it a seed of ``generated_fusion``."""
+    seeds = []
+    for Q in E.subgroups():
+        ag = AutGroup(Q, E.isos_between(Q, Q))
+        powers = [i for i in range(len(ag)) if is_p_power(ag.group.element_order(i), E.p)]
+        seeds.extend(ag.morphisms_of(ag.group.generated_subgroup(powers)))
+    return generated_fusion(E.P, E.p, seeds)

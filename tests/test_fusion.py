@@ -1,13 +1,17 @@
 """Fusion system layer: construction, closure, quotients, products, transport."""
 
+import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fusionkit import (
+    all_subgroups,
     conj_morphism,
+    enumerate_subsystems_on,
     FusionSystem,
     Morphism,
     Subgroup,
@@ -31,9 +35,13 @@ from fusionkit import (
     transport_fusion,
     validate_fusion,
 )
+from fusionkit import fusion, subsystems
 from fusionkit.errors import FusionkitError, NotStronglyClosed, ParseError
+from fusionkit.fusion import _close, _routes
+from fusionkit.morphisms import _compose
 from oracles import (
     fusion_by_every_element,
+    generated_fusion_by_full_closure,
     normalizer_by_every_element,
     validate_fusion_by_full_tuples,
 )
@@ -266,6 +274,123 @@ def test_generated_fusion_is_idempotent():
     F = fusion_of_group(G, 2)
     again = generated_fusion(F.P, 2, list(F.all_isos()))
     assert again == F
+
+
+def _ordered(isos):
+    """A table with its domain order and the order of each domain's buckets."""
+    return [(qk, list(targets.items())) for qk, targets in isos.items()]
+
+
+def test_closure_over_a_closed_table_matches_the_full_closure(catalog_systems, a4xd8_system):
+    """``generated_fusion``, and ``_close`` of the system it gives with one
+    more map, equal the full closure of the oracle, domain order and bucket
+    order included: random sets of 0-6 seeds on P and on every 7th subgroup
+    of P, for every catalog system and F_P(A4 x D8)."""
+    rng = random.Random(1306)
+    cases = 0
+    for F in [F for _, _, F in catalog_systems] + [a4xd8_system]:
+        pool = list(F.all_isos())
+        for S in (F.P, *F.subgroups()[::7]):
+            inside = [m for m in pool if m.domain <= S and m.codomain <= S]
+            seeds = rng.sample(inside, rng.randint(0, min(6, len(inside))))
+            E = generated_fusion(S, F.p, seeds)
+            assert _ordered(E._isos) == _ordered(
+                generated_fusion_by_full_closure(S, F.p, seeds)._isos
+            ), (F, S.elements)
+            m = rng.choice(inside)
+            grown = _close(S, E._isos, [(m.domain.key, m.mapping)])
+            assert _ordered(grown) == _ordered(
+                generated_fusion_by_full_closure(S, F.p, seeds + [m])._isos
+            ), (F, S.elements)
+            cases += 2
+    assert cases > 600
+
+
+def _count(isos):
+    return sum(len(ms) for targets in isos.values() for ms in targets.values())
+
+
+def test_closure_queues_only_new_maps(catalog_systems, monkeypatch):
+    """Each map ``_close`` pops is inverted once.  Closing inner fusion with
+    its own maps as seeds pops none, and each closure of the subsystem
+    search gets one seed and pops exactly the maps its base lacks."""
+    popped = []
+    inverse = fusion._inverse
+    monkeypatch.setattr(fusion, "_inverse", lambda qk, m: popped.append(m) or inverse(qk, m))
+    for _, p, F in catalog_systems:
+        inner = inner_fusion(F.P, p)
+        assert generated_fusion(F.P, p, list(inner.all_isos())) == inner
+    assert popped == []
+
+    closes = []
+
+    def counted(P, base, seeds):
+        seeds, before = list(seeds), len(popped)
+        table = _close(P, base, seeds)
+        added = _count(table) - _count(base)
+        closes.append((len(seeds), len(popped) - before, added))
+        return table
+
+    monkeypatch.setattr(subsystems, "_close", counted)
+    for name, p in (("s4", 2), ("a4", 2), ("s3xs3", 3)):
+        F = fusion_of_group(load_group_spec(name)[0], p)
+        enumerate_subsystems_on(F, F.P)
+    assert closes and all(n == 1 and pops == added for n, pops, added in closes), closes
+
+
+def test_bad_seeds_raise_what_the_full_closure_raises():
+    """Each bad seed, alone or after good ones, raises the type, message
+    and witness of the full closure: a domain or an image outside P, a map
+    that is not injective, one of the wrong length, sampled bijections of
+    each subgroup of P that fix 1 and are not homomorphisms, and one that
+    moves 1, after every F-isomorphism from its domain."""
+    G, _ = load_group_spec("s4")
+    F = fusion_of_group(G, 2)
+    P, good = F.P, list(F.all_isos())
+    outside = next(S for S in all_subgroups(G) if len(S) == 3)
+    e = G.identity
+    other = next(x for x in range(len(G)) if x not in P)
+    cases = [
+        [Morphism(outside, outside, outside.elements)],
+        [Morphism(P, P, (e,) + P.elements[2:] + (other,))],
+        [Morphism(P, P, (e,) * len(P))],
+        [Morphism(P, P, P.elements[:-1])],
+    ]
+    rng = random.Random(1307)
+    for Q in F.subgroups()[1:]:
+        # 1 (the least element) swapped with another, after every F-iso from Q
+        swap = (Q.elements[1], e) + Q.elements[2:]
+        cases.append([*F.isos_from(Q), Morphism(Q, Q, swap)])
+        rest = [x for x in Q.elements if x != e]
+        orders = list(itertools.permutations(rest))
+        for images in rng.sample(orders, min(40, len(orders))):
+            send = {e: e, **dict(zip(rest, images))}
+            cases.append([Morphism(Q, P, tuple(send[x] for x in Q.elements))])
+    bad = [c for c in cases if _outcome(lambda s: generated_fusion(P, 2, s), c)]
+    messages = set()
+    for seeds in bad + [good[:3] + c for c in bad[::7]] + [bad[i] + bad[-i] for i in range(5)]:
+        expected = _outcome(lambda s: generated_fusion_by_full_closure(P, 2, s), seeds)
+        assert _outcome(lambda s: generated_fusion(P, 2, s), seeds) == expected, seeds
+        messages.add(expected[1])
+    assert len(bad) > 40 and len(messages) == 5, messages
+
+
+def test_route_generators_generate_each_automizer(catalog_systems, a4xd8_system):
+    """The generator routes of each class of ``_routes`` close under
+    composition to exactly Aut_F(Q0), and each one at least doubles the
+    span of those before it."""
+    for F in [F for _, _, F in catalog_systems] + [a4xd8_system]:
+        for Q0, routes in _routes(F, F.P):
+            gens = [t for R, t in routes if R == Q0]
+            span, reached = {Q0.elements}, [Q0.elements]
+            for x in reached:
+                for g in gens:
+                    y = _compose(x, Q0.elements, g)
+                    if y not in span:
+                        span.add(y)
+                        reached.append(y)
+            assert span == set(F.iso_mappings(Q0, Q0)), (F, Q0.elements)
+            assert 2 ** len(gens) <= len(span), (F, Q0.elements)
 
 
 def test_find_fusion_isomorphism_identity_case():

@@ -22,15 +22,19 @@ from fusionkit import (
     normality_status,
     o_p,
     o_p_prime_subsystem,
+    quotient,
     saturation,
     strongly_closed_subgroups,
     subsystems,
     verify_theorem_a,
 )
 from fusionkit.errors import PreconditionFailed
-from fusionkit.subsystems import _invariance_witness, _local_is_all, is_invariant
+from fusionkit.groups import is_p_power
+from fusionkit.morphisms import _compose
+from fusionkit.subsystems import _invariance_witness, _is_p_element, _local_is_all, is_invariant
 from oracles import (
     o_p_by_central_series,
+    o_p_prime_by_aut_groups,
     oracle_subsystem_tables,
     strongly_closed_by_each_subgroup,
     system_table,
@@ -100,6 +104,46 @@ def test_o_p_prime_of_a_p_group_system_decides_no_saturation(catalog_systems, mo
         assert sub == F
         assert normality_status(F, sub).normal
     assert len(systems) > 10 and calls == []
+
+
+def test_o_p_prime_from_p_elements_matches_the_aut_group_path(
+    catalog_systems, sweep_weakly_normal, a4xd8_system
+):
+    """O^{p'}(E) from the p-elements of the mapping tuples equals O^{p'}(E)
+    through ``AutGroup`` and ``generated_fusion``, on every catalog system,
+    its quotient by every proper nontrivial strongly closed T, every weakly
+    normal system of the sweep, and F_P(A4 x D8).  Both the systems where
+    every automorphism is a p-element and the others occur."""
+    catalog = [F for _, _, F in catalog_systems]
+    systems = catalog + [a4xd8_system]
+    systems += [
+        quotient(F, T) for F in catalog for T in strongly_closed_subgroups(F)
+        if 1 < len(T) < len(F.P)
+    ]
+    systems += [E for *_, found in sweep_weakly_normal for E in found]
+    kept = 0
+    for E in systems:
+        sub = o_p_prime_subsystem(E)
+        assert sub._isos == o_p_prime_by_aut_groups(E)._isos, E
+        kept += sub._isos is E._isos
+    assert len(systems) > 700 and 0 < kept < len(systems), (len(systems), kept)
+
+
+def test_p_elements_are_read_off_cycle_lengths(catalog_systems, a4xd8_system):
+    """``_is_p_element`` agrees with the order of the automorphism found by
+    repeated composition, for every automorphism of every subgroup of
+    every catalog system and F_P(A4 x D8), at the primes 2, 3 and 5."""
+    seen = set()
+    for F in [F for _, _, F in catalog_systems] + [a4xd8_system]:
+        for Q in F.subgroups():
+            for m in F.iso_mappings(Q, Q):
+                power, order = m, 1
+                while power != Q.elements:
+                    power, order = _compose(power, Q.elements, m), order + 1
+                for p in (2, 3, 5):
+                    assert _is_p_element(Q.key, m, p) == is_p_power(order, p), (Q.key, m, p)
+                seen.add(order)
+    assert seen >= {1, 2, 3, 4, 6}, seen
 
 
 def test_first_factor_of_s3xs3_is_normal():
