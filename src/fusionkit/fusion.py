@@ -18,6 +18,7 @@ only where a public method hands a map to its caller.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import groupby
 from typing import Callable, Iterable, Iterator
@@ -107,14 +108,28 @@ class FusionSystem:
         self.p = p
         self.name = name
         self._isos = isos
-        self._cache: dict = {}
+        self._cache: defaultdict[str, dict] = defaultdict(dict)
+
+    def _fact(self, name: str, Q: Subgroup | None, compute, *args, within: Subgroup | None = None):
+        """The one memo of this system's facts: ``compute(*args)``, kept in
+        one dict per fact ``name`` under Q's key, or the pair of keys for a
+        fact about Q ``within`` a second subgroup; Q None stands for the
+        whole system, and no fact is None.  A fact about a subgroup of a
+        ``Group`` object other than P's is computed and not kept."""
+        G = self.P.group
+        if Q is not None and Q.group is not G or within is not None and within.group is not G:
+            return compute(*args)
+        memo = self._cache[name]
+        key = None if Q is None else Q.key if within is None else (within.key, Q.key)
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = compute(*args)
+        return value
 
     # -- basic queries -------------------------------------------------
 
     def subgroups(self) -> tuple[Subgroup, ...]:
-        if "subgroups" not in self._cache:
-            self._cache["subgroups"] = all_subgroups(self.P)
-        return self._cache["subgroups"]
+        return self._fact("subgroups", None, all_subgroups, self.P)
 
     def subgroup(self, key: Key) -> Subgroup:
         return Subgroup(self.group, key, check=False)
@@ -178,79 +193,62 @@ class FusionSystem:
 
     def aut_group(self, Q: Subgroup) -> AutGroup:
         self.require_in_p(Q)
-        cached = self._cache.setdefault("auts", {})
-        if Q.key not in cached:
-            morphs = [Morphism(Q, Q, m) for m in self.iso_mappings(Q, Q)]
-            cached[Q.key] = AutGroup(Q, morphs)
-        return cached[Q.key]
+        return self._fact(
+            "auts", Q, lambda: AutGroup(Q, [Morphism(Q, Q, m) for m in self.iso_mappings(Q, Q)])
+        )
 
     def _p_rows(self) -> dict[int, Key]:
         """The conjugation rows x -> x^g of the ambient group for g in P."""
-        if "p_rows" not in self._cache:
-            self._cache["p_rows"] = _conj_rows(self.group, self.P.elements)
-        return self._cache["p_rows"]
+        return self._fact("p_rows", None, _conj_rows, self.group, self.P.elements)
 
     def aut_mappings_of_conjugation(self, Q: Subgroup, source: Subgroup) -> frozenset[Key]:
         """Mappings of the automorphisms of Q induced by N_source(Q),
-        computed once per pair of subgroups of the ambient group."""
-        in_group = Q.group is self.group and source.group is self.group
-        cached = self._cache.setdefault("aut_p", {})
-        if in_group and (source.key, Q.key) in cached:
-            return cached[source.key, Q.key]
-        N = self.n_p(Q) if source == self.P else normalizer(source, Q)
-        rows = self._p_rows() if N <= self.P else _conj_rows(self.group, N.elements)
-        table = frozenset(map(_picker(Q.elements), [rows[g] for g in N.elements]))
-        if in_group:
-            cached[source.key, Q.key] = table
-        return table
+        computed once per pair of subgroups of P's group."""
+
+        def table() -> frozenset[Key]:
+            N = self.n_p(Q) if source == self.P else normalizer(source, Q)
+            rows = self._p_rows() if N <= self.P else _conj_rows(self.group, N.elements)
+            return frozenset(map(_picker(Q.elements), [rows[g] for g in N.elements]))
+
+        return self._fact("aut_p", Q, table, within=source)
 
     def n_p(self, Q: Subgroup) -> Subgroup:
         """N_P(Q), computed once per subgroup of P."""
-        return self._once_per_subgroup("n_p", normalizer, Q)
+        return self._fact("n_p", Q, normalizer, self.P, Q)
 
     def c_p(self, Q: Subgroup) -> Subgroup:
         """C_P(Q), computed once per subgroup of P."""
-        return self._once_per_subgroup("c_p", centralizer, Q)
-
-    def _once_per_subgroup(self, name: str, local, Q: Subgroup) -> Subgroup:
-        if Q.group is not self.P.group:
-            return local(self.P, Q)
-        cached = self._cache.setdefault(name, {})
-        if Q.key not in cached:
-            cached[Q.key] = local(self.P, Q)
-        return cached[Q.key]
+        return self._fact("c_p", Q, centralizer, self.P, Q)
 
     # -- conjugacy classes ----------------------------------------------
 
     def conjugacy_class(self, Q: Subgroup) -> ConjClass:
         self.require_in_p(Q)
-        if "class_of" not in self._cache:
-            self._cache["class_of"] = {S.key: cls for cls in self.classes() for S in cls}
+        index = self._fact("class_of", None, lambda: {S.key: c for c in self.classes() for S in c})
         try:
-            return self._cache["class_of"][Q.key]
+            return index[Q.key]
         except KeyError:
             raise NotASubgroupOfP("not a subgroup of P", witness=Q) from None
 
     def classes(self) -> tuple[ConjClass, ...]:
-        if "classes" not in self._cache:
+        def build() -> tuple[ConjClass, ...]:
             seen: set[Key] = set()
             out = []
             for Q in self.subgroups():
-                if Q.key in seen:
-                    continue
-                member_keys = sorted(self._isos.get(Q.key, {Q.key: ()}).keys())
-                members = tuple(self.subgroup(k) for k in member_keys)
-                seen.update(member_keys)
-                out.append(ConjClass(members))
-            self._cache["classes"] = tuple(out)
-        return self._cache["classes"]
+                if Q.key not in seen:
+                    member_keys = sorted(self._isos.get(Q.key, {Q.key: ()}))
+                    seen.update(member_keys)
+                    out.append(ConjClass(tuple(map(self.subgroup, member_keys))))
+            return tuple(out)
+
+        return self._fact("classes", None, build)
 
     def is_fully_normalized(self, Q: Subgroup) -> bool:
-        cached = self._cache.setdefault("fully_normalized", {})
-        if Q.group is not self.P.group or Q.key not in cached:
+        def decide() -> bool:
             n = len(self.n_p(Q))
-            cached[Q.key] = all(len(self.n_p(R)) <= n for R in self.conjugacy_class(Q))
-        return cached[Q.key]
+            return all(len(self.n_p(R)) <= n for R in self.conjugacy_class(Q))
+
+        return self._fact("fully_normalized", Q, decide)
 
     def is_fully_centralized(self, Q: Subgroup) -> bool:
         c = len(self.c_p(Q))
@@ -259,13 +257,14 @@ class FusionSystem:
     # -- comparisons -----------------------------------------------------
 
     def to_key(self) -> tuple:
-        if "key" not in self._cache:
+        def build() -> tuple:
             body = tuple(
                 (qk, tuple((rk, self._isos[qk][rk]) for rk in sorted(self._isos[qk])))
                 for qk in sorted(self._isos)
             )
-            self._cache["key"] = (self.p, self.P.key, body)
-        return self._cache["key"]
+            return (self.p, self.P.key, body)
+
+        return self._fact("key", None, build)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FusionSystem):
@@ -376,9 +375,9 @@ def _routes(F: FusionSystem, T: Subgroup) -> list[tuple[Subgroup, list[tuple[Sub
     in Aut_F(Q0).  So a condition that holds on a set of isomorphisms closed
     under composition and inverse holds on the whole class exactly when it
     holds on the routes.  Computed once per T."""
-    cached = F._cache.setdefault("routes", {})
-    if T.key not in cached:
-        cached[T.key] = out = []
+
+    def build() -> list[tuple[Subgroup, list[tuple[Subgroup, Key]]]]:
+        out = []
         for cls in F.classes():
             inside = [R for R in cls if T._set.issuperset(R.key)]
             if inside:
@@ -386,7 +385,9 @@ def _routes(F: FusionSystem, T: Subgroup) -> list[tuple[Subgroup, list[tuple[Sub
                 routes = [(Q0, m) for m in _generators(Q0.key, F.iso_mappings(Q0, Q0))]
                 routes += [(R, F._isos[Q0.key][R.key][0]) for R in cls if R != Q0]
                 out.append((Q0, routes))
-    return cached[T.key]
+        return out
+
+    return F._fact("routes", T, build)
 
 
 def _generators(domain: Key, auts: tuple[Key, ...]) -> list[Key]:
@@ -410,13 +411,7 @@ def _generators(domain: Key, auts: tuple[Key, ...]) -> list[Key]:
 # -- constructors -----------------------------------------------------------
 
 
-def fusion_of_group(
-    container: Group | Subgroup,
-    p: int,
-    P: Subgroup | None = None,
-    *,
-    name: str | None = None,
-) -> FusionSystem:
+def fusion_of_group(container: Group | Subgroup, p: int, P: Subgroup | None = None) -> FusionSystem:
     """F_P(G): all conjugation maps between subgroups of P by elements of G.
     The map x -> x^g on Q is fixed by its images of Q's generators, and
     Q^g <= P exactly when they lie in P, so every row is read at Q's
@@ -440,12 +435,10 @@ def fusion_of_group(
         distinct = dict(zip(map(_picker(Q.generators()), rows), rows))
         on_q = _picker(Q.elements)
         isos[Q.key] = [on_q(row) for images, row in distinct.items() if pset.issuperset(images)]
-    return FusionSystem(G, P, p, _iso_table(isos), name=name)
+    return FusionSystem(G, P, p, _iso_table(isos))
 
 
-def inner_fusion(
-    container: Group | Subgroup, p: int | None = None, *, name: str | None = None
-) -> FusionSystem:
+def inner_fusion(container: Group | Subgroup, p: int | None = None) -> FusionSystem:
     """F_P(P) for a p-group P; the prime is inferred when |P| > 1."""
     P = _as_subgroup(container)
     if p is None:
@@ -454,16 +447,10 @@ def inner_fusion(
         p = min(d for d in range(2, len(P) + 1) if len(P) % d == 0)
     if not P.is_p_group(p):
         raise NotAPGroup(f"order {len(P)} is not a power of {p}", witness=P)
-    return fusion_of_group(P, p, P, name=name)
+    return fusion_of_group(P, p, P)
 
 
-def generated_fusion(
-    P: Subgroup,
-    p: int,
-    seeds: Iterable[Morphism],
-    *,
-    name: str | None = None,
-) -> FusionSystem:
+def generated_fusion(P: Subgroup, p: int, seeds: Iterable[Morphism]) -> FusionSystem:
     """The smallest fusion system on P containing the seed morphisms: the
     closure of P's inner fusion with the seeds, by ``_close``."""
     ensure_prime(p)
@@ -483,7 +470,7 @@ def generated_fusion(
             yield phi.domain.key, phi.mapping
 
     table = _close(P, fusion_of_group(P, p, P)._isos, checked())
-    return FusionSystem(G, P, p, table, name=name)
+    return FusionSystem(G, P, p, table)
 
 
 def _close(P: Subgroup, base: IsoTable, seeds: Iterable[tuple[Key, Key]]) -> IsoTable:
@@ -573,7 +560,7 @@ def is_subsystem(E: FusionSystem, F: FusionSystem) -> bool:
     return True
 
 
-def full_subcategory(F: FusionSystem, S: Subgroup, *, name: str | None = None) -> FusionSystem:
+def full_subcategory(F: FusionSystem, S: Subgroup) -> FusionSystem:
     """The subsystem on S whose morphisms are all F-morphisms between
     subgroups of S."""
     F.require_in_p(S)
@@ -585,10 +572,10 @@ def full_subcategory(F: FusionSystem, S: Subgroup, *, name: str | None = None) -
         kept = [m for rk, ms in targets.items() if sset.issuperset(rk) for m in ms]
         if kept:
             isos[qk] = kept
-    return FusionSystem(F.group, S, F.p, _iso_table(isos), name=name)
+    return FusionSystem(F.group, S, F.p, _iso_table(isos))
 
 
-def intersect_raw(E1: FusionSystem, E2: FusionSystem, *, name: str | None = None) -> FusionSystem:
+def intersect_raw(E1: FusionSystem, E2: FusionSystem) -> FusionSystem:
     """The categorical intersection E1 ∩ E2 on E1.P ∩ E2.P.
 
     Always a fusion system (closure properties survive intersection),
@@ -611,22 +598,20 @@ def intersect_raw(E1: FusionSystem, E2: FusionSystem, *, name: str | None = None
         ]
         if kept:
             isos[qk] = kept
-    return FusionSystem(E1.group, T, E1.p, _iso_table(isos), name=name)
+    return FusionSystem(E1.group, T, E1.p, _iso_table(isos))
 
 
-def direct_product(F1: FusionSystem, F2: FusionSystem, *, name: str | None = None) -> FusionSystem:
+def direct_product(F1: FusionSystem, F2: FusionSystem) -> FusionSystem:
     """F1 x F2 on P1 x P2: restrictions of coordinatewise pairs of morphisms."""
     if F1.p != F2.p:
         raise PrimeMismatch(f"{F1.p} != {F2.p}")
     dpd = direct_product_groups(F1.group, F2.group)
     P = dpd.embed_pair(F1.P, F2.P)
     isos = _product_table(P, dpd.split_index, dpd.pair_index, F1, F2)
-    return FusionSystem(dpd.group, P, F1.p, isos, name=name)
+    return FusionSystem(dpd.group, P, F1.p, isos)
 
 
-def internal_direct_product(
-    F: FusionSystem, P1: Subgroup, P2: Subgroup, *, name: str | None = None
-) -> FusionSystem:
+def internal_direct_product(F: FusionSystem, P1: Subgroup, P2: Subgroup) -> FusionSystem:
     """E1 x E2 inside F's ambient group, where P = P1 x P2 internally and
     E_i is the full subcategory of F on P_i."""
     F.require_in_p(P1)
@@ -649,7 +634,7 @@ def internal_direct_product(
     E1 = full_subcategory(F, P1)
     E2 = full_subcategory(F, P2)
     isos = _product_table(P, lambda x: (comp1[x], comp2[x]), G.mul, E1, E2)
-    return FusionSystem(G, P, F.p, isos, name=name)
+    return FusionSystem(G, P, F.p, isos)
 
 
 def _product_table(P: Subgroup, split, pair, E1: FusionSystem, E2: FusionSystem) -> IsoTable:
@@ -678,20 +663,20 @@ def is_strongly_closed(F: FusionSystem, T: Subgroup) -> bool:
     """Whether no element of T is moved outside T by any F-morphism.  The
     F-images of each element of P are collected once per system."""
     F.require_in_p(T)
-    if "images" not in F._cache:
+
+    def collect() -> dict[int, set[int]]:
         images: dict[int, set[int]] = {x: set() for x in F.P.elements}
         for qk, targets in F._isos.items():
             mappings = [m for ms in targets.values() for m in ms]
             for x, column in zip(qk, zip(*mappings)):
                 images[x].update(column)
-        F._cache["images"] = images
-    images, tset = F._cache["images"], T._set
+        return images
+
+    images, tset = F._fact("images", None, collect), T._set
     return all(images[x] <= tset for x in T.elements)
 
 
-def quotient_with_data(
-    F: FusionSystem, T: Subgroup, *, name: str | None = None
-) -> tuple[FusionSystem, QuotientData]:
+def quotient_with_data(F: FusionSystem, T: Subgroup) -> tuple[FusionSystem, QuotientData]:
     """F/T on P/T for strongly F-closed T, with the coset transport data."""
     if not is_strongly_closed(F, T):
         raise NotStronglyClosed("quotient kernel must be strongly closed", witness=T)
@@ -714,27 +699,27 @@ def quotient_with_data(
                             "morphism does not respect the kernel cosets", witness=m
                         )
                 images.add(tuple(bar[c] for c in qbar))
-    Fbar = FusionSystem(qd.group, qd.push(F.P), F.p, _iso_table(isos), name=name)
+    Fbar = FusionSystem(qd.group, qd.push(F.P), F.p, _iso_table(isos))
     return Fbar, qd
 
 
-def quotient(F: FusionSystem, T: Subgroup, *, name: str | None = None) -> FusionSystem:
-    return quotient_with_data(F, T, name=name)[0]
+def quotient(F: FusionSystem, T: Subgroup) -> FusionSystem:
+    return quotient_with_data(F, T)[0]
 
 
 # -- transport and isomorphism ------------------------------------------------
 
 
-def transport_fusion(F: FusionSystem, chi: Morphism, *, name: str | None = None) -> FusionSystem:
+def transport_fusion(F: FusionSystem, chi: Morphism) -> FusionSystem:
     """The image system of F along a group isomorphism chi: P -> P'."""
     if chi.domain != F.P or not chi.is_iso:
         raise FusionkitError("transport needs an isomorphism defined on P")
     send = dict(zip(F.P.elements, chi.mapping))
-    isos: dict[Key, list[Key]] = {}
-    for qk, targets in F._isos.items():
-        images = isos.setdefault(tuple(sorted(send[x] for x in qk)), [])
-        images.extend(_transport(send, qk, m)[1] for ms in targets.values() for m in ms)
-    return FusionSystem(chi.codomain.group, chi.codomain, F.p, _iso_table(isos), name=name)
+    isos = dict(
+        _transport(send, qk, [m for ms in targets.values() for m in ms])
+        for qk, targets in F._isos.items()
+    )
+    return FusionSystem(chi.codomain.group, chi.codomain, F.p, _iso_table(isos))
 
 
 def find_fusion_isomorphism(F1: FusionSystem, F2: FusionSystem) -> Morphism | None:

@@ -331,14 +331,12 @@ class Subgroup:
         return self._gens
 
     def is_normal_in(self, other: "Subgroup") -> bool:
+        """Whether each generator of ``other`` conjugates each generator of
+        this subgroup into it, as ``normalizer`` tests."""
         if not self <= other:
             return False
-        G = self.group
-        for g in other.elements:
-            for x in self.elements:
-                if G.conj(x, g) not in self._set:
-                    return False
-        return True
+        G, gens = self.group, self.generators()
+        return all(G.conj(x, g) in self._set for g in other.generators() for x in gens)
 
     def join(self, other: "Subgroup") -> "Subgroup":
         span = _join(self.group, self.elements, self.elements + other.elements)
@@ -363,22 +361,8 @@ class Subgroup:
 
 
 def subgroup_closure(group: Group, indices: Iterable[int]) -> Subgroup:
-    span = {group.identity}
-    frontier = [i for i in indices if i not in span]
-    span.update(frontier)
-    gens = list(dict.fromkeys(indices))
-    while frontier:
-        new = []
-        for x in frontier:
-            row = group._mul[x]
-            for g in gens:
-                y = row[g]
-                if y not in span:
-                    span.add(y)
-                    new.append(y)
-        frontier = new
-    # closure under inversion follows from finiteness
-    return Subgroup(group, span, check=False)
+    """<indices>, as ``_join`` from the trivial subgroup."""
+    return Subgroup(group, _join(group, (group.identity,), tuple(indices)), check=False)
 
 
 def _as_subgroup(container: Group | Subgroup) -> Subgroup:

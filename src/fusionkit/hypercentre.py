@@ -217,15 +217,17 @@ def is_perfect(F: FusionSystem) -> bool:
     P/T.  Decided once per system.
     """
     _require_saturated(F)
-    if "perfect" not in F._cache:
+
+    def decide() -> bool:
         derived = commutator_subgroup(F.P, F.P, F.P)
         quotients = (
             quotient_with_data(F, T)[0]
             for T in strongly_closed_subgroups(F)
             if len(T) < len(F.P) and derived <= T
         )
-        F._cache["perfect"] = all(Fbar != inner_fusion(Fbar.P, F.p) for Fbar in quotients)
-    return F._cache["perfect"]
+        return all(Fbar != inner_fusion(Fbar.P, F.p) for Fbar in quotients)
+
+    return F._fact("perfect", None, decide)
 
 
 def verify_perfect_z2(F: FusionSystem) -> PerfectCentreReport:

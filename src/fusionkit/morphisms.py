@@ -49,12 +49,15 @@ def _compose(first: Key, domain: Key, second: Key) -> Key:
     return _restrict(second, _positions(domain, first))
 
 
-def _transport(send: dict[int, int], domain: Key, mapping: Key) -> tuple[Key, Key]:
-    """A map moved along an isomorphism chi, given as the dict ``send``:
-    the sorted image of ``domain`` under chi, and chi^-1 . map . chi
-    aligned to it.  ``send`` must cover the domain and image of the map."""
-    pairs = sorted((send[x], send[y]) for x, y in zip(domain, mapping))
-    return tuple(x for x, _ in pairs), tuple(y for _, y in pairs)
+def _transport(send: dict[int, int], domain: Key, mappings: Iterable[Key]) -> tuple[Key, list[Key]]:
+    """Maps on ``domain`` moved along an isomorphism chi, given as the dict
+    ``send``: the sorted image of ``domain`` under chi, and chi^-1 . m . chi
+    aligned to it for each map m.  The moved domain is sorted once, and
+    ``send`` must cover the domain and the images of the maps."""
+    moved = [send[x] for x in domain]
+    # position j of the sorted image comes from position order[j] of the domain
+    order = _picker(sorted(range(len(moved)), key=moved.__getitem__))
+    return order(moved), [tuple(map(send.__getitem__, order(m))) for m in mappings]
 
 
 def _stabilizing_restrictions(domain: Key, sub: Key, mappings: Iterable[Key]) -> frozenset[Key]:
@@ -204,7 +207,7 @@ class Morphism:
             raise NotAnIsomorphism(
                 "not onto the codomain", witness=Morphism(self.domain, target, moved)
             )
-        _, mapping = _transport(dict(zip(S, moved)), S, self.mapping)
+        _, (mapping,) = _transport(dict(zip(S, moved)), S, [self.mapping])
         return Morphism(target, target, mapping)
 
 

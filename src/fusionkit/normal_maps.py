@@ -37,12 +37,13 @@ from .fusion import (
     is_strongly_closed,
     is_subsystem,
 )
-from .groups import Subgroup, _picker, all_subgroups, normalizer, p_part, subgroups_between
+from .groups import Subgroup, all_subgroups, normalizer, p_part, subgroups_between
 from .morphisms import (
     Morphism,
     _aut_subgroup,
     _compose,
     _stabilizing_restrictions,
+    _transport,
 )
 from .saturation import is_saturated
 from .subsystems import normality_status
@@ -136,10 +137,7 @@ def partial_domain(F: FusionSystem, T: Subgroup) -> tuple[Subgroup, ...]:
 
 def _with_centralizer(F: FusionSystem, Q: Subgroup, T: Subgroup) -> Subgroup:
     """Q C_T(Q), computed once per pair of subgroups Q <= T of P."""
-    cached = F._cache.setdefault("q_c_t", {}).setdefault(T.key, {})
-    if Q.key not in cached:
-        cached[Q.key] = Q.join(F.c_p(Q).meet(T))
-    return cached[Q.key]
+    return F._fact("q_c_t", Q, lambda: Q.join(F.c_p(Q).meet(T)), within=T)
 
 
 def aut_map_of(E: FusionSystem) -> AutMap:
@@ -153,10 +151,7 @@ def aut_map_of(E: FusionSystem) -> AutMap:
 def _transported(Q: Subgroup, mappings, image: Key) -> frozenset[Key]:
     """The automorphisms ``mappings`` of Q moved along the isomorphism with
     ``image`` from Q."""
-    send = dict(zip(Q.elements, image))
-    # position j of the image's sorted elements comes from position order[j] of Q
-    order = _picker(sorted(range(len(image)), key=image.__getitem__))
-    return frozenset(tuple(map(send.__getitem__, order(m))) for m in mappings)
+    return frozenset(_transport(dict(zip(Q.elements, image)), Q.elements, mappings)[1])
 
 
 def _moved_on_routes(routes, values) -> dict | None:
@@ -353,9 +348,7 @@ def complete_partial_map(F: FusionSystem, T: Subgroup, partial) -> AutMap:
     return AutMap(T, assigned)
 
 
-def generate_from_map(
-    F: FusionSystem, A: AutMap, *, name: str | None = None
-) -> FusionSystem:
+def generate_from_map(F: FusionSystem, A: AutMap) -> FusionSystem:
     """The subsystem generated by all the A(U).
 
     A must pass the axiom check, or PreconditionFailed is raised.  The
@@ -368,16 +361,16 @@ def generate_from_map(
         raise PreconditionFailed(
             f"not a weakly normal map: axiom ({verdict.axiom}) fails: {verdict.reason}"
         )
-    return _generate(F, A, name=name)
+    return _generate(F, A)
 
 
-def _generate(F: FusionSystem, A: AutMap, *, name: str | None = None) -> FusionSystem:
+def _generate(F: FusionSystem, A: AutMap) -> FusionSystem:
     """The generate step of ``generate_from_map``, for a map whose axioms
     the caller has just checked."""
     T = F.require_in_p(A.T)
     seeds = [(qk, m) for qk, ms in A.assignment.items() for m in ms]
     inner = fusion_of_group(T, F.p, T)._isos
-    E = FusionSystem(F.group, T, F.p, _close(T, inner, seeds), name=name)
+    E = FusionSystem(F.group, T, F.p, _close(T, inner, seeds))
     for Q in E.subgroups():
         if frozenset(E.iso_mappings(Q, Q)) != A.assignment[Q.key]:
             raise PostconditionViolation(
@@ -386,13 +379,7 @@ def _generate(F: FusionSystem, A: AutMap, *, name: str | None = None) -> FusionS
     return E
 
 
-def enlarge_weakly_normal(
-    F: FusionSystem,
-    E: FusionSystem,
-    H,
-    *,
-    name: str | None = None,
-) -> FusionSystem:
+def enlarge_weakly_normal(F: FusionSystem, E: FusionSystem, H) -> FusionSystem:
     """The weakly normal subsystem on T with Aut(T) enlarged to H.
 
     E must be weakly normal on T = E.P; H is a normal subgroup of Aut_F(T)
@@ -407,9 +394,7 @@ def enlarge_weakly_normal(
             raise NotASubgroup("H must be a subgroup of Aut_F(T)")
         h_pos = Subgroup(ag.group, H.elements, check=True)
     else:
-        h_pos = Subgroup(
-            ag.group, (ag.index_of(m) for m in H), check=True
-        )
+        h_pos = Subgroup(ag.group, (ag.index_of(m) for m in H), check=True)
     aut_e = _aut_subgroup(ag, E.iso_mappings(T, T), check=True)
     if not aut_e <= h_pos:
         raise PreconditionFailed("H must contain Aut_E(T)")
@@ -422,7 +407,7 @@ def enlarge_weakly_normal(
 
     h_morphs = ag.morphisms_of(h_pos)
     seeds = [(T.key, h.mapping) for h in h_morphs]
-    E2 = FusionSystem(F.group, T, F.p, _close(T, E._isos, seeds), name=name)
+    E2 = FusionSystem(F.group, T, F.p, _close(T, E._isos, seeds))
 
     if frozenset(E2.iso_mappings(T, T)) != {m.mapping for m in h_morphs}:
         raise PostconditionViolation("Aut of the enlargement is not H", witness=E2)

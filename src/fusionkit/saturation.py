@@ -38,16 +38,13 @@ def n_phi(F: FusionSystem, phi: Morphism) -> Subgroup:
     if len(set(phi.mapping)) != len(phi.mapping) or not F.contains_morphism(phi):
         raise NotAnIsomorphism("phi must be an isomorphism of the system", witness=phi)
     target = F.aut_mappings_of_conjugation(phi.image(), F.P)
-    send = dict(zip(S.elements, phi.mapping))
     # c_g on S is known by its images of S's generators, so each member of
     # Aut_P(S) is transported once and each g of N_P(S) is matched by those.
     gens = S.generators()
     at_gens = _picker(_positions(S.elements, gens))
-    wanted = {
-        at_gens(a)
-        for a in F.aut_mappings_of_conjugation(S, F.P)
-        if _transport(send, S.elements, a)[1] in target
-    }
+    auts = list(F.aut_mappings_of_conjugation(S, F.P))
+    _, moved = _transport(dict(zip(S.elements, phi.mapping)), S.elements, auts)
+    wanted = {at_gens(a) for a, b in zip(auts, moved) if b in target}
     rows, on_gens = F._p_rows(), _picker(gens)
     members = [g for g in F.n_p(S).elements if on_gens(rows[g]) in wanted]
     return Subgroup(F.group, members, check=False)
@@ -125,21 +122,19 @@ def is_saturated(F: FusionSystem) -> SaturationVerdict:
     (Aschbacher-Kessar-Oliver, Fusion Systems in Algebra and Topology,
     I.2.6(c)).  So the first member with the largest N_P decides its
     class."""
-    cached = F._cache.get("saturated")
-    if cached is not None:
-        return cached
-    verdict = SaturationVerdict(True)
-    for cls in F.classes():
-        Q = max(cls.members, key=lambda S: len(F.n_p(S)))
-        if not (is_fully_automized(F, Q) and is_receptive(F, Q)):
-            verdict = SaturationVerdict(
-                False,
-                witness=cls.representative,
-                reason="class has no fully automized receptive member",
-            )
-            break
-    F._cache["saturated"] = verdict
-    return verdict
+
+    def decide() -> SaturationVerdict:
+        for cls in F.classes():
+            Q = max(cls.members, key=lambda S: len(F.n_p(S)))
+            if not (is_fully_automized(F, Q) and is_receptive(F, Q)):
+                return SaturationVerdict(
+                    False,
+                    witness=cls.representative,
+                    reason="class has no fully automized receptive member",
+                )
+        return SaturationVerdict(True)
+
+    return F._fact("saturated", None, decide)
 
 
 def normalizer_map(F: FusionSystem, R: Subgroup, Q: Subgroup) -> Morphism | None:

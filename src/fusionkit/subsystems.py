@@ -68,24 +68,24 @@ def is_invariant(F: FusionSystem, E: FusionSystem) -> Morphism | None:
     T = E.P
     spans = _by_span(E)
     for Q0, routes in _routes(F, T):
-        base = spans.get(Q0.key, set())
+        base = spans.get(Q0.key, {})
         for R, t in routes:
-            send = dict(zip(Q0.elements, t))
-            if R <= T and spans.get(R.key, set()) != {
-                _transport(send, dk, m) for dk, m in base
-            }:
-                return _invariance_witness(F, E)
+            if R <= T:
+                send = dict(zip(Q0.elements, t))
+                moved = (_transport(send, dk, ms) for dk, ms in base.items())
+                if spans.get(R.key, {}) != {image: set(ms) for image, ms in moved}:
+                    return _invariance_witness(F, E)
     return None
 
 
-def _by_span(E: FusionSystem) -> dict[Key, set[tuple[Key, Key]]]:
-    """E's maps as (domain, mapping) pairs, keyed by the subgroup that
-    their domain and image generate."""
-    out: dict[Key, set[tuple[Key, Key]]] = {}
+def _by_span(E: FusionSystem) -> dict[Key, dict[Key, set[Key]]]:
+    """E's maps, by the subgroup that their domain and image generate and
+    then by domain."""
+    out: dict[Key, dict[Key, set[Key]]] = {}
     for dk, targets in E._isos.items():
         for rk, ms in targets.items():
             span = dk if rk == dk else tuple(sorted(_join(E.group, dk, dk + rk)))
-            out.setdefault(span, set()).update((dk, m) for m in ms)
+            out.setdefault(span, {}).setdefault(dk, set()).update(ms)
     return out
 
 
@@ -99,27 +99,22 @@ def _invariance_witness(F: FusionSystem, E: FusionSystem) -> Morphism | None:
             continue
         qset = set(qk)
         inner_isos = [
-            (q2k, m2)
+            (q2k, inside)
             for q2k, tg in E._isos.items()
             if qset.issuperset(q2k)
-            for ms2 in tg.values()
-            for m2 in ms2
-            if qset.issuperset(m2)
+            and (inside := [m2 for ms2 in tg.values() for m2 in ms2 if qset.issuperset(m2)])
         ]
-        if not inner_isos:
-            continue
         for ms in targets.values():
             for m in ms:
                 if not tset.issuperset(m):
                     continue
                 send = dict(zip(qk, m))
-                for q2k, m2 in inner_isos:
-                    dom, mapping = _transport(send, q2k, m2)
-                    if mapping not in E._isos.get(dom, {}).get(
-                        tuple(sorted(mapping)), ()
-                    ):
-                        D = Subgroup(F.group, dom, check=False)
-                        return Morphism(D, T, mapping)
+                for q2k, inside in inner_isos:
+                    dom, moved = _transport(send, q2k, inside)
+                    stored = E._isos.get(dom, {})
+                    for mapping in moved:
+                        if mapping not in stored.get(tuple(sorted(mapping)), ()):
+                            return Morphism(Subgroup(F.group, dom, check=False), T, mapping)
     return None
 
 
@@ -272,20 +267,17 @@ def o_p_prime_subsystem(E: FusionSystem) -> FusionSystem:
     theorem (AKO I.3.5), and no closure runs.  The result is saturated by
     theorem; ``verify_theorem_a`` certifies that through
     ``normality_status``, and this call does not re-check it.  When the
-    result has E's table it has every fact of E, so it shares E's cache.
+    result is E, with or without a closure, E itself is returned, with
+    every fact it already holds.
     """
     if not is_saturated(E).saturated:
         raise NotSaturated("O^{p'} needs a saturated system", witness=E)
     auts = [(Q.key, m) for Q in E.subgroups() for m in E.iso_mappings(Q, Q)]
     seeds = [(qk, m) for qk, m in auts if _is_p_element(qk, m, E.p)]
     if len(seeds) == len(auts):
-        table = E._isos
-    else:
-        table = _close(E.P, fusion_of_group(E.P, E.p, E.P)._isos, seeds)
-    sub = FusionSystem(E.group, E.P, E.p, table)
-    if table == E._isos:
-        sub._cache = E._cache
-    return sub
+        return E
+    table = _close(E.P, fusion_of_group(E.P, E.p, E.P)._isos, seeds)
+    return E if table == E._isos else FusionSystem(E.group, E.P, E.p, table)
 
 
 def _is_p_element(domain: Key, mapping: Key, p: int) -> bool:

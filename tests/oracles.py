@@ -20,7 +20,12 @@ F_P(G) is also built from every element's whole conjugation row, and
 it read maps off their images of generators.  ``generated_fusion`` also
 closes by queueing every map and restricting to every proper subgroup, and
 O^{p'}(E) is also built from the permutation groups of ``AutGroup``, as the
-library did before it closed over a closed table.
+library did before it closed over a closed table.  Generated subgroups are
+closed by a breadth-first search, normality is tested on every pair of
+elements, and maps are moved along an isomorphism one at a time by sorting
+their pairs, as the library did before ``subgroup_closure`` became a coset
+search, ``is_normal_in`` read generators and ``_transport`` moved every map
+on a domain at once.
 """
 
 from __future__ import annotations
@@ -302,6 +307,39 @@ def homomorphism_witness_pairwise(
     return None
 
 
+def closure_by_breadth_first(group: Group, indices) -> Subgroup:
+    """The subgroup generated by ``indices``: every product of them, found
+    by a breadth-first search that multiplies each new element on the right
+    by each generator.  Closure under inverses follows from finiteness."""
+    gens = list(dict.fromkeys(indices))
+    span = {group.identity, *gens}
+    frontier = [g for g in gens if g != group.identity]
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in gens:
+                y = group.mul(x, g)
+                if y not in span:
+                    span.add(y)
+                    new.append(y)
+        frontier = new
+    return Subgroup(group, span, check=False)
+
+
+def is_normal_by_every_pair(H: Subgroup, K: Subgroup) -> bool:
+    """Whether H <= K and every element of K conjugates every element of H
+    into H."""
+    G = H.group
+    return H <= K and all(G.conj(x, g) in H for g in K.elements for x in H.elements)
+
+
+def transport_pairwise(send: dict[int, int], domain: tuple, mapping: tuple) -> RawIso:
+    """One map moved along the isomorphism ``send``: the sorted image of
+    its domain, and the moved map aligned to it, by sorting its pairs."""
+    pairs = sorted((send[x], send[y]) for x, y in zip(domain, mapping))
+    return tuple(x for x, _ in pairs), tuple(y for _, y in pairs)
+
+
 def generators_by_closure(H: Subgroup) -> tuple[int, ...]:
     """``Subgroup.generators`` with every span closed from scratch: the
     elements of H by decreasing order, then index, each taken when the
@@ -312,7 +350,7 @@ def generators_by_closure(H: Subgroup) -> tuple[int, ...]:
     for x in sorted(H.elements, key=lambda i: (-G.element_order(i), i)):
         if x not in span:
             chosen.append(x)
-            span = set(G.generated_subgroup(chosen).elements)
+            span = set(closure_by_breadth_first(G, chosen).elements)
     return tuple(chosen)
 
 

@@ -13,6 +13,7 @@ from fusionkit import (
     conj_morphism,
     enumerate_subsystems_on,
     FusionSystem,
+    Group,
     Morphism,
     Subgroup,
     deserialize,
@@ -437,6 +438,27 @@ def test_n_p_and_aut_p_tables_match_the_every_element_scan_on_the_ladder(ladder_
             assert F.n_p(Q) == N, Q
             conjugations = {tuple(G.conj(x, g) for x in Q.elements) for g in N.elements}
             assert F.aut_mappings_of_conjugation(Q, F.P) == conjugations, Q
+
+
+def test_facts_about_a_subgroup_of_an_equal_group_object_are_not_kept(catalog_systems):
+    """A subgroup of an equal but distinct ``Group`` object gets the answers
+    of its twin in P's group from n_p, c_p, aut_mappings_of_conjugation and
+    is_fully_normalized, and the memo keeps none of them: no entry of c_p,
+    Aut_P or full normalization, and n_p only for the class members of P's
+    own group that is_fully_normalized reads."""
+    for _, _, F in catalog_systems:
+        twin = Group(F.group.perms, F.group.degree, closed=True)
+        assert twin == F.group and twin is not F.group
+        fresh = FusionSystem(F.group, F.P, F.p, F._isos)
+        for Q in F.subgroups():
+            Q2 = Subgroup(twin, Q.elements, check=False)
+            assert fresh.n_p(Q2) == F.n_p(Q) and fresh.c_p(Q2) == F.c_p(Q)
+            aut_p = fresh.aut_mappings_of_conjugation(Q2, fresh.P)
+            assert aut_p == F.aut_mappings_of_conjugation(Q, F.P)
+            assert fresh.is_fully_normalized(Q2) == F.is_fully_normalized(Q)
+        for fact in ("c_p", "aut_p", "fully_normalized"):
+            assert not fresh._cache.get(fact)
+        assert all(N.group is F.group for N in fresh._cache["n_p"].values())
 
 
 def _span(*bounds):

@@ -23,6 +23,7 @@ from fusionkit import (
     make_group,
     normalizer,
     o_p_prime_group,
+    subgroup_closure,
     sylow,
     upper_central_series_group,
 )
@@ -32,7 +33,9 @@ from fusionkit.groups import is_prime
 from fusionkit.perms import perm_mul
 from oracles import (
     cayley_table_by_perm_mul,
+    closure_by_breadth_first,
     generators_by_closure,
+    is_normal_by_every_pair,
     normalizer_by_every_element,
     oracle_subgroup_sets,
 )
@@ -220,6 +223,26 @@ def test_normalizer_matches_the_every_element_scan():
         G = make_group(spec).full_subgroup
         for H in all_subgroups(G):
             assert normalizer(G, H) == normalizer_by_every_element(G, H), (name, H)
+
+
+def test_closure_and_normality_match_the_element_by_element_forms():
+    """``subgroup_closure``, a coset search from the trivial subgroup,
+    against the breadth-first closure, and ``is_normal_in``, which reads
+    generators, against every pair of elements: on every subgroup and every
+    pair of subgroups of each catalog group of order <= 24."""
+    pairs = normal = 0
+    for name, spec in _catalog_upto(24):
+        G = make_group(spec)
+        lattice = all_subgroups(G)
+        for H in lattice:
+            for gens in (H.generators(), H.elements[::-2]):
+                assert subgroup_closure(G, gens) == closure_by_breadth_first(G, gens), (name, H)
+            for K in lattice:
+                gens = H.generators() + K.elements[-1:]
+                assert subgroup_closure(G, gens) == closure_by_breadth_first(G, gens), (name, H, K)
+                assert H.is_normal_in(K) == is_normal_by_every_pair(H, K), (name, H, K)
+                pairs, normal = pairs + 1, normal + H.is_normal_in(K)
+    assert pairs > 10000 and 0 < normal < pairs
 
 
 def test_generators_are_the_greedy_choice_of_the_closure_scan(ladder_groups):

@@ -1,5 +1,6 @@
-"""Every name a library module imports is used in that module, and a
-module's ``__all__`` lists only names the module itself defines.
+"""Every name a library module imports is used in that module, a module's
+``__all__`` lists only names the module itself defines, and only
+``fusion.py`` names the memo of a system's facts.
 
 Package re-exports (``__init__.py``) are exempt.  Uses inside string
 annotations count.
@@ -77,3 +78,18 @@ def test_all_lists_only_own_names(path):
     tree = ast.parse(path.read_text())
     foreign = _exported(tree) - _defined(tree)
     assert not foreign, f"{path.name} exports names it does not define: {sorted(foreign)}"
+
+
+def test_only_fusion_names_the_memo():
+    """``FusionSystem._fact`` is the one reader and writer of ``_cache``, so
+    no other module, the package's ``__init__.py`` included, names it."""
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "fusion.py":
+            continue
+        tree = ast.parse(path.read_text())
+        named = [
+            node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "_cache"
+            or isinstance(node, ast.Name) and node.id == "_cache"
+        ]
+        assert not named, f"{path.name} names _cache on lines {named}"

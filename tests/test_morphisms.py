@@ -11,7 +11,7 @@ from fusionkit.morphisms import _compose, _inverse, _positions, _restrict, _tran
 from oracles import _compose as raw_compose
 from oracles import _invert as raw_invert
 from oracles import _restrictions as raw_restrictions
-from oracles import homomorphism_witness_pairwise
+from oracles import homomorphism_witness_pairwise, transport_pairwise
 
 
 def _raw_restrict(iso, S):
@@ -50,13 +50,35 @@ def test_tuple_helpers_match_the_raw_oracle(catalog_systems, data):
 
     # an F-iso alpha: S -> S2 inside Q, moved along phi: chi^-1 . alpha . chi
     alpha = data.draw(st.sampled_from([a for a in F.isos_from(S) if a.codomain <= Q]))
-    moved = _transport(dict(zip(Q.key, phi.mapping)), S.key, alpha.mapping)
+    image, (moved,) = _transport(dict(zip(Q.key, phi.mapping)), S.key, [alpha.mapping])
     back = raw_invert(_raw_restrict(raw, S))
     forward = _raw_restrict(raw, alpha.codomain)
     expected = raw_compose(raw_compose(back, (S.key, alpha.mapping)), forward)
-    assert moved == expected
+    assert (image, moved) == expected
     if alpha.codomain == S:
-        assert alpha.conjugated_by(phi).key == (moved[0], moved[0], moved[1])
+        assert alpha.conjugated_by(phi).key == (image, image, moved)
+
+
+def test_transport_of_several_maps_moves_each_one_alone(catalog_systems, a4xd8_system):
+    """All the maps out of each subgroup Q of P, moved at once along an
+    F-automorphism chi of P, are the maps moved one at a time, by sorting
+    each map's pairs; and the image key is the sorted image of Q.  Every
+    chi of each catalog system is tried, and eight of F_P(A4 x D8)."""
+    moved_maps = 0
+    cases = [(F, F.isos_between(F.P, F.P)) for _, _, F in catalog_systems]
+    cases.append((a4xd8_system, a4xd8_system.isos_between(a4xd8_system.P, a4xd8_system.P)[:8]))
+    for F, automorphisms in cases:
+        for chi in automorphisms:
+            send = dict(zip(F.P.elements, chi.mapping))
+            for Q in F.subgroups():
+                maps = [m for ms in F._isos[Q.key].values() for m in ms]
+                image, moved = _transport(send, Q.key, maps)
+                assert image == tuple(sorted(send[x] for x in Q.key))
+                assert [(image, m) for m in moved] == [
+                    transport_pairwise(send, Q.key, m) for m in maps
+                ]
+                moved_maps += len(maps)
+    assert moved_maps > 10000
 
 
 def _s3_sylow():

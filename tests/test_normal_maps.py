@@ -33,6 +33,7 @@ from fusionkit import (
     o_p_prime_subsystem,
     partial_domain,
     strongly_closed_subgroups,
+    subgroup_closure,
     t_core,
     upper_central_series,
     verify_theorem_a,
@@ -47,6 +48,7 @@ from fusionkit.errors import (
     TheoremViolation,
 )
 from fusionkit.normal_maps import _first_disagreement, _maximum, _minimum
+from oracles import closure_by_breadth_first, is_normal_by_every_pair
 
 
 @pytest.fixture(scope="module")
@@ -470,3 +472,28 @@ def test_theorems_a_to_c_on_a4xd8(a4xd8_system):
         counts.append(len(found))
     assert (len(counts), sum(counts)) == (12, 18)
     assert x_subgroup(F).value == upper_central_series(F).limit
+
+
+def test_automizer_lattices_match_the_element_by_element_forms(a4xd8_system, monkeypatch):
+    """On every Aut_F(Q) lattice that ``weakly_normal_systems_on`` enumerates
+    on F_P(A4 x D8), ``is_normal_in`` agrees with the every-pair test and
+    ``subgroup_closure`` with the breadth-first closure, on every subgroup
+    and every pair of subgroups."""
+    F = a4xd8_system
+    enumerated = []
+
+    def spy(container):
+        enumerated.append(container)
+        return all_subgroups(container)
+
+    monkeypatch.setattr(normal_maps, "all_subgroups", spy)
+    for T in strongly_closed_subgroups(F):
+        weakly_normal_systems_on(F, T)
+    assert len(enumerated) > 10
+    for full in enumerated:
+        lattice = all_subgroups(full)
+        for S in lattice:
+            gens = S.generators()
+            assert subgroup_closure(full.group, gens) == closure_by_breadth_first(full.group, gens)
+            for K in lattice:
+                assert S.is_normal_in(K) == is_normal_by_every_pair(S, K), (S.elements, K.elements)
