@@ -33,7 +33,7 @@ def load_catalog(name: str) -> dict:
     return json.loads(path.read_text())
 
 
-def make_group(spec: dict, *, order_bound: int | None = DEFAULT_ORDER_BOUND) -> Group:
+def make_group(spec: dict) -> Group:
     """Build the permutation group described by a group spec."""
     if not isinstance(spec, dict):
         raise ParseError(f"group spec must be a JSON object, got {type(spec).__name__}")
@@ -58,7 +58,7 @@ def make_group(spec: dict, *, order_bound: int | None = DEFAULT_ORDER_BOUND) -> 
         type(prime) is int and prime <= _DOCUMENT_MAX["p"] and is_prime(prime)
     ):
         raise ParseError(f"prime must be a prime number up to {_DOCUMENT_MAX['p']}, got {prime!r}")
-    G = Group(gens, degree, name=name, generators=gens, order_bound=order_bound)
+    G = Group(gens, degree, name=name, generators=gens, order_bound=DEFAULT_ORDER_BOUND)
     declared = spec.get("order")
     if declared is not None and (type(declared) is not int or declared != len(G)):
         raise ParseError(
@@ -78,9 +78,7 @@ def _read_json(path: Path, what: str):
         raise ParseError(f"invalid JSON in {what} file {path}: {exc}") from None
 
 
-def load_group_spec(
-    source: str, *, order_bound: int | None = DEFAULT_ORDER_BOUND
-) -> tuple[Group, int | None]:
+def load_group_spec(source: str) -> tuple[Group, int | None]:
     """Resolve a CLI group argument: a spec-file path or a catalog name.
 
     Returns the group together with the spec file's preferred prime, if any.
@@ -93,5 +91,5 @@ def load_group_spec(
         spec = _read_json(path, "group spec")
     else:
         spec = load_catalog(source)
-    group = make_group(spec, order_bound=order_bound)
+    group = make_group(spec)
     return group, spec.get("prime")

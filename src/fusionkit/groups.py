@@ -619,7 +619,7 @@ def o_p_prime_group(container: Group | Subgroup, p: int) -> Subgroup:
 class QuotientData:
     """A quotient H/N realized on the right cosets of N, with transport maps."""
 
-    __slots__ = ("container", "kernel", "group", "project", "section")
+    __slots__ = ("container", "group", "project")
 
     def __init__(self, container: Group | Subgroup, kernel: Subgroup):
         amb = _require_subgroup_of(kernel, container)
@@ -641,15 +641,8 @@ class QuotientData:
             perm_of_elt[h] = tuple(coset_of[G.mul(reps[c], h)] for c in range(degree))
         quotient = Group(set(perm_of_elt.values()), degree, closed=True)
         self.container = amb
-        self.kernel = kernel
         self.group = quotient
         self.project = {h: quotient.index_of(perm_of_elt[h]) for h in amb.elements}
-        section = {}
-        for h in amb.elements:
-            q = self.project[h]
-            if q not in section:
-                section[q] = h
-        self.section = tuple(section[q] for q in range(len(quotient)))
 
     def push(self, H: Subgroup) -> Subgroup:
         return Subgroup(self.group, {self.project[h] for h in H.elements}, check=False)

@@ -14,32 +14,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (
-    NotASubgroup,
-    NotSaturated,
-    PreconditionFailed,
-    TheoremViolation,
-)
-from .fusion import (
-    FusionSystem,
-    _routes,
-    fusion_of_group,
-    inner_fusion,
-    is_strongly_closed,
-    quotient_with_data,
-)
+from .errors import NotSaturated, PreconditionFailed, TheoremViolation
+from .fusion import FusionSystem, _routes, fusion_of_group, is_strongly_closed, quotient_with_data
 from .groups import (
     Group,
     Subgroup,
-    _join_normalized,
-    _picker,
     commutator_subgroup,
     group_centre,
     o_p_prime_group,
     sylow,
     upper_central_series_group,
 )
-from .morphisms import _positions
 from .saturation import is_saturated
 from .subsystems import _local_is_all, strongly_closed_subgroups
 
@@ -101,46 +86,33 @@ def _require_saturated(F: FusionSystem) -> None:
         raise NotSaturated("a saturated system is required", witness=F)
 
 
-def _routes_extend_fixing(F: FusionSystem, Q0: Subgroup, routes, x: int) -> bool:
-    """Whether every route t: Q0 -> R extends to an F-isomorphism
-    Q0<x> -> R<x> fixing x, for x in Z(P).  Such an extension carries
-    Q0<x> onto R<x>, the span of R and x, so only that bucket is read."""
-    D = _join_normalized(Q0, (x,))
-    on = _picker(_positions(D.elements, Q0.elements + (x,)))
-    for R, t in routes:
-        C = D if R == Q0 else _join_normalized(R, (x,))
-        if t + (x,) not in map(on, F.iso_mappings(D, C)):
-            return False
-    return True
-
-
 def centre_of(F: FusionSystem) -> Subgroup:
     """Z(F): the x in P whose adjunction extends every morphism.
 
     An element x qualifies when every isomorphism phi: Q -> R has an
-    extension Q<x> -> R<x> fixing x.  Only x in Z(P) can qualify, since
-    the extension of each c_y: P -> P is c_y itself and must fix x, so the
-    search runs over Z(P).  Checking isomorphisms suffices: a morphism is
-    an isomorphism onto its image followed by an inclusion.
+    extension Q<x> -> R<x> fixing x, that is, when F = C_F(<x>).  Only x in
+    Z(P) can qualify, since the extension of each c_y: P -> P is c_y itself
+    and must fix x, so the search runs over Z(P).  Checking isomorphisms
+    suffices: a morphism is an isomorphism onto its image followed by an
+    inclusion.
 
-    For a fixed x, the isomorphisms that extend this way are closed under
-    composition (compose the extensions) and inverse (invert the
-    extension, which is onto R<x>).  So x qualifies exactly when every
-    route of ``_routes`` extends.
+    For x in Z(P), X = <x> is normal in P, and an extension fixes x exactly
+    when its restriction to X is the identity.  So ``_local_is_all`` with
+    the identity of X as the only allowed restriction decides x on the
+    routes of each class.
     """
     _require_saturated(F)
     G = F.group
-    routes = _routes(F, F.P)
     fixed = [G.identity]
     for x in group_centre(F.P).elements:
-        if x != G.identity and all(_routes_extend_fixing(F, Q0, rs, x) for Q0, rs in routes):
-            fixed.append(x)
-    try:
-        return Subgroup(G, fixed, check=True)
-    except NotASubgroup:
-        raise TheoremViolation(
-            "central elements do not form a subgroup", witness=tuple(fixed)
-        ) from None
+        if x != G.identity:
+            X = G.generated_subgroup((x,))
+            if _local_is_all(F, X, frozenset({X.elements})):
+                fixed.append(x)
+    Z = G.generated_subgroup(fixed)
+    if len(Z) != len(fixed):
+        raise TheoremViolation("central elements do not form a subgroup", witness=tuple(fixed))
+    return Z
 
 
 def upper_central_series(F: FusionSystem) -> CentralSeries:
@@ -207,25 +179,41 @@ def x_subgroup(F: FusionSystem) -> XSubgroup:
     return XSubgroup(X)
 
 
+def _fixes_cosets(F: FusionSystem, T: Subgroup) -> bool:
+    """Whether F/T is the inner system of P/T, for strongly closed T
+    containing [P, P].  As P/T is abelian, that inner system has only
+    identity maps, so equality holds exactly when every F-isomorphism
+    between subgroups containing T fixes each coset of T.  Those
+    isomorphisms are closed under composition and inverse, and a class
+    whose first member contains T lies wholly above T, as T is strongly
+    closed; so the routes of those classes decide it."""
+    G = F.group
+    return all(
+        G.mul(G.inv(x), y) in T._set
+        for Q0, routes in _routes(F, F.P) if T <= Q0
+        for _, t in routes
+        for x, y in zip(Q0.elements, t)
+    )
+
+
 def is_perfect(F: FusionSystem) -> bool:
     """Whether F admits no surjection onto the inner system of a
     nontrivial abelian quotient of P.
 
     A quotient map to F_A(A) with A abelian factors through F/T for a
     strongly closed T containing [P, P], so it suffices to test whether
-    some such proper T gives quotient(F, T) equal to the inner system on
-    P/T.  Decided once per system.
+    some such proper T gives F/T equal to the inner system on P/T, which
+    ``_fixes_cosets`` decides on the routes.  Decided once per system.
     """
     _require_saturated(F)
 
     def decide() -> bool:
         derived = commutator_subgroup(F.P, F.P, F.P)
-        quotients = (
-            quotient_with_data(F, T)[0]
+        return not any(
+            _fixes_cosets(F, T)
             for T in strongly_closed_subgroups(F)
             if len(T) < len(F.P) and derived <= T
         )
-        return all(Fbar != inner_fusion(Fbar.P, F.p) for Fbar in quotients)
 
     return F._fact("perfect", None, decide)
 

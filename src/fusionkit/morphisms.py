@@ -365,14 +365,14 @@ def _iso_search(
     return results
 
 
-def automorphisms(container: Group | Subgroup, *, order_bound: int | None = DEFAULT_ORDER_BOUND) -> AutGroup:
+def automorphisms(container: Group | Subgroup) -> AutGroup:
     """The full automorphism group of a subgroup or group.
 
-    Raises OrderBoundExceeded when more than ``order_bound`` automorphisms
-    exist; the search aborts early in that case.
+    Raises OrderBoundExceeded when more than ``DEFAULT_ORDER_BOUND``
+    automorphisms exist; the search aborts early in that case.
     """
     Q = _as_subgroup(container)
-    maps = _iso_search(Q, Q, find_all=True, limit=order_bound)
+    maps = _iso_search(Q, Q, find_all=True, limit=DEFAULT_ORDER_BOUND)
     morphs = [
         Morphism(Q, Q, tuple(m[x] for x in Q.elements)) for m in maps
     ]

@@ -369,7 +369,7 @@ def _generate(F: FusionSystem, A: AutMap) -> FusionSystem:
     the caller has just checked."""
     T = F.require_in_p(A.T)
     seeds = [(qk, m) for qk, ms in A.assignment.items() for m in ms]
-    inner = fusion_of_group(T, F.p, T)._isos
+    inner = F._fact("inner", T, fusion_of_group, T, F.p, T)._isos
     E = FusionSystem(F.group, T, F.p, _close(T, inner, seeds))
     for Q in E.subgroups():
         if frozenset(E.iso_mappings(Q, Q)) != A.assignment[Q.key]:

@@ -61,6 +61,12 @@ def a4xd8_system(ladder_groups):
 
 
 @pytest.fixture(scope="session")
+def s4xd8_system(ladder_groups):
+    """F_P(S4 x D8), on a Sylow 2-subgroup of order 64."""
+    return fusion_of_group(ladder_groups[1], 2)
+
+
+@pytest.fixture(scope="session")
 def strongly_closed_cases(catalog_systems, a4xd8_system):
     """[(F, T)] for every strongly closed T of every catalog system and of
     F_P(A4 x D8)."""

@@ -25,7 +25,9 @@ closed by a breadth-first search, normality is tested on every pair of
 elements, and maps are moved along an isomorphism one at a time by sorting
 their pairs, as the library did before ``subgroup_closure`` became a coset
 search, ``is_normal_in`` read generators and ``_transport`` moved every map
-on a domain at once.
+on a domain at once.  Perfectness is also decided by building F/T and the
+inner system of P/T for each candidate T and comparing the two, as the
+library did before it read the routes.
 """
 
 from __future__ import annotations
@@ -37,10 +39,13 @@ from fusionkit import (
     Morphism,
     SaturationVerdict,
     Subgroup,
+    commutator_subgroup,
     extend_morphism,
     fusion_of_group,
     generated_fusion,
     group_centre,
+    inner_fusion,
+    quotient,
     strongly_closed_subgroups,
 )
 from fusionkit.errors import FusionkitError, NotASubgroupOfP, SeedNotInjective
@@ -494,3 +499,16 @@ def o_p_prime_by_aut_groups(E: FusionSystem) -> FusionSystem:
         powers = [i for i in range(len(ag)) if is_p_power(ag.group.element_order(i), E.p)]
         seeds.extend(ag.morphisms_of(ag.group.generated_subgroup(powers)))
     return generated_fusion(E.P, E.p, seeds)
+
+
+def perfect_by_quotients(F: FusionSystem) -> bool:
+    """Whether F is perfect, as the library decided it before it read the
+    routes: no proper strongly closed T containing [P, P] has F/T equal to
+    the inner system of P/T, both built and compared whole."""
+    derived = commutator_subgroup(F.P, F.P, F.P)
+    quotients = (
+        quotient(F, T)
+        for T in strongly_closed_subgroups(F)
+        if len(T) < len(F.P) and derived <= T
+    )
+    return all(Fbar != inner_fusion(Fbar.P, F.p) for Fbar in quotients)

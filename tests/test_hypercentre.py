@@ -1,10 +1,14 @@
 """Centres: Z(F), the central series, X_F, perfect systems, group comparison."""
 
+import sys
+
 import pytest
 
 from fusionkit import (
     centre_of,
+    commutator_subgroup,
     fusion_of_group,
+    generated_fusion,
     group_centre,
     group_vs_fusion_centres,
     hypercentre,
@@ -19,7 +23,9 @@ from fusionkit import (
     x_subgroup,
 )
 from fusionkit.errors import NotSaturated, PreconditionFailed
-from oracles import centre_by_fixed_points
+from fusionkit.groups import QuotientData
+from fusionkit.hypercentre import _fixes_cosets
+from oracles import centre_by_fixed_points, perfect_by_quotients
 
 CENTRE_ORDERS = {
     ("s4", 2): 1,
@@ -41,12 +47,12 @@ def test_centre_orders_frozen(key, order):
     assert Z.elements == centre_by_fixed_points(F).elements
 
 
-def test_centre_on_routes_matches_the_fixed_points(catalog_systems, a4xd8_system):
+def test_centre_on_routes_matches_the_fixed_points(catalog_systems, a4xd8_system, s4xd8_system):
     """``centre_of`` decides each x on the routes of each class; it agrees
     with the fixed points of every morphism on every catalog system, on its
     quotient by every proper nontrivial strongly closed T, and on
-    F_P(A4 x D8)."""
-    systems = [a4xd8_system]
+    F_P(A4 x D8) and F_P(S4 x D8)."""
+    systems = [a4xd8_system, s4xd8_system]
     for _, _, F in catalog_systems:
         systems.append(F)
         systems += [quotient(F, T) for T in strongly_closed_subgroups(F) if 1 < len(T) < len(F.P)]
@@ -92,6 +98,81 @@ def test_perfect_flags():
         G, _ = load_group_spec(name)
         F = fusion_of_group(G, p)
         assert is_perfect(F) is expected, (name, p)
+
+
+def test_perfect_on_routes_matches_the_quotients(
+    catalog_systems, sweep_weakly_normal, a4xd8_system
+):
+    """``is_perfect`` reads the routes of the classes above each candidate
+    T; it agrees with building F/T and comparing it with the inner system
+    of P/T, on every catalog system, its quotient by every proper
+    nontrivial strongly closed T, every weakly normal system of the sweep,
+    and F_P(A4 x D8).  Both verdicts occur."""
+    catalog = [F for _, _, F in catalog_systems]
+    systems = catalog + [a4xd8_system]
+    systems += [
+        quotient(F, T) for F in catalog for T in strongly_closed_subgroups(F)
+        if 1 < len(T) < len(F.P)
+    ]
+    systems += [E for *_, found in sweep_weakly_normal for E in found]
+    verdicts = []
+    for F in systems:
+        verdict = is_perfect(F)
+        assert verdict is perfect_by_quotients(F), F
+        verdicts.append(verdict)
+    assert len(systems) > 700 and verdicts.count(True) > 50 and verdicts.count(False) > 50
+
+
+def test_coset_test_needs_no_saturation(catalog_systems):
+    """``_fixes_cosets`` rests on the routes and on strong closure alone, so
+    it agrees with building F/T and the inner system of P/T on systems that
+    are not saturated too: the system generated by each single isomorphism
+    of each catalog system on P of order at most 8, at every proper
+    strongly closed T containing [P, P].  Such systems have maps below T
+    that move cosets of T, and classes above T with two members whose
+    automizers all fix the cosets.  The saturated systems of the other
+    tests show neither, so they alone would not tell whether the test
+    reads the right routes."""
+    verdicts, seen = [], set()
+    for _, p, F in catalog_systems:
+        if len(F.P) > 8:
+            continue
+        derived = commutator_subgroup(F.P, F.P, F.P)
+        for phi in F.all_isos():
+            E = generated_fusion(F.P, p, [phi])
+            if E.to_key() in seen:
+                continue
+            seen.add(E.to_key())
+            for T in strongly_closed_subgroups(E):
+                if len(T) < len(F.P) and derived <= T:
+                    Fbar = quotient(E, T)
+                    verdict = _fixes_cosets(E, T)
+                    assert verdict is (Fbar == inner_fusion(Fbar.P, p)), (E, T.elements)
+                    verdicts.append(verdict)
+    assert len(seen) > 50 and verdicts.count(True) > 100 and verdicts.count(False) > 20
+
+
+def test_perfect_builds_no_quotient_and_no_inner_system(monkeypatch):
+    """``is_perfect`` on a fresh system constructs no ``QuotientData`` and
+    calls no ``inner_fusion``, from any module of the library."""
+    built = []
+    init = QuotientData.__init__
+
+    def spy_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(QuotientData, "__init__", spy_init)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("fusionkit") and hasattr(module, "inner_fusion"):
+            real = module.inner_fusion
+            monkeypatch.setattr(
+                module, "inner_fusion", lambda *a, real=real: built.append(a) or real(*a)
+            )
+    for name, p, expected in [("a4", 2, True), ("s4", 2, False), ("sl23", 2, True)]:
+        G, _ = load_group_spec(name)
+        assert is_perfect(fusion_of_group(G, p)) is expected
+    assert built == []
 
 
 def test_perfect_systems_have_stalled_series():

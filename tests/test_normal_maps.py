@@ -474,6 +474,23 @@ def test_theorems_a_to_c_on_a4xd8(a4xd8_system):
     assert x_subgroup(F).value == upper_central_series(F).limit
 
 
+def test_theorems_a_to_c_on_s4xd8(s4xd8_system):
+    """Theorems A and B on every weakly normal subsystem on every strongly
+    closed T of F_P(S4 x D8), |P| = 64: ``verify_theorem_a`` holds, and the
+    map of E generates E again.  Theorem C once: X_F is the limit of the
+    upper central series."""
+    F = s4xd8_system
+    counts = []
+    for T in strongly_closed_subgroups(F):
+        found = weakly_normal_systems_on(F, T)
+        for E in found:
+            assert verify_theorem_a(F, E).holds, T.elements
+            assert generate_from_map(F, aut_map_of(E)) == E, T.elements
+        counts.append(len(found))
+    assert (len(counts), sum(counts)) == (25, 31)
+    assert x_subgroup(F).value == upper_central_series(F).limit
+
+
 def test_automizer_lattices_match_the_element_by_element_forms(a4xd8_system, monkeypatch):
     """On every Aut_F(Q) lattice that ``weakly_normal_systems_on`` enumerates
     on F_P(A4 x D8), ``is_normal_in`` agrees with the every-pair test and
