@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import chain
 from typing import Callable, Iterable, Iterator
 
 from .errors import (
@@ -41,6 +41,7 @@ from .groups import (
     Subgroup,
     _as_subgroup,
     _conj_rows,
+    _maximal_subgroups,
     _picker,
     all_subgroups,
     centralizer,
@@ -204,13 +205,7 @@ class FusionSystem:
     def aut_mappings_of_conjugation(self, Q: Subgroup, source: Subgroup) -> frozenset[Key]:
         """Mappings of the automorphisms of Q induced by N_source(Q),
         computed once per pair of subgroups of P's group."""
-
-        def table() -> frozenset[Key]:
-            N = self.n_p(Q) if source == self.P else normalizer(source, Q)
-            rows = self._p_rows() if N <= self.P else _conj_rows(self.group, N.elements)
-            return frozenset(map(_picker(Q.elements), [rows[g] for g in N.elements]))
-
-        return self._fact("aut_p", Q, table, within=source)
+        return self._fact("aut_p", Q, _conjugations, self, Q, source, within=source)
 
     def n_p(self, Q: Subgroup) -> Subgroup:
         """N_P(Q), computed once per subgroup of P."""
@@ -224,31 +219,17 @@ class FusionSystem:
 
     def conjugacy_class(self, Q: Subgroup) -> ConjClass:
         self.require_in_p(Q)
-        index = self._fact("class_of", None, lambda: {S.key: c for c in self.classes() for S in c})
+        index = self._fact("class_of", None, _class_index, self)
         try:
             return index[Q.key]
         except KeyError:
             raise NotASubgroupOfP("not a subgroup of P", witness=Q) from None
 
     def classes(self) -> tuple[ConjClass, ...]:
-        def build() -> tuple[ConjClass, ...]:
-            seen: set[Key] = set()
-            out = []
-            for Q in self.subgroups():
-                if Q.key not in seen:
-                    member_keys = sorted(self._isos.get(Q.key, {Q.key: ()}))
-                    seen.update(member_keys)
-                    out.append(ConjClass(tuple(map(self.subgroup, member_keys))))
-            return tuple(out)
-
-        return self._fact("classes", None, build)
+        return self._fact("classes", None, _classes, self)
 
     def is_fully_normalized(self, Q: Subgroup) -> bool:
-        def decide() -> bool:
-            n = len(self.n_p(Q))
-            return all(len(self.n_p(R)) <= n for R in self.conjugacy_class(Q))
-
-        return self._fact("fully_normalized", Q, decide)
+        return self._fact("fully_normalized", Q, _fully_normalized, self, Q)
 
     def is_fully_centralized(self, Q: Subgroup) -> bool:
         c = len(self.c_p(Q))
@@ -257,14 +238,7 @@ class FusionSystem:
     # -- comparisons -----------------------------------------------------
 
     def to_key(self) -> tuple:
-        def build() -> tuple:
-            body = tuple(
-                (qk, tuple((rk, self._isos[qk][rk]) for rk in sorted(self._isos[qk])))
-                for qk in sorted(self._isos)
-            )
-            return (self.p, self.P.key, body)
-
-        return self._fact("key", None, build)
+        return self._fact("key", None, _table_key, self)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FusionSystem):
@@ -295,6 +269,38 @@ class FusionSystem:
         if self.name:
             data["name"] = self.name
         return data
+
+
+def _conjugations(F: FusionSystem, Q: Subgroup, source: Subgroup) -> frozenset[Key]:
+    N = F.n_p(Q) if source == F.P else normalizer(source, Q)
+    rows = F._p_rows() if N <= F.P else _conj_rows(F.group, N.elements)
+    return frozenset(map(_picker(Q.elements), [rows[g] for g in N.elements]))
+
+
+def _class_index(F: FusionSystem) -> dict[Key, ConjClass]:
+    return {S.key: c for c in F.classes() for S in c}
+
+
+def _classes(F: FusionSystem) -> tuple[ConjClass, ...]:
+    seen: set[Key] = set()
+    out = []
+    for Q in F.subgroups():
+        if Q.key not in seen:
+            member_keys = sorted(F._isos.get(Q.key, {Q.key: ()}))
+            seen.update(member_keys)
+            out.append(ConjClass(tuple(map(F.subgroup, member_keys))))
+    return tuple(out)
+
+
+def _fully_normalized(F: FusionSystem, Q: Subgroup) -> bool:
+    n = len(F.n_p(Q))
+    return all(len(F.n_p(R)) <= n for R in F.conjugacy_class(Q))
+
+
+def _table_key(F: FusionSystem) -> tuple:
+    isos = F._isos
+    body = tuple((qk, tuple((rk, isos[qk][rk]) for rk in sorted(isos[qk]))) for qk in sorted(isos))
+    return (F.p, F.P.key, body)
 
 
 def deserialize(data: dict) -> FusionSystem:
@@ -332,16 +338,15 @@ def deserialize(data: dict) -> FusionSystem:
     P = Subgroup(group, data["P"])
     # Looking an entry up here both rejects what is not an element of P and
     # turns a JSON number such as 1.0 into the index itself; a JSON true,
-    # equal to 1, is looked up as None and rejected.
+    # equal to 1, would be looked up as 1, so booleans are refused first.
     elements = {x: x for x in P.elements}
-
-    def index(x):
-        return elements[None if type(x) is bool else x]
     isos: dict[Key, list[Key]] = {}
     try:
         for qlist, mappings in data["isos"]:
-            qk = tuple(map(index, qlist))
-            ms = [tuple(map(index, m)) for m in mappings]
+            if bool in set(map(type, chain(qlist, *mappings))):
+                raise ValueError("a JSON boolean is not an element index")
+            qk = tuple(map(elements.__getitem__, qlist))
+            ms = [tuple(map(elements.__getitem__, m)) for m in mappings]
             if any(len(m) != len(qk) for m in ms):
                 raise ParseError("fusion data iso mapping is not as long as its domain", witness=qk)
             isos.setdefault(qk, []).extend(ms)
@@ -375,19 +380,19 @@ def _routes(F: FusionSystem, T: Subgroup) -> list[tuple[Subgroup, list[tuple[Sub
     in Aut_F(Q0).  So a condition that holds on a set of isomorphisms closed
     under composition and inverse holds on the whole class exactly when it
     holds on the routes.  Computed once per T."""
+    return F._fact("routes", T, _find_routes, F, T)
 
-    def build() -> list[tuple[Subgroup, list[tuple[Subgroup, Key]]]]:
-        out = []
-        for cls in F.classes():
-            inside = [R for R in cls if T._set.issuperset(R.key)]
-            if inside:
-                Q0 = max(inside, key=lambda R: len(F.n_p(R)))
-                routes = [(Q0, m) for m in _generators(Q0.key, F.iso_mappings(Q0, Q0))]
-                routes += [(R, F._isos[Q0.key][R.key][0]) for R in cls if R != Q0]
-                out.append((Q0, routes))
-        return out
 
-    return F._fact("routes", T, build)
+def _find_routes(F: FusionSystem, T: Subgroup) -> list[tuple[Subgroup, list[tuple[Subgroup, Key]]]]:
+    out = []
+    for cls in F.classes():
+        inside = [R for R in cls if T._set.issuperset(R.key)]
+        if inside:
+            Q0 = max(inside, key=lambda R: len(F.n_p(R)))
+            routes = [(Q0, m) for m in _generators(Q0.key, F.iso_mappings(Q0, Q0))]
+            routes += [(R, F._isos[Q0.key][R.key][0]) for R in cls if R != Q0]
+            out.append((Q0, routes))
+    return out
 
 
 def _generators(domain: Key, auts: tuple[Key, ...]) -> list[Key]:
@@ -484,16 +489,15 @@ def _close(P: Subgroup, base: IsoTable, seeds: Iterable[tuple[Key, Key]]) -> Iso
     popped.  Base maps are indexed only as maps out of their domain: a
     base map b followed by a new map m is the inverse of m^-1 b^-1, formed
     when the new map m^-1 is popped.  A popped map is restricted to the
-    maximal subgroups of its domain, of index p, and those restrictions
-    are popped in turn, so every subgroup is reached down a chain.  A
-    domain that gains no map keeps base's buckets."""
+    maximal subgroups of its domain, as P's lattice recorded them, and
+    those restrictions are popped in turn: every S < Q lies on a chain of
+    subgroups each of index p in the next.  A domain that gains no map
+    keeps base's buckets."""
     lattice = all_subgroups(P)
-    subgroup = {S.key: S for S in lattice}
+    subgroup, covers = {S.key: S for S in lattice}, _maximal_subgroups(P)
     isos: dict[Key, set[Key]] = {
         S.key: {m for ms in base.get(S.key, {}).values() for m in ms} for S in lattice
     }
-    layers = {n: list(same) for n, same in groupby(lattice, len)}
-    p = len(lattice[1]) if len(lattice) > 1 else 1
     # per domain, on first use: the new maps into it with their positions
     # in it, the maps out of it, and its maximal subgroups with theirs
     into: dict[Key, list[tuple[Key, Key]]] = {}
@@ -501,11 +505,8 @@ def _close(P: Subgroup, base: IsoTable, seeds: Iterable[tuple[Key, Key]]) -> Iso
     maximal: dict[Key, list[tuple[Key, Key]]] = {}
 
     def index(key: Key) -> None:
-        into[key], qset = [], subgroup[key]._set
-        outof[key] = [m for ms in base.get(key, {}).values() for m in ms]
-        maximal[key] = [
-            (S.key, _positions(key, S.key)) for S in layers.get(len(key) // p, ()) if S._set < qset
-        ]
+        into[key], outof[key] = [], [m for ms in base.get(key, {}).values() for m in ms]
+        maximal[key] = [(sk, _positions(key, sk)) for sk in covers[key]]
 
     queue: list[tuple[Key, Key]] = []
     grown: set[Key] = set()
@@ -745,7 +746,11 @@ def validate_fusion(F: FusionSystem) -> None:
     Each mapping is tested against the homomorphism law on its domain's
     generators, and ``Morphism.build`` runs only to name a failure.  A
     homomorphism is fixed by its images of generators, so the later checks
-    compare the images of generators against one set per domain."""
+    compare the images of generators against one set per domain.
+    Restrictions are checked on the maximal subgroups of each domain alone:
+    every S < Q lies on a chain of subgroups each of index p in the next, so
+    by induction on |Q| all restrictions are then stored.  The check over
+    every smaller subgroup runs only to name the first failure."""
     lattice = {S.key: S for S in F.subgroups()}
     pset = F.P._set
     if set(F._isos) != set(lattice):
@@ -774,22 +779,27 @@ def validate_fusion(F: FusionSystem) -> None:
                 raise FusionkitError("P is not closed under its own conjugation")
             if images not in stored[Q.key]:
                 raise FusionkitError("inner fusion missing", witness=(Q.key, mapping))
-    for qk, targets in F._isos.items():
-        # a smaller subgroup lies in Q when its generators do
-        qset, n, at = lattice[qk]._set, len(qk), index[qk]
-        contained = [
-            (sk, _picker([at[x] for x in gens[sk]]))
-            for sk in F._isos if len(sk) < n and qset.issuperset(gens[sk])
-        ]
-        for rk, ms in targets.items():
-            for m in ms:
-                if tuple(qk[m.index(y)] for y in gens[rk]) not in stored[rk]:
-                    raise FusionkitError("not closed under inversion", witness=m)
-                for sk, on_sk in contained:
-                    if on_sk(m) not in stored[sk]:
-                        raise FusionkitError("not closed under restriction", witness=(m, sk))
-                then = _picker([index[rk][y] for y in on_gens[qk](m)])
-                for ms2 in F._isos[rk].values():
-                    for m2 in ms2:
+
+    def check(below: Callable[[Key], Iterable[Key]]) -> None:
+        for qk, targets in F._isos.items():
+            at = index[qk]
+            contained = [(sk, _picker([at[x] for x in gens[sk]])) for sk in below(qk)]
+            for rk, ms in targets.items():
+                for m in ms:
+                    if tuple(qk[m.index(y)] for y in gens[rk]) not in stored[rk]:
+                        raise FusionkitError("not closed under inversion", witness=m)
+                    for sk, on_sk in contained:
+                        if on_sk(m) not in stored[sk]:
+                            raise FusionkitError("not closed under restriction", witness=(m, sk))
+                    then = _picker([index[rk][y] for y in on_gens[qk](m)])
+                    for m2 in chain(*F._isos[rk].values()):
                         if then(m2) not in stored[qk]:
                             raise FusionkitError("not closed under composition", witness=(m, m2))
+
+    try:
+        check(_maximal_subgroups(F.P).__getitem__)
+    except FusionkitError:
+        # a smaller subgroup lies in Q when its generators do
+        check(lambda qk: [sk for sk in F._isos
+                          if len(sk) < len(qk) and lattice[qk].contains_all(gens[sk])])
+        raise

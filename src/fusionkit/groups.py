@@ -11,10 +11,12 @@ carrier's element key, so :func:`all_subgroups` builds the lattice of a
 carrier at most once while the group lives.  A p-group is built layer by
 layer, each subgroup of order p^(k+1) as a normal subgroup of index p
 plus one element, which reaches all of them because every non-trivial
-p-group has a normal subgroup of index p.  Any other carrier may have
-subgroups no such chain reaches (A5 in S5), and is built as a join
-closure of cyclic subgroups.  Either build carries with each subgroup
-the short generator tuple it was reached by.
+p-group has a normal subgroup of index p.  The maximal subgroups of a
+p-group are exactly those, so the build reaches each subgroup from each
+of its maximal subgroups once, and records them in the same memo entry.
+Any other carrier may have subgroups no such chain reaches (A5 in S5),
+and is built as a join closure of cyclic subgroups.  Either build
+carries with each subgroup the short generator tuple it was reached by.
 """
 
 from __future__ import annotations
@@ -136,7 +138,7 @@ class Group:
         else:
             self.generator_indices = None
         self._full = None
-        self._lattices: dict[tuple[int, ...], tuple[Subgroup, ...]] = {}
+        self._lattices: dict[tuple[int, ...], tuple[tuple[Subgroup, ...], dict | None]] = {}
 
     @property
     def order(self) -> int:
@@ -385,31 +387,40 @@ def all_subgroups(container: Group | Subgroup) -> tuple[Subgroup, ...]:
     in the group's ``_lattices`` memo under the carrier's element key, so
     every ``Subgroup`` with that key, and the group itself for its full
     subgroup, reads the same tuple.  The memo goes with the group.  A
-    carrier of order p^n > 1 takes the layer build, any other the join
-    closure.
+    p-group carrier takes the layer build, which also records the maximal
+    subgroups of each member there; any other carrier the join closure.
     """
-    amb = _as_subgroup(container)
+    return _lattice_entry(_as_subgroup(container))[0]
+
+
+def _maximal_subgroups(P: Subgroup) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
+    """The maximal subgroups' keys of each subgroup of the p-group P, in lattice order."""
+    return _lattice_entry(P)[1]
+
+
+def _lattice_entry(amb: Subgroup) -> tuple[tuple[Subgroup, ...], dict | None]:
     lattices = amb.group._lattices
-    lattice = lattices.get(amb.elements)
-    if lattice is None:
+    entry = lattices.get(amb.elements)
+    if entry is None:
         n = len(amb.elements)
-        p = min((d for d in range(2, n + 1) if n % d == 0), default=1)
-        lattice = lattices[amb.elements] = (
-            _layer_lattice(amb, p) if p > 1 and is_p_power(n, p) else _subgroup_lattice(amb)
-        )
-    return lattice
+        p = min((d for d in range(2, n + 1) if n % d == 0), default=2)
+        entry = _layer_lattice(amb, p) if is_p_power(n, p) else (_subgroup_lattice(amb), None)
+        lattices[amb.elements] = entry
+    return entry
 
 
-def _layer_lattice(amb: Subgroup, p: int) -> tuple[Subgroup, ...]:
-    """The subgroups of the p-group ``amb``, one layer per order: each M
-    of a layer, with the generators it was reached by, yields <M, g> =
-    M u gM u ... u g^(p-1)M for each g that conjugates those generators
-    into M with g^p in M, unless g lies in a <M, g'> found before."""
+def _layer_lattice(amb: Subgroup, p: int) -> tuple[tuple[Subgroup, ...], dict]:
+    """The subgroups of the p-group ``amb``, one layer per order, and the
+    maximal subgroups of each: each M of a layer, with the generators it
+    was reached by, yields <M, g> = M u gM u ... u g^(p-1)M for each g that
+    conjugates those generators into M with g^p in M, unless g lies in a
+    <M, g'> found before.  So each maximal M of J, of index p, is reached
+    once, and in lattice order as each layer is taken by key."""
     G, mul = amb.group, amb.group._mul
     pth = {g: reduce(lambda x, _: mul[x][g], range(p - 1), g) for g in amb.elements}
     conj = _conj_rows(G, amb.elements)
     triv = Subgroup(G, (G.identity,), check=False)
-    found: dict[tuple[int, ...], Subgroup] = {triv.key: triv}
+    lattice, maximal = [triv], {triv.key: []}
     layer: list[tuple[Subgroup, tuple[int, ...]]] = [(triv, ())]
     while layer:
         new = []
@@ -425,11 +436,14 @@ def _layer_lattice(amb: Subgroup, p: int) -> tuple[Subgroup, ...]:
                     power = mul[power][g]
                 done.update(span)
                 key = tuple(sorted(span))
-                if key not in found:
-                    found[key] = J = Subgroup(G, key, check=False)
-                    new.append((J, gens + (g,)))
+                if key not in maximal:
+                    maximal[key] = []
+                    new.append((Subgroup(G, key, check=False), gens + (g,)))
+                maximal[key].append(M.elements)
+        new.sort(key=lambda pair: pair[0].elements)
+        lattice += [J for J, _ in new]
         layer = new
-    return tuple(sorted(found.values(), key=lambda s: (len(s.elements), s.elements)))
+    return tuple(lattice), maximal
 
 
 def _subgroup_lattice(amb: Subgroup) -> tuple[Subgroup, ...]:

@@ -206,16 +206,13 @@ def is_perfect(F: FusionSystem) -> bool:
     ``_fixes_cosets`` decides on the routes.  Decided once per system.
     """
     _require_saturated(F)
+    return F._fact("perfect", None, _no_abelian_quotient, F)
 
-    def decide() -> bool:
-        derived = commutator_subgroup(F.P, F.P, F.P)
-        return not any(
-            _fixes_cosets(F, T)
-            for T in strongly_closed_subgroups(F)
-            if len(T) < len(F.P) and derived <= T
-        )
 
-    return F._fact("perfect", None, decide)
+def _no_abelian_quotient(F: FusionSystem) -> bool:
+    derived, order = commutator_subgroup(F.P, F.P, F.P), len(F.P)
+    closed = [T for T in strongly_closed_subgroups(F) if len(T) < order and derived <= T]
+    return not any(_fixes_cosets(F, T) for T in closed)
 
 
 def verify_perfect_z2(F: FusionSystem) -> PerfectCentreReport:

@@ -9,6 +9,7 @@ the points 0..n-1.  Composition is left to right throughout fusionkit:
 from __future__ import annotations
 
 import re
+from operator import itemgetter
 
 from .errors import InvalidPermutation
 
@@ -22,8 +23,8 @@ def identity_perm(degree: int) -> Perm:
 
 
 def perm_mul(a: Perm, b: Perm) -> Perm:
-    """Apply ``a`` first, then ``b``."""
-    return tuple(b[x] for x in a)
+    """Apply ``a`` first, then ``b``; below degree 2, ``itemgetter`` returns no tuple."""
+    return itemgetter(*a)(b) if len(a) > 1 else tuple(b[x] for x in a)
 
 
 def perm_inv(a: Perm) -> Perm:

@@ -122,19 +122,16 @@ def is_saturated(F: FusionSystem) -> SaturationVerdict:
     (Aschbacher-Kessar-Oliver, Fusion Systems in Algebra and Topology,
     I.2.6(c)).  So the first member with the largest N_P decides its
     class."""
+    return F._fact("saturated", None, _roberts_shpectorov, F)
 
-    def decide() -> SaturationVerdict:
-        for cls in F.classes():
-            Q = max(cls.members, key=lambda S: len(F.n_p(S)))
-            if not (is_fully_automized(F, Q) and is_receptive(F, Q)):
-                return SaturationVerdict(
-                    False,
-                    witness=cls.representative,
-                    reason="class has no fully automized receptive member",
-                )
-        return SaturationVerdict(True)
 
-    return F._fact("saturated", None, decide)
+def _roberts_shpectorov(F: FusionSystem) -> SaturationVerdict:
+    for cls in F.classes():
+        Q = max(cls.members, key=lambda S: len(F.n_p(S)))
+        if not (is_fully_automized(F, Q) and is_receptive(F, Q)):
+            reason = "class has no fully automized receptive member"
+            return SaturationVerdict(False, witness=cls.representative, reason=reason)
+    return SaturationVerdict(True)
 
 
 def normalizer_map(F: FusionSystem, R: Subgroup, Q: Subgroup) -> Morphism | None:

@@ -20,7 +20,10 @@ F_P(G) is also built from every element's whole conjugation row, and
 it read maps off their images of generators.  ``generated_fusion`` also
 closes by queueing every map and restricting to every proper subgroup, and
 O^{p'}(E) is also built from the permutation groups of ``AutGroup``, as the
-library did before it closed over a closed table.  Generated subgroups are
+library did before it closed over a closed table.  The maximal subgroups of
+each subgroup of a p-group are also found by containment, over every pair
+of subgroups, where ``generated_fusion`` and ``validate_fusion`` read them
+from the layer build.  Generated subgroups are
 closed by a breadth-first search, normality is tested on every pair of
 elements, and maps are moved along an isomorphism one at a time by sorting
 their pairs, as the library did before ``subgroup_closure`` became a coset
@@ -91,6 +94,15 @@ def oracle_subgroup_sets(P: Subgroup) -> set[frozenset[int]]:
 
 def oracle_subgroup_count(P: Subgroup) -> int:
     return len(oracle_subgroup_sets(P))
+
+
+def maximal_subgroups_by_containment(P: Subgroup) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
+    """The keys of the maximal subgroups of each subgroup Q of the p-group
+    P, in lattice order: every S of P's lattice with S < Q and |Q:S| = p,
+    found by a walk over every pair of subgroups."""
+    lattice = all_subgroups(P)
+    p = len(lattice[1]) if len(lattice) > 1 else 1
+    return {Q.key: [S.key for S in lattice if len(S) * p == len(Q) and S < Q] for Q in lattice}
 
 
 def _raw(domain: tuple[int, ...], images: dict[int, int]) -> RawIso:

@@ -574,6 +574,49 @@ def test_validate_fusion_fails_first_where_the_full_tuple_check_does(ladder_grou
     }
 
 
+def _deep_restrictions(F):
+    """(domain, mapping) of every restriction of a stored map to a subgroup
+    of index p^2 or more in its domain that is not a map of P's inner
+    fusion, once each."""
+    lattice, inner = F.subgroups(), fusion_of_group(F.P, F.p, F.P)._isos
+    found = {}
+    for Q in lattice:
+        for S in lattice:
+            if S < Q and len(S) * F.p**2 <= len(Q):
+                for m in itertools.chain(*F._isos[Q.key].values()):
+                    r = tuple(m[Q.key.index(x)] for x in S.key)
+                    if r not in inner[S.key].get(tuple(sorted(r)), ()):
+                        found[S.key, r] = None
+    return list(found)
+
+
+def test_validate_fusion_names_a_missing_deep_restriction_as_the_full_tuple_check_does(
+    ladder_groups,
+):
+    # One restriction to a subgroup of index p^2 or more is removed.  With
+    # the domains in reverse order the full check meets the gap first on a
+    # large domain, where the maps' restrictions to maximal subgroups are
+    # all stored, so it is named there only by the rerun over every subgroup.
+    systems = [fusion_of_group(load_group_spec(name)[0], p)
+               for name, p in [("a4xc2", 2), ("ea9_s3", 3)]]
+    systems.append(fusion_of_group(ladder_groups[0], 2))
+    deep = 0
+    for F in systems:
+        for skey, mapping in _deep_restrictions(F)[:: 1 if len(F.P) < 32 else 40]:
+            isos = {qk: dict(targets) for qk, targets in F._isos.items()}
+            rk = tuple(sorted(mapping))
+            isos[skey][rk] = tuple(m for m in isos[skey][rk] if m != mapping)
+            for table in (isos, dict(reversed(isos.items()))):
+                E = FusionSystem(F.group, F.P, F.p, table)
+                expected = _outcome(validate_fusion_by_full_tuples, E)
+                assert expected is not None
+                assert _outcome(validate_fusion, E) == expected, (skey, mapping)
+                if expected[1] == "not closed under restriction":
+                    m, sk = expected[2]
+                    deep += len(m) >= len(sk) * F.p**2
+    assert deep >= 10
+
+
 def test_validate_fusion_builds_no_morphism_on_a_valid_table(ladder_groups, monkeypatch):
     F = fusion_of_group(ladder_groups[1], 2)
     build, calls = Morphism.build.__func__, []

@@ -36,6 +36,7 @@ from oracles import (
     closure_by_breadth_first,
     generators_by_closure,
     is_normal_by_every_pair,
+    maximal_subgroups_by_containment,
     normalizer_by_every_element,
     oracle_subgroup_sets,
 )
@@ -131,6 +132,18 @@ def test_layer_lattice_matches_the_subset_closure_oracle(ladder_groups):
         assert len(P) <= 32
         lattice, oracle = all_subgroups(P), oracle_subgroup_sets(P)
         assert {S._set for S in lattice} == oracle and len(lattice) == len(oracle), P
+
+
+def test_recorded_maximal_subgroups_are_those_found_by_containment(ladder_groups):
+    carriers = [sylow(G.full_subgroup, 2) for G in ladder_groups]
+    carriers += [sylow(_product(*names).full_subgroup, p) for names, p in ODD_PRODUCTS]
+    for name in sorted(catalog_names()):
+        G = make_group(load_catalog(name))
+        carriers += [sylow(G.full_subgroup, p) for p in range(2, len(G) + 1)
+                     if len(G) % p == 0 and is_prime(p)]
+        carriers.append(Subgroup(G, (G.identity,)))
+    for P in carriers:
+        assert groups._maximal_subgroups(P) == maximal_subgroups_by_containment(P), P
 
 
 def test_prime_power_lattices_need_no_join_or_closure(monkeypatch):

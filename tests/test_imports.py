@@ -80,16 +80,29 @@ def test_all_lists_only_own_names(path):
     assert not foreign, f"{path.name} exports names it does not define: {sorted(foreign)}"
 
 
+def _lines_naming(path, name):
+    tree = ast.parse(path.read_text())
+    return [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == name
+        or isinstance(node, ast.Name) and node.id == name
+    ]
+
+
 def test_only_fusion_names_the_memo():
     """``FusionSystem._fact`` is the one reader and writer of ``_cache``, so
     no other module, the package's ``__init__.py`` included, names it."""
     for path in sorted(SRC.glob("*.py")):
-        if path.name == "fusion.py":
-            continue
-        tree = ast.parse(path.read_text())
-        named = [
-            node.lineno for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and node.attr == "_cache"
-            or isinstance(node, ast.Name) and node.id == "_cache"
-        ]
-        assert not named, f"{path.name} names _cache on lines {named}"
+        if path.name != "fusion.py":
+            named = _lines_naming(path, "_cache")
+            assert not named, f"{path.name} names _cache on lines {named}"
+
+
+def test_only_groups_names_the_lattice_memo():
+    """``groups`` is the one reader and writer of ``Group._lattices``: other
+    modules read a lattice through ``all_subgroups`` and its maximal
+    subgroups through ``_maximal_subgroups``."""
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "groups.py":
+            named = _lines_naming(path, "_lattices")
+            assert not named, f"{path.name} names _lattices on lines {named}"
