@@ -29,6 +29,7 @@ from .errors import (
     InputError,
     NotAPGroup,
     NotASubgroup,
+    NotASubgroupOfP,
     NotStronglyClosed,
     NotSylow,
     OrderBoundExceeded,
@@ -81,6 +82,7 @@ from .examples import EXAMPLES, Result, run_example
 _INPUT_ERRORS = (
     InputError,
     NotASubgroup,
+    NotASubgroupOfP,
     NotSylow,
     NotAPGroup,
     NotStronglyClosed,

@@ -102,6 +102,10 @@ def centre_of(F: FusionSystem) -> Subgroup:
     routes of each class.
     """
     _require_saturated(F)
+    return _centre(F)
+
+
+def _centre(F: FusionSystem) -> Subgroup:
     G = F.group
     fixed = [G.identity]
     for x in group_centre(F.P).elements:
@@ -120,15 +124,21 @@ def upper_central_series(F: FusionSystem) -> CentralSeries:
 
     The series stops at the first repetition; every term must come out
     strongly closed, and a term that does not raises TheoremViolation.
+
+    Saturation is decided once, on F.  Each term is taken as the kernel
+    of a quotient only after it is found strongly closed, and the
+    quotient of a saturated system by a strongly closed subgroup is
+    saturated (Puig), so the centre of each quotient is taken without
+    deciding saturation again.
     """
     _require_saturated(F)
-    terms: list[Subgroup] = [centre_of(F)]
+    terms: list[Subgroup] = [_centre(F)]
     while True:
         prev = terms[-1]
         if len(prev) == len(F.P):
             break
         Fbar, qd = quotient_with_data(F, prev)
-        nxt = qd.preimage(centre_of(Fbar))
+        nxt = qd.preimage(_centre(Fbar))
         if nxt.elements == prev.elements:
             break
         terms.append(nxt)

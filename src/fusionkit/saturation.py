@@ -65,11 +65,13 @@ def is_receptive(F: FusionSystem, R: Subgroup) -> bool:
 
     phi and phi followed by c_h, for c_h in Aut_P(R), have the same N_phi
     and extend together (extend by the first, then c_h on P), so one phi
-    per coset phi . Aut_P(R) is tried."""
+    per coset phi . Aut_P(R) is tried.  The coset Aut_P(R) itself is not
+    tried: such a phi is c_h on R for some h in N_P(R), N_phi lies in
+    N_P(R), and c_h on N_phi is an F-morphism extending phi."""
     F.require_in_p(R)
     aut_p = F.aut_mappings_of_conjugation(R, F.P)
     for S in F.conjugacy_class(R):
-        seen = set()
+        seen = set(aut_p) if S == R else set()
         for m in F.iso_mappings(S, R):
             if m in seen:
                 continue
@@ -101,8 +103,16 @@ def subgroup_status(F: FusionSystem, Q: Subgroup) -> SubgroupStatus:
 
 def has_surjectivity_property(F: FusionSystem, Q: Subgroup) -> bool:
     """Whether Aut_F(Q ≤ R) -> N_{Aut_F(Q)}(Aut_R(Q)) is onto for every
-    R between QC_P(Q) and N_P(Q)."""
+    R between QC_P(Q) and N_P(Q).
+
+    When Aut_F(Q) = Aut_P(Q) it is, and no automorphism group is built:
+    each member of N_{Aut_F(Q)}(Aut_R(Q)) is c_h on Q for some h in
+    N_P(Q).  R contains C_P(Q), so R is the whole preimage of Aut_R(Q) in
+    N_P(Q); c_h normalizes Aut_R(Q), so h normalizes R, and c_h on R lies
+    in Aut_P(R) and restricts to the given member."""
     F.require_in_p(Q)
+    if len(F.iso_mappings(Q, Q)) == len(F.aut_mappings_of_conjugation(Q, F.P)):
+        return True
     A = F.aut_group(Q)
     for R in subgroups_between(Q.join(F.c_p(Q)), F.n_p(Q)):
         aut_r = _aut_subgroup(A, F.aut_mappings_of_conjugation(Q, R))

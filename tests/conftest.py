@@ -8,12 +8,14 @@ sys.path.insert(0, str(Path(__file__).parent))
 from fusionkit import (
     catalog_names,
     direct_product_groups,
+    enumerate_subsystems_on,
     fusion_of_group,
     load_catalog,
     make_group,
     strongly_closed_subgroups,
     weakly_normal_systems_on,
 )
+from fusionkit.errors import InputError
 from fusionkit.groups import is_prime
 
 SWEEP_MAX_ORDER = 24
@@ -42,6 +44,24 @@ def catalog_systems():
     return [
         (name, p, fusion_of_group(G, p)) for name, p, G in sweep_pairs()
     ]
+
+
+@pytest.fixture(scope="session")
+def carrier_subsystems(catalog_systems):
+    """The subsystems ``enumerate_subsystems_on`` finds, at most 400 a
+    carrier, on every carrier of order at least 4 in the catalog p-groups
+    of order at most 16; about half of them are not saturated."""
+    pool = []
+    for _, _, F in catalog_systems:
+        if len(F.P) > 16:
+            continue
+        for S in F.subgroups():
+            if len(S) >= 4:
+                try:
+                    pool.extend(enumerate_subsystems_on(F, S, limit=400))
+                except InputError:
+                    pass
+    return pool
 
 
 @pytest.fixture(scope="session")

@@ -30,7 +30,10 @@ their pairs, as the library did before ``subgroup_closure`` became a coset
 search, ``is_normal_in`` read generators and ``_transport`` moved every map
 on a domain at once.  Perfectness is also decided by building F/T and the
 inner system of P/T for each candidate T and comparing the two, as the
-library did before it read the routes.
+library did before it read the routes.  The surjectivity property of the
+Puig criterion is also decided by building Aut_F(Q) and its normalizers
+for every Q, as the library did before it answered at once for Q with
+Aut_F(Q) = Aut_P(Q).
 """
 
 from __future__ import annotations
@@ -53,8 +56,10 @@ from fusionkit import (
 )
 from fusionkit.errors import FusionkitError, NotASubgroupOfP, SeedNotInjective
 from fusionkit.fusion import _iso_table
-from fusionkit.groups import _picker, all_subgroups, is_p_power, p_part
-from fusionkit.morphisms import _inverse, _positions
+from fusionkit.groups import (
+    _picker, all_subgroups, is_p_power, normalizer, p_part, subgroups_between
+)
+from fusionkit.morphisms import _aut_subgroup, _inverse, _positions, _stabilizing_restrictions
 from fusionkit.perms import perm_mul
 
 RawIso = tuple[tuple[int, ...], tuple[int, ...]]
@@ -524,3 +529,18 @@ def perfect_by_quotients(F: FusionSystem) -> bool:
         if len(T) < len(F.P) and derived <= T
     )
     return all(Fbar != inner_fusion(Fbar.P, F.p) for Fbar in quotients)
+
+
+def surjectivity_by_aut_groups(F: FusionSystem, Q: Subgroup) -> bool:
+    """Whether Aut_F(Q <= R) -> N_{Aut_F(Q)}(Aut_R(Q)) is onto for every R
+    between QC_P(Q) and N_P(Q), with Aut_F(Q) and each normalizer built
+    whole for every Q."""
+    F.require_in_p(Q)
+    A = F.aut_group(Q)
+    for R in subgroups_between(Q.join(F.c_p(Q)), F.n_p(Q)):
+        aut_r = _aut_subgroup(A, F.aut_mappings_of_conjugation(Q, R))
+        needed = normalizer(A.group.full_subgroup, aut_r)
+        restrictions = _stabilizing_restrictions(R.key, Q.key, F.iso_mappings(R, R))
+        if not {A.morphisms[i].mapping for i in needed.elements} <= restrictions:
+            return False
+    return True

@@ -285,3 +285,14 @@ def test_map_check_source_does_not_leak_between_runs(tmp_path, capsys):
                         "--sub", "(1,2,3);(1,2)", "--assert")
     assert code == 0
     assert parse(out)["inputs"]["map"] == "(1,2,3);(1,2)"
+
+
+def test_based_target_outside_p_is_an_input_error(capsys):
+    """<(1,2,3)> is a Sylow 3-subgroup of S4, but not the one chosen as P."""
+    assert run(["based", "--group", "s4", "--prime", "3", "--target", "(1,2,3)"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "NotASubgroupOfP"
+
+
+def test_quotient_kernel_outside_p_is_an_input_error(capsys):
+    assert run(["quotient", "--group", "s4", "--prime", "2", "--kernel", "(1,2,3)"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "NotASubgroupOfP"

@@ -14,9 +14,12 @@ from fusionkit import (
     hypercentre,
     inner_fusion,
     is_perfect,
+    is_saturated,
+    is_saturated_puig,
     load_group_spec,
     o_p,
     quotient,
+    saturation,
     strongly_closed_subgroups,
     upper_central_series,
     verify_perfect_z2,
@@ -234,3 +237,32 @@ def test_centres_require_saturation():
     E = generated_fusion(F.P, 2, isos)
     with pytest.raises(NotSaturated):
         upper_central_series(E)
+
+
+def test_quotients_by_strongly_closed_subgroups_are_saturated(catalog_systems):
+    """F/T is saturated for saturated F and strongly closed T, under both
+    criteria, on every catalog system; ``upper_central_series`` relies on
+    it to take each quotient's centre without deciding saturation again."""
+    checked = 0
+    for name, p, F in catalog_systems:
+        for T in strongly_closed_subgroups(F):
+            Fbar = quotient(F, T)
+            assert is_saturated(Fbar).saturated, (name, p, T.elements)
+            assert is_saturated_puig(Fbar).saturated, (name, p, T.elements)
+            checked += 1
+    assert checked > 500, checked
+
+
+def test_upper_central_series_decides_saturation_once(monkeypatch):
+    """Saturation is decided on F alone, not again on each quotient."""
+    calls = []
+    real = saturation._roberts_shpectorov
+    monkeypatch.setattr(
+        saturation, "_roberts_shpectorov", lambda F: calls.append(F) or real(F)
+    )
+    for name in ["d8", "q16", "d8xc2"]:
+        G, _ = load_group_spec(name)
+        F = fusion_of_group(G, 2)
+        calls.clear()
+        assert len(upper_central_series(F).terms) >= 2
+        assert calls == [F], name

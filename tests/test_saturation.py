@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fusionkit import (
+    AutGroup,
     Subgroup,
     extend_morphism,
     fusion_of_group,
@@ -17,11 +18,12 @@ from fusionkit import (
     is_saturated,
     is_saturated_puig,
     load_group_spec,
+    saturation,
     subgroup_status,
     sylow,
 )
 from fusionkit.saturation import has_surjectivity_property, n_phi
-from oracles import n_phi_by_every_element, receptive_by_every_iso
+from oracles import n_phi_by_every_element, receptive_by_every_iso, surjectivity_by_aut_groups
 
 
 def small_maps_system(F, bound=2):
@@ -180,3 +182,60 @@ def test_is_receptive_matches_the_every_iso_scan(catalog_systems):
                 checked += 1
                 refused += not want
     assert checked > 1000 and refused > 10, (checked, refused)
+
+
+def test_surjectivity_matches_the_aut_group_scan(catalog_systems, carrier_subsystems):
+    """Answering at once where Aut_F(Q) = Aut_P(Q) decides the surjectivity
+    property as building Aut_F(Q) and its normalizers does, on every
+    subgroup of the catalog systems and of the subsystems on their small
+    carriers, where the property often fails."""
+    pool = [F for _, _, F in catalog_systems] + carrier_subsystems
+    checked = refused = at_once = 0
+    for E in pool:
+        for Q in E.subgroups():
+            want = surjectivity_by_aut_groups(E, Q)
+            assert has_surjectivity_property(E, Q) == want, (E, Q)
+            checked += 1
+            refused += not want
+            at_once += len(E.iso_mappings(Q, Q)) == len(E.aut_mappings_of_conjugation(Q, E.P))
+    assert refused > 100 and 1000 < at_once < checked, (checked, refused, at_once)
+
+
+def test_inner_systems_try_no_map_for_receptivity(monkeypatch):
+    """In a p-group whose subgroups are all normal, each class is one R and
+    every map of the inner system lies in Aut_P(R), so deciding saturation
+    of F_P(P) tries none of them: ``n_phi`` is never called."""
+    calls = []
+    real = saturation.n_phi
+    monkeypatch.setattr(saturation, "n_phi", lambda *a: calls.append(a) or real(*a))
+    for name in ["c4xc2", "c8", "ea8", "q8", "c4xc4", "c4xv4", "q8xc2", "ea9", "c9"]:
+        G, _ = load_group_spec(name)
+        assert is_saturated(inner_fusion(G.full_subgroup)).saturated
+    assert calls == []
+
+
+def test_surjectivity_builds_no_aut_group_when_aut_f_is_aut_p(monkeypatch):
+    """``has_surjectivity_property`` builds no ``AutGroup`` for Q with
+    Aut_F(Q) = Aut_P(Q), and builds Aut_F(Q) for the other Q."""
+    built = []
+    init = AutGroup.__init__
+
+    def spy_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(AutGroup, "__init__", spy_init)
+    at_once = other = 0
+    for name, p in [("s4", 2), ("a4", 2), ("s3xs3", 3), ("sl23", 2)]:
+        G, _ = load_group_spec(name)
+        F = fusion_of_group(G, p)
+        for Q in F.subgroups():
+            before = len(built)
+            assert has_surjectivity_property(F, Q)
+            if len(F.iso_mappings(Q, Q)) == len(F.aut_mappings_of_conjugation(Q, F.P)):
+                assert len(built) == before, (name, Q)
+                at_once += 1
+            else:
+                assert len(built) == before + 1, (name, Q)
+                other += 1
+    assert at_once > 10 and other > 3, (at_once, other)
