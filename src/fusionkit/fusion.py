@@ -194,9 +194,7 @@ class FusionSystem:
 
     def aut_group(self, Q: Subgroup) -> AutGroup:
         self.require_in_p(Q)
-        return self._fact(
-            "auts", Q, lambda: AutGroup(Q, [Morphism(Q, Q, m) for m in self.iso_mappings(Q, Q)])
-        )
+        return self._fact("auts", Q, _aut_group, self, Q)
 
     def _p_rows(self) -> dict[int, Key]:
         """The conjugation rows x -> x^g of the ambient group for g in P."""
@@ -269,6 +267,10 @@ class FusionSystem:
         if self.name:
             data["name"] = self.name
         return data
+
+
+def _aut_group(F: FusionSystem, Q: Subgroup) -> AutGroup:
+    return AutGroup(Q, [Morphism(Q, Q, m) for m in F.iso_mappings(Q, Q)])
 
 
 def _conjugations(F: FusionSystem, Q: Subgroup, source: Subgroup) -> frozenset[Key]:
@@ -661,20 +663,25 @@ def _product_table(P: Subgroup, split, pair, E1: FusionSystem, E2: FusionSystem)
 
 
 def is_strongly_closed(F: FusionSystem, T: Subgroup) -> bool:
-    """Whether no element of T is moved outside T by any F-morphism.  The
-    F-images of each element of P are collected once per system."""
+    """Whether no element of T is moved outside T by any F-morphism."""
     F.require_in_p(T)
-
-    def collect() -> dict[int, set[int]]:
-        images: dict[int, set[int]] = {x: set() for x in F.P.elements}
-        for qk, targets in F._isos.items():
-            mappings = [m for ms in targets.values() for m in ms]
-            for x, column in zip(qk, zip(*mappings)):
-                images[x].update(column)
-        return images
-
-    images, tset = F._fact("images", None, collect), T._set
+    images, tset = _images(F), T._set
     return all(images[x] <= tset for x in T.elements)
+
+
+def _images(F: FusionSystem) -> dict[int, set[int]]:
+    """x^F for each x in P: the images of x under every F-isomorphism whose
+    domain holds it, x itself among them; collected once per system."""
+    return F._fact("images", None, _collect_images, F)
+
+
+def _collect_images(F: FusionSystem) -> dict[int, set[int]]:
+    images: dict[int, set[int]] = {x: set() for x in F.P.elements}
+    for qk, targets in F._isos.items():
+        mappings = [m for ms in targets.values() for m in ms]
+        for x, column in zip(qk, zip(*mappings)):
+            images[x].update(column)
+    return images
 
 
 def quotient_with_data(F: FusionSystem, T: Subgroup) -> tuple[FusionSystem, QuotientData]:

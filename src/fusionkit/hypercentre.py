@@ -15,18 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotSaturated, PreconditionFailed, TheoremViolation
-from .fusion import FusionSystem, _routes, fusion_of_group, is_strongly_closed, quotient_with_data
-from .groups import (
-    Group,
-    Subgroup,
-    commutator_subgroup,
-    group_centre,
-    o_p_prime_group,
-    sylow,
-    upper_central_series_group,
-)
+from .fusion import FusionSystem, _images, fusion_of_group, is_strongly_closed, quotient_with_data
+from .groups import Group, Subgroup, o_p_prime_group, sylow, upper_central_series_group
 from .saturation import is_saturated
-from .subsystems import _local_is_all, strongly_closed_subgroups
+from .subsystems import _local_is_all
 
 __all__ = [
     "CentralSeries",
@@ -90,30 +82,23 @@ def centre_of(F: FusionSystem) -> Subgroup:
     """Z(F): the x in P whose adjunction extends every morphism.
 
     An element x qualifies when every isomorphism phi: Q -> R has an
-    extension Q<x> -> R<x> fixing x, that is, when F = C_F(<x>).  Only x in
-    Z(P) can qualify, since the extension of each c_y: P -> P is c_y itself
-    and must fix x, so the search runs over Z(P).  Checking isomorphisms
-    suffices: a morphism is an isomorphism onto its image followed by an
-    inclusion.
-
-    For x in Z(P), X = <x> is normal in P, and an extension fixes x exactly
-    when its restriction to X is the identity.  So ``_local_is_all`` with
-    the identity of X as the only allowed restriction decides x on the
-    routes of each class.
+    extension Q<x> -> R<x> fixing x, that is, when F = C_F(<x>).  For
+    saturated F these are the x with x^F = {x}, read off the F-images of
+    each element.  Such an x is fixed by an extension, so x^F = {x}.
+    Conversely, x^F = {x} puts x in Z(P), as each c_g: P -> P fixes it.  By
+    Alperin's fusion theorem (AKO I.3.5), F is generated by restrictions of
+    automorphisms of P and of F-centric subgroups Q, and each such Q holds
+    Z(P).  A restriction of an automorphism of Q to A extends to A<x> <= Q,
+    fixing x, and so does every composite of such maps.
     """
     _require_saturated(F)
     return _centre(F)
 
 
 def _centre(F: FusionSystem) -> Subgroup:
-    G = F.group
-    fixed = [G.identity]
-    for x in group_centre(F.P).elements:
-        if x != G.identity:
-            X = G.generated_subgroup((x,))
-            if _local_is_all(F, X, frozenset({X.elements})):
-                fixed.append(x)
-    Z = G.generated_subgroup(fixed)
+    images = _images(F)
+    fixed = [x for x in F.P.elements if images[x] == {x}]
+    Z = F.group.generated_subgroup(fixed)
     if len(Z) != len(fixed):
         raise TheoremViolation("central elements do not form a subgroup", witness=tuple(fixed))
     return Z
@@ -189,40 +174,29 @@ def x_subgroup(F: FusionSystem) -> XSubgroup:
     return XSubgroup(X)
 
 
-def _fixes_cosets(F: FusionSystem, T: Subgroup) -> bool:
-    """Whether F/T is the inner system of P/T, for strongly closed T
-    containing [P, P].  As P/T is abelian, that inner system has only
-    identity maps, so equality holds exactly when every F-isomorphism
-    between subgroups containing T fixes each coset of T.  Those
-    isomorphisms are closed under composition and inverse, and a class
-    whose first member contains T lies wholly above T, as T is strongly
-    closed; so the routes of those classes decide it."""
-    G = F.group
-    return all(
-        G.mul(G.inv(x), y) in T._set
-        for Q0, routes in _routes(F, F.P) if T <= Q0
-        for _, t in routes
-        for x, y in zip(Q0.elements, t)
-    )
-
-
 def is_perfect(F: FusionSystem) -> bool:
     """Whether F admits no surjection onto the inner system of a
     nontrivial abelian quotient of P.
 
-    A quotient map to F_A(A) with A abelian factors through F/T for a
-    strongly closed T containing [P, P], so it suffices to test whether
-    some such proper T gives F/T equal to the inner system on P/T, which
-    ``_fixes_cosets`` decides on the routes.  Decided once per system.
+    Such a map factors through F/T for a proper strongly closed T holding
+    [P, P], with F/T the inner system of P/T, whose maps are identities.
+    For saturated F such a T exists exactly when the focal subgroup
+    foc(F), generated by the x^-1 y with y in x^F, is proper; so F is
+    perfect exactly when foc(F) = P.  foc(F) holds [P, P], is strongly
+    closed, and no F-map moves a coset of it, so it serves as T when it is
+    proper.  Conversely, for saturated F each F-map on Q agrees modulo a
+    strongly closed T with an F-map on QT (Puig), so every x^-1 y lies in
+    T when F/T has only identity maps.  Decided once per system.
     """
     _require_saturated(F)
-    return F._fact("perfect", None, _no_abelian_quotient, F)
+    return F._fact("perfect", None, _focal_is_all, F)
 
 
-def _no_abelian_quotient(F: FusionSystem) -> bool:
-    derived, order = commutator_subgroup(F.P, F.P, F.P), len(F.P)
-    closed = [T for T in strongly_closed_subgroups(F) if len(T) < order and derived <= T]
-    return not any(_fixes_cosets(F, T) for T in closed)
+def _focal_is_all(F: FusionSystem) -> bool:
+    """Whether foc(F) = P."""
+    G = F.group
+    focal = {G.mul(G.inv(x), y) for x, ys in _images(F).items() for y in ys}
+    return len(G.generated_subgroup(focal)) == len(F.P)
 
 
 def verify_perfect_z2(F: FusionSystem) -> PerfectCentreReport:

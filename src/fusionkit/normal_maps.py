@@ -137,7 +137,11 @@ def partial_domain(F: FusionSystem, T: Subgroup) -> tuple[Subgroup, ...]:
 
 def _with_centralizer(F: FusionSystem, Q: Subgroup, T: Subgroup) -> Subgroup:
     """Q C_T(Q), computed once per pair of subgroups Q <= T of P."""
-    return F._fact("q_c_t", Q, lambda: Q.join(F.c_p(Q).meet(T)), within=T)
+    return F._fact("q_c_t", Q, _join_centralizer, F, Q, T, within=T)
+
+
+def _join_centralizer(F: FusionSystem, Q: Subgroup, T: Subgroup) -> Subgroup:
+    return Q.join(F.c_p(Q).meet(T))
 
 
 def aut_map_of(E: FusionSystem) -> AutMap:

@@ -18,6 +18,7 @@ from .errors import (
 )
 from .fusion import (
     FusionSystem,
+    IsoTable,
     _close,
     _iso_table,
     _routes,
@@ -28,7 +29,7 @@ from .fusion import (
 )
 from .groups import Subgroup, _join, _join_normalized, _picker, all_subgroups, is_p_power
 from .morphisms import Key, Morphism, _compose, _inverse, _positions, _restrict, _transport
-from .saturation import is_saturated
+from .saturation import is_centric, is_saturated
 
 
 @dataclass(frozen=True)
@@ -258,17 +259,25 @@ def o_p(F: FusionSystem) -> Subgroup:
 
 
 def o_p_prime_subsystem(E: FusionSystem) -> FusionSystem:
-    """O^{p'}(E): generated by O^{p'}(Aut_E(Q)) over all Q ≤ T.
+    """O^{p'}(E): the subsystem of index prime to p on T = E.P whose
+    automizer of T is Aut^0_E(T) (AKO Part I, section 7).
 
-    E must be saturated, or NotSaturated is raised.  O^{p'}(A) is the
+    E must be saturated, or NotSaturated is raised.  O^{p'}_*(E) is
+    generated by O^{p'}(Aut_E(Q)) over all Q <= T.  O^{p'}(A) is the
     subgroup of A generated by its p-elements, and the closure composes
-    its seeds, so the seeds are the p-elements of each Aut_E(Q).  When
-    they are all of every Aut_E(Q), the result is E by Alperin's fusion
-    theorem (AKO I.3.5), and no closure runs.  The result is saturated by
-    theorem; ``verify_theorem_a`` certifies that through
-    ``normality_status``, and this call does not re-check it.  When the
-    result is E, with or without a closure, E itself is returned, with
-    every fact it already holds.
+    its seeds, so its seeds are the p-elements of each Aut_E(Q).
+    O^{p'}_*(E) need not be saturated.  Aut^0_E(T) is generated by the
+    alpha in Aut_E(T) whose restriction to some E-centric Q is a map of
+    O^{p'}_*(E).  O^{p'}(E) holds both, and the result is the system the
+    two generate; the suite compares it with the minimal weakly normal
+    system that ``based_range`` finds by enumeration.
+
+    When the p-elements are all of every Aut_E(Q), the result is E by
+    Alperin's fusion theorem (AKO I.3.5), and no closure runs.  That the
+    result is saturated is what ``verify_theorem_a`` certifies through
+    ``normality_status``; this call does not check it.  When the result
+    is E, with or without a closure, E itself is returned, with every fact
+    it already holds.
     """
     if not is_saturated(E).saturated:
         raise NotSaturated("O^{p'} needs a saturated system", witness=E)
@@ -276,8 +285,24 @@ def o_p_prime_subsystem(E: FusionSystem) -> FusionSystem:
     seeds = [(qk, m) for qk, m in auts if _is_p_element(qk, m, E.p)]
     if len(seeds) == len(auts):
         return E
-    table = _close(E.P, fusion_of_group(E.P, E.p, E.P)._isos, seeds)
+    star = _close(E.P, fusion_of_group(E.P, E.p, E.P)._isos, seeds)
+    table = _close(E.P, star, _aut_zero(E, star))
     return E if table == E._isos else FusionSystem(E.group, E.P, E.p, table)
+
+
+def _aut_zero(E: FusionSystem, star: IsoTable) -> list[tuple[Key, Key]]:
+    """The alpha in Aut_E(T) whose restriction to some E-centric Q is a
+    map of the table ``star``, as (T's key, alpha) seeds."""
+    T = E.P
+    centric = [
+        (star[Q.key], _picker(_positions(T.elements, Q.elements)))
+        for Q in E.subgroups() if is_centric(E, Q)
+    ]
+    return [
+        (T.key, alpha)
+        for alpha in E.iso_mappings(T, T)
+        if any((m := on_q(alpha)) in maps.get(tuple(sorted(m)), ()) for maps, on_q in centric)
+    ]
 
 
 def _is_p_element(domain: Key, mapping: Key, p: int) -> bool:

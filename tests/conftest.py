@@ -6,12 +6,14 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from fusionkit import (
+    Group,
     catalog_names,
     direct_product_groups,
     enumerate_subsystems_on,
     fusion_of_group,
     load_catalog,
     make_group,
+    parse_perm,
     strongly_closed_subgroups,
     weakly_normal_systems_on,
 )
@@ -84,6 +86,17 @@ def a4xd8_system(ladder_groups):
 def s4xd8_system(ladder_groups):
     """F_P(S4 x D8), on a Sylow 2-subgroup of order 64."""
     return fusion_of_group(ladder_groups[1], 2)
+
+
+@pytest.fixture(scope="session")
+def affine_systems():
+    """F_P(ASL(2,3)) and F_P(AGL(2,3)) at p = 3, both on 3^{1+2}_+.
+    AGL(2,3) is ASL(2,3) with the reflection (i, j) -> (-i, j) of the
+    plane added; its order, 432, is above ``DEFAULT_ORDER_BOUND``."""
+    spec = load_catalog("asl23")
+    gens = [parse_perm(g, 9) for g in spec["generators"] + ["(4,7)(5,8)(6,9)"]]
+    agl = Group(gens, 9, order_bound=500)
+    return fusion_of_group(make_group(spec), 3), fusion_of_group(agl, 3)
 
 
 @pytest.fixture(scope="session")

@@ -6,9 +6,10 @@ tables (domain elements paired with their images).  Neither touches
 all_subgroups, generated_fusion, or FusionSystem internals, so agreement with
 the library is evidence, not tautology.  The per-subgroup oracles below take
 the library's lattice as given, since the subset closure certifies it.  The
-centre and O_p(F) also get a second description each, by fixed points and
-by strongly closed central series, to compare with ``centre_of`` and
-``o_p``.  Saturation gets the plain Roberts-Shpectorov scan over every
+centre gets two more descriptions, by fixed points and by the local test
+F = C_F(<x>) on the routes, as the library decided it before it read the
+F-images of each element; O_p(F) gets one, by strongly closed central
+series.  They are compared with ``centre_of`` and ``o_p``.  Saturation gets the plain Roberts-Shpectorov scan over every
 member of every class and every isomorphism onto it, to compare with
 ``is_saturated`` and ``is_receptive``.
 The multiplication table, the homomorphism witness of ``Morphism.build``,
@@ -57,10 +58,11 @@ from fusionkit import (
 from fusionkit.errors import FusionkitError, NotASubgroupOfP, SeedNotInjective
 from fusionkit.fusion import _iso_table
 from fusionkit.groups import (
-    _picker, all_subgroups, is_p_power, normalizer, p_part, subgroups_between
+    _picker, all_subgroups, centralizer, is_p_power, normalizer, p_part, subgroups_between
 )
 from fusionkit.morphisms import _aut_subgroup, _inverse, _positions, _stabilizing_restrictions
 from fusionkit.perms import perm_mul
+from fusionkit.subsystems import _local_is_all
 
 RawIso = tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -226,6 +228,21 @@ def centre_by_fixed_points(F: FusionSystem) -> Subgroup:
         if all(phi.apply(x) == x for phi in F.all_isos() if x in phi.domain)
     ]
     return Subgroup(F.group, fixed, check=True)
+
+
+def centre_by_local_tests(F: FusionSystem) -> Subgroup:
+    """Z(F) of a saturated F as the library decided it before it read the
+    F-images of each element: each x in Z(P) qualifies when F = C_F(<x>),
+    the local test on the routes with the identity of <x> as the only
+    allowed restriction."""
+    G = F.group
+    fixed = [G.identity]
+    for x in group_centre(F.P).elements:
+        if x != G.identity:
+            X = G.generated_subgroup((x,))
+            if _local_is_all(F, X, frozenset({X.elements})):
+                fixed.append(x)
+    return Subgroup(G, fixed, check=True)
 
 
 def o_p_by_central_series(F: FusionSystem) -> Subgroup:
@@ -506,16 +523,31 @@ def generated_fusion_by_full_closure(P: Subgroup, p: int, seeds) -> FusionSystem
 
 
 def o_p_prime_by_aut_groups(E: FusionSystem) -> FusionSystem:
-    """O^{p'}(E) as the library built it before it read p-elements off the
-    mapping tuples: for each Q, the subgroup of the permutation group of
-    Aut_E(Q) generated by its elements of p-power order, with every
-    automorphism in it a seed of ``generated_fusion``."""
+    """O^{p'}(E) from its definition on permutation groups of
+    automorphisms.  O^{p'}_*(E) is generated by, for each Q, the subgroup
+    of Aut_E(Q) generated by its elements of p-power order.  O^{p'}(E) is
+    generated by O^{p'}_*(E) and Aut^0_E(T), the subgroup of Aut_E(T)
+    generated by the automorphisms whose restriction to some E-centric Q
+    is a morphism of O^{p'}_*(E); Q is E-centric when C_T(R) <= R for
+    every image R of Q."""
     seeds = []
     for Q in E.subgroups():
         ag = AutGroup(Q, E.isos_between(Q, Q))
         powers = [i for i in range(len(ag)) if is_p_power(ag.group.element_order(i), E.p)]
         seeds.extend(ag.morphisms_of(ag.group.generated_subgroup(powers)))
-    return generated_fusion(E.P, E.p, seeds)
+    star = generated_fusion(E.P, E.p, seeds)
+    T = E.P
+    centric = [
+        Q for Q in E.subgroups()
+        if all(centralizer(T, R) <= R for R in (phi.image() for phi in E.isos_from(Q)))
+    ]
+    aut_t = AutGroup(T, E.isos_between(T, T))
+    zero = [
+        i for i, alpha in enumerate(aut_t.morphisms)
+        if any(star.contains_morphism(alpha.restrict(Q)) for Q in centric)
+    ]
+    seeds.extend(aut_t.morphisms_of(aut_t.group.generated_subgroup(zero)))
+    return generated_fusion(T, E.p, seeds)
 
 
 def perfect_by_quotients(F: FusionSystem) -> bool:

@@ -178,6 +178,21 @@ def test_theorem_a_subcommand(capsys):
     assert code == 0
 
 
+ASL23_GENERATORS = "(1,4,7)(2,5,8)(3,6,9);(2,5,8)(3,9,6);(2,7,3,4)(5,8,9,6)"
+
+
+def test_theorem_a_holds_on_asl23(capsys):
+    code, _ = run_cli(capsys, "theorem-a", "--group", "asl23", "--prime", "3",
+                      "--sub", ASL23_GENERATORS, "--assert")
+    assert code == 0
+
+
+def test_opprime_of_asl23_is_the_whole_system(capsys):
+    code, out = run_cli(capsys, "opprime", "--group", "asl23", "--prime", "3")
+    holds = {r["predicate"]: r["holds"] for r in parse(out)["results"]}
+    assert code == 0 and holds["equal to F"] is True
+
+
 def test_map_check_subcommand_with_subsystem_source(capsys):
     code, out = run_cli(capsys, "map-check", "--group", "s3xs3",
                         "--sub", "(1,2,3);(1,2)", "--assert")

@@ -6,9 +6,8 @@ import pytest
 
 from fusionkit import (
     centre_of,
-    commutator_subgroup,
+    fusion,
     fusion_of_group,
-    generated_fusion,
     group_centre,
     group_vs_fusion_centres,
     hypercentre,
@@ -16,7 +15,9 @@ from fusionkit import (
     is_perfect,
     is_saturated,
     is_saturated_puig,
+    load_catalog,
     load_group_spec,
+    make_group,
     o_p,
     quotient,
     saturation,
@@ -27,8 +28,7 @@ from fusionkit import (
 )
 from fusionkit.errors import NotSaturated, PreconditionFailed
 from fusionkit.groups import QuotientData
-from fusionkit.hypercentre import _fixes_cosets
-from oracles import centre_by_fixed_points, perfect_by_quotients
+from oracles import centre_by_fixed_points, centre_by_local_tests, perfect_by_quotients
 
 CENTRE_ORDERS = {
     ("s4", 2): 1,
@@ -126,33 +126,60 @@ def test_perfect_on_routes_matches_the_quotients(
     assert len(systems) > 700 and verdicts.count(True) > 50 and verdicts.count(False) > 50
 
 
-def test_coset_test_needs_no_saturation(catalog_systems):
-    """``_fixes_cosets`` rests on the routes and on strong closure alone, so
-    it agrees with building F/T and the inner system of P/T on systems that
-    are not saturated too: the system generated by each single isomorphism
-    of each catalog system on P of order at most 8, at every proper
-    strongly closed T containing [P, P].  Such systems have maps below T
-    that move cosets of T, and classes above T with two members whose
-    automizers all fix the cosets.  The saturated systems of the other
-    tests show neither, so they alone would not tell whether the test
-    reads the right routes."""
-    verdicts, seen = [], set()
-    for _, p, F in catalog_systems:
-        if len(F.P) > 8:
-            continue
-        derived = commutator_subgroup(F.P, F.P, F.P)
-        for phi in F.all_isos():
-            E = generated_fusion(F.P, p, [phi])
-            if E.to_key() in seen:
-                continue
-            seen.add(E.to_key())
-            for T in strongly_closed_subgroups(E):
-                if len(T) < len(F.P) and derived <= T:
-                    Fbar = quotient(E, T)
-                    verdict = _fixes_cosets(E, T)
-                    assert verdict is (Fbar == inner_fusion(Fbar.P, p)), (E, T.elements)
-                    verdicts.append(verdict)
-    assert len(seen) > 50 and verdicts.count(True) > 100 and verdicts.count(False) > 20
+def test_centre_and_perfectness_from_images_match_the_oracles(
+    catalog_systems, sweep_weakly_normal, ladder_groups, affine_systems
+):
+    """``centre_of`` reads Z(F) off the x with x^F = {x}, and ``is_perfect``
+    reads foc(F) = P off the same F-images.  Both agree with the oracles:
+    Z(F) by fixed points and by the local test on the routes, perfectness
+    by building each quotient.  The systems are every catalog system, its
+    quotient by every proper nontrivial strongly closed T, every weakly
+    normal system of the sweep, F_P(G) for the three ladder groups,
+    ASL(2,3) and AGL(2,3), and a4xa4, ea16 and ea9_s3 at their primes.
+    Nontrivial centres and both verdicts occur."""
+    catalog = [F for _, _, F in catalog_systems]
+    systems = catalog + [
+        quotient(F, T) for F in catalog for T in strongly_closed_subgroups(F)
+        if 1 < len(T) < len(F.P)
+    ]
+    systems += [E for *_, found in sweep_weakly_normal for E in found]
+    systems += [fusion_of_group(G, 2) for G in ladder_groups] + list(affine_systems)
+    for name in ["a4xa4", "ea16", "ea9_s3"]:
+        spec = load_catalog(name)
+        systems.append(fusion_of_group(make_group(spec), spec.get("prime", 2)))
+    central = perfect = 0
+    for F in systems:
+        Z = centre_of(F)
+        assert Z.elements == centre_by_fixed_points(F).elements, F
+        assert Z.elements == centre_by_local_tests(F).elements, F
+        verdict = is_perfect(F)
+        assert verdict is perfect_by_quotients(F), F
+        central += len(Z) > 1
+        perfect += verdict
+    assert len(systems) > 1000 and central > 800 and perfect > 150 and len(systems) - perfect > 800
+
+
+def test_centre_and_perfectness_find_no_routes_and_no_closed_subgroups(monkeypatch):
+    """``centre_of`` and ``is_perfect`` on a fresh saturated system call
+    neither ``fusion._find_routes`` nor ``strongly_closed_subgroups``, from
+    any module of the library."""
+    calls = []
+    real = fusion._find_routes
+    monkeypatch.setattr(fusion, "_find_routes", lambda *a: calls.append(a) or real(*a))
+    for name, module in list(sys.modules.items()):
+        if name.startswith("fusionkit") and hasattr(module, "strongly_closed_subgroups"):
+            closed = module.strongly_closed_subgroups
+            monkeypatch.setattr(
+                module, "strongly_closed_subgroups",
+                lambda *a, closed=closed: calls.append(a) or closed(*a),
+            )
+    for name, p, order, expected in [
+        ("a4", 2, 1, True), ("sl23", 2, 2, True), ("s4", 2, 1, False), ("d8xc2", 2, 4, False)
+    ]:
+        G, _ = load_group_spec(name)
+        F = fusion_of_group(G, p)
+        assert len(centre_of(F)) == order and is_perfect(F) is expected
+    assert calls == []
 
 
 def test_perfect_builds_no_quotient_and_no_inner_system(monkeypatch):
@@ -193,13 +220,13 @@ def test_perfect_systems_have_stalled_series():
 def test_verify_perfect_z2_decides_perfectness_once(monkeypatch):
     G, _ = load_group_spec("a4")
     expected = verify_perfect_z2(fusion_of_group(G, 2))
-    derived, calls = hypercentre.commutator_subgroup, []
+    decide, calls = hypercentre._focal_is_all, []
 
     def counted(*args):
         calls.append(args)
-        return derived(*args)
+        return decide(*args)
 
-    monkeypatch.setattr(hypercentre, "commutator_subgroup", counted)
+    monkeypatch.setattr(hypercentre, "_focal_is_all", counted)
     F = fusion_of_group(G, 2)
     assert is_perfect(F)
     assert verify_perfect_z2(F) == expected

@@ -1,6 +1,6 @@
 """Every name a library module imports is used in that module, a module's
-``__all__`` lists only names the module itself defines, and only
-``fusion.py`` names the memo of a system's facts.
+``__all__`` lists only names the module itself defines, only ``fusion.py``
+names the memo of a system's facts, and no fact is computed by a lambda.
 
 Package re-exports (``__init__.py``) are exempt.  Uses inside string
 annotations count.
@@ -106,3 +106,17 @@ def test_only_groups_names_the_lattice_memo():
         if path.name != "groups.py":
             named = _lines_naming(path, "_lattices")
             assert not named, f"{path.name} names _lattices on lines {named}"
+
+
+def test_no_fact_is_computed_by_a_lambda():
+    """Each ``_fact`` call passes a module-level compute with its arguments,
+    so a memo hit builds no closure."""
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        lines = [
+            node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute) and node.func.attr == "_fact"
+            and any(isinstance(a, ast.Lambda) for a in [*node.args, *(k.value for k in node.keywords)])
+        ]
+        assert not lines, f"{path.name} passes a lambda to _fact on lines {lines}"

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from fusionkit import (
+    based_range,
     Subgroup,
     deserialize,
     enumerate_subsystems_on,
@@ -27,6 +28,7 @@ from fusionkit import (
     strongly_closed_subgroups,
     subsystems,
     verify_theorem_a,
+    weakly_normal_systems_on,
 )
 from fusionkit.errors import PreconditionFailed
 from fusionkit.groups import is_p_power
@@ -127,6 +129,28 @@ def test_o_p_prime_from_p_elements_matches_the_aut_group_path(
         assert sub._isos == o_p_prime_by_aut_groups(E)._isos, E
         kept += sub._isos is E._isos
     assert len(systems) > 700 and 0 < kept < len(systems), (len(systems), kept)
+
+
+def test_o_p_prime_on_the_affine_systems_is_the_minimal_weakly_normal_system(affine_systems):
+    """On every weakly normal system E of F_P(ASL(2,3)) and F_P(AGL(2,3)),
+    O^{p'}(E) is the minimal weakly normal system on its carrier found by
+    enumeration, equals the ``AutGroup`` form, and Theorem A holds.  On
+    these systems O^{p'}_*(E) is not saturated, so the maps of Aut^0_E(T)
+    are needed; O^{3'}(F_P(ASL(2,3))) is F itself."""
+    asl, _ = affine_systems
+    assert o_p_prime_subsystem(asl) is asl
+    checked = 0
+    for F in affine_systems:
+        for T in strongly_closed_subgroups(F):
+            found = weakly_normal_systems_on(F, T)
+            if found:
+                minimal = based_range(F, T).minimal
+            for E in found:
+                sub = o_p_prime_subsystem(E)
+                assert sub._isos == minimal._isos == o_p_prime_by_aut_groups(E)._isos, E
+                assert verify_theorem_a(F, E).holds, E
+                checked += 1
+    assert checked >= 8
 
 
 def test_p_elements_are_read_off_cycle_lengths(catalog_systems, a4xd8_system):

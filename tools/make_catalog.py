@@ -183,22 +183,41 @@ def sl23() -> Group:
     return W
 
 
+def plane_perm(f) -> tuple:
+    """The permutation of the nine points (i, j) of the plane over F_3,
+    numbered 3i + j, that the map f: (i, j) -> (i', j') induces."""
+    return tuple(3 * fi + fj for (fi, fj) in (f(i, j) for i in range(3) for j in range(3)))
+
+
 def ea9_s3() -> Group:
     """(C3 x C3) x| S3 of order 54, acting on the nine points (i, j).
 
     Generators: the two translations a, b, the automorphism phi fixing b
     with a |-> ab, and the automorphism psi fixing a and inverting b.
     """
-
-    def pt(f):
-        return tuple(3 * fi + fj for (fi, fj) in (f(i, j) for i in range(3) for j in range(3)))
-
-    ta = pt(lambda i, j: ((i + 1) % 3, j))
-    tb = pt(lambda i, j: (i, (j + 1) % 3))
-    phi = pt(lambda i, j: (i, (i + j) % 3))
-    psi = pt(lambda i, j: (i, (-j) % 3))
+    ta = plane_perm(lambda i, j: ((i + 1) % 3, j))
+    tb = plane_perm(lambda i, j: (i, (j + 1) % 3))
+    phi = plane_perm(lambda i, j: (i, (i + j) % 3))
+    psi = plane_perm(lambda i, j: (i, (-j) % 3))
     W = Group([ta, tb, phi, psi], 9, name="ea9_s3", generators=[ta, tb, phi, psi])
     assert len(W) == 54
+    return W
+
+
+def asl23() -> Group:
+    """ASL(2,3) = (C3 x C3) x| SL(2,3) of order 216, acting on the nine
+    points (i, j) of the plane over F_3.
+
+    Generators: the translation (i, j) -> (i + 1, j), the transvection
+    (i, j) -> (i + j, j) and the rotation (i, j) -> (-j, i) of order 4.
+    """
+    gens = [
+        plane_perm(lambda i, j: ((i + 1) % 3, j)),
+        plane_perm(lambda i, j: ((i + j) % 3, j)),
+        plane_perm(lambda i, j: (-j % 3, i)),
+    ]
+    W = Group(gens, 9, name="asl23", generators=gens)
+    assert len(W) == 216
     return W
 
 
@@ -320,11 +339,12 @@ def build_catalog() -> dict[str, Group]:
     add(dp(s3, s3, "s3xs3"))
     add(dp(A4, A4, "a4xa4"))
     add(ea9_s3())
+    add(asl23())
     return groups
 
 
-SMALL_NAMES_EXCLUDED = {"s3xs3", "a4xa4", "ea9_s3"}
-PRIMES = {"s3xs3": 3, "a4xa4": 2, "ea9_s3": 3}
+SMALL_NAMES_EXCLUDED = {"s3xs3", "a4xa4", "ea9_s3", "asl23"}
+PRIMES = {"s3xs3": 3, "a4xa4": 2, "ea9_s3": 3, "asl23": 3}
 
 
 def verify(groups: dict[str, Group]) -> None:
@@ -353,6 +373,7 @@ def verify(groups: dict[str, Group]) -> None:
     assert gen_orders(groups["ea9_s3"]) == (3, 3, 3, 2)
     assert len(groups["a4xa4"]) == 144 and len(groups["s3xs3"]) == 36
     assert len(groups["ea9_s3"]) == 54
+    assert gen_orders(groups["asl23"]) == (3, 3, 4) and len(groups["asl23"]) == 216
 
     G = groups["ea9_s3"]
     ta, tb, phi, psi = G.generator_indices
