@@ -43,6 +43,7 @@ from .groups import (
     _conj_rows,
     _maximal_subgroups,
     _picker,
+    _require_subgroup_of,
     all_subgroups,
     centralizer,
     coset_quotient,
@@ -206,8 +207,9 @@ class FusionSystem:
         return self._fact("aut_p", Q, _conjugations, self, Q, source, within=source)
 
     def n_p(self, Q: Subgroup) -> Subgroup:
-        """N_P(Q), computed once per subgroup of P."""
-        return self._fact("n_p", Q, normalizer, self.P, Q)
+        """N_P(Q), computed once per subgroup of P: the g in P whose
+        conjugation row sends Q's generators into Q."""
+        return self._fact("n_p", Q, _normalizer_in_p, self, Q)
 
     def c_p(self, Q: Subgroup) -> Subgroup:
         """C_P(Q), computed once per subgroup of P."""
@@ -279,18 +281,28 @@ def _conjugations(F: FusionSystem, Q: Subgroup, source: Subgroup) -> frozenset[K
     return frozenset(map(_picker(Q.elements), [rows[g] for g in N.elements]))
 
 
+def _normalizer_in_p(F: FusionSystem, Q: Subgroup) -> Subgroup:
+    _require_subgroup_of(Q, F.P)
+    qset, on_gens = Q._set, _picker(Q.generators())
+    members = [g for g, row in F._p_rows().items() if qset.issuperset(on_gens(row))]
+    return Subgroup(F.group, members, check=False)
+
+
 def _class_index(F: FusionSystem) -> dict[Key, ConjClass]:
     return {S.key: c for c in F.classes() for S in c}
 
 
 def _classes(F: FusionSystem) -> tuple[ConjClass, ...]:
+    """The classes in lattice order, their members the lattice's own
+    ``Subgroup`` objects, so each member's generators are found once."""
+    lattice = {Q.key: Q for Q in F.subgroups()}
     seen: set[Key] = set()
     out = []
-    for Q in F.subgroups():
-        if Q.key not in seen:
-            member_keys = sorted(F._isos.get(Q.key, {Q.key: ()}))
+    for key in lattice:
+        if key not in seen:
+            member_keys = sorted(F._isos.get(key, {key: ()}))
             seen.update(member_keys)
-            out.append(ConjClass(tuple(map(F.subgroup, member_keys))))
+            out.append(ConjClass(tuple(map(lattice.__getitem__, member_keys))))
     return tuple(out)
 
 

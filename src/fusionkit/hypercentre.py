@@ -156,7 +156,10 @@ def x_subgroup(F: FusionSystem) -> XSubgroup:
     F = P C_F(Q) holds when every F-isomorphism extends to QR, mapping Q
     onto Q by an element of Aut_P(Q).  Those isomorphisms are closed under
     composition and inverse, so ``_local_is_all`` tests only the routes of
-    each class and stops at the first that fails.
+    each class and stops at the first that fails.  Each Q tested is normal
+    in P, and the allowed restrictions to Q are Aut_P(Q) itself, so a
+    route that is c_g for some g in P passes (c_g on QR maps Q onto Q by
+    an element of Aut_P(Q)) and is not tested.
     """
     _require_saturated(F)
     G = F.group

@@ -223,11 +223,15 @@ def _local_is_all(F: FusionSystem, Q: Subgroup, allowed: frozenset[Key] | None) 
     QR -> QR' that maps Q onto Q, with restriction to Q in ``allowed``.
     Those phi are closed under composition and inverse, so the routes of
     ``_routes`` decide it; the first route that fails ends the test.  As Q
-    is normal in P, QR is the join of Q with R's generators alone."""
+    is normal in P, QR is the join of Q with R's generators alone.
+
+    A route that is the restriction of c_g for some g in P passes, so only
+    the others are tested (``_routes_beyond_p``): Q is normal in P, so c_g
+    on QR is a stored F-isomorphism QR -> QR^g that maps Q onto Q, and its
+    restriction to Q lies in Aut_P(Q).  This needs ``allowed`` to hold
+    Aut_P(Q), or to be None."""
     qset = Q._set
-    for Q0, routes in _routes(F, F.P):
-        if not routes:
-            continue
+    for Q0, routes in F._fact("routes_beyond_p", None, _routes_beyond_p, F):
         QR = _join_normalized(Q, Q0.generators())
         on_q = _picker(_positions(QR.elements, Q.elements))
         on_r = _picker(_positions(QR.elements, Q0.elements))
@@ -241,12 +245,30 @@ def _local_is_all(F: FusionSystem, Q: Subgroup, allowed: frozenset[Key] | None) 
     return True
 
 
+def _routes_beyond_p(F: FusionSystem) -> list[tuple[Subgroup, list[tuple[Subgroup, Key]]]]:
+    """The routes of ``_routes(F, F.P)`` that are not the restriction of
+    c_g to Q0 for any g in P, by class; a class left with none is dropped.
+    A map on Q0 is fixed by its images of Q0's generators."""
+    rows = F._p_rows().values()
+    out = []
+    for Q0, routes in _routes(F, F.P):
+        gens = Q0.generators()
+        by_p = set(map(_picker(gens), rows))
+        at_gens = _picker(_positions(Q0.elements, gens))
+        kept = [(R, t) for R, t in routes if at_gens(t) not in by_p]
+        if kept:
+            out.append((Q0, kept))
+    return out
+
+
 def o_p(F: FusionSystem) -> Subgroup:
     """O_p(F): the largest subgroup with F = N_F(Q).
 
     F = N_F(Q) is decided by ``_local_is_all`` on the routes of each class,
     which is exact because the isomorphisms that extend to QR normalizing Q
-    are closed under composition and inverse."""
+    are closed under composition and inverse.  Each Q tested is normal in
+    P and any restriction to Q is allowed, so a route that is c_g for some
+    g in P passes (c_g on QR normalizes Q) and is not tested."""
     if not is_saturated(F).saturated:
         raise NotSaturated("O_p needs a saturated system", witness=F)
     result = Subgroup(F.group, (F.group.identity,), check=False)
@@ -270,7 +292,9 @@ def o_p_prime_subsystem(E: FusionSystem) -> FusionSystem:
     alpha in Aut_E(T) whose restriction to some E-centric Q is a map of
     O^{p'}_*(E).  O^{p'}(E) holds both, and the result is the system the
     two generate; the suite compares it with the minimal weakly normal
-    system that ``based_range`` finds by enumeration.
+    system that ``based_range`` finds by enumeration.  When every map of
+    Aut^0_E(T) is already an automorphism of T in O^{p'}_*(E), that is the
+    result, and the second closure does not run.
 
     When the p-elements are all of every Aut_E(Q), the result is E by
     Alperin's fusion theorem (AKO I.3.5), and no closure runs.  That the
@@ -286,17 +310,21 @@ def o_p_prime_subsystem(E: FusionSystem) -> FusionSystem:
     if len(seeds) == len(auts):
         return E
     star = _close(E.P, fusion_of_group(E.P, E.p, E.P)._isos, seeds)
-    table = _close(E.P, star, _aut_zero(E, star))
+    held = set(star[E.P.key][E.P.key])
+    zero = [seed for seed in _aut_zero(E, star) if seed[1] not in held]
+    table = _close(E.P, star, zero) if zero else star
     return E if table == E._isos else FusionSystem(E.group, E.P, E.p, table)
 
 
 def _aut_zero(E: FusionSystem, star: IsoTable) -> list[tuple[Key, Key]]:
     """The alpha in Aut_E(T) whose restriction to some E-centric Q is a
-    map of the table ``star``, as (T's key, alpha) seeds."""
+    map of the table ``star``, as (T's key, alpha) seeds.  E-centricity
+    holds for a whole class or for none of it, so it is decided once per
+    class."""
     T = E.P
     centric = [
         (star[Q.key], _picker(_positions(T.elements, Q.elements)))
-        for Q in E.subgroups() if is_centric(E, Q)
+        for cls in E.classes() if is_centric(E, cls.representative) for Q in cls
     ]
     return [
         (T.key, alpha)

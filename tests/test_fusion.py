@@ -18,6 +18,7 @@ from fusionkit import (
     Subgroup,
     deserialize,
     direct_product,
+    direct_product_groups,
     find_fusion_isomorphism,
     full_subcategory,
     fusion_of_group,
@@ -27,9 +28,13 @@ from fusionkit import (
     intersect_raw,
     internal_direct_product,
     is_isomorphic_fusion,
+    is_saturated,
     is_strongly_closed,
     is_subsystem,
+    load_catalog,
     load_group_spec,
+    make_group,
+    normalizer,
     quotient,
     quotient_with_data,
     sylow,
@@ -37,7 +42,7 @@ from fusionkit import (
     validate_fusion,
 )
 from fusionkit import fusion, subsystems
-from fusionkit.errors import FusionkitError, NotStronglyClosed, ParseError
+from fusionkit.errors import FusionkitError, NotASubgroup, NotStronglyClosed, ParseError
 from fusionkit.fusion import _close, _routes
 from fusionkit.morphisms import _compose
 from oracles import (
@@ -416,6 +421,55 @@ def test_every_ambient_conjugation_lands_in_the_system(pair, data):
     if image <= F.P:
         mapping = tuple(G.conj(x, g) for x in Q.elements)
         assert F.contains_morphism(Morphism(Q, image, mapping))
+
+
+def test_n_p_reads_p_rows_and_agrees_with_the_normalizer(catalog_systems, ladder_groups, monkeypatch):
+    """``n_p`` equals ``groups.normalizer(F.P, Q)`` on every subgroup of
+    the catalog and ladder systems, without calling it; a Q outside P
+    raises ``NotASubgroup``, as the normalizer does."""
+    calls = []
+    monkeypatch.setattr(fusion, "normalizer", lambda *args: calls.append(args))
+    systems = [FusionSystem(F.group, F.P, F.p, F._isos) for _, _, F in catalog_systems]
+    systems += [fusion_of_group(G, 2) for G in ladder_groups]
+    for F in systems:
+        for Q in F.subgroups():
+            assert F.n_p(Q) == normalizer(F.P, Q), (F, Q.elements)
+    assert calls == []
+    G, _ = load_group_spec("s4")
+    F = fusion_of_group(G, 2)
+    outside = sylow(G, 3)
+    other = load_group_spec("d8")[0].full_subgroup
+    for Q in (outside, other):
+        with pytest.raises(NotASubgroup):
+            normalizer(F.P, Q)
+        with pytest.raises(NotASubgroup):
+            F.n_p(Q)
+
+
+def test_class_members_are_the_lattice_objects(catalog_systems, a4xd8_system):
+    for F in [F for _, _, F in catalog_systems] + [a4xd8_system]:
+        lattice = {Q.key: Q for Q in F.subgroups()}
+        for cls in F.classes():
+            assert all(R is lattice[R.key] for R in cls), (F, cls.representative.elements)
+
+
+def test_saturation_finds_the_generators_of_each_subgroup_once(monkeypatch):
+    """On a fresh F_P(S4 x D8), building the system and deciding its
+    saturation run the greedy generator search at most once per subgroup:
+    the classes hold the lattice's objects, which keep what they found."""
+    G = direct_product_groups(*(make_group(load_catalog(n)) for n in ("s4", "d8"))).group
+    P = sylow(G, 2)
+    generators, searches = Subgroup.generators, []
+
+    def counted(self):
+        if self._gens is None:
+            searches.append(self.key)
+        return generators(self)
+
+    monkeypatch.setattr(Subgroup, "generators", counted)
+    F = fusion_of_group(G, 2, P)
+    assert is_saturated(F).saturated
+    assert len(searches) == len(set(searches)) == len(F.subgroups())
 
 
 @settings(max_examples=25, deadline=None)

@@ -50,11 +50,11 @@ def test_centre_orders_frozen(key, order):
     assert Z.elements == centre_by_fixed_points(F).elements
 
 
-def test_centre_on_routes_matches_the_fixed_points(catalog_systems, a4xd8_system, s4xd8_system):
-    """``centre_of`` decides each x on the routes of each class; it agrees
-    with the fixed points of every morphism on every catalog system, on its
-    quotient by every proper nontrivial strongly closed T, and on
-    F_P(A4 x D8) and F_P(S4 x D8)."""
+def test_centre_from_images_matches_the_fixed_points(catalog_systems, a4xd8_system, s4xd8_system):
+    """``centre_of`` takes the x in P with x^F = {x}, read off the F-images
+    of each element; it agrees with the fixed points of every morphism on
+    every catalog system, on its quotient by every proper nontrivial
+    strongly closed T, and on F_P(A4 x D8) and F_P(S4 x D8)."""
     systems = [a4xd8_system, s4xd8_system]
     for _, _, F in catalog_systems:
         systems.append(F)
@@ -103,14 +103,15 @@ def test_perfect_flags():
         assert is_perfect(F) is expected, (name, p)
 
 
-def test_perfect_on_routes_matches_the_quotients(
+def test_perfect_from_focal_subgroup_matches_the_quotients(
     catalog_systems, sweep_weakly_normal, a4xd8_system
 ):
-    """``is_perfect`` reads the routes of the classes above each candidate
-    T; it agrees with building F/T and comparing it with the inner system
-    of P/T, on every catalog system, its quotient by every proper
-    nontrivial strongly closed T, every weakly normal system of the sweep,
-    and F_P(A4 x D8).  Both verdicts occur."""
+    """``is_perfect`` tests foc(F) = P, with foc(F) generated by the
+    x^-1 y for y in x^F, read off the F-images of each element; it agrees
+    with building F/T and comparing it with the inner system of P/T, on
+    every catalog system, its quotient by every proper nontrivial strongly
+    closed T, every weakly normal system of the sweep, and F_P(A4 x D8).
+    Both verdicts occur."""
     catalog = [F for _, _, F in catalog_systems]
     systems = catalog + [a4xd8_system]
     systems += [

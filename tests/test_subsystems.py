@@ -29,9 +29,11 @@ from fusionkit import (
     subsystems,
     verify_theorem_a,
     weakly_normal_systems_on,
+    x_subgroup,
 )
 from fusionkit.errors import PreconditionFailed
-from fusionkit.groups import is_p_power
+from fusionkit.fusion import _close
+from fusionkit.groups import _join_normalized, is_p_power
 from fusionkit.morphisms import _compose
 from fusionkit.subsystems import _invariance_witness, _is_p_element, _local_is_all, is_invariant
 from oracles import (
@@ -106,6 +108,25 @@ def test_o_p_prime_of_a_p_group_system_decides_no_saturation(catalog_systems, mo
         assert sub == F
         assert normality_status(F, sub).normal
     assert len(systems) > 10 and calls == []
+
+
+def test_o_p_prime_closes_once_when_aut_zero_is_already_held(catalog_systems, monkeypatch):
+    """On every catalog system where O^{p'}(F) takes a closure, each map of
+    Aut^0_F(P) is already in O^{p'}_*(F), so the closure runs once."""
+    closes = []
+
+    def counted(*args):
+        closes.append(args)
+        return _close(*args)
+
+    monkeypatch.setattr(subsystems, "_close", counted)
+    closing = 0
+    for _, _, F in catalog_systems:
+        closes.clear()
+        o_p_prime_subsystem(F)
+        assert len(closes) <= 1, F
+        closing += len(closes)
+    assert closing > 20
 
 
 def test_o_p_prime_from_p_elements_matches_the_aut_group_path(
@@ -372,12 +393,16 @@ def test_is_invariant_scans_only_to_name_a_failure(
     assert 0 < failures < len(cases)
 
 
-def test_local_test_on_routes_matches_local_subsystem(catalog_systems, a4xd8_system):
+def test_local_test_on_routes_matches_local_subsystem(
+    catalog_systems, a4xd8_system, s4xd8_system, affine_systems
+):
     """``_local_is_all`` (used by ``o_p`` and ``x_subgroup``) agrees with
     building ``local_subsystem`` and comparing it with F, for both kinds, on
-    every normal subgroup of P of every catalog system and of F_P(A4 x D8)."""
+    every normal subgroup of P of every catalog system, of F_P(A4 x D8),
+    F_P(S4 x D8) and F_P(ASL(2,3))."""
     verdicts = []
-    for F in [F for _, _, F in catalog_systems] + [a4xd8_system]:
+    pool = [F for _, _, F in catalog_systems] + [a4xd8_system, s4xd8_system, affine_systems[0]]
+    for F in pool:
         for Q in F.subgroups():
             if F.n_p(Q) != F.P:
                 continue
@@ -387,3 +412,29 @@ def test_local_test_on_routes_matches_local_subsystem(catalog_systems, a4xd8_sys
                 assert got == (local_subsystem(F, Q, kind) == F), (F, Q.elements, kind)
                 verdicts.append(got)
     assert True in verdicts and False in verdicts
+
+
+def test_local_test_skips_the_routes_of_p_conjugations(catalog_systems, monkeypatch):
+    """On F_P(P), every route is a conjugation by an element of P, so
+    ``x_subgroup`` and ``o_p`` join no QR for any catalog p-group; on
+    F_P(S4) and F_P(A4) at p = 2, Aut_F(V4) is larger than Aut_P(V4), and
+    some route is still tested."""
+    joins = []
+
+    def counted(H, gens):
+        joins.append(gens)
+        return _join_normalized(H, gens)
+
+    monkeypatch.setattr(subsystems, "_join_normalized", counted)
+    inner = [F for _, _, F in catalog_systems if len(F.P) == len(F.group) > 1]
+    assert len(inner) > 20
+    for F in inner:
+        x_subgroup(F)
+        o_p(F)
+    assert joins == []
+    for name in ("s4", "a4"):
+        F = fusion_of_group(load_group_spec(name)[0], 2)
+        for decide in (x_subgroup, o_p):
+            joins.clear()
+            decide(F)
+            assert joins, (name, decide)
