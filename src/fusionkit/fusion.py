@@ -41,9 +41,9 @@ from .groups import (
     Subgroup,
     _as_subgroup,
     _conj_rows,
+    _conjugation_rows,
     _maximal_subgroups,
     _picker,
-    _require_subgroup_of,
     all_subgroups,
     centralizer,
     coset_quotient,
@@ -71,9 +71,11 @@ IsoTable = dict[Key, dict[Key, tuple[Key, ...]]]
 
 @dataclass(frozen=True)
 class ConjClass:
-    """An F-conjugacy class of subgroups, with its least member first."""
+    """An F-conjugacy class of subgroups, with its least member first, and
+    ``normalized``, its first member with the largest N_P."""
 
     members: tuple[Subgroup, ...]
+    normalized: Subgroup
 
     @property
     def representative(self) -> Subgroup:
@@ -197,19 +199,14 @@ class FusionSystem:
         self.require_in_p(Q)
         return self._fact("auts", Q, _aut_group, self, Q)
 
-    def _p_rows(self) -> dict[int, Key]:
-        """The conjugation rows x -> x^g of the ambient group for g in P."""
-        return self._fact("p_rows", None, _conj_rows, self.group, self.P.elements)
-
     def aut_mappings_of_conjugation(self, Q: Subgroup, source: Subgroup) -> frozenset[Key]:
-        """Mappings of the automorphisms of Q induced by N_source(Q),
-        computed once per pair of subgroups of P's group."""
+        """Mappings of the automorphisms of Q induced by N_source(Q), for a
+        ``source`` inside P, computed once per pair of subgroups of P."""
         return self._fact("aut_p", Q, _conjugations, self, Q, source, within=source)
 
     def n_p(self, Q: Subgroup) -> Subgroup:
-        """N_P(Q), computed once per subgroup of P: the g in P whose
-        conjugation row sends Q's generators into Q."""
-        return self._fact("n_p", Q, _normalizer_in_p, self, Q)
+        """N_P(Q), computed once per subgroup of P."""
+        return self._fact("n_p", Q, normalizer, self.P, Q)
 
     def c_p(self, Q: Subgroup) -> Subgroup:
         """C_P(Q), computed once per subgroup of P."""
@@ -229,7 +226,7 @@ class FusionSystem:
         return self._fact("classes", None, _classes, self)
 
     def is_fully_normalized(self, Q: Subgroup) -> bool:
-        return self._fact("fully_normalized", Q, _fully_normalized, self, Q)
+        return len(self.n_p(Q)) == len(self.n_p(self.conjugacy_class(Q).normalized))
 
     def is_fully_centralized(self, Q: Subgroup) -> bool:
         c = len(self.c_p(Q))
@@ -276,16 +273,10 @@ def _aut_group(F: FusionSystem, Q: Subgroup) -> AutGroup:
 
 
 def _conjugations(F: FusionSystem, Q: Subgroup, source: Subgroup) -> frozenset[Key]:
+    F.require_in_p(source)
     N = F.n_p(Q) if source == F.P else normalizer(source, Q)
-    rows = F._p_rows() if N <= F.P else _conj_rows(F.group, N.elements)
+    rows = _conjugation_rows(F.P)
     return frozenset(map(_picker(Q.elements), [rows[g] for g in N.elements]))
-
-
-def _normalizer_in_p(F: FusionSystem, Q: Subgroup) -> Subgroup:
-    _require_subgroup_of(Q, F.P)
-    qset, on_gens = Q._set, _picker(Q.generators())
-    members = [g for g, row in F._p_rows().items() if qset.issuperset(on_gens(row))]
-    return Subgroup(F.group, members, check=False)
 
 
 def _class_index(F: FusionSystem) -> dict[Key, ConjClass]:
@@ -302,13 +293,9 @@ def _classes(F: FusionSystem) -> tuple[ConjClass, ...]:
         if key not in seen:
             member_keys = sorted(F._isos.get(key, {key: ()}))
             seen.update(member_keys)
-            out.append(ConjClass(tuple(map(lattice.__getitem__, member_keys))))
+            members = tuple(map(lattice.__getitem__, member_keys))
+            out.append(ConjClass(members, max(members, key=lambda S: len(F.n_p(S)))))
     return tuple(out)
-
-
-def _fully_normalized(F: FusionSystem, Q: Subgroup) -> bool:
-    n = len(F.n_p(Q))
-    return all(len(F.n_p(R)) <= n for R in F.conjugacy_class(Q))
 
 
 def _table_key(F: FusionSystem) -> tuple:
@@ -788,7 +775,7 @@ def validate_fusion(F: FusionSystem) -> None:
     index = {qk: {x: i for i, x in enumerate(qk)} for qk in lattice}
     on_gens = {qk: _picker([index[qk][x] for x in gens[qk]]) for qk in lattice}
     stored = {qk: {on_gens[qk](m) for ms in t.values() for m in ms} for qk, t in F._isos.items()}
-    rows = F._p_rows().values()
+    rows = _conjugation_rows(F.P).values()
     for Q in F.subgroups():
         # rows that agree on Q's generators agree on Q
         on_q = _picker(Q.elements)

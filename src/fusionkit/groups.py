@@ -13,7 +13,8 @@ layer, each subgroup of order p^(k+1) as a normal subgroup of index p
 plus one element, which reaches all of them because every non-trivial
 p-group has a normal subgroup of index p.  The maximal subgroups of a
 p-group are exactly those, so the build reaches each subgroup from each
-of its maximal subgroups once, and records them in the same memo entry.
+of its maximal subgroups once, and records them in the same memo entry,
+with the conjugation rows of the p-group it tested them by.
 Any other carrier may have subgroups no such chain reaches (A5 in S5),
 and is built as a join closure of cyclic subgroups.  Either build
 carries with each subgroup the short generator tuple it was reached by.
@@ -138,7 +139,7 @@ class Group:
         else:
             self.generator_indices = None
         self._full = None
-        self._lattices: dict[tuple[int, ...], tuple[tuple[Subgroup, ...], dict | None]] = {}
+        self._lattices: dict[tuple[int, ...], tuple[tuple[Subgroup, ...], dict | None, dict | None]] = {}
 
     @property
     def order(self) -> int:
@@ -387,8 +388,9 @@ def all_subgroups(container: Group | Subgroup) -> tuple[Subgroup, ...]:
     in the group's ``_lattices`` memo under the carrier's element key, so
     every ``Subgroup`` with that key, and the group itself for its full
     subgroup, reads the same tuple.  The memo goes with the group.  A
-    p-group carrier takes the layer build, which also records the maximal
-    subgroups of each member there; any other carrier the join closure.
+    p-group carrier takes the layer build, which also records there the
+    maximal subgroups of each member and the carrier's conjugation rows;
+    any other carrier the join closure.
     """
     return _lattice_entry(_as_subgroup(container))[0]
 
@@ -398,24 +400,30 @@ def _maximal_subgroups(P: Subgroup) -> dict[tuple[int, ...], list[tuple[int, ...
     return _lattice_entry(P)[1]
 
 
-def _lattice_entry(amb: Subgroup) -> tuple[tuple[Subgroup, ...], dict | None]:
+def _conjugation_rows(P: Subgroup) -> dict[int, tuple[int, ...]]:
+    """The conjugation rows x -> x^g of P's group for each g in the p-group P."""
+    return _lattice_entry(P)[2]
+
+
+def _lattice_entry(amb: Subgroup) -> tuple[tuple[Subgroup, ...], dict | None, dict | None]:
     lattices = amb.group._lattices
     entry = lattices.get(amb.elements)
     if entry is None:
         n = len(amb.elements)
         p = min((d for d in range(2, n + 1) if n % d == 0), default=2)
-        entry = _layer_lattice(amb, p) if is_p_power(n, p) else (_subgroup_lattice(amb), None)
+        entry = _layer_lattice(amb, p) if is_p_power(n, p) else (_subgroup_lattice(amb), None, None)
         lattices[amb.elements] = entry
     return entry
 
 
-def _layer_lattice(amb: Subgroup, p: int) -> tuple[tuple[Subgroup, ...], dict]:
-    """The subgroups of the p-group ``amb``, one layer per order, and the
-    maximal subgroups of each: each M of a layer, with the generators it
-    was reached by, yields <M, g> = M u gM u ... u g^(p-1)M for each g that
-    conjugates those generators into M with g^p in M, unless g lies in a
-    <M, g'> found before.  So each maximal M of J, of index p, is reached
-    once, and in lattice order as each layer is taken by key."""
+def _layer_lattice(amb: Subgroup, p: int) -> tuple[tuple[Subgroup, ...], dict, dict]:
+    """The subgroups of the p-group ``amb``, one layer per order, the
+    maximal subgroups of each, and the conjugation rows of ``amb``: each M
+    of a layer, with the generators it was reached by, yields
+    <M, g> = M u gM u ... u g^(p-1)M for each g whose row sends those
+    generators into M with g^p in M, unless g lies in a <M, g'> found
+    before.  So each maximal M of J, of index p, is reached once, and in
+    lattice order as each layer is taken by key."""
     G, mul = amb.group, amb.group._mul
     pth = {g: reduce(lambda x, _: mul[x][g], range(p - 1), g) for g in amb.elements}
     conj = _conj_rows(G, amb.elements)
@@ -443,7 +451,7 @@ def _layer_lattice(amb: Subgroup, p: int) -> tuple[tuple[Subgroup, ...], dict]:
         new.sort(key=lambda pair: pair[0].elements)
         lattice += [J for J, _ in new]
         layer = new
-    return tuple(lattice), maximal
+    return tuple(lattice), maximal, conj
 
 
 def _subgroup_lattice(amb: Subgroup) -> tuple[Subgroup, ...]:
@@ -556,11 +564,14 @@ def group_centre(container: Group | Subgroup) -> Subgroup:
 
 
 def sylow(container: Group | Subgroup, p: int) -> Subgroup:
-    """The first Sylow p-subgroup found by deterministic normalizer growth."""
+    """The first Sylow p-subgroup found by deterministic normalizer growth,
+    or the carrier itself when its order is a power of p."""
     ensure_prime(p)
     amb = _as_subgroup(container)
     G = amb.group
     target = p_part(len(amb.elements), p)
+    if target == len(amb.elements):
+        return amb
     S = Subgroup(G, (G.identity,), check=False)
     while len(S.elements) < target:
         N = normalizer(amb, S)

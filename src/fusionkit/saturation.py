@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 from .errors import NotAnIsomorphism, NotASubgroupOfP
 from .fusion import FusionSystem
-from .groups import Subgroup, _picker, normalizer, p_part, subgroups_between
+from .groups import Subgroup, _conjugation_rows, _picker, normalizer, p_part, subgroups_between
 from .morphisms import (
     Morphism, _aut_subgroup, _positions, _stabilizing_restrictions, _transport
 )
@@ -45,7 +45,7 @@ def n_phi(F: FusionSystem, phi: Morphism) -> Subgroup:
     auts = list(F.aut_mappings_of_conjugation(S, F.P))
     _, moved = _transport(dict(zip(S.elements, phi.mapping)), S.elements, auts)
     wanted = {at_gens(a) for a, b in zip(auts, moved) if b in target}
-    rows, on_gens = F._p_rows(), _picker(gens)
+    rows, on_gens = _conjugation_rows(F.P), _picker(gens)
     members = [g for g in F.n_p(S).elements if on_gens(rows[g]) in wanted]
     return Subgroup(F.group, members, check=False)
 
@@ -130,14 +130,14 @@ def is_saturated(F: FusionSystem) -> SaturationVerdict:
     A fully automized receptive subgroup is fully normalized, and every
     fully normalized conjugate of it is again fully automized and receptive
     (Aschbacher-Kessar-Oliver, Fusion Systems in Algebra and Topology,
-    I.2.6(c)).  So the first member with the largest N_P decides its
-    class."""
+    I.2.6(c)).  So the member each class records, its first with the
+    largest N_P (``ConjClass.normalized``), decides the class."""
     return F._fact("saturated", None, _roberts_shpectorov, F)
 
 
 def _roberts_shpectorov(F: FusionSystem) -> SaturationVerdict:
     for cls in F.classes():
-        Q = max(cls.members, key=lambda S: len(F.n_p(S)))
+        Q = cls.normalized
         if not (is_fully_automized(F, Q) and is_receptive(F, Q)):
             reason = "class has no fully automized receptive member"
             return SaturationVerdict(False, witness=cls.representative, reason=reason)

@@ -27,7 +27,7 @@ from .fusion import (
     is_strongly_closed,
     is_subsystem,
 )
-from .groups import Subgroup, _join, _join_normalized, _picker, all_subgroups, is_p_power
+from .groups import Subgroup, _conjugation_rows, _join, _join_normalized, _picker, all_subgroups, is_p_power
 from .morphisms import Key, Morphism, _compose, _inverse, _positions, _restrict, _transport
 from .saturation import is_centric, is_saturated
 
@@ -249,7 +249,7 @@ def _routes_beyond_p(F: FusionSystem) -> list[tuple[Subgroup, list[tuple[Subgrou
     """The routes of ``_routes(F, F.P)`` that are not the restriction of
     c_g to Q0 for any g in P, by class; a class left with none is dropped.
     A map on Q0 is fixed by its images of Q0's generators."""
-    rows = F._p_rows().values()
+    rows = _conjugation_rows(F.P).values()
     out = []
     for Q0, routes in _routes(F, F.P):
         gens = Q0.generators()

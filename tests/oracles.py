@@ -11,7 +11,9 @@ F = C_F(<x>) on the routes, as the library decided it before it read the
 F-images of each element; O_p(F) gets one, by strongly closed central
 series.  They are compared with ``centre_of`` and ``o_p``.  Saturation gets the plain Roberts-Shpectorov scan over every
 member of every class and every isomorphism onto it, to compare with
-``is_saturated`` and ``is_receptive``.
+``is_saturated`` and ``is_receptive``, and full normalization the scan of
+N_P over every member of a class, as the library did before each class
+recorded its fully normalized member.
 The multiplication table, the homomorphism witness of ``Morphism.build``,
 normalizers and the strongly closed subgroups are also computed one element
 at a time, as the library did before it read whole table rows and tested
@@ -398,6 +400,13 @@ def normalizer_by_every_element(container: Subgroup, H: Subgroup) -> Subgroup:
     G = H.group
     members = [g for g in container.elements if all(G.conj(x, g) in H for x in H.elements)]
     return Subgroup(G, members, check=False)
+
+
+def fully_normalized_by_scan(F: FusionSystem, Q: Subgroup) -> bool:
+    """Whether no member of Q's class has a larger N_P than Q, each N_P
+    found one element at a time."""
+    n = len(normalizer_by_every_element(F.P, Q))
+    return all(len(normalizer_by_every_element(F.P, R)) <= n for R in F.conjugacy_class(Q))
 
 
 def strongly_closed_by_each_subgroup(F: FusionSystem) -> list[Subgroup]:

@@ -41,12 +41,15 @@ from fusionkit import (
     transport_fusion,
     validate_fusion,
 )
-from fusionkit import fusion, subsystems
-from fusionkit.errors import FusionkitError, NotASubgroup, NotStronglyClosed, ParseError
+from fusionkit import fusion, groups, subsystems
+from fusionkit.errors import (
+    FusionkitError, NotASubgroup, NotASubgroupOfP, NotStronglyClosed, ParseError
+)
 from fusionkit.fusion import _close, _routes
 from fusionkit.morphisms import _compose
 from oracles import (
     fusion_by_every_element,
+    fully_normalized_by_scan,
     generated_fusion_by_full_closure,
     normalizer_by_every_element,
     validate_fusion_by_full_tuples,
@@ -423,18 +426,15 @@ def test_every_ambient_conjugation_lands_in_the_system(pair, data):
         assert F.contains_morphism(Morphism(Q, image, mapping))
 
 
-def test_n_p_reads_p_rows_and_agrees_with_the_normalizer(catalog_systems, ladder_groups, monkeypatch):
-    """``n_p`` equals ``groups.normalizer(F.P, Q)`` on every subgroup of
-    the catalog and ladder systems, without calling it; a Q outside P
-    raises ``NotASubgroup``, as the normalizer does."""
-    calls = []
-    monkeypatch.setattr(fusion, "normalizer", lambda *args: calls.append(args))
+def test_n_p_agrees_with_the_every_element_normalizer(catalog_systems, ladder_groups):
+    """``n_p`` equals ``oracles.normalizer_by_every_element(F.P, Q)`` on
+    every subgroup of the catalog and ladder systems; a Q outside P raises
+    ``NotASubgroup``, as the normalizer does."""
     systems = [FusionSystem(F.group, F.P, F.p, F._isos) for _, _, F in catalog_systems]
     systems += [fusion_of_group(G, 2) for G in ladder_groups]
     for F in systems:
         for Q in F.subgroups():
-            assert F.n_p(Q) == normalizer(F.P, Q), (F, Q.elements)
-    assert calls == []
+            assert F.n_p(Q) == normalizer_by_every_element(F.P, Q), (F, Q.elements)
     G, _ = load_group_spec("s4")
     F = fusion_of_group(G, 2)
     outside = sylow(G, 3)
@@ -472,6 +472,44 @@ def test_saturation_finds_the_generators_of_each_subgroup_once(monkeypatch):
     assert len(searches) == len(set(searches)) == len(F.subgroups())
 
 
+def test_a_system_transposes_its_group_table_twice(monkeypatch):
+    """On a fresh F_P(S4 x D8), building the system, deciding its
+    saturation and validating it transpose G's table twice: once for P's
+    lattice, whose entry keeps P's conjugation rows, and once for the
+    rows of G."""
+    G = direct_product_groups(*(make_group(load_catalog(n)) for n in ("s4", "d8"))).group
+    conj_rows, calls = groups._conj_rows, []
+
+    def counted(*args):
+        calls.append(len(args[1]))
+        return conj_rows(*args)
+
+    for module in (groups, fusion):
+        monkeypatch.setattr(module, "_conj_rows", counted)
+    F = fusion_of_group(G, 2)
+    assert is_saturated(F).saturated
+    validate_fusion(F)
+    assert sorted(calls) == [len(F.P), len(G)]
+
+
+def test_each_class_records_its_first_member_with_the_largest_n_p(catalog_systems, a4xd8_system):
+    for F in [F for _, _, F in catalog_systems] + [a4xd8_system]:
+        for cls in F.classes():
+            sizes = [len(normalizer_by_every_element(F.P, R)) for R in cls]
+            assert cls.normalized is cls.members[sizes.index(max(sizes))]
+        for Q in F.subgroups():
+            assert F.is_fully_normalized(Q) == fully_normalized_by_scan(F, Q), (F, Q.elements)
+
+
+def test_conjugation_from_a_source_outside_p_is_refused():
+    G, _ = load_group_spec("s4")
+    F = fusion_of_group(G, 2)
+    Q = Subgroup(G, (G.identity,))
+    for source in (G.full_subgroup, sylow(G, 3)):
+        with pytest.raises(NotASubgroupOfP):
+            F.aut_mappings_of_conjugation(Q, source)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.sampled_from(_PAIRS), st.data())
 def test_full_subcategory_is_a_subsystem(pair, data):
@@ -497,9 +535,9 @@ def test_n_p_and_aut_p_tables_match_the_every_element_scan_on_the_ladder(ladder_
 def test_facts_about_a_subgroup_of_an_equal_group_object_are_not_kept(catalog_systems):
     """A subgroup of an equal but distinct ``Group`` object gets the answers
     of its twin in P's group from n_p, c_p, aut_mappings_of_conjugation and
-    is_fully_normalized, and the memo keeps none of them: no entry of c_p,
-    Aut_P or full normalization, and n_p only for the class members of P's
-    own group that is_fully_normalized reads."""
+    is_fully_normalized, and the memo keeps none of them: no entry of c_p
+    or Aut_P, and n_p only for the class members of P's own group that
+    is_fully_normalized reads."""
     for _, _, F in catalog_systems:
         twin = Group(F.group.perms, F.group.degree, closed=True)
         assert twin == F.group and twin is not F.group
@@ -510,7 +548,7 @@ def test_facts_about_a_subgroup_of_an_equal_group_object_are_not_kept(catalog_sy
             aut_p = fresh.aut_mappings_of_conjugation(Q2, fresh.P)
             assert aut_p == F.aut_mappings_of_conjugation(Q, F.P)
             assert fresh.is_fully_normalized(Q2) == F.is_fully_normalized(Q)
-        for fact in ("c_p", "aut_p", "fully_normalized"):
+        for fact in ("c_p", "aut_p"):
             assert not fresh._cache.get(fact)
         assert all(N.group is F.group for N in fresh._cache["n_p"].values())
 

@@ -146,6 +146,32 @@ def test_recorded_maximal_subgroups_are_those_found_by_containment(ladder_groups
         assert groups._maximal_subgroups(P) == maximal_subgroups_by_containment(P), P
 
 
+def test_recorded_conjugation_rows_are_the_rows_of_p_and_kept(ladder_groups):
+    carriers = [sylow(G.full_subgroup, 2) for G in ladder_groups]
+    for name in sorted(catalog_names()):
+        G = make_group(load_catalog(name))
+        carriers += [sylow(G.full_subgroup, p) for p in range(2, len(G) + 1)
+                     if len(G) % p == 0 and is_prime(p)]
+    for P in carriers:
+        rows = groups._conjugation_rows(P)
+        assert rows == groups._conj_rows(P.group, P.elements), P
+        assert groups._conjugation_rows(P) is rows, P
+
+
+def test_sylow_of_a_p_group_is_the_whole_group_without_normalizers(monkeypatch):
+    calls = []
+    normalizer = groups.normalizer
+    monkeypatch.setattr(groups, "normalizer", lambda *a: calls.append(a) or normalizer(*a))
+    checked = 0
+    for name in sorted(catalog_names()):
+        G = make_group(load_catalog(name))
+        primes = [p for p in range(2, len(G) + 1) if len(G) % p == 0 and is_prime(p)]
+        if len(primes) == 1:
+            assert sylow(G, primes[0]) == G.full_subgroup, name
+            checked += 1
+    assert checked > 10 and calls == []
+
+
 def test_prime_power_lattices_need_no_join_or_closure(monkeypatch):
     # every carrier is fresh, so each all_subgroups call below builds
     carriers = [sylow(_product(a, b).full_subgroup, 2) for a, b in
