@@ -44,6 +44,7 @@ from .groups import (
     _conjugation_rows,
     _maximal_subgroups,
     _picker,
+    _subgroup_index,
     all_subgroups,
     centralizer,
     coset_quotient,
@@ -118,8 +119,8 @@ class FusionSystem:
         """The one memo of this system's facts: ``compute(*args)``, kept in
         one dict per fact ``name`` under Q's key, or the pair of keys for a
         fact about Q ``within`` a second subgroup; Q None stands for the
-        whole system, and no fact is None.  A fact about a subgroup of a
-        ``Group`` object other than P's is computed and not kept."""
+        whole system.  No fact is None, a subgroup of P is kept as P's lattice's
+        own object, and a fact about another ``Group`` object's subgroup is not kept."""
         G = self.P.group
         if Q is not None and Q.group is not G or within is not None and within.group is not G:
             return compute(*args)
@@ -127,16 +128,20 @@ class FusionSystem:
         key = None if Q is None else Q.key if within is None else (within.key, Q.key)
         value = memo.get(key)
         if value is None:
-            value = memo[key] = compute(*args)
+            value = compute(*args)
+            value = memo[key] = self.subgroup(value.key) if isinstance(value, Subgroup) else value
         return value
 
     # -- basic queries -------------------------------------------------
 
     def subgroups(self) -> tuple[Subgroup, ...]:
-        return self._fact("subgroups", None, all_subgroups, self.P)
+        return all_subgroups(self.P)
 
     def subgroup(self, key: Key) -> Subgroup:
-        return Subgroup(self.group, key, check=False)
+        """The subgroup of P with element key ``key``, as P's lattice's own object."""
+        if (S := _subgroup_index(self.P).get(key)) is None:
+            raise NotASubgroupOfP("not a subgroup of P", witness=key)
+        return S
 
     def require_in_p(self, Q: Subgroup) -> Subgroup:
         if Q.group != self.group or not Q <= self.P:
@@ -197,7 +202,7 @@ class FusionSystem:
 
     def aut_group(self, Q: Subgroup) -> AutGroup:
         self.require_in_p(Q)
-        return self._fact("auts", Q, _aut_group, self, Q)
+        return self._fact("auts", Q, _aut_group, self, self.subgroup(Q.key))
 
     def aut_mappings_of_conjugation(self, Q: Subgroup, source: Subgroup) -> frozenset[Key]:
         """Mappings of the automorphisms of Q induced by N_source(Q), for a
@@ -205,11 +210,11 @@ class FusionSystem:
         return self._fact("aut_p", Q, _conjugations, self, Q, source, within=source)
 
     def n_p(self, Q: Subgroup) -> Subgroup:
-        """N_P(Q), computed once per subgroup of P."""
+        """N_P(Q), found once per subgroup of P."""
         return self._fact("n_p", Q, normalizer, self.P, Q)
 
     def c_p(self, Q: Subgroup) -> Subgroup:
-        """C_P(Q), computed once per subgroup of P."""
+        """C_P(Q), found once per subgroup of P."""
         return self._fact("c_p", Q, centralizer, self.P, Q)
 
     # -- conjugacy classes ----------------------------------------------
@@ -286,14 +291,13 @@ def _class_index(F: FusionSystem) -> dict[Key, ConjClass]:
 def _classes(F: FusionSystem) -> tuple[ConjClass, ...]:
     """The classes in lattice order, their members the lattice's own
     ``Subgroup`` objects, so each member's generators are found once."""
-    lattice = {Q.key: Q for Q in F.subgroups()}
     seen: set[Key] = set()
     out = []
-    for key in lattice:
+    for key in _subgroup_index(F.P):
         if key not in seen:
             member_keys = sorted(F._isos.get(key, {key: ()}))
             seen.update(member_keys)
-            members = tuple(map(lattice.__getitem__, member_keys))
+            members = tuple(map(F.subgroup, member_keys))
             out.append(ConjClass(members, max(members, key=lambda S: len(F.n_p(S)))))
     return tuple(out)
 
@@ -494,10 +498,9 @@ def _close(P: Subgroup, base: IsoTable, seeds: Iterable[tuple[Key, Key]]) -> Iso
     those restrictions are popped in turn: every S < Q lies on a chain of
     subgroups each of index p in the next.  A domain that gains no map
     keeps base's buckets."""
-    lattice = all_subgroups(P)
-    subgroup, covers = {S.key: S for S in lattice}, _maximal_subgroups(P)
+    subgroup, covers = _subgroup_index(P), _maximal_subgroups(P)
     isos: dict[Key, set[Key]] = {
-        S.key: {m for ms in base.get(S.key, {}).values() for m in ms} for S in lattice
+        key: {m for ms in base.get(key, {}).values() for m in ms} for key in subgroup
     }
     # per domain, on first use: the new maps into it with their positions
     # in it, the maps out of it, and its maximal subgroups with theirs
@@ -757,8 +760,7 @@ def validate_fusion(F: FusionSystem) -> None:
     every S < Q lies on a chain of subgroups each of index p in the next, so
     by induction on |Q| all restrictions are then stored.  The check over
     every smaller subgroup runs only to name the first failure."""
-    lattice = {S.key: S for S in F.subgroups()}
-    pset = F.P._set
+    lattice, pset = _subgroup_index(F.P), F.P._set
     if set(F._isos) != set(lattice):
         raise FusionkitError("iso table does not range over the subgroups of P")
     for qk, targets in F._isos.items():

@@ -139,7 +139,7 @@ class Group:
         else:
             self.generator_indices = None
         self._full = None
-        self._lattices: dict[tuple[int, ...], tuple[tuple[Subgroup, ...], dict | None, dict | None]] = {}
+        self._lattices: dict[tuple[int, ...], tuple[tuple[Subgroup, ...], dict, dict | None, dict | None]] = {}
 
     @property
     def order(self) -> int:
@@ -387,32 +387,37 @@ def all_subgroups(container: Group | Subgroup) -> tuple[Subgroup, ...]:
     The lattice of a carrier is built once per ambient group: it is kept
     in the group's ``_lattices`` memo under the carrier's element key, so
     every ``Subgroup`` with that key, and the group itself for its full
-    subgroup, reads the same tuple.  The memo goes with the group.  A
-    p-group carrier takes the layer build, which also records there the
-    maximal subgroups of each member and the carrier's conjugation rows;
-    any other carrier the join closure.
+    subgroup, reads the same tuple and the same index of it by key.  The
+    memo goes with the group.  A p-group carrier takes the layer build,
+    which also records there the maximal subgroups of each member and the
+    carrier's conjugation rows; any other carrier the join closure.
     """
     return _lattice_entry(_as_subgroup(container))[0]
 
 
+def _subgroup_index(amb: Subgroup) -> dict[tuple[int, ...], Subgroup]:
+    """The lattice's own ``Subgroup`` of each subgroup of ``amb``, by key."""
+    return _lattice_entry(amb)[1]
+
+
 def _maximal_subgroups(P: Subgroup) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
     """The maximal subgroups' keys of each subgroup of the p-group P, in lattice order."""
-    return _lattice_entry(P)[1]
+    return _lattice_entry(P)[2]
 
 
 def _conjugation_rows(P: Subgroup) -> dict[int, tuple[int, ...]]:
     """The conjugation rows x -> x^g of P's group for each g in the p-group P."""
-    return _lattice_entry(P)[2]
+    return _lattice_entry(P)[3]
 
 
-def _lattice_entry(amb: Subgroup) -> tuple[tuple[Subgroup, ...], dict | None, dict | None]:
+def _lattice_entry(amb: Subgroup) -> tuple[tuple[Subgroup, ...], dict, dict | None, dict | None]:
     lattices = amb.group._lattices
     entry = lattices.get(amb.elements)
     if entry is None:
         n = len(amb.elements)
         p = min((d for d in range(2, n + 1) if n % d == 0), default=2)
-        entry = _layer_lattice(amb, p) if is_p_power(n, p) else (_subgroup_lattice(amb), None, None)
-        lattices[amb.elements] = entry
+        lattice, *rest = _layer_lattice(amb, p) if is_p_power(n, p) else (_subgroup_lattice(amb), None, None)
+        entry = lattices[amb.elements] = (lattice, {S.key: S for S in lattice}, *rest)
     return entry
 
 
@@ -518,10 +523,6 @@ def _join_normalized(H: Subgroup, gens: tuple[int, ...]) -> Subgroup:
     """<H, gens> for ``gens`` that normalize H.  Then <gens>H is a
     subgroup, so the cosets of H that ``gens`` reach from H are all of it."""
     return Subgroup(H.group, _join(H.group, H.elements, gens), check=False)
-
-
-def subgroups_between(lo: Subgroup, hi: Subgroup) -> tuple[Subgroup, ...]:
-    return tuple(S for S in all_subgroups(hi) if lo <= S)
 
 
 def normalizer(container: Group | Subgroup, H: Subgroup) -> Subgroup:

@@ -162,11 +162,10 @@ def x_subgroup(F: FusionSystem) -> XSubgroup:
     an element of Aut_P(Q)) and is not tested.
     """
     _require_saturated(F)
-    G = F.group
-    X = Subgroup(G, (G.identity,), check=False)
+    X = F.subgroups()[0]
     for Q in F.subgroups():
         if _has_central_quotient(F, Q):
-            X = X.join(Q)
+            X = F.subgroup(X.join(Q).key)
     if not _has_central_quotient(F, X):
         raise TheoremViolation(
             "the join of subgroups with F = P C_F(Q) loses the property",

@@ -37,7 +37,7 @@ from .fusion import (
     is_strongly_closed,
     is_subsystem,
 )
-from .groups import Subgroup, all_subgroups, normalizer, p_part, subgroups_between
+from .groups import Subgroup, all_subgroups, normalizer, p_part
 from .morphisms import (
     Morphism,
     _aut_subgroup,
@@ -136,7 +136,7 @@ def partial_domain(F: FusionSystem, T: Subgroup) -> tuple[Subgroup, ...]:
 
 
 def _with_centralizer(F: FusionSystem, Q: Subgroup, T: Subgroup) -> Subgroup:
-    """Q C_T(Q), computed once per pair of subgroups Q <= T of P."""
+    """Q C_T(Q), found once per pair of subgroups Q <= T of P."""
     return F._fact("q_c_t", Q, _join_centralizer, F, Q, T, within=T)
 
 
@@ -268,13 +268,13 @@ def check_weakly_normal_map(F: FusionSystem, A: AutMap) -> MapVerdict:
     # (v) for fully normalized U with C_T(U) <= U and U <= V <= N_T(U), the
     # restriction map from the U-stabilizing part of A(V) is a well defined
     # surjection onto N_{A(U)}(Aut_V(U)): restrictions must land inside A(U)
-    # and must cover the whole normalizer.
+    # and must cover the whole normalizer.  V <= T, so V <= N_P(U) is V <= N_T(U).
     for Q in fully_normalized:
         if not F.c_p(Q).meet(T) <= Q:
             continue
-        ag = F.aut_group(Q)
+        ag, N = F.aut_group(Q), F.n_p(Q)
         a_pos = _aut_subgroup(ag, A.assignment[Q.key], check=True)
-        for V in subgroups_between(Q, normalizer(T, Q)):
+        for V in (V for V in subs if Q <= V <= N):
             autv_pos = _aut_subgroup(ag, F.aut_mappings_of_conjugation(Q, V), check=True)
             needed = {
                 m.mapping for m in ag.morphisms_of(normalizer(a_pos, autv_pos))
@@ -371,7 +371,7 @@ def generate_from_map(F: FusionSystem, A: AutMap) -> FusionSystem:
 def _generate(F: FusionSystem, A: AutMap) -> FusionSystem:
     """The generate step of ``generate_from_map``, for a map whose axioms
     the caller has just checked."""
-    T = F.require_in_p(A.T)
+    T = F.subgroup(A.T.key)
     seeds = [(qk, m) for qk, ms in A.assignment.items() for m in ms]
     inner = F._fact("inner", T, fusion_of_group, T, F.p, T)._isos
     E = FusionSystem(F.group, T, F.p, _close(T, inner, seeds))
@@ -599,9 +599,8 @@ def intersection_wedge(
             return _nested_wedge(F, E1, E2)
         if T2 <= T1:
             return _nested_wedge(F, E2, E1)
-        T = Subgroup(F.group, set(T1.elements) & set(T2.elements), check=True)
         D = intersect_raw(E1, E2)
-        return t_core(F, D, T)
+        return t_core(F, D, D.P)
     if s2.weakly_normal and T1 <= T2 and is_saturated(E1):
         return _nested_wedge(E1, E1, E2)
     if s1.weakly_normal and T2 <= T1 and is_saturated(E2):

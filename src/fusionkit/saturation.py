@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 from .errors import NotAnIsomorphism, NotASubgroupOfP
 from .fusion import FusionSystem
-from .groups import Subgroup, _conjugation_rows, _picker, normalizer, p_part, subgroups_between
+from .groups import Subgroup, _conjugation_rows, _picker, normalizer, p_part
 from .morphisms import (
     Morphism, _aut_subgroup, _positions, _stabilizing_restrictions, _transport
 )
@@ -37,17 +37,16 @@ def n_phi(F: FusionSystem, phi: Morphism) -> Subgroup:
     F.require_in_p(S)
     if len(set(phi.mapping)) != len(phi.mapping) or not F.contains_morphism(phi):
         raise NotAnIsomorphism("phi must be an isomorphism of the system", witness=phi)
-    target = F.aut_mappings_of_conjugation(phi.image(), F.P)
     # c_g on S is known by its images of S's generators, so each member of
     # Aut_P(S) is transported once and each g of N_P(S) is matched by those.
     gens = S.generators()
     at_gens = _picker(_positions(S.elements, gens))
     auts = list(F.aut_mappings_of_conjugation(S, F.P))
-    _, moved = _transport(dict(zip(S.elements, phi.mapping)), S.elements, auts)
+    image, moved = _transport(dict(zip(S.elements, phi.mapping)), S.elements, auts)
+    target = F.aut_mappings_of_conjugation(F.subgroup(image), F.P)
     wanted = {at_gens(a) for a, b in zip(auts, moved) if b in target}
     rows, on_gens = _conjugation_rows(F.P), _picker(gens)
-    members = [g for g in F.n_p(S).elements if on_gens(rows[g]) in wanted]
-    return Subgroup(F.group, members, check=False)
+    return F.subgroup(tuple(g for g in F.n_p(S).elements if on_gens(rows[g]) in wanted))
 
 
 def extend_morphism(F: FusionSystem, phi: Morphism, D: Subgroup) -> Morphism | None:
@@ -103,7 +102,7 @@ def subgroup_status(F: FusionSystem, Q: Subgroup) -> SubgroupStatus:
 
 def has_surjectivity_property(F: FusionSystem, Q: Subgroup) -> bool:
     """Whether Aut_F(Q ≤ R) -> N_{Aut_F(Q)}(Aut_R(Q)) is onto for every
-    R between QC_P(Q) and N_P(Q).
+    R between QC_P(Q) and N_P(Q), each read off P's lattice.
 
     When Aut_F(Q) = Aut_P(Q) it is, and no automorphism group is built:
     each member of N_{Aut_F(Q)}(Aut_R(Q)) is c_h on Q for some h in
@@ -113,8 +112,8 @@ def has_surjectivity_property(F: FusionSystem, Q: Subgroup) -> bool:
     F.require_in_p(Q)
     if len(F.iso_mappings(Q, Q)) == len(F.aut_mappings_of_conjugation(Q, F.P)):
         return True
-    A = F.aut_group(Q)
-    for R in subgroups_between(Q.join(F.c_p(Q)), F.n_p(Q)):
+    A, lo, hi = F.aut_group(Q), Q.join(F.c_p(Q)), F.n_p(Q)
+    for R in (R for R in F.subgroups() if lo <= R <= hi):
         aut_r = _aut_subgroup(A, F.aut_mappings_of_conjugation(Q, R))
         needed = normalizer(A.group.full_subgroup, aut_r)
         restrictions = _stabilizing_restrictions(R.key, Q.key, F.iso_mappings(R, R))

@@ -115,7 +115,7 @@ def _invariance_witness(F: FusionSystem, E: FusionSystem) -> Morphism | None:
                     stored = E._isos.get(dom, {})
                     for mapping in moved:
                         if mapping not in stored.get(tuple(sorted(mapping)), ()):
-                            return Morphism(Subgroup(F.group, dom, check=False), T, mapping)
+                            return Morphism(F.subgroup(dom), T, mapping)
     return None
 
 
@@ -170,7 +170,7 @@ def frattini_decompose(
         dom = tuple(sorted(moved))
         mapping = _compose(_inverse(A.elements, moved), A.elements, psi.mapping)
         if mapping in E._isos.get(dom, {}).get(tuple(sorted(mapping)), ()):
-            return alpha, Morphism(Subgroup(F.group, dom, check=False), T, mapping)
+            return alpha, Morphism(F.subgroup(dom), T, mapping)
     raise NoDecomposition("no Frattini decomposition found", witness=psi)
 
 
@@ -271,10 +271,10 @@ def o_p(F: FusionSystem) -> Subgroup:
     g in P passes (c_g on QR normalizes Q) and is not tested."""
     if not is_saturated(F).saturated:
         raise NotSaturated("O_p needs a saturated system", witness=F)
-    result = Subgroup(F.group, (F.group.identity,), check=False)
+    result = F.subgroups()[0]
     for Q in strongly_closed_subgroups(F):
         if F.n_p(Q) == F.P and _local_is_all(F, Q, None):
-            result = result.join(Q)
+            result = F.subgroup(result.join(Q).key)
     if not (F.n_p(result) == F.P and _local_is_all(F, result, None)):
         raise TheoremViolation("join of normal subgroups is not normal", witness=result)
     return result

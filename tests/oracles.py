@@ -60,7 +60,7 @@ from fusionkit import (
 from fusionkit.errors import FusionkitError, NotASubgroupOfP, SeedNotInjective
 from fusionkit.fusion import _iso_table
 from fusionkit.groups import (
-    _picker, all_subgroups, centralizer, is_p_power, normalizer, p_part, subgroups_between
+    _picker, all_subgroups, centralizer, is_p_power, normalizer, p_part
 )
 from fusionkit.morphisms import _aut_subgroup, _inverse, _positions, _stabilizing_restrictions
 from fusionkit.perms import perm_mul
@@ -575,10 +575,10 @@ def perfect_by_quotients(F: FusionSystem) -> bool:
 def surjectivity_by_aut_groups(F: FusionSystem, Q: Subgroup) -> bool:
     """Whether Aut_F(Q <= R) -> N_{Aut_F(Q)}(Aut_R(Q)) is onto for every R
     between QC_P(Q) and N_P(Q), with Aut_F(Q) and each normalizer built
-    whole for every Q."""
+    whole for every Q, and the R read off N_P(Q)'s own lattice."""
     F.require_in_p(Q)
-    A = F.aut_group(Q)
-    for R in subgroups_between(Q.join(F.c_p(Q)), F.n_p(Q)):
+    A, lo = F.aut_group(Q), Q.join(F.c_p(Q))
+    for R in (R for R in all_subgroups(F.n_p(Q)) if lo <= R):
         aut_r = _aut_subgroup(A, F.aut_mappings_of_conjugation(Q, R))
         needed = normalizer(A.group.full_subgroup, aut_r)
         restrictions = _stabilizing_restrictions(R.key, Q.key, F.iso_mappings(R, R))

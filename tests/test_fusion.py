@@ -41,12 +41,13 @@ from fusionkit import (
     transport_fusion,
     validate_fusion,
 )
-from fusionkit import fusion, groups, subsystems
+from fusionkit import fusion, groups, saturation, subsystems
 from fusionkit.errors import (
     FusionkitError, NotASubgroup, NotASubgroupOfP, NotStronglyClosed, ParseError
 )
 from fusionkit.fusion import _close, _routes
 from fusionkit.morphisms import _compose
+from fusionkit.normal_maps import _with_centralizer
 from oracles import (
     fusion_by_every_element,
     fully_normalized_by_scan,
@@ -451,6 +452,39 @@ def test_class_members_are_the_lattice_objects(catalog_systems, a4xd8_system):
         lattice = {Q.key: Q for Q in F.subgroups()}
         for cls in F.classes():
             assert all(R is lattice[R.key] for R in cls), (F, cls.representative.elements)
+
+
+def test_subgroups_of_p_that_a_system_hands_out_are_the_lattice_objects(
+    catalog_systems, a4xd8_system, monkeypatch
+):
+    """On every catalog system and F_P(A4 x D8), ``F.subgroup(k)`` for each
+    key k, N_P(Q) and C_P(Q) for each Q, Q C_T(Q) for each strongly closed
+    T, and N_phi for each phi that ``is_receptive`` tries are P's lattice's
+    own objects; a key that is not a subgroup of P raises
+    ``NotASubgroupOfP``."""
+    found, n_phi = [], saturation.n_phi
+
+    def recorded(F, phi):
+        found.append(n_phi(F, phi))
+        return found[-1]
+
+    monkeypatch.setattr(saturation, "n_phi", recorded)
+    for F in [F for _, _, F in catalog_systems] + [a4xd8_system]:
+        lattice = {Q.key: Q for Q in all_subgroups(F.P)}
+        found.clear()
+        for key, Q in lattice.items():
+            assert F.subgroup(key) is Q
+            assert F.n_p(Q) is lattice[F.n_p(Q).key] and F.c_p(Q) is lattice[F.c_p(Q).key]
+            saturation.is_receptive(F, Q)
+        for T in subsystems.strongly_closed_subgroups(F):
+            for Q in (Q for Q in lattice.values() if Q <= T):
+                assert _with_centralizer(F, Q, T) is lattice[_with_centralizer(F, Q, T).key]
+        assert all(N is lattice[N.key] for N in found), F
+    assert found
+    F = a4xd8_system
+    for key in (tuple(range(len(F.group))), F.P.key[:-1]):
+        with pytest.raises(NotASubgroupOfP):
+            F.subgroup(key)
 
 
 def test_saturation_finds_the_generators_of_each_subgroup_once(monkeypatch):

@@ -1,6 +1,7 @@
 """Every name a library module imports is used in that module, a module's
 ``__all__`` lists only names the module itself defines, only ``fusion.py``
-names the memo of a system's facts, and no fact is computed by a lambda.
+names the memo of a system's facts, no fact is computed by a lambda, and
+the modules that work on a system build no unchecked ``Subgroup``.
 
 Package re-exports (``__init__.py``) are exempt.  Uses inside string
 annotations count.
@@ -100,8 +101,9 @@ def test_only_fusion_names_the_memo():
 
 def test_only_groups_names_the_lattice_memo():
     """``groups`` is the one reader and writer of ``Group._lattices``: other
-    modules read a lattice through ``all_subgroups`` and its maximal
-    subgroups through ``_maximal_subgroups``."""
+    modules read a lattice through ``all_subgroups``, its index by key
+    through ``_subgroup_index`` and its maximal subgroups through
+    ``_maximal_subgroups``."""
     for path in sorted(SRC.glob("*.py")):
         if path.name != "groups.py":
             named = _lines_naming(path, "_lattices")
@@ -120,3 +122,20 @@ def test_no_fact_is_computed_by_a_lambda():
             and any(isinstance(a, ast.Lambda) for a in [*node.args, *(k.value for k in node.keywords)])
         ]
         assert not lines, f"{path.name} passes a lambda to _fact on lines {lines}"
+
+
+def test_system_modules_build_no_unchecked_subgroup():
+    """``fusion``, ``saturation``, ``subsystems``, ``normal_maps`` and
+    ``hypercentre`` call ``Subgroup(..., check=False)`` nowhere: each
+    subgroup of P they hand out unchecked is P's lattice's own object,
+    found by key through ``FusionSystem.subgroup``."""
+    for name in ("fusion.py", "saturation.py", "subsystems.py", "normal_maps.py", "hypercentre.py"):
+        tree = ast.parse((SRC / name).read_text())
+        lines = [
+            node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "Subgroup"
+            and any(k.arg == "check" and isinstance(k.value, ast.Constant) and k.value.value is False
+                    for k in node.keywords)
+        ]
+        assert not lines, f"{name} builds an unchecked Subgroup on lines {lines}"

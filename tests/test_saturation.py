@@ -1,5 +1,7 @@
 """Saturation: the two criteria, their agreement, and the classic failure."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +24,7 @@ from fusionkit import (
     subgroup_status,
     sylow,
 )
+from fusionkit import examples, fusion, groups
 from fusionkit.saturation import has_surjectivity_property, n_phi
 from oracles import n_phi_by_every_element, receptive_by_every_iso, surjectivity_by_aut_groups
 
@@ -239,3 +242,36 @@ def test_surjectivity_builds_no_aut_group_when_aut_f_is_aut_p(monkeypatch):
                 assert len(built) == before + 1, (name, Q)
                 other += 1
     assert at_once > 10 and other > 3, (at_once, other)
+
+
+def test_intervals_of_p_build_no_lattice_of_their_own(monkeypatch):
+    """``is_saturated_puig`` on F_P(ea9_s3) at p = 3 builds no subgroup
+    lattice: the R between QC_P(Q) and N_P(Q) are read off P's lattice.
+    Across the worked examples, the lattice of a proper subgroup is built
+    only for the P of a system whose table is being built
+    (``fusion_of_group`` or ``_close``), never for the V between U and
+    N_T(U) of axiom (v) of ``check_weakly_normal_map``."""
+    builders = {fusion.fusion_of_group.__code__, fusion._close.__code__}
+    built = []
+
+    def recorded(build):
+        def spy(amb, *args):
+            frame, under_builder = sys._getframe(1), False
+            while frame is not None and not under_builder:
+                under_builder, frame = frame.f_code in builders, frame.f_back
+            built.append((amb, under_builder))
+            return build(amb, *args)
+        return spy
+
+    for name in ("_layer_lattice", "_subgroup_lattice"):
+        monkeypatch.setattr(groups, name, recorded(getattr(groups, name)))
+    G, _ = load_group_spec("ea9_s3")
+    F = fusion_of_group(G, 3)
+    del built[:]
+    assert is_saturated_puig(F).saturated
+    assert built == []
+    for name in examples.EXAMPLES:
+        assert all(holds for _, holds, _ in examples.run_example(name))
+    assert built
+    for amb, under_builder in built:
+        assert len(amb) == len(amb.group) or under_builder, (len(amb), amb.elements)
