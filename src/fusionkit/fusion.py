@@ -12,8 +12,9 @@ inversion.
 
 Internal code reads and builds these tables as bare mapping tuples, with
 the helpers of :mod:`fusionkit.morphisms` and the one table constructor
-``_iso_table``; :class:`~fusionkit.morphisms.Morphism` objects are made
-only where a public method hands a map to its caller.
+``_iso_table``, which ``fusion_of_group`` skips by bucketing its maps by
+image as it makes them; :class:`~fusionkit.morphisms.Morphism` objects
+are made only where a public method hands a map to its caller.
 """
 
 from __future__ import annotations
@@ -423,9 +424,16 @@ def _generators(domain: Key, auts: tuple[Key, ...]) -> list[Key]:
 
 def fusion_of_group(container: Group | Subgroup, p: int, P: Subgroup | None = None) -> FusionSystem:
     """F_P(G): all conjugation maps between subgroups of P by elements of G.
-    The map x -> x^g on Q is fixed by its images of Q's generators, and
-    Q^g <= P exactly when they lie in P, so every row is read at Q's
-    generators and only one row per distinct image inside P at all of Q."""
+
+    Q^(rx) = (Q^r)^x, so the g in G with Q^g <= P are a union of left
+    cosets rP, and the maps out of Q are the inner maps of P out of each
+    S = Q^r <= P, each after c_r on Q.  The inner maps of every S are read
+    off P's conjugation rows, bucketed by image; the coset P itself gives
+    them.  Each Q reads one row per other left coset of P, at Q's
+    generators, since a map is fixed by them.  A row that fixes Q's
+    generators gives Q's own inner maps again and one that leaves P gives
+    none; each other distinct one moves S's buckets along c_r, which keeps
+    their image keys, so only the inner maps are sorted by image."""
     ensure_prime(p)
     amb = _as_subgroup(container)
     G = amb.group
@@ -438,14 +446,38 @@ def fusion_of_group(container: Group | Subgroup, p: int, P: Subgroup | None = No
             raise NotSylow(
                 f"|P| = {len(P)} is not the {p}-part of |G| = {len(amb)}", witness=P
             )
-    pset = P._set
-    rows = _conj_rows(G, amb.elements).values()
-    isos: dict[Key, list[Key]] = {}
-    for Q in all_subgroups(P):
-        distinct = dict(zip(map(_picker(Q.generators()), rows), rows))
-        on_q = _picker(Q.elements)
-        isos[Q.key] = [on_q(row) for images, row in distinct.items() if pset.issuperset(images)]
-    return FusionSystem(G, P, p, _iso_table(isos))
+    lattice = all_subgroups(P)
+    P = lattice[-1]
+    pset, inner_rows = P._set, _conjugation_rows(P).values()
+    reps, covered, coset = [], set(), _picker(P.elements)
+    for g in amb.elements:
+        if g not in covered:
+            reps.append(g)
+            covered.update(coset(G._mul[g]))
+    rows = _conj_rows(G, reps[1:]).values()  # reps[0] is the identity
+    inner: dict[Key, dict[Key, list[Key]]] = {}
+    moves: dict[Key, list[Key]] = {}
+    for Q in lattice:
+        gens, on_q = Q.generators(), _picker(Q.elements)
+        on_gens = _picker(gens)
+        buckets = inner[Q.key] = {}
+        for row in dict(zip(map(on_gens, inner_rows), inner_rows)).values():
+            m = on_q(row)
+            buckets.setdefault(tuple(sorted(m)), []).append(m)
+        for images, row in dict(zip(map(on_gens, rows), rows)).items():
+            if images != gens and pset.issuperset(images):
+                moves.setdefault(Q.key, []).append(on_q(row))
+    isos: IsoTable = {}
+    for qk, buckets in inner.items():
+        if qk in moves:
+            buckets = {rk: set(ms) for rk, ms in buckets.items()}
+            # two cosets give Q the same maps or none in common
+            for m in moves[qk]:
+                move = _picker(_positions(S := tuple(sorted(m)), m))
+                for rk, ms in inner[S].items():
+                    buckets.setdefault(rk, set()).update(map(move, ms))
+        isos[qk] = {rk: tuple(sorted(ms)) for rk, ms in sorted(buckets.items())}
+    return FusionSystem(G, P, p, isos)
 
 
 def inner_fusion(container: Group | Subgroup, p: int | None = None) -> FusionSystem:

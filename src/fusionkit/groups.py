@@ -387,10 +387,11 @@ def all_subgroups(container: Group | Subgroup) -> tuple[Subgroup, ...]:
     The lattice of a carrier is built once per ambient group: it is kept
     in the group's ``_lattices`` memo under the carrier's element key, so
     every ``Subgroup`` with that key, and the group itself for its full
-    subgroup, reads the same tuple and the same index of it by key.  The
-    memo goes with the group.  A p-group carrier takes the layer build,
-    which also records there the maximal subgroups of each member and the
-    carrier's conjugation rows; any other carrier the join closure.
+    subgroup, reads the same tuple and the same index of it by key; its
+    top is the carrier first asked for.  The memo goes with the group.
+    A p-group carrier takes the layer build, which also records there the
+    maximal subgroups of each member and the carrier's conjugation rows;
+    any other carrier the join closure.
     """
     return _lattice_entry(_as_subgroup(container))[0]
 
@@ -417,6 +418,7 @@ def _lattice_entry(amb: Subgroup) -> tuple[tuple[Subgroup, ...], dict, dict | No
         n = len(amb.elements)
         p = min((d for d in range(2, n + 1) if n % d == 0), default=2)
         lattice, *rest = _layer_lattice(amb, p) if is_p_power(n, p) else (_subgroup_lattice(amb), None, None)
+        lattice = (*lattice[:-1], amb)
         entry = lattices[amb.elements] = (lattice, {S.key: S for S in lattice}, *rest)
     return entry
 
@@ -543,9 +545,10 @@ def normalizer(container: Group | Subgroup, H: Subgroup) -> Subgroup:
 
 def _conj_rows(G: Group, gs: Iterable[int]) -> dict[int, tuple[int, ...]]:
     """The conjugation rows x -> x^g of G, one per g in ``gs``: x^g is
-    (g^-1 x) g, so row g^-1 of the table indexes column g."""
-    cols = tuple(zip(*G._mul))
-    return {g: _picker(G._mul[G._inv[g]])(cols[g]) for g in gs}
+    (g^-1 x) g, so row g^-1 of the table indexes column g, read for that
+    g alone rather than by transposing the table."""
+    mul = G._mul
+    return {g: _picker(mul[G._inv[g]])(tuple(map(itemgetter(g), mul))) for g in gs}
 
 
 def centralizer(container: Group | Subgroup, H: Subgroup) -> Subgroup:

@@ -75,11 +75,29 @@ def test_fusion_of_group_iso_counts_frozen(key, count):
 
 
 def test_fusion_of_group_matches_the_every_element_scan(catalog_systems, ladder_groups):
+    """On the catalog and ladder systems, on every proper container H < G
+    with p dividing |H| in the catalog groups, and on every conjugate P^g
+    other than ``sylow``'s pick, the coset build equals the scan over
+    every element of the container."""
     systems = [F for _, _, F in catalog_systems]
     systems += [fusion_of_group(G, 2) for G in ladder_groups]
     for F in systems:
         assert F._isos == fusion_by_every_element(F.group.full_subgroup, F.P), F
         assert fusion_of_group(F.P, F.p, F.P)._isos == fusion_by_every_element(F.P, F.P), F
+    containers = conjugates = 0
+    for _, p, F in catalog_systems:
+        G = F.group
+        for H in all_subgroups(G)[:-1]:
+            if len(H) % p == 0:
+                E = fusion_of_group(H, p)
+                assert E._isos == fusion_by_every_element(H, E.P), (F, H.elements)
+                containers += 1
+        others = {tuple(sorted(G.conj(x, g) for x in F.P.elements)) for g in G.full_subgroup}
+        for key in sorted(others - {F.P.key}):
+            Pg = Subgroup(G, key)
+            assert fusion_of_group(G, p, Pg)._isos == fusion_by_every_element(G.full_subgroup, Pg), (F, key)
+            conjugates += 1
+    assert containers and conjugates
 
 
 def test_inner_fusion_of_abelian_group_has_only_identities():
@@ -506,11 +524,12 @@ def test_saturation_finds_the_generators_of_each_subgroup_once(monkeypatch):
     assert len(searches) == len(set(searches)) == len(F.subgroups())
 
 
-def test_a_system_transposes_its_group_table_twice(monkeypatch):
+def test_a_system_reads_the_rows_of_p_and_of_one_rep_per_coset_of_p(monkeypatch):
     """On a fresh F_P(S4 x D8), building the system, deciding its
-    saturation and validating it transpose G's table twice: once for P's
-    lattice, whose entry keeps P's conjugation rows, and once for the
-    rows of G."""
+    saturation and validating it read conjugation rows twice: once for
+    P's lattice, whose entry keeps P's rows, and once for one
+    representative of each left coset of P other than P.  No call reads a
+    row for every element of G."""
     G = direct_product_groups(*(make_group(load_catalog(n)) for n in ("s4", "d8"))).group
     conj_rows, calls = groups._conj_rows, []
 
@@ -523,7 +542,24 @@ def test_a_system_transposes_its_group_table_twice(monkeypatch):
     F = fusion_of_group(G, 2)
     assert is_saturated(F).saturated
     validate_fusion(F)
-    assert sorted(calls) == [len(F.P), len(G)]
+    assert sorted(calls) == [len(G) // len(F.P) - 1, len(F.P)]
+    assert len(G) not in calls
+
+
+def test_p_is_the_top_of_its_own_lattice(catalog_systems, ladder_groups):
+    """On the catalog and ladder systems, F.P is its lattice's own object:
+    the top of ``all_subgroups(F.P)``, what ``F.subgroup`` returns for its
+    key, and N_P of each normal subgroup of P.  A second F_P(G) on the same
+    group object gets the same P."""
+    systems = [F for _, _, F in catalog_systems]
+    systems += [fusion_of_group(G, 2) for G in ladder_groups]
+    for F in systems:
+        assert all_subgroups(F.P)[-1] is F.P, F
+        assert F.subgroup(F.P.key) is F.P, F
+        for Q in F.subgroups():
+            if Q.is_normal_in(F.P):
+                assert F.n_p(Q) is F.P, (F, Q.elements)
+        assert fusion_of_group(F.group, F.p).P is F.P, F
 
 
 def test_each_class_records_its_first_member_with_the_largest_n_p(catalog_systems, a4xd8_system):

@@ -158,6 +158,24 @@ def test_recorded_conjugation_rows_are_the_rows_of_p_and_kept(ladder_groups):
         assert groups._conjugation_rows(P) is rows, P
 
 
+def test_the_carrier_asked_for_is_the_top_of_its_lattice():
+    """Both lattice builds put the carrier they were asked for at the top,
+    not an equal copy: the join closure on each catalog group that is not
+    a p-group, and the layer build on each catalog p-group and each
+    proper Sylow subgroup."""
+    builds = set()
+    for name in sorted(catalog_names()):
+        G = make_group(load_catalog(name))
+        carriers = [G.full_subgroup] + [
+            sylow(G, p) for p in range(2, len(G)) if len(G) % p == 0 and is_prime(p)
+        ]
+        for S in dict.fromkeys(carriers):
+            assert all_subgroups(S)[-1] is S, (name, S)
+            assert groups._subgroup_index(S)[S.key] is S, (name, S)
+            builds.add(groups._maximal_subgroups(S) is None)
+    assert builds == {False, True}
+
+
 def test_sylow_of_a_p_group_is_the_whole_group_without_normalizers(monkeypatch):
     calls = []
     normalizer = groups.normalizer
