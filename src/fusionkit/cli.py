@@ -119,7 +119,7 @@ def _resolve(args) -> tuple[Group, int]:
 
 def _subsystem_on(F: FusionSystem, text: str) -> FusionSystem:
     H = _parse_subgroup(F.group, text)
-    T = Subgroup(F.group, H._set & F.P._set)
+    T = H.meet(F.P)
     return fusion_of_group(H, F.p, T)
 
 
@@ -268,7 +268,7 @@ def _sweep_one(results: list[Result], name: str, G: Group, p: int, *, t_bound: i
     find_ok = True
     for i, term in enumerate(series.terms):
         zi_p = zp_series[min(i, len(zp_series) - 1)]
-        expected = Subgroup(G, series.limit._set & zi_p._set)
+        expected = series.limit.meet(zi_p)
         if term.elements != expected.elements:
             find_ok = False
     results.append((f"{tag}: Z_i(F) = Z_inf(F) n Z_i(P)", find_ok, None))

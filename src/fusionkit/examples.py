@@ -19,7 +19,7 @@ from .fusion import (
     is_isomorphic_fusion,
     is_subsystem,
 )
-from .groups import Subgroup, group_centre, p_part, sylow
+from .groups import group_centre, p_part, sylow
 from .morphisms import _positions, _restrict
 from .normal_maps import (
     aut_map_of,
@@ -139,7 +139,7 @@ def run_d8xc2() -> list[Result]:
     x, y, z = G.generator_indices
     Q = G.generated_subgroup([x, y])
     R = G.generated_subgroup([G.mul(x, z), y])
-    S = Subgroup(G, Q._set & R._set)
+    S = Q.meet(R)
     E1 = fusion_of_group(Q, 2, Q)
     E2 = fusion_of_group(R, 2, R)
 

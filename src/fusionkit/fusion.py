@@ -376,28 +376,27 @@ def _iso_table(isos: dict[Key, Iterable[Key]]) -> IsoTable:
     return table
 
 
-def _routes(F: FusionSystem, T: Subgroup) -> list[tuple[Subgroup, list[tuple[Subgroup, Key]]]]:
-    """For each F-class that meets T, its first member Q0 inside T with the
-    largest N_P(Q0) and the routes from Q0, as (target, mapping) pairs:
-    (Q0, beta) for generators beta of Aut_F(Q0), then (R, t_R) with one
-    stored F-isomorphism t_R: Q0 -> R for each other member R.
+def _routes(F: FusionSystem) -> list[tuple[Subgroup, list[tuple[Subgroup, Key]]]]:
+    """For each F-class, its fully normalized member Q0 (``normalized``)
+    and the routes from Q0, as (target, mapping) pairs: (Q0, beta) for
+    generators beta of Aut_F(Q0), then (R, t_R) with one stored
+    F-isomorphism t_R: Q0 -> R for each other member R.
 
     Every F-isomorphism Q -> R in the class is t_Q^-1 . beta . t_R with beta
     in Aut_F(Q0).  So a condition that holds on a set of isomorphisms closed
     under composition and inverse holds on the whole class exactly when it
-    holds on the routes.  Computed once per T."""
-    return F._fact("routes", T, _find_routes, F, T)
+    holds on the routes.  A strongly closed T holds every class that meets
+    it, so the routes with Q0 <= T serve T.  Computed once per system."""
+    return F._fact("routes", None, _find_routes, F)
 
 
-def _find_routes(F: FusionSystem, T: Subgroup) -> list[tuple[Subgroup, list[tuple[Subgroup, Key]]]]:
+def _find_routes(F: FusionSystem) -> list[tuple[Subgroup, list[tuple[Subgroup, Key]]]]:
     out = []
     for cls in F.classes():
-        inside = [R for R in cls if T._set.issuperset(R.key)]
-        if inside:
-            Q0 = max(inside, key=lambda R: len(F.n_p(R)))
-            routes = [(Q0, m) for m in _generators(Q0.key, F.iso_mappings(Q0, Q0))]
-            routes += [(R, F._isos[Q0.key][R.key][0]) for R in cls if R != Q0]
-            out.append((Q0, routes))
+        Q0 = cls.normalized
+        routes = [(Q0, m) for m in _generators(Q0.key, F.iso_mappings(Q0, Q0))]
+        routes += [(R, F._isos[Q0.key][R.key][0]) for R in cls if R != Q0]
+        out.append((Q0, routes))
     return out
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import NotSaturated, PreconditionFailed, TheoremViolation
 from .fusion import FusionSystem, _images, fusion_of_group, is_strongly_closed, quotient_with_data
-from .groups import Group, Subgroup, o_p_prime_group, sylow, upper_central_series_group
+from .groups import Group, Subgroup, _as_subgroup, o_p_prime_group, sylow, upper_central_series_group
 from .saturation import is_saturated
 from .subsystems import _local_is_all
 
@@ -242,7 +242,7 @@ def group_vs_fusion_centres(G: Group | Subgroup, p: int) -> CentreComparisonRepo
     is only claimed in that case; an actual mismatch of the two series
     raises TheoremViolation.
     """
-    amb = G.full_subgroup if isinstance(G, Group) else G
+    amb = _as_subgroup(G)
     core = o_p_prime_group(amb, p)
     if len(core) != 1:
         raise PreconditionFailed("O_{p'}(G) must be trivial", witness=core)

@@ -194,11 +194,11 @@ def check_weakly_normal_map(F: FusionSystem, A: AutMap) -> MapVerdict:
     assignment not covering exactly the subgroups of T, or some A(U) not
     being a subgroup of Aut_F(U).
 
-    Axiom (i) is tested on the routes of ``_routes`` only: A(Q0)^beta = A(Q0)
-    for the generators beta of Aut_F(Q0), and A(R) = A(Q0)^t_R for each
-    other member R.  The F-isomorphisms phi with A(Q phi) = A(Q)^phi are
-    closed under composition and inverse, so this is exact; when it fails,
-    ``_first_disagreement`` names the first failure of the full scan.
+    Axiom (i) is tested on the routes of ``_routes``, computed once per
+    system: A(Q0)^beta = A(Q0) for generators beta of Aut_F(Q0), and
+    A(R) = A(Q0)^t_R for each other member R.  The F-isomorphisms phi with
+    A(Q phi) = A(Q)^phi are closed under composition and inverse, so this is
+    exact; if it fails, ``_first_disagreement`` names the scan's first failure.
     """
     T = F.require_in_p(A.T)
     if not is_strongly_closed(F, T):
@@ -206,6 +206,7 @@ def check_weakly_normal_map(F: FusionSystem, A: AutMap) -> MapVerdict:
     subs = [Q for Q in F.subgroups() if Q <= T]
     if set(A.assignment) != {Q.key for Q in subs}:
         raise PreconditionFailed("assignment must cover exactly the subgroups of T")
+    a_subgroups = {}
     for Q in subs:
         allowed = set(F.iso_mappings(Q, Q))
         if not A.assignment[Q.key] <= allowed:
@@ -213,14 +214,14 @@ def check_weakly_normal_map(F: FusionSystem, A: AutMap) -> MapVerdict:
                 "A(U) must be contained in Aut_F(U)", witness=Q
             )
         try:
-            _aut_subgroup(F.aut_group(Q), A.assignment[Q.key], check=True)
+            a_subgroups[Q.key] = _aut_subgroup(F.aut_group(Q), A.assignment[Q.key], check=True)
         except NotASubgroup:
             raise PreconditionFailed(
                 "A(U) must be a subgroup of Aut_F(U)", witness=Q
             ) from None
 
     # (i) A(U phi) = A(U)^phi for every F-isomorphism phi with domain in T.
-    if _moved_on_routes(_routes(F, T), A.assignment) is None:
+    if _moved_on_routes(_routes(F), A.assignment) is None:
         return MapVerdict(
             False,
             axiom="i",
@@ -265,17 +266,14 @@ def check_weakly_normal_map(F: FusionSystem, A: AutMap) -> MapVerdict:
                 witness=(Q, sorted(missing)[0]),
             )
 
-    # (v) for fully normalized U with C_T(U) <= U and U <= V <= N_T(U), the
-    # restriction map from the U-stabilizing part of A(V) is a well defined
-    # surjection onto N_{A(U)}(Aut_V(U)): restrictions must land inside A(U)
-    # and must cover the whole normalizer.  V <= T, so V <= N_P(U) is V <= N_T(U).
-    for Q in fully_normalized:
-        if not F.c_p(Q).meet(T) <= Q:
-            continue
-        ag, N = F.aut_group(Q), F.n_p(Q)
-        a_pos = _aut_subgroup(ag, A.assignment[Q.key], check=True)
+    # (v) for U in ``partial_domain`` and U <= V <= N_T(U), the restriction map
+    # from the U-stabilizing part of A(V) is a well defined surjection onto
+    # N_{A(U)}(Aut_V(U)): restrictions land in A(U) and cover the normalizer.
+    # V <= T, so V <= N_P(U) is V <= N_T(U).  Aut_V(U) is a group by construction.
+    for Q in partial_domain(F, T):
+        ag, N, a_pos = F.aut_group(Q), F.n_p(Q), a_subgroups[Q.key]
         for V in (V for V in subs if Q <= V <= N):
-            autv_pos = _aut_subgroup(ag, F.aut_mappings_of_conjugation(Q, V), check=True)
+            autv_pos = _aut_subgroup(ag, F.aut_mappings_of_conjugation(Q, V))
             needed = {
                 m.mapping for m in ag.morphisms_of(normalizer(a_pos, autv_pos))
             }
@@ -307,11 +305,14 @@ def complete_partial_map(F: FusionSystem, T: Subgroup, partial) -> AutMap:
     normalized subgroups not in the domain.  Disagreement between transport
     routes raises InconsistentPartial.
 
-    Transport runs along the routes of ``_routes``, one per class member,
-    as in axiom (i) of ``check_weakly_normal_map``; when two disagree,
+    T must be strongly closed, or NotStronglyClosed is raised.  Transport
+    runs along the routes of ``_routes``, computed once per system, as in
+    axiom (i) of ``check_weakly_normal_map``; when two disagree,
     ``_first_disagreement`` names the first disagreement of the full scan.
     """
     T = F.require_in_p(T)
+    if not is_strongly_closed(F, T):
+        raise NotStronglyClosed("the map must live on a strongly closed subgroup", witness=T)
     if isinstance(partial, AutMap):
         given = {k: frozenset(v) for k, v in partial.assignment.items()}
     else:
@@ -335,7 +336,7 @@ def complete_partial_map(F: FusionSystem, T: Subgroup, partial) -> AutMap:
                 V = _with_centralizer(F, Q, T)
                 assigned[Q.key] = _stabilizing_restrictions(V.key, Q.key, assigned[V.key])
         values = {Q.key: assigned[Q.key] for Q in normalized}
-        moved = _moved_on_routes(_routes(F, T), values)
+        moved = _moved_on_routes(_routes(F), values)
         bad = _first_disagreement(F, normalized, assigned) if moved is None else None
         if bad:
             raise InconsistentPartial(

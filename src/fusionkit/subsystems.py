@@ -64,18 +64,17 @@ def is_invariant(F: FusionSystem, E: FusionSystem) -> Morphism | None:
     map's domain and image generate, so it is enough that phi: S -> R
     carries E's maps with span S onto those with span R.  The phi that do
     are closed under composition and inverse, so it is exact to test only
-    the routes of ``_routes``; when one fails, ``_invariance_witness``
-    scans every isomorphism for the first failure."""
-    T = E.P
+    the routes of ``_routes`` (computed once per system) of the classes
+    inside T, which must be strongly closed; when one fails,
+    ``_invariance_witness`` scans every isomorphism for the first failure."""
     spans = _by_span(E)
-    for Q0, routes in _routes(F, T):
-        base = spans.get(Q0.key, {})
+    for Q0, routes in (r for r in _routes(F) if r[0].key in spans):
+        base = spans[Q0.key]
         for R, t in routes:
-            if R <= T:
-                send = dict(zip(Q0.elements, t))
-                moved = (_transport(send, dk, ms) for dk, ms in base.items())
-                if spans.get(R.key, {}) != {image: set(ms) for image, ms in moved}:
-                    return _invariance_witness(F, E)
+            send = dict(zip(Q0.elements, t))
+            moved = (_transport(send, dk, ms) for dk, ms in base.items())
+            if spans.get(R.key, {}) != {image: set(ms) for image, ms in moved}:
+                return _invariance_witness(F, E)
     return None
 
 
@@ -246,12 +245,12 @@ def _local_is_all(F: FusionSystem, Q: Subgroup, allowed: frozenset[Key] | None) 
 
 
 def _routes_beyond_p(F: FusionSystem) -> list[tuple[Subgroup, list[tuple[Subgroup, Key]]]]:
-    """The routes of ``_routes(F, F.P)`` that are not the restriction of
+    """The routes of ``_routes(F)`` that are not the restriction of
     c_g to Q0 for any g in P, by class; a class left with none is dropped.
     A map on Q0 is fixed by its images of Q0's generators."""
     rows = _conjugation_rows(F.P).values()
     out = []
-    for Q0, routes in _routes(F, F.P):
+    for Q0, routes in _routes(F):
         gens = Q0.generators()
         by_p = set(map(_picker(gens), rows))
         at_gens = _picker(_positions(Q0.elements, gens))

@@ -108,6 +108,14 @@ def strongly_closed_cases(catalog_systems, a4xd8_system):
 
 
 @pytest.fixture(scope="session")
+def strongly_closed_to_64():
+    """[(F, T)] for every strongly closed T of F_P(G), over every catalog
+    group of order <= 64 and every prime dividing its order."""
+    systems = [fusion_of_group(G, p) for _, p, G in sweep_pairs(64)]
+    return [(F, T) for F in systems for T in strongly_closed_subgroups(F)]
+
+
+@pytest.fixture(scope="session")
 def sweep_weakly_normal(catalog_systems):
     """[(name, prime, F, T, systems)] for every strongly closed T with
     |T| <= SWEEP_T_BOUND, with the full list of weakly normal subsystems

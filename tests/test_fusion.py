@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from fusionkit import (
     all_subgroups,
+    aut_map_of,
+    check_weakly_normal_map,
     conj_morphism,
     enumerate_subsystems_on,
     FusionSystem,
@@ -37,6 +39,7 @@ from fusionkit import (
     normalizer,
     quotient,
     quotient_with_data,
+    strongly_closed_subgroups,
     sylow,
     transport_fusion,
     validate_fusion,
@@ -408,7 +411,7 @@ def test_route_generators_generate_each_automizer(catalog_systems, a4xd8_system)
     composition to exactly Aut_F(Q0), and each one at least doubles the
     span of those before it."""
     for F in [F for _, _, F in catalog_systems] + [a4xd8_system]:
-        for Q0, routes in _routes(F, F.P):
+        for Q0, routes in _routes(F):
             gens = [t for R, t in routes if R == Q0]
             span, reached = {Q0.elements}, [Q0.elements]
             for x in reached:
@@ -419,6 +422,40 @@ def test_route_generators_generate_each_automizer(catalog_systems, a4xd8_system)
                         reached.append(y)
             assert span == set(F.iso_mappings(Q0, Q0)), (F, Q0.elements)
             assert 2 ** len(gens) <= len(span), (F, Q0.elements)
+
+
+def test_routes_are_one_list_per_system_from_each_normalized_member(catalog_systems, s4xd8_system):
+    """``_routes(F)`` is computed once per system: every strongly closed T
+    that axiom (i) or the invariance test asks about reads the same list,
+    kept under the one key None.  Each class's routes start at its recorded
+    fully normalized member and reach each member.  On F_P(S4 x D8) two
+    classes have a fully normalized member other than their least one."""
+    for F in [F for _, _, F in catalog_systems] + [s4xd8_system]:
+        fresh = FusionSystem(F.group, F.P, F.p, F._isos)
+        routes = _routes(fresh)
+        for T in strongly_closed_subgroups(fresh):
+            E = full_subcategory(fresh, T)
+            subsystems.is_invariant(fresh, E)
+            check_weakly_normal_map(fresh, aut_map_of(E))
+        assert _routes(fresh) is routes
+        assert list(fresh._cache["routes"]) == [None]
+        classes = fresh.classes()
+        assert len(routes) == len(classes)
+        for (Q0, class_routes), cls in zip(routes, classes):
+            assert Q0 is cls.normalized, (F, Q0.elements)
+            assert [R for R, _ in class_routes if R != Q0] == [R for R in cls if R != Q0]
+
+
+def test_a_strongly_closed_t_holds_the_routes_of_each_class_it_meets(strongly_closed_to_64):
+    """Over every strongly closed T of the catalog systems of order <= 64
+    (590 pairs when written), the classes that meet T are exactly those
+    whose Q0 lies in T, and each of their routes ends in T, so the callers
+    of ``_routes`` read T's classes off the system's one list."""
+    for F, T in strongly_closed_to_64:
+        for (Q0, class_routes), cls in zip(_routes(F), F.classes()):
+            assert any(R <= T for R in cls) == (Q0 <= T), (F, T.elements, Q0.elements)
+            if Q0 <= T:
+                assert all(R <= T for R, _ in class_routes), (F, T.elements, Q0.elements)
 
 
 def test_find_fusion_isomorphism_identity_case():

@@ -26,6 +26,7 @@ from fusionkit import (
     intersection_wedge,
     is_isomorphic_fusion,
     is_saturated,
+    is_strongly_closed,
     is_subsystem,
     load_group_spec,
     normal_maps,
@@ -137,6 +138,23 @@ def test_based_range_carrier_must_be_strongly_closed(a4):
     C2 = next(S for S in F.subgroups() if len(S) == 2)
     with pytest.raises(NotStronglyClosed):
         based_range(F, C2)
+
+
+def test_completion_refuses_a_t_that_is_not_strongly_closed(catalog_systems):
+    """``complete_partial_map`` raises NotStronglyClosed on every subgroup T
+    of a catalog system that is not strongly closed, as
+    ``check_weakly_normal_map`` does, here for the partial map of the
+    automizers Aut_F(U) on ``partial_domain``."""
+    seen = 0
+    for _, _, F in catalog_systems:
+        for T in F.subgroups():
+            if is_strongly_closed(F, T):
+                continue
+            partial = {U.key: F.iso_mappings(U, U) for U in partial_domain(F, T)}
+            with pytest.raises(NotStronglyClosed):
+                complete_partial_map(F, T, partial)
+            seen += 1
+    assert seen
 
 
 def test_not_based_outcome_is_falsy(a4):
