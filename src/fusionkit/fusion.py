@@ -520,29 +520,25 @@ def _close(P: Subgroup, base: IsoTable, seeds: Iterable[tuple[Key, Key]]) -> Iso
     (domain key, mapping) pairs.  A seed not yet held is tested against
     the homomorphism law, and ``Morphism.build`` runs only to name a failure.
 
-    Only new maps are queued: two maps of ``base`` compose inside it, and
-    a composite with a new map is formed when the later of the two is
-    popped.  Base maps are indexed only as maps out of their domain: a
-    base map b followed by a new map m is the inverse of m^-1 b^-1, formed
-    when the new map m^-1 is popped.  A popped map is restricted to the
-    maximal subgroups of its domain, as P's lattice recorded them, and
-    those restrictions are popped in turn: every S < Q lies on a chain of
-    subgroups each of index p in the next.  A domain that gains no map
-    keeps base's buckets."""
+    Only new maps are queued, and a popped map f: Q -> R is inverted,
+    restricted, and followed by every map the table holds out of R.  The
+    composites are exact: let x: A -> B and y: B -> C be maps of the
+    closure.  Two maps of ``base`` compose inside it, and ``base`` is
+    closed under inverses.  If y is in the table when x is popped, x y is
+    formed then.  Otherwise y is new and entered later; popping y^-1
+    pushes y, so y^-1 is popped no earlier than y entered, when the table
+    holds x^-1, pushed by x's pop or in ``base``.  So y^-1 x^-1 is formed
+    when y^-1 is popped, and its inverse x y when that composite is
+    popped.  A popped map is restricted to the maximal subgroups of its
+    domain, as P's lattice recorded them, and those restrictions are
+    popped in turn: every S < Q lies on a chain of subgroups each of index
+    p in the next.  A domain that gains no map keeps base's buckets."""
     subgroup, covers = _subgroup_index(P), _maximal_subgroups(P)
     isos: dict[Key, set[Key]] = {
         key: {m for ms in base.get(key, {}).values() for m in ms} for key in subgroup
     }
-    # per domain, on first use: the new maps into it with their positions
-    # in it, the maps out of it, and its maximal subgroups with theirs
-    into: dict[Key, list[tuple[Key, Key]]] = {}
-    outof: dict[Key, list[Key]] = {}
+    # per domain, on first use: its maximal subgroups with their positions
     maximal: dict[Key, list[tuple[Key, Key]]] = {}
-
-    def index(key: Key) -> None:
-        into[key], outof[key] = [], [m for ms in base.get(key, {}).values() for m in ms]
-        maximal[key] = [(sk, _positions(key, sk)) for sk in covers[key]]
-
     queue: list[tuple[Key, Key]] = []
     grown: set[Key] = set()
 
@@ -566,19 +562,14 @@ def _close(P: Subgroup, base: IsoTable, seeds: Iterable[tuple[Key, Key]]) -> Iso
         qkey, mapping = queue.pop()
         rkey = tuple(sorted(mapping))
         then = _positions(rkey, mapping)
-        for key in (qkey, rkey):
-            if key not in into:
-                index(key)
-        # index first so self-composable maps pair with themselves below
-        into[rkey].append((qkey, then))
-        outof[qkey].append(mapping)
+        if qkey not in maximal:
+            maximal[qkey] = [(sk, _positions(qkey, sk)) for sk in covers[qkey]]
         push(rkey, _inverse(qkey, mapping))
         for skey, idx in maximal[qkey]:
             push(skey, _restrict(mapping, idx))
-        for m2 in outof[rkey]:
+        # a snapshot: an automorphism adds to the set it walks
+        for m2 in list(isos[rkey]):
             push(qkey, _restrict(m2, then))
-        for skey, idx in into[qkey]:
-            push(skey, _restrict(mapping, idx))
 
     table = _iso_table({qk: isos[qk] for qk in grown})
     return {qk: table[qk] if qk in grown else base.get(qk, {}) for qk in isos}

@@ -311,3 +311,17 @@ def test_based_target_outside_p_is_an_input_error(capsys):
 def test_quotient_kernel_outside_p_is_an_input_error(capsys):
     assert run(["quotient", "--group", "s4", "--prime", "2", "--kernel", "(1,2,3)"]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "NotASubgroupOfP"
+
+
+def test_sub_permutation_outside_the_group_is_an_input_error(capsys):
+    """(1,2) is a permutation of the right degree, but not an element of A4."""
+    assert run(["normality", "--group", "a4", "--prime", "2", "--sub", "(1,2)"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InputError" and "not an element of the group" in err["message"]
+
+
+def test_missing_group_spec_file_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "no" / "such" / "spec.json"
+    assert run(["build", "--group", str(path), "--prime", "2"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InputError" and "no such group spec file" in err["message"]

@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -335,6 +336,31 @@ def test_closure_over_a_closed_table_matches_the_full_closure(catalog_systems, a
             ), (F, S.elements)
             cases += 2
     assert cases > 600
+
+
+def test_closure_composes_two_seeds_in_either_pop_order(catalog_systems, a4xd8_system):
+    """Two composable seeds g: S -> Q and f: Q -> R, neither a map of P's
+    inner fusion, close P's inner fusion to the full closure of the oracle,
+    domain order and bucket order included, whichever is popped first: as
+    the seeds [g, f] and [f, g] of one closure, and one after the other,
+    so that the second is closed over a table already holding the first.
+    A fixed sample of pairs on every catalog system and F_P(A4 x D8)."""
+    rng = random.Random(2403)
+    cases = 0
+    for F in [F for _, _, F in catalog_systems] + [a4xd8_system]:
+        inner = fusion_of_group(F.P, F.p, F.P)._isos
+        outer = [m for m in F.all_isos()
+                 if m.mapping not in inner[m.domain.key].get(m.codomain.key, ())]
+        pairs = [(g, f) for g in outer for f in outer if f.domain == g.codomain]
+        for g, f in rng.sample(pairs, min(3, len(pairs))):
+            expected = _ordered(generated_fusion_by_full_closure(F.P, F.p, [g, f])._isos)
+            for seeds in ([g, f], [f, g]):
+                assert _ordered(generated_fusion(F.P, F.p, seeds)._isos) == expected, (F, seeds)
+                first, second = ((m.domain.key, m.mapping) for m in seeds)
+                table = _close(F.P, _close(F.P, inner, [first]), [second])
+                assert _ordered(table) == expected, (F, seeds)
+            cases += 1
+    assert cases > 20
 
 
 def _count(isos):
@@ -754,22 +780,36 @@ def _swaps(F):
 
 
 def test_validate_fusion_fails_first_where_the_full_tuple_check_does(ladder_groups):
-    # every removal and neighbouring swap on three small systems, and a
-    # fixed sample of both on the |P| = 32 ladder system
+    # every removal and neighbouring swap on three small systems, a fixed
+    # sample of both on the |P| = 32 ladder system, and three tables of the
+    # wrong shape on F_P(S4): a domain missing, a bucket keyed by a subset
+    # that is no subgroup, and mappings stored under another image's key
     cases = []
     for name, p in [("s4", 2), ("s3xs3", 3), ("sl23", 2)]:
         F = fusion_of_group(load_group_spec(name)[0], p)
-        cases += [(F, c) for c in [*_removals(F), *_swaps(F)]]
+        cases += [partial(_with_bucket, F, *c) for c in [*_removals(F), *_swaps(F)]]
     F = fusion_of_group(ladder_groups[0], 2)
-    cases += [(F, c) for c in [*list(_removals(F))[::20], *list(_swaps(F))[::200]]]
+    cases += [partial(_with_bucket, F, *c)
+              for c in [*list(_removals(F))[::20], *list(_swaps(F))[::200]]]
+    F = fusion_of_group(load_group_spec("s4")[0], 2)
+    pk = F.P.key
+    qk, targets = next((qk, t) for qk, t in F._isos.items() if len(t) > 1)
+    (_, ms), (other, _) = list(targets.items())[:2]
+    cases += [
+        partial(FusionSystem, F.group, F.P, F.p, {k: t for k, t in F._isos.items() if k != pk}),
+        partial(_with_bucket, F, pk, pk[:-1], F._isos[pk][pk]),
+        partial(_with_bucket, F, qk, other, ms),
+    ]
     messages = set()
-    for F, case in cases:
-        expected = _outcome(validate_fusion_by_full_tuples, _with_bucket(F, *case))
-        assert _outcome(validate_fusion, _with_bucket(F, *case)) == expected, case
+    for make in cases:
+        expected = _outcome(validate_fusion_by_full_tuples, make())
+        assert _outcome(validate_fusion, make()) == expected, make.args[1:]
         messages.add(expected and expected[1])
     assert messages >= {
         "not a homomorphism", "inner fusion missing", "not closed under inversion",
         "not closed under restriction", "not closed under composition",
+        "iso table does not range over the subgroups of P", "target is not a subgroup of P",
+        "mapping does not match its target key",
     }
 
 

@@ -315,6 +315,7 @@ def test_t_core_of_the_raw_intersection(s3xs3):
 def test_wedge_nested_case(s3xs3):
     G, F, EK, FH = s3xs3
     assert intersection_wedge(F, EK, FH) == EK
+    assert intersection_wedge(F, FH, EK) == EK
 
 
 def test_wedge_incomparable_case():
@@ -342,6 +343,20 @@ def test_wedge_relaxed_case_with_one_merely_saturated_input(ea9):
     W = intersection_wedge(F, reflection, F)
     assert is_subsystem(W, reflection)
     assert normality_status(reflection, W).weakly_normal
+    assert intersection_wedge(F, F, reflection) == W
+
+
+def test_wedge_of_two_subsystems_neither_weakly_normal_nor_saturated(a4):
+    """The order-2 maps of F_V4(A4) generate an F-invariant subsystem E that
+    is not saturated, so it is not weakly normal, and E wedged with itself
+    has no route."""
+    G, F = a4
+    seeds = [phi for Q in F.subgroups() if len(Q) <= 2
+             for phi in F.isos_from(Q) if len(phi.codomain) <= 2]
+    E = generated_fusion(F.P, 2, seeds)
+    assert normality_status(F, E).invariant and not is_saturated(E)
+    with pytest.raises(PreconditionFailed):
+        intersection_wedge(F, E, E)
 
 
 def _saturated_on_centre_lines(G, F):

@@ -7,6 +7,7 @@ import pytest
 from fusionkit import (
     based_range,
     Subgroup,
+    centralizer,
     deserialize,
     enumerate_subsystems_on,
     frattini_decompose,
@@ -21,6 +22,7 @@ from fusionkit import (
     load_group_spec,
     local_subsystem,
     normality_status,
+    normalizer,
     o_p,
     o_p_prime_subsystem,
     quotient,
@@ -31,7 +33,7 @@ from fusionkit import (
     weakly_normal_systems_on,
     x_subgroup,
 )
-from fusionkit.errors import PreconditionFailed
+from fusionkit.errors import NotFullyCentralized, NotFullyNormalized, PreconditionFailed
 from fusionkit.fusion import _close
 from fusionkit.groups import _join_normalized, is_p_power
 from fusionkit.morphisms import _compose
@@ -267,6 +269,31 @@ def test_local_subsystem_centralizer_of_the_fixed_centre():
     F = fusion_of_group(G, 2)
     Z = group_centre(F.P)
     assert local_subsystem(F, Z, "p_centralizer") == F
+
+
+def test_local_subsystems_are_the_fusion_of_the_local_subgroups(catalog_systems):
+    """On F = F_P(G), for every catalog group of order <= 24 and prime,
+    N_F(Q), C_F(Q) and N_P(Q)C_F(Q) are F_S(H) for H = N_G(Q), C_G(Q) and
+    N_P(Q)C_G(Q), with S = N_P(Q), C_P(Q) and N_P(Q), on every fully
+    normalized Q (fully centralized Q for C_F(Q)); any other Q is refused."""
+    kinds = set()
+    for _, p, F in catalog_systems:
+        G = F.group
+        for Q in F.subgroups():
+            NP, CG = F.n_p(Q), centralizer(G, Q)
+            cases = [("centralizer", CG, F.c_p(Q), F.is_fully_centralized(Q))]
+            cases += [("normalizer", normalizer(G, Q), NP, F.is_fully_normalized(Q)),
+                      ("p_centralizer", NP.join(CG), NP, F.is_fully_normalized(Q))]
+            for kind, H, S, full in cases:
+                if full:
+                    expected = fusion_of_group(H, p, S)
+                    assert local_subsystem(F, Q, kind) == expected, (F, Q.elements, kind)
+                    kinds.add(kind)
+                else:
+                    refusal = NotFullyCentralized if kind == "centralizer" else NotFullyNormalized
+                    with pytest.raises(refusal):
+                        local_subsystem(F, Q, kind)
+    assert kinds == {"normalizer", "centralizer", "p_centralizer"}
 
 
 def test_enumeration_counts_match_the_oracle():
