@@ -42,17 +42,16 @@ from .groups import (
     Subgroup,
     _as_subgroup,
     _conj_rows,
-    _conjugation_rows,
+    _inn,
     _maximal_subgroups,
+    _p_normalizer,
     _picker,
     _subgroup_index,
     all_subgroups,
-    centralizer,
     coset_quotient,
     direct_product_groups,
     ensure_prime,
     is_sylow_in,
-    normalizer,
     sylow,
 )
 from .morphisms import (
@@ -211,12 +210,12 @@ class FusionSystem:
         return self._fact("aut_p", Q, _conjugations, self, Q, source, within=source)
 
     def n_p(self, Q: Subgroup) -> Subgroup:
-        """N_P(Q), found once per subgroup of P."""
-        return self._fact("n_p", Q, normalizer, self.P, Q)
+        """N_P(Q), read off Inn(P) once per subgroup of P."""
+        return self._fact("n_p", Q, _p_normalizer, self.P, Q)
 
     def c_p(self, Q: Subgroup) -> Subgroup:
-        """C_P(Q), found once per subgroup of P."""
-        return self._fact("c_p", Q, centralizer, self.P, Q)
+        """C_P(Q), read off Inn(P) once per subgroup of P."""
+        return self._fact("c_p", Q, _p_normalizer, self.P, Q, True)
 
     # -- conjugacy classes ----------------------------------------------
 
@@ -279,10 +278,14 @@ def _aut_group(F: FusionSystem, Q: Subgroup) -> AutGroup:
 
 
 def _conjugations(F: FusionSystem, Q: Subgroup, source: Subgroup) -> frozenset[Key]:
+    """Aut_source(Q): the rows of Inn(P) whose coset gZ(P) lies in N_P(Q)
+    and meets ``source``, read on Q.  This is exact, as each s in gZ(P)
+    conjugates P as g does."""
     F.require_in_p(source)
-    N = F.n_p(Q) if source == F.P else normalizer(source, Q)
-    rows = _conjugation_rows(F.P)
-    return frozenset(map(_picker(Q.elements), [rows[g] for g in N.elements]))
+    nset, sset, on_q = F.n_p(Q)._set, source._set, _picker(Q.elements)
+    return frozenset(
+        on_q(row) for row, coset in _inn(F.P) if coset[0] in nset and not sset.isdisjoint(coset)
+    )
 
 
 def _class_index(F: FusionSystem) -> dict[Key, ConjClass]:
@@ -427,8 +430,8 @@ def fusion_of_group(container: Group | Subgroup, p: int, P: Subgroup | None = No
     Q^(rx) = (Q^r)^x, so the g in G with Q^g <= P are a union of left
     cosets rP, and the maps out of Q are the inner maps of P out of each
     S = Q^r <= P, each after c_r on Q.  The inner maps of every S are read
-    off P's conjugation rows, bucketed by image; the coset P itself gives
-    them.  Each Q reads one row per other left coset of P, at Q's
+    off Inn(P), one row per coset of Z(P), bucketed by image; the coset P
+    itself gives them.  Each Q reads one row per other left coset of P, at Q's
     generators, since a map is fixed by them.  A row that fixes Q's
     generators gives Q's own inner maps again and one that leaves P gives
     none; each other distinct one moves S's buckets along c_r, which keeps
@@ -447,7 +450,7 @@ def fusion_of_group(container: Group | Subgroup, p: int, P: Subgroup | None = No
             )
     lattice = all_subgroups(P)
     P = lattice[-1]
-    pset, inner_rows = P._set, _conjugation_rows(P).values()
+    pset, inner_rows = P._set, [row for row, _ in _inn(P)]
     reps, covered, coset = [], set(), _picker(P.elements)
     for g in amb.elements:
         if g not in covered:
@@ -799,7 +802,7 @@ def validate_fusion(F: FusionSystem) -> None:
     index = {qk: {x: i for i, x in enumerate(qk)} for qk in lattice}
     on_gens = {qk: _picker([index[qk][x] for x in gens[qk]]) for qk in lattice}
     stored = {qk: {on_gens[qk](m) for ms in t.values() for m in ms} for qk, t in F._isos.items()}
-    rows = _conjugation_rows(F.P).values()
+    rows = [row for row, _ in _inn(F.P)]
     for Q in F.subgroups():
         # rows that agree on Q's generators agree on Q
         on_q = _picker(Q.elements)

@@ -14,7 +14,8 @@ plus one element, which reaches all of them because every non-trivial
 p-group has a normal subgroup of index p.  The maximal subgroups of a
 p-group are exactly those, so the build reaches each subgroup from each
 of its maximal subgroups once, and records them in the same memo entry,
-with the conjugation rows of the p-group it tested them by.
+with Inn(P): one conjugation row of the p-group P per coset of Z(P),
+which is all that P-local questions (N_P, C_P, Aut_P) read.
 Any other carrier may have subgroups no such chain reaches (A5 in S5),
 and is built as a join closure of cyclic subgroups.  Either build
 carries with each subgroup the short generator tuple it was reached by.
@@ -139,7 +140,7 @@ class Group:
         else:
             self.generator_indices = None
         self._full = None
-        self._lattices: dict[tuple[int, ...], tuple[tuple[Subgroup, ...], dict, dict | None, dict | None]] = {}
+        self._lattices: dict[tuple[int, ...], tuple[tuple[Subgroup, ...], dict, dict | None, tuple | None]] = {}
 
     @property
     def order(self) -> int:
@@ -390,8 +391,8 @@ def all_subgroups(container: Group | Subgroup) -> tuple[Subgroup, ...]:
     subgroup, reads the same tuple and the same index of it by key; its
     top is the carrier first asked for.  The memo goes with the group.
     A p-group carrier takes the layer build, which also records there the
-    maximal subgroups of each member and the carrier's conjugation rows;
-    any other carrier the join closure.
+    maximal subgroups of each member and the carrier's Inn(P); any other
+    carrier the join closure.
     """
     return _lattice_entry(_as_subgroup(container))[0]
 
@@ -406,12 +407,16 @@ def _maximal_subgroups(P: Subgroup) -> dict[tuple[int, ...], list[tuple[int, ...
     return _lattice_entry(P)[2]
 
 
-def _conjugation_rows(P: Subgroup) -> dict[int, tuple[int, ...]]:
-    """The conjugation rows x -> x^g of P's group for each g in the p-group P."""
+def _inn(P: Subgroup) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Inn(P) of the p-group P, as one (row, coset) pair per coset gZ(P),
+    ordered by least element (Z(P) first): the coset's elements and the
+    conjugation row x -> x^g of P's group for its least element g.  Every
+    element of the coset conjugates P as g does, so the row is theirs on P;
+    off P the rows of a coset may differ, and no caller reads them there."""
     return _lattice_entry(P)[3]
 
 
-def _lattice_entry(amb: Subgroup) -> tuple[tuple[Subgroup, ...], dict, dict | None, dict | None]:
+def _lattice_entry(amb: Subgroup) -> tuple[tuple[Subgroup, ...], dict, dict | None, tuple | None]:
     lattices = amb.group._lattices
     entry = lattices.get(amb.elements)
     if entry is None:
@@ -423,14 +428,16 @@ def _lattice_entry(amb: Subgroup) -> tuple[tuple[Subgroup, ...], dict, dict | No
     return entry
 
 
-def _layer_lattice(amb: Subgroup, p: int) -> tuple[tuple[Subgroup, ...], dict, dict]:
+def _layer_lattice(amb: Subgroup, p: int) -> tuple[tuple[Subgroup, ...], dict, tuple]:
     """The subgroups of the p-group ``amb``, one layer per order, the
-    maximal subgroups of each, and the conjugation rows of ``amb``: each M
-    of a layer, with the generators it was reached by, yields
-    <M, g> = M u gM u ... u g^(p-1)M for each g whose row sends those
-    generators into M with g^p in M, unless g lies in a <M, g'> found
-    before.  So each maximal M of J, of index p, is reached once, and in
-    lattice order as each layer is taken by key."""
+    maximal subgroups of each, and Inn(amb): each M of a layer, with the
+    generators it was reached by, yields <M, g> = M u gM u ... u g^(p-1)M
+    for each g whose row sends those generators into M with g^p in M,
+    unless g lies in a <M, g'> found before.  So each maximal M of J, of
+    index p, is reached once, and in lattice order as each layer is taken
+    by key.  Two elements conjugate ``amb`` alike exactly when their rows
+    agree at the generators the top was reached by, that is, when they lie
+    in one coset of Z(amb); one row per such coset is kept."""
     G, mul = amb.group, amb.group._mul
     pth = {g: reduce(lambda x, _: mul[x][g], range(p - 1), g) for g in amb.elements}
     conj = _conj_rows(G, amb.elements)
@@ -457,8 +464,12 @@ def _layer_lattice(amb: Subgroup, p: int) -> tuple[tuple[Subgroup, ...], dict, d
                 maximal[key].append(M.elements)
         new.sort(key=lambda pair: pair[0].elements)
         lattice += [J for J, _ in new]
-        layer = new
-    return tuple(lattice), maximal, conj
+        last, layer = layer, new
+    cosets: dict[tuple[int, ...], list[int]] = {}
+    on_top = _picker(last[0][1])  # the generators of the top, amb
+    for g in amb.elements:
+        cosets.setdefault(on_top(conj[g]), []).append(g)
+    return tuple(lattice), maximal, tuple((conj[c[0]], tuple(c)) for c in cosets.values())
 
 
 def _subgroup_lattice(amb: Subgroup) -> tuple[Subgroup, ...]:
@@ -541,6 +552,17 @@ def normalizer(container: Group | Subgroup, H: Subgroup) -> Subgroup:
             if all(G.conj(x, g) in hset for x in gens):
                 members += gH
     return Subgroup(G, members, check=False)
+
+
+def _p_normalizer(P: Subgroup, Q: Subgroup, fixing: bool = False) -> Subgroup:
+    """N_P(Q), or C_P(Q) when ``fixing``, for a subgroup Q of the p-group P,
+    as P's lattice's own object: the union of the cosets of Z(P) whose
+    Inn(P) row sends Q's generators into Q, or fixes each of them."""
+    _require_subgroup_of(Q, P)
+    gens = Q.generators()
+    on_gens, keep = _picker(gens), gens.__eq__ if fixing else Q._set.issuperset
+    members = (x for row, coset in _inn(P) if keep(on_gens(row)) for x in coset)
+    return _subgroup_index(P)[tuple(sorted(members))]
 
 
 def _conj_rows(G: Group, gs: Iterable[int]) -> dict[int, tuple[int, ...]]:

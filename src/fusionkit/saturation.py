@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 from .errors import NotAnIsomorphism, NotASubgroupOfP
 from .fusion import FusionSystem
-from .groups import Subgroup, _conjugation_rows, _picker, normalizer, p_part
+from .groups import Subgroup, _inn, _picker, normalizer, p_part
 from .morphisms import (
     Morphism, _aut_subgroup, _positions, _stabilizing_restrictions, _transport
 )
@@ -32,21 +32,24 @@ class SaturationVerdict:
 
 
 def n_phi(F: FusionSystem, phi: Morphism) -> Subgroup:
-    """N_phi: the preimage in N_P(S) of Aut_P(S) ∩ Aut_P(R)^{phi^-1}."""
+    """N_phi: the preimage in N_P(S) of Aut_P(S) ∩ Aut_P(R)^{phi^-1}, the
+    union of the cosets of Z(P) whose Inn(P) row lies in that meet on S;
+    Z(P) is one of them."""
     S = phi.domain
     F.require_in_p(S)
     if len(set(phi.mapping)) != len(phi.mapping) or not F.contains_morphism(phi):
         raise NotAnIsomorphism("phi must be an isomorphism of the system", witness=phi)
     # c_g on S is known by its images of S's generators, so each member of
-    # Aut_P(S) is transported once and each g of N_P(S) is matched by those.
+    # Aut_P(S) is transported once and each row of Inn(P) is matched by those.
     gens = S.generators()
     at_gens = _picker(_positions(S.elements, gens))
     auts = list(F.aut_mappings_of_conjugation(S, F.P))
     image, moved = _transport(dict(zip(S.elements, phi.mapping)), S.elements, auts)
     target = F.aut_mappings_of_conjugation(F.subgroup(image), F.P)
     wanted = {at_gens(a) for a, b in zip(auts, moved) if b in target}
-    rows, on_gens = _conjugation_rows(F.P), _picker(gens)
-    return F.subgroup(tuple(g for g in F.n_p(S).elements if on_gens(rows[g]) in wanted))
+    on_gens = _picker(gens)
+    members = (x for row, coset in _inn(F.P) if on_gens(row) in wanted for x in coset)
+    return F.subgroup(tuple(sorted(members)))
 
 
 def extend_morphism(F: FusionSystem, phi: Morphism, D: Subgroup) -> Morphism | None:

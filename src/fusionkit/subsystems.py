@@ -27,7 +27,7 @@ from .fusion import (
     is_strongly_closed,
     is_subsystem,
 )
-from .groups import Subgroup, _conjugation_rows, _join, _join_normalized, _picker, all_subgroups, is_p_power
+from .groups import Subgroup, _inn, _join, _join_normalized, _picker, all_subgroups, is_p_power
 from .morphisms import Key, Morphism, _compose, _inverse, _positions, _restrict, _transport
 from .saturation import is_centric, is_saturated
 
@@ -247,8 +247,9 @@ def _local_is_all(F: FusionSystem, Q: Subgroup, allowed: frozenset[Key] | None) 
 def _routes_beyond_p(F: FusionSystem) -> list[tuple[Subgroup, list[tuple[Subgroup, Key]]]]:
     """The routes of ``_routes(F)`` that are not the restriction of
     c_g to Q0 for any g in P, by class; a class left with none is dropped.
-    A map on Q0 is fixed by its images of Q0's generators."""
-    rows = _conjugation_rows(F.P).values()
+    A map on Q0 is fixed by its images of Q0's generators, and c_g on P by
+    the row of gZ(P) in Inn(P)."""
+    rows = [row for row, _ in _inn(F.P)]
     out = []
     for Q0, routes in _routes(F):
         gens = Q0.generators()

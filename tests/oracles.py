@@ -36,7 +36,10 @@ inner system of P/T for each candidate T and comparing the two, as the
 library did before it read the routes.  The surjectivity property of the
 Puig criterion is also decided by building Aut_F(Q) and its normalizers
 for every Q, as the library did before it answered at once for Q with
-Aut_F(Q) = Aut_P(Q).
+Aut_F(Q) = Aut_P(Q).  Aut_S(Q) is also read off the conjugation row of
+every element of N_S(Q), found by ``normalizer``, and N_phi by testing every
+element of N_P(S), as the library did before it kept Inn(P), one row per
+coset of Z(P).
 """
 
 from __future__ import annotations
@@ -60,9 +63,11 @@ from fusionkit import (
 from fusionkit.errors import FusionkitError, NotASubgroupOfP, SeedNotInjective
 from fusionkit.fusion import _iso_table
 from fusionkit.groups import (
-    _picker, all_subgroups, centralizer, is_p_power, normalizer, p_part
+    _conj_rows, _picker, all_subgroups, centralizer, is_p_power, normalizer, p_part
 )
-from fusionkit.morphisms import _aut_subgroup, _inverse, _positions, _stabilizing_restrictions
+from fusionkit.morphisms import (
+    _aut_subgroup, _inverse, _positions, _stabilizing_restrictions, _transport
+)
 from fusionkit.perms import perm_mul
 from fusionkit.subsystems import _local_is_all
 
@@ -301,6 +306,29 @@ def n_phi_by_every_element(F: FusionSystem, phi: Morphism) -> Subgroup:
         if any(moved == {y: G.conj(y, h) for y in R.elements} for h in F.P.elements):
             members.append(g)
     return Subgroup(G, members)
+
+
+def aut_s_by_normalizer_rows(F: FusionSystem, Q: Subgroup, S: Subgroup) -> frozenset:
+    """Aut_S(Q): the conjugation row of each element of N_S(Q), read on Q.
+    N_S(Q) is ``normalizer(S, Q)`` when Q <= S, and S ∩ N_P(Q) otherwise."""
+    N = normalizer(S, Q) if Q <= S else normalizer(F.P, Q).meet(S)
+    return frozenset(map(_picker(Q.elements), _conj_rows(F.group, N.elements).values()))
+
+
+def n_phi_by_normalizer_scan(F: FusionSystem, phi: Morphism) -> Subgroup:
+    """N_phi: each g of N_P(S), found by ``normalizer``, whose conjugation
+    row at S's generators is that of a member of Aut_P(S) that phi moves
+    into Aut_P(R), both tables from ``aut_s_by_normalizer_rows``."""
+    S = phi.domain
+    gens = S.generators()
+    at_gens = _picker(_positions(S.elements, gens))
+    auts = list(aut_s_by_normalizer_rows(F, S, F.P))
+    image, moved = _transport(dict(zip(S.elements, phi.mapping)), S.elements, auts)
+    target = aut_s_by_normalizer_rows(F, F.subgroup(image), F.P)
+    wanted = {at_gens(a) for a, b in zip(auts, moved) if b in target}
+    N = normalizer(F.P, S)
+    rows, on_gens = _conj_rows(F.group, N.elements), _picker(gens)
+    return Subgroup(F.group, [g for g in N.elements if on_gens(rows[g]) in wanted])
 
 
 def receptive_by_every_iso(F: FusionSystem, R: Subgroup) -> bool:

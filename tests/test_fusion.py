@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from fusionkit import (
     all_subgroups,
     aut_map_of,
+    based_range,
+    centralizer,
     check_weakly_normal_map,
     conj_morphism,
     enumerate_subsystems_on,
@@ -32,20 +34,23 @@ from fusionkit import (
     internal_direct_product,
     is_isomorphic_fusion,
     is_saturated,
+    is_saturated_puig,
     is_strongly_closed,
     is_subsystem,
     load_catalog,
     load_group_spec,
     make_group,
     normalizer,
+    o_p,
     quotient,
     quotient_with_data,
     strongly_closed_subgroups,
     sylow,
     transport_fusion,
     validate_fusion,
+    x_subgroup,
 )
-from fusionkit import fusion, groups, saturation, subsystems
+from fusionkit import fusion, groups, hypercentre, normal_maps, saturation, subsystems
 from fusionkit.errors import (
     FusionkitError, NotASubgroup, NotASubgroupOfP, NotStronglyClosed, ParseError
 )
@@ -53,6 +58,7 @@ from fusionkit.fusion import _close, _routes
 from fusionkit.morphisms import _compose
 from fusionkit.normal_maps import _with_centralizer
 from oracles import (
+    aut_s_by_normalizer_rows,
     fusion_by_every_element,
     fully_normalized_by_scan,
     generated_fusion_by_full_closure,
@@ -590,9 +596,9 @@ def test_saturation_finds_the_generators_of_each_subgroup_once(monkeypatch):
 def test_a_system_reads_the_rows_of_p_and_of_one_rep_per_coset_of_p(monkeypatch):
     """On a fresh F_P(S4 x D8), building the system, deciding its
     saturation and validating it read conjugation rows twice: once for
-    P's lattice, whose entry keeps P's rows, and once for one
-    representative of each left coset of P other than P.  No call reads a
-    row for every element of G."""
+    P's lattice, whose entry keeps one of them per coset of Z(P), and once
+    for one representative of each left coset of P other than P.  No call
+    reads a row for every element of G."""
     G = direct_product_groups(*(make_group(load_catalog(n)) for n in ("s4", "d8"))).group
     conj_rows, calls = groups._conj_rows, []
 
@@ -663,6 +669,55 @@ def test_n_p_and_aut_p_tables_match_the_every_element_scan_on_the_ladder(ladder_
             assert F.n_p(Q) == N, Q
             conjugations = {tuple(G.conj(x, g) for x in Q.elements) for g in N.elements}
             assert F.aut_mappings_of_conjugation(Q, F.P) == conjugations, Q
+
+
+def test_c_p_matches_the_centralizer(catalog_systems, a4xd8_system):
+    """C_P(Q) read off Inn(P) is ``centralizer(F.P, Q)`` on every subgroup
+    of every catalog system and of F_P(A4 x D8)."""
+    for F in [F for _, _, F in catalog_systems] + [a4xd8_system]:
+        for Q in F.subgroups():
+            assert F.c_p(Q) == centralizer(F.P, Q), (F, Q.elements)
+
+
+def test_aut_s_of_q_matches_the_normalizer_rows(catalog_systems, a4xd8_system):
+    """Aut_S(Q) read off Inn(P) equals the rows of every element of N_S(Q)
+    (``oracles.aut_s_by_normalizer_rows``) for every pair Q, S of subgroups
+    of P, Q inside S or not, on every catalog system and F_P(A4 x D8)."""
+    checked = 0
+    for F in [F for _, _, F in catalog_systems] + [a4xd8_system]:
+        fresh = FusionSystem(F.group, F.P, F.p, F._isos)
+        for Q in F.subgroups():
+            for S in F.subgroups():
+                aut_s = fresh.aut_mappings_of_conjugation(Q, S)
+                assert aut_s == aut_s_by_normalizer_rows(F, Q, S), (F, Q.elements, S.elements)
+                checked += not Q <= S
+    assert checked > 10000, checked
+
+
+def test_p_local_questions_ask_no_normalizer_inside_p(catalog_systems, monkeypatch):
+    """Saturation by both criteria, ``based_range(F, F.P)``, O_p(F) and X_F
+    on a fresh copy of every catalog system call ``normalizer`` and
+    ``centralizer`` on no container of P's group inside P: N_P, C_P,
+    Aut_S(Q) and N_phi are read off Inn(P).  The name each module imports
+    is spied on, as is the module's own in ``groups``."""
+    inside = []
+    for module in (groups, fusion, saturation, subsystems, normal_maps, hypercentre):
+        for name in ("normalizer", "centralizer"):
+            if hasattr(module, name):
+                def spy(container, H, real=getattr(module, name), name=name):
+                    amb = groups._as_subgroup(container)
+                    if amb.group is P.group and amb <= P:
+                        inside.append((name, amb.elements, H.elements))
+                    return real(container, H)
+                monkeypatch.setattr(module, name, spy)
+    for _, _, F in catalog_systems:
+        F = FusionSystem(F.group, F.P, F.p, F._isos)
+        P = F.P
+        assert is_saturated(F).saturated and is_saturated_puig(F).saturated
+        based_range(F, P)
+        o_p(F)
+        x_subgroup(F)
+        assert inside == [], (F, inside[:3])
 
 
 def test_facts_about_a_subgroup_of_an_equal_group_object_are_not_kept(catalog_systems):

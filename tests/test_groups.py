@@ -146,16 +146,31 @@ def test_recorded_maximal_subgroups_are_those_found_by_containment(ladder_groups
         assert groups._maximal_subgroups(P) == maximal_subgroups_by_containment(P), P
 
 
-def test_recorded_conjugation_rows_are_the_rows_of_p_and_kept(ladder_groups):
+def test_recorded_inn_is_one_row_per_coset_of_the_centre_and_kept(ladder_groups):
+    """On the ladder and catalog Sylow carriers, Inn(P) as recorded is one
+    (row, coset) pair per coset gZ(P), Z(P) from ``group_centre``, the
+    cosets partitioning P.  The row is its least element's whole row of G,
+    and every element of the coset conjugates P by it (off P, c_gz and
+    c_g may differ).  The rows differ pairwise on P, and the record is
+    read back as the same object."""
     carriers = [sylow(G.full_subgroup, 2) for G in ladder_groups]
     for name in sorted(catalog_names()):
         G = make_group(load_catalog(name))
         carriers += [sylow(G.full_subgroup, p) for p in range(2, len(G) + 1)
                      if len(G) % p == 0 and is_prime(p)]
     for P in carriers:
-        rows = groups._conjugation_rows(P)
-        assert rows == groups._conj_rows(P.group, P.elements), P
-        assert groups._conjugation_rows(P) is rows, P
+        G, Z = P.group, group_centre(P)
+        inn = groups._inn(P)
+        on_p = groups._picker(P.elements)
+        for row, coset in inn:
+            g = coset[0]
+            assert coset == tuple(sorted(G.mul(g, z) for z in Z.elements)), P
+            assert row == groups._conj_rows(G, [g])[g], P
+            for h in coset:
+                assert on_p(row) == on_p(groups._conj_rows(G, [h])[h]), (P, h)
+        assert len({on_p(row) for row, _ in inn}) == len(inn) == len(P) // len(Z), P
+        assert sorted(x for _, coset in inn for x in coset) == list(P.elements), P
+        assert groups._inn(P) is inn, P
 
 
 def test_the_carrier_asked_for_is_the_top_of_its_lattice():

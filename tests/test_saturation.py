@@ -26,7 +26,12 @@ from fusionkit import (
 )
 from fusionkit import examples, fusion, groups
 from fusionkit.saturation import has_surjectivity_property, n_phi
-from oracles import n_phi_by_every_element, receptive_by_every_iso, surjectivity_by_aut_groups
+from oracles import (
+    n_phi_by_every_element,
+    n_phi_by_normalizer_scan,
+    receptive_by_every_iso,
+    surjectivity_by_aut_groups,
+)
 
 
 def small_maps_system(F, bound=2):
@@ -168,6 +173,18 @@ def test_n_phi_matches_the_every_element_scan(catalog_systems):
             for phi in E.all_isos():
                 assert n_phi(E, phi) == n_phi_by_every_element(E, phi), (name, p, phi)
                 checked += 1
+    assert checked > 2000, checked
+
+
+def test_n_phi_matches_the_normalizer_scan(catalog_systems, a4xd8_system):
+    """N_phi read off Inn(P) equals the scan of every g in N_P(S)
+    (``oracles.n_phi_by_normalizer_scan``) for every stored isomorphism of
+    every catalog system and of F_P(A4 x D8)."""
+    checked = 0
+    for F in [F for _, _, F in catalog_systems] + [a4xd8_system]:
+        for phi in F.all_isos():
+            assert n_phi(F, phi) == n_phi_by_normalizer_scan(F, phi), (F, phi)
+            checked += 1
     assert checked > 2000, checked
 
 
