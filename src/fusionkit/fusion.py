@@ -202,7 +202,7 @@ class FusionSystem:
 
     def aut_group(self, Q: Subgroup) -> AutGroup:
         self.require_in_p(Q)
-        return self._fact("auts", Q, _aut_group, self, self.subgroup(Q.key))
+        return self._fact("auts", Q, _aut_group, self, Q)
 
     def aut_mappings_of_conjugation(self, Q: Subgroup, source: Subgroup) -> frozenset[Key]:
         """Mappings of the automorphisms of Q induced by N_source(Q), for a
@@ -274,6 +274,8 @@ class FusionSystem:
 
 
 def _aut_group(F: FusionSystem, Q: Subgroup) -> AutGroup:
+    """Aut_F(Q) on P's lattice's own object for Q."""
+    Q = F.subgroup(Q.key)
     return AutGroup(Q, [Morphism(Q, Q, m) for m in F.iso_mappings(Q, Q)])
 
 

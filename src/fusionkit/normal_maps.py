@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     CoreUndefined,
@@ -37,12 +38,12 @@ from .fusion import (
     is_strongly_closed,
     is_subsystem,
 )
-from .groups import Subgroup, all_subgroups, normalizer, p_part
+from .groups import Subgroup, _picker, all_subgroups, normalizer, p_part
 from .morphisms import (
+    AutGroup,
     Morphism,
     _aut_subgroup,
-    _compose,
-    _stabilizing_restrictions,
+    _positions,
     _transport,
 )
 from .saturation import is_saturated
@@ -127,21 +128,7 @@ class NotBased:
 def partial_domain(F: FusionSystem, T: Subgroup) -> tuple[Subgroup, ...]:
     """The subgroups a partial map must cover: fully normalized U <= T with
     C_T(U) <= U.  A completed map is determined by its values here."""
-    T = F.require_in_p(T)
-    return tuple(
-        Q
-        for Q in F.subgroups()
-        if Q <= T and F.is_fully_normalized(Q) and F.c_p(Q).meet(T) <= Q
-    )
-
-
-def _with_centralizer(F: FusionSystem, Q: Subgroup, T: Subgroup) -> Subgroup:
-    """Q C_T(Q), found once per pair of subgroups Q <= T of P."""
-    return F._fact("q_c_t", Q, _join_centralizer, F, Q, T, within=T)
-
-
-def _join_centralizer(F: FusionSystem, Q: Subgroup, T: Subgroup) -> Subgroup:
-    return Q.join(F.c_p(Q).meet(T))
+    return _layout(F, F.require_in_p(T)).domain
 
 
 def aut_map_of(E: FusionSystem) -> AutMap:
@@ -158,18 +145,111 @@ def _transported(Q: Subgroup, mappings, image: Key) -> frozenset[Key]:
     return frozenset(_transport(dict(zip(Q.elements, image)), Q.elements, mappings)[1])
 
 
-def _moved_on_routes(routes, values) -> dict | None:
-    """For each class whose Q0 has a value, that value moved along the
-    routes to every member; None when a member that has a value, Q0 among
-    them, gets a different one."""
+class _Layout(NamedTuple):
+    """What the axiom check and completion read of F on T, built once per
+    (F, T) by ``_build_layout``; nothing in it depends on a map.
+
+    - ``subs``: the subgroups of T in lattice order, and ``keys``, theirs;
+      ``auts`` pairs each with Aut_F(U), for the containment precondition.
+    - ``aut_t``: the fully normalized U <= T, each with Aut_T(U).
+    - ``domain``: ``partial_domain``, the fully normalized U with
+      C_T(U) <= U, and ``domain_keys``.
+    - ``extend``: by key, each other fully normalized U with
+      V = U C_T(U) > U and the restriction from V to U (``_restricted``).
+    - ``layers``: one per order, largest first: its subgroups, its fully
+      normalized ones, and the routes of ``_routes`` whose Q0 it holds.
+      Each route is (Q0's key, R's key, send, order): ``send`` maps Q0's
+      elements along the route and ``order`` picks a map's images in the
+      sorted order of R, so moving a value builds no index and sorts nothing.
+    - ``centric``: for each U of ``domain``, Aut_F(U) and, for each V with
+      U < V <= N_T(U), the restriction from V to U and Aut_V(U) as a
+      subgroup of Aut_F(U)."""
+
+    subs: tuple[Subgroup, ...]
+    keys: frozenset[Key]
+    auts: tuple[tuple[Subgroup, frozenset[Key]], ...]
+    aut_t: tuple[tuple[Subgroup, frozenset[Key]], ...]
+    domain: tuple[Subgroup, ...]
+    domain_keys: frozenset[Key]
+    extend: dict[Key, tuple[Subgroup, Subgroup, tuple]]
+    layers: tuple[tuple[tuple[Subgroup, ...], tuple[Subgroup, ...], tuple], ...]
+    centric: tuple[tuple[Subgroup, AutGroup, tuple], ...]
+
+
+def _layout(F: FusionSystem, T: Subgroup) -> _Layout:
+    """T's layout, built once per (F, T)."""
+    return F._fact("layout", T, _build_layout, F, T)
+
+
+def _build_layout(F: FusionSystem, T: Subgroup) -> _Layout:
+    subs = tuple(Q for Q in F.subgroups() if Q <= T)
+    normalized = [Q for Q in subs if F.is_fully_normalized(Q)]
+    domain, extend = [], {}
+    for Q in normalized:
+        V = F.subgroup(Q.join(F.c_p(Q).meet(T)).key)
+        if V == Q:
+            domain.append(Q)
+        else:
+            extend[Q.key] = (Q, V, _restriction(V, Q))
+    routes: dict[int, list] = {}
+    for Q0, class_routes in _routes(F):
+        if Q0 <= T:
+            routes.setdefault(len(Q0), []).extend(
+                (Q0.key, R.key, dict(zip(Q0.elements, t)).__getitem__,
+                 _picker(sorted(range(len(t)), key=t.__getitem__)))
+                for R, t in class_routes
+            )
+    layers = tuple(
+        (
+            tuple(Q for Q in subs if len(Q) == size),
+            tuple(Q for Q in normalized if len(Q) == size),
+            tuple(routes.get(size, ())),
+        )
+        for size in sorted({len(Q) for Q in subs}, reverse=True)
+    )
+    centric = []
+    for Q in domain:
+        ag, N = F.aut_group(Q), F.n_p(Q)
+        above = tuple(
+            (V, _restriction(V, Q), _aut_subgroup(ag, F.aut_mappings_of_conjugation(Q, V)))
+            for V in subs if Q < V <= N
+        )
+        centric.append((Q, ag, above))
+    return _Layout(
+        subs=subs,
+        keys=frozenset(Q.key for Q in subs),
+        auts=tuple((Q, frozenset(F.iso_mappings(Q, Q))) for Q in subs),
+        aut_t=tuple((Q, F.aut_mappings_of_conjugation(Q, T)) for Q in normalized),
+        domain=tuple(domain),
+        domain_keys=frozenset(Q.key for Q in domain),
+        extend=extend,
+        layers=layers,
+        centric=tuple(centric),
+    )
+
+
+def _restriction(V: Subgroup, U: Subgroup) -> tuple:
+    """The picker of U's positions in V, and U's element set."""
+    return _picker(_positions(V.elements, U.elements)), U._set
+
+
+def _restricted(restriction: tuple, mappings) -> frozenset[Key]:
+    """Restrictions to U of the maps on V that map U onto itself, for
+    ``restriction`` = ``_restriction(V, U)``."""
+    on_u, uset = restriction
+    return frozenset(r for r in map(on_u, mappings) if set(r) == uset)
+
+
+def _moved_along(routes, values) -> dict | None:
+    """The value of each route's Q0 moved along it to the route's member;
+    None when a member that has a value, Q0 among them, gets a different
+    one.  ``routes`` are a layout layer's, and ``values`` holds a value for
+    each of their Q0."""
     moved = {}
-    for Q0, class_routes in routes:
-        if Q0.key not in values:
-            continue
-        for R, t in class_routes:
-            moved[R.key] = value = _transported(Q0, values[Q0.key], t)
-            if values.get(R.key, value) != value:
-                return None
+    for q0key, rkey, send, order in routes:
+        moved[rkey] = value = frozenset([tuple(map(send, order(m))) for m in values[q0key]])
+        if values.get(rkey, value) != value:
+            return None
     return moved
 
 
@@ -194,21 +274,24 @@ def check_weakly_normal_map(F: FusionSystem, A: AutMap) -> MapVerdict:
     assignment not covering exactly the subgroups of T, or some A(U) not
     being a subgroup of Aut_F(U).
 
-    Axiom (i) is tested on the routes of ``_routes``, computed once per
-    system: A(Q0)^beta = A(Q0) for generators beta of Aut_F(Q0), and
-    A(R) = A(Q0)^t_R for each other member R.  The F-isomorphisms phi with
-    A(Q phi) = A(Q)^phi are closed under composition and inverse, so this is
-    exact; if it fails, ``_first_disagreement`` names the scan's first failure.
+    Everything that depends on (F, T) alone is read off T's layout
+    (``_Layout``), built once per (F, T): the subgroups of T and their
+    automizers, the fully normalized ones, U C_T(U) with the restriction to
+    U, Aut_V(U) for axiom (v), and the routes of ``_routes`` with Q0 <= T.
+    Axiom (i) is tested on those routes: A(Q0)^beta = A(Q0) for generators
+    beta of Aut_F(Q0), and A(R) = A(Q0)^t_R for each other member R.  The
+    F-isomorphisms phi with A(Q phi) = A(Q)^phi are closed under
+    composition and inverse, so this is exact; if it fails,
+    ``_first_disagreement`` names the scan's first failure.
     """
     T = F.require_in_p(A.T)
     if not is_strongly_closed(F, T):
         raise NotStronglyClosed("the map must live on a strongly closed subgroup", witness=T)
-    subs = [Q for Q in F.subgroups() if Q <= T]
-    if set(A.assignment) != {Q.key for Q in subs}:
+    layout = _layout(F, T)
+    if set(A.assignment) != layout.keys:
         raise PreconditionFailed("assignment must cover exactly the subgroups of T")
     a_subgroups = {}
-    for Q in subs:
-        allowed = set(F.iso_mappings(Q, Q))
+    for Q, allowed in layout.auts:
         if not A.assignment[Q.key] <= allowed:
             raise PreconditionFailed(
                 "A(U) must be contained in Aut_F(U)", witness=Q
@@ -221,19 +304,17 @@ def check_weakly_normal_map(F: FusionSystem, A: AutMap) -> MapVerdict:
             ) from None
 
     # (i) A(U phi) = A(U)^phi for every F-isomorphism phi with domain in T.
-    if _moved_on_routes(_routes(F), A.assignment) is None:
+    if any(_moved_along(routes, A.assignment) is None for _, _, routes in layout.layers):
         return MapVerdict(
             False,
             axiom="i",
             reason="conjugation transport disagrees with the assignment",
-            witness=_first_disagreement(F, subs, A.assignment),
+            witness=_first_disagreement(F, layout.subs, A.assignment),
         )
 
-    fully_normalized = [Q for Q in subs if F.is_fully_normalized(Q)]
-
     # (ii) Aut_T(U) <= A(U) for fully normalized U.
-    for Q in fully_normalized:
-        if not F.aut_mappings_of_conjugation(Q, T) <= A.assignment[Q.key]:
+    for Q, aut_t in layout.aut_t:
+        if not aut_t <= A.assignment[Q.key]:
             return MapVerdict(
                 False,
                 axiom="ii",
@@ -253,11 +334,9 @@ def check_weakly_normal_map(F: FusionSystem, A: AutMap) -> MapVerdict:
         )
 
     # (iv) every element of A(U) extends to an element of A(U C_T(U)),
-    # for fully normalized U.
-    for Q in fully_normalized:
-        V = _with_centralizer(F, Q, T)
-        restrictions = _stabilizing_restrictions(V.key, Q.key, A.assignment[V.key])
-        missing = A.assignment[Q.key] - restrictions
+    # for fully normalized U; it holds where U C_T(U) = U.
+    for Q, V, restriction in layout.extend.values():
+        missing = A.assignment[Q.key] - _restricted(restriction, A.assignment[V.key])
         if missing:
             return MapVerdict(
                 False,
@@ -269,15 +348,15 @@ def check_weakly_normal_map(F: FusionSystem, A: AutMap) -> MapVerdict:
     # (v) for U in ``partial_domain`` and U <= V <= N_T(U), the restriction map
     # from the U-stabilizing part of A(V) is a well defined surjection onto
     # N_{A(U)}(Aut_V(U)): restrictions land in A(U) and cover the normalizer.
-    # V <= T, so V <= N_P(U) is V <= N_T(U).  Aut_V(U) is a group by construction.
-    for Q in partial_domain(F, T):
-        ag, N, a_pos = F.aut_group(Q), F.n_p(Q), a_subgroups[Q.key]
-        for V in (V for V in subs if Q <= V <= N):
-            autv_pos = _aut_subgroup(ag, F.aut_mappings_of_conjugation(Q, V))
+    # V <= T, so V <= N_P(U) is V <= N_T(U).  Aut_V(U) is a group by construction,
+    # and inside A(U) by (ii).  V = U holds: Aut_U(U) is normal in Aut(U).
+    for Q, ag, above in layout.centric:
+        a_pos = a_subgroups[Q.key]
+        for V, restriction, autv_pos in above:
             needed = {
                 m.mapping for m in ag.morphisms_of(normalizer(a_pos, autv_pos))
             }
-            got = _stabilizing_restrictions(V.key, Q.key, A.assignment[V.key])
+            got = _restricted(restriction, A.assignment[V.key])
             if not got <= needed:
                 return MapVerdict(
                     False,
@@ -305,10 +384,12 @@ def complete_partial_map(F: FusionSystem, T: Subgroup, partial) -> AutMap:
     normalized subgroups not in the domain.  Disagreement between transport
     routes raises InconsistentPartial.
 
-    T must be strongly closed, or NotStronglyClosed is raised.  Transport
-    runs along the routes of ``_routes``, computed once per system, as in
-    axiom (i) of ``check_weakly_normal_map``; when two disagree,
-    ``_first_disagreement`` names the first disagreement of the full scan.
+    T must be strongly closed, or NotStronglyClosed is raised.  The size
+    layers, U C_T(U) with the restriction to U, and the routes of
+    ``_routes`` with Q0 <= T are read off T's layout (``_Layout``), built
+    once per (F, T).  Transport runs along those routes, as in axiom (i) of
+    ``check_weakly_normal_map``; when two disagree, ``_first_disagreement``
+    names the first disagreement of the full scan.
     """
     T = F.require_in_p(T)
     if not is_strongly_closed(F, T):
@@ -317,26 +398,23 @@ def complete_partial_map(F: FusionSystem, T: Subgroup, partial) -> AutMap:
         given = {k: frozenset(v) for k, v in partial.assignment.items()}
     else:
         given = {k: frozenset(v) for k, v in dict(partial).items()}
-    domain = partial_domain(F, T)
-    if set(given) != {Q.key for Q in domain}:
+    layout = _layout(F, T)
+    if set(given) != layout.domain_keys:
         raise PreconditionFailed(
             "partial map must be defined exactly on the fully normalized "
             "subgroups of T that contain their T-centralizer"
         )
 
-    subs = [Q for Q in F.subgroups() if Q <= T]
     assigned: dict[Key, frozenset[Key]] = {}
-    for size in sorted({len(Q) for Q in subs}, reverse=True):
-        layer = [Q for Q in subs if len(Q) == size]
-        normalized = [Q for Q in layer if F.is_fully_normalized(Q)]
+    for layer, normalized, routes in layout.layers:
         for Q in normalized:
             if Q.key in given:
                 assigned[Q.key] = given[Q.key]
             else:
-                V = _with_centralizer(F, Q, T)
-                assigned[Q.key] = _stabilizing_restrictions(V.key, Q.key, assigned[V.key])
+                _, V, restriction = layout.extend[Q.key]
+                assigned[Q.key] = _restricted(restriction, assigned[V.key])
         values = {Q.key: assigned[Q.key] for Q in normalized}
-        moved = _moved_on_routes(_routes(F), values)
+        moved = _moved_along(routes, values)
         bad = _first_disagreement(F, normalized, assigned) if moved is None else None
         if bad:
             raise InconsistentPartial(
@@ -416,13 +494,14 @@ def enlarge_weakly_normal(F: FusionSystem, E: FusionSystem, H) -> FusionSystem:
 
     if frozenset(E2.iso_mappings(T, T)) != {m.mapping for m in h_morphs}:
         raise PostconditionViolation("Aut of the enlargement is not H", witness=E2)
+    index = {x: i for i, x in enumerate(T.elements)}
     for Q in E2.subgroups():
         lhs = {m.mapping for m in E2.hom_set(Q, T)}
-        rhs = {
-            _compose(psi.mapping, T.elements, h.mapping)
-            for psi in E.hom_set(Q, T)
-            for h in h_morphs
-        }
+        rhs = set()
+        for psi in E.hom_set(Q, T):
+            # psi then h, for each h: h's images at psi's images
+            then = _picker([index[x] for x in psi.mapping])
+            rhs.update(then(h.mapping) for h in h_morphs)
         if lhs != rhs:
             raise PostconditionViolation(
                 "hom-sets of the enlargement do not match Hom_E(Q, T) . H",

@@ -200,16 +200,20 @@ def local_subsystem(F: FusionSystem, Q: Subgroup, kind: str) -> FusionSystem:
     else:
         allowed = None
     isos = {}
+    # per distinct QR: its index, and the maps of QR that restrict to Q as allowed
+    kept: dict[Key, tuple[dict[int, int], list[Key]]] = {}
     for R in all_subgroups(carrier):
-        QR = Q.join(R)
-        q_idx = _positions(QR.elements, Q.elements)
-        r_idx = _positions(QR.elements, R.elements)
-        images = isos[R.key] = set()
-        for ms in F._isos.get(QR.key, {}).values():
-            for m in ms:
-                on_q = _restrict(m, q_idx)
-                if set(on_q) == qset and (allowed is None or on_q in allowed):
-                    images.add(_restrict(m, r_idx))
+        # the carrier normalizes Q, so QR is the join of Q with R's generators
+        QR = F.subgroup(tuple(sorted(_join(G, Q.elements, R.generators()))))
+        if QR.key not in kept:
+            index = {x: i for i, x in enumerate(QR.elements)}
+            on_q = _picker([index[x] for x in Q.elements])
+            kept[QR.key] = index, [
+                m for ms in F._isos.get(QR.key, {}).values() for m in ms
+                if set(at_q := on_q(m)) == qset and (allowed is None or at_q in allowed)
+            ]
+        index, maps = kept[QR.key]
+        isos[R.key] = set(map(_picker([index[x] for x in R.elements]), maps))
     return FusionSystem(G, carrier, F.p, _iso_table(isos))
 
 

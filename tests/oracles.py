@@ -39,15 +39,21 @@ for every Q, as the library did before it answered at once for Q with
 Aut_F(Q) = Aut_P(Q).  Aut_S(Q) is also read off the conjugation row of
 every element of N_S(Q), found by ``normalizer``, and N_phi by testing every
 element of N_P(S), as the library did before it kept Inn(P), one row per
-coset of Z(P).
+coset of Z(P).  The weakly normal map check and completion are kept as they
+were before each strongly closed T got its layout, built once per (F, T):
+each call rescans P's lattice for the subgroups of T, the fully normalized
+ones and ``partial_domain``, and moves every value along the routes with a
+fresh index.
 """
 
 from __future__ import annotations
 
 from fusionkit import (
     AutGroup,
+    AutMap,
     FusionSystem,
     Group,
+    MapVerdict,
     Morphism,
     SaturationVerdict,
     Subgroup,
@@ -57,17 +63,27 @@ from fusionkit import (
     generated_fusion,
     group_centre,
     inner_fusion,
+    is_strongly_closed,
     quotient,
     strongly_closed_subgroups,
 )
-from fusionkit.errors import FusionkitError, NotASubgroupOfP, SeedNotInjective
-from fusionkit.fusion import _iso_table
+from fusionkit.errors import (
+    FusionkitError,
+    InconsistentPartial,
+    NotASubgroup,
+    NotASubgroupOfP,
+    NotStronglyClosed,
+    PreconditionFailed,
+    SeedNotInjective,
+)
+from fusionkit.fusion import _iso_table, _routes
 from fusionkit.groups import (
     _conj_rows, _picker, all_subgroups, centralizer, is_p_power, normalizer, p_part
 )
 from fusionkit.morphisms import (
-    _aut_subgroup, _inverse, _positions, _stabilizing_restrictions, _transport
+    Key, _aut_subgroup, _inverse, _positions, _stabilizing_restrictions, _transport
 )
+from fusionkit.normal_maps import _first_disagreement, _transported
 from fusionkit.perms import perm_mul
 from fusionkit.subsystems import _local_is_all
 
@@ -613,3 +629,179 @@ def surjectivity_by_aut_groups(F: FusionSystem, Q: Subgroup) -> bool:
         if not {A.morphisms[i].mapping for i in needed.elements} <= restrictions:
             return False
     return True
+
+
+def partial_domain_by_scan(F: FusionSystem, T: Subgroup) -> tuple[Subgroup, ...]:
+    """``partial_domain``, by a scan of P's lattice on every call."""
+    T = F.require_in_p(T)
+    return tuple(
+        Q
+        for Q in F.subgroups()
+        if Q <= T and F.is_fully_normalized(Q) and F.c_p(Q).meet(T) <= Q
+    )
+
+
+def _with_centralizer(F: FusionSystem, Q: Subgroup, T: Subgroup) -> Subgroup:
+    """Q C_T(Q), joined on every call."""
+    return Q.join(F.c_p(Q).meet(T))
+
+
+def _moved_on_routes(routes, values) -> dict | None:
+    """For each class whose Q0 has a value, that value moved along the
+    routes to every member; None when a member that has a value, Q0 among
+    them, gets a different one."""
+    moved = {}
+    for Q0, class_routes in routes:
+        if Q0.key not in values:
+            continue
+        for R, t in class_routes:
+            moved[R.key] = value = _transported(Q0, values[Q0.key], t)
+            if values.get(R.key, value) != value:
+                return None
+    return moved
+
+
+def check_weakly_normal_map_per_call(F: FusionSystem, A: AutMap) -> MapVerdict:
+    """``check_weakly_normal_map`` as it was before T's layout, with
+    ``partial_domain_by_scan`` for ``partial_domain``: what depends on
+    (F, T) alone is found again on every call."""
+    T = F.require_in_p(A.T)
+    if not is_strongly_closed(F, T):
+        raise NotStronglyClosed("the map must live on a strongly closed subgroup", witness=T)
+    subs = [Q for Q in F.subgroups() if Q <= T]
+    if set(A.assignment) != {Q.key for Q in subs}:
+        raise PreconditionFailed("assignment must cover exactly the subgroups of T")
+    a_subgroups = {}
+    for Q in subs:
+        allowed = set(F.iso_mappings(Q, Q))
+        if not A.assignment[Q.key] <= allowed:
+            raise PreconditionFailed(
+                "A(U) must be contained in Aut_F(U)", witness=Q
+            )
+        try:
+            a_subgroups[Q.key] = _aut_subgroup(F.aut_group(Q), A.assignment[Q.key], check=True)
+        except NotASubgroup:
+            raise PreconditionFailed(
+                "A(U) must be a subgroup of Aut_F(U)", witness=Q
+            ) from None
+
+    # (i) A(U phi) = A(U)^phi for every F-isomorphism phi with domain in T.
+    if _moved_on_routes(_routes(F), A.assignment) is None:
+        return MapVerdict(
+            False,
+            axiom="i",
+            reason="conjugation transport disagrees with the assignment",
+            witness=_first_disagreement(F, subs, A.assignment),
+        )
+
+    fully_normalized = [Q for Q in subs if F.is_fully_normalized(Q)]
+
+    # (ii) Aut_T(U) <= A(U) for fully normalized U.
+    for Q in fully_normalized:
+        if not F.aut_mappings_of_conjugation(Q, T) <= A.assignment[Q.key]:
+            return MapVerdict(
+                False,
+                axiom="ii",
+                reason="A(U) misses a T-conjugation automorphism",
+                witness=Q,
+            )
+
+    # (iii) Aut_T(T) is a Sylow p-subgroup of A(T).
+    inn_t = F.aut_mappings_of_conjugation(T, T)
+    a_t = A.assignment[T.key]
+    if not (inn_t <= a_t and p_part(len(a_t), F.p) == len(inn_t)):
+        return MapVerdict(
+            False,
+            axiom="iii",
+            reason="Aut_T(T) is not a Sylow p-subgroup of A(T)",
+            witness=T,
+        )
+
+    # (iv) every element of A(U) extends to an element of A(U C_T(U)),
+    # for fully normalized U.
+    for Q in fully_normalized:
+        V = _with_centralizer(F, Q, T)
+        restrictions = _stabilizing_restrictions(V.key, Q.key, A.assignment[V.key])
+        missing = A.assignment[Q.key] - restrictions
+        if missing:
+            return MapVerdict(
+                False,
+                axiom="iv",
+                reason="an element of A(U) has no extension in A(U C_T(U))",
+                witness=(Q, sorted(missing)[0]),
+            )
+
+    # (v) for U in ``partial_domain`` and U <= V <= N_T(U), the restriction map
+    # from the U-stabilizing part of A(V) is a well defined surjection onto
+    # N_{A(U)}(Aut_V(U)): restrictions land in A(U) and cover the normalizer.
+    # V <= T, so V <= N_P(U) is V <= N_T(U).  Aut_V(U) is a group by construction.
+    for Q in partial_domain_by_scan(F, T):
+        ag, N, a_pos = F.aut_group(Q), F.n_p(Q), a_subgroups[Q.key]
+        for V in (V for V in subs if Q <= V <= N):
+            autv_pos = _aut_subgroup(ag, F.aut_mappings_of_conjugation(Q, V))
+            needed = {
+                m.mapping for m in ag.morphisms_of(normalizer(a_pos, autv_pos))
+            }
+            got = _stabilizing_restrictions(V.key, Q.key, A.assignment[V.key])
+            if not got <= needed:
+                return MapVerdict(
+                    False,
+                    axiom="v",
+                    reason="an element of A(V) stabilizing U restricts outside A(U)",
+                    witness=(Q, V),
+                )
+            if not needed <= got:
+                return MapVerdict(
+                    False,
+                    axiom="v",
+                    reason="restriction map is not onto the normalizer of Aut_V(U) in A(U)",
+                    witness=(Q, V),
+                )
+
+    return MapVerdict(True)
+
+
+def complete_partial_map_per_call(F: FusionSystem, T: Subgroup, partial) -> AutMap:
+    """``complete_partial_map`` as it was before T's layout, with
+    ``partial_domain_by_scan`` for ``partial_domain``."""
+    T = F.require_in_p(T)
+    if not is_strongly_closed(F, T):
+        raise NotStronglyClosed("the map must live on a strongly closed subgroup", witness=T)
+    if isinstance(partial, AutMap):
+        given = {k: frozenset(v) for k, v in partial.assignment.items()}
+    else:
+        given = {k: frozenset(v) for k, v in dict(partial).items()}
+    domain = partial_domain_by_scan(F, T)
+    if set(given) != {Q.key for Q in domain}:
+        raise PreconditionFailed(
+            "partial map must be defined exactly on the fully normalized "
+            "subgroups of T that contain their T-centralizer"
+        )
+
+    subs = [Q for Q in F.subgroups() if Q <= T]
+    assigned: dict[Key, frozenset[Key]] = {}
+    for size in sorted({len(Q) for Q in subs}, reverse=True):
+        layer = [Q for Q in subs if len(Q) == size]
+        normalized = [Q for Q in layer if F.is_fully_normalized(Q)]
+        for Q in normalized:
+            if Q.key in given:
+                assigned[Q.key] = given[Q.key]
+            else:
+                V = _with_centralizer(F, Q, T)
+                assigned[Q.key] = _stabilizing_restrictions(V.key, Q.key, assigned[V.key])
+        values = {Q.key: assigned[Q.key] for Q in normalized}
+        moved = _moved_on_routes(_routes(F), values)
+        bad = _first_disagreement(F, normalized, assigned) if moved is None else None
+        if bad:
+            raise InconsistentPartial(
+                "conjugation transport disagrees between two routes",
+                witness=(bad[0], bad[1].codomain),
+            )
+        assigned.update(moved or {})
+        for Q in layer:
+            if Q.key not in assigned:
+                raise PreconditionFailed(
+                    "a subgroup of T has no fully normalized conjugate",
+                    witness=Q,
+                )
+    return AutMap(T, assigned)

@@ -56,7 +56,6 @@ from fusionkit.errors import (
 )
 from fusionkit.fusion import _close, _routes
 from fusionkit.morphisms import _compose
-from fusionkit.normal_maps import _with_centralizer
 from oracles import (
     aut_s_by_normalizer_rows,
     fusion_by_every_element,
@@ -545,10 +544,10 @@ def test_subgroups_of_p_that_a_system_hands_out_are_the_lattice_objects(
     catalog_systems, a4xd8_system, monkeypatch
 ):
     """On every catalog system and F_P(A4 x D8), ``F.subgroup(k)`` for each
-    key k, N_P(Q) and C_P(Q) for each Q, Q C_T(Q) for each strongly closed
-    T, and N_phi for each phi that ``is_receptive`` tries are P's lattice's
-    own objects; a key that is not a subgroup of P raises
-    ``NotASubgroupOfP``."""
+    key k, N_P(Q) and C_P(Q) for each Q, the subgroups of the layout of
+    each strongly closed T (U C_T(U) among them), and N_phi for each phi
+    that ``is_receptive`` tries are P's lattice's own objects; a key that
+    is not a subgroup of P raises ``NotASubgroupOfP``."""
     found, n_phi = [], saturation.n_phi
 
     def recorded(F, phi):
@@ -564,8 +563,11 @@ def test_subgroups_of_p_that_a_system_hands_out_are_the_lattice_objects(
             assert F.n_p(Q) is lattice[F.n_p(Q).key] and F.c_p(Q) is lattice[F.c_p(Q).key]
             saturation.is_receptive(F, Q)
         for T in subsystems.strongly_closed_subgroups(F):
-            for Q in (Q for Q in lattice.values() if Q <= T):
-                assert _with_centralizer(F, Q, T) is lattice[_with_centralizer(F, Q, T).key]
+            layout = normal_maps._layout(F, T)
+            held = [*layout.subs, *layout.domain]
+            held += [S for Q, V, _ in layout.extend.values() for S in (Q, V)]
+            held += [S for Q, _, above in layout.centric for S in (Q, *(V for V, _, _ in above))]
+            assert all(S is lattice[S.key] for S in held), (F, T.elements)
         assert all(N is lattice[N.key] for N in found), F
     assert found
     F = a4xd8_system

@@ -1,7 +1,8 @@
 """Every name a library module imports is used in that module, a module's
 ``__all__`` lists only names the module itself defines, only ``fusion.py``
-names the memo of a system's facts, no fact is computed by a lambda, and
-the modules that work on a system build no unchecked ``Subgroup``.
+names the memo of a system's facts, no fact is computed by a lambda, the
+modules that work on a system build no unchecked ``Subgroup``, and the
+per-candidate steps of the subsystem search do not rescan the lattice.
 
 Package re-exports (``__init__.py``) are exempt.  Uses inside string
 annotations count.
@@ -139,3 +140,25 @@ def test_system_modules_build_no_unchecked_subgroup():
                     for k in node.keywords)
         ]
         assert not lines, f"{name} builds an unchecked Subgroup on lines {lines}"
+
+
+def test_the_per_candidate_steps_read_the_layout():
+    """``check_weakly_normal_map`` and ``complete_partial_map`` run once per
+    candidate map of the subsystem search, so they read what depends on
+    (F, T) alone off T's layout: their bodies call none of
+    ``F.subgroups()``, ``partial_domain``, ``is_fully_normalized`` or
+    ``_positions``."""
+    tree = ast.parse((SRC / "normal_maps.py").read_text())
+    banned = {"subgroups", "partial_domain", "is_fully_normalized", "_positions"}
+    bodies = {
+        node.name: node for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and node.name in ("check_weakly_normal_map", "complete_partial_map")
+    }
+    assert len(bodies) == 2
+    for name, node in bodies.items():
+        called = {
+            getattr(call.func, "id", getattr(call.func, "attr", None))
+            for call in ast.walk(node) if isinstance(call, ast.Call)
+        }
+        assert not called & banned, f"{name} calls {sorted(called & banned)}"

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from fusionkit import (
+    MapVerdict,
     Morphism,
     NotBased,
     Subgroup,
@@ -42,6 +43,7 @@ from fusionkit import (
     x_subgroup,
 )
 from fusionkit.errors import (
+    FusionkitError,
     InconsistentPartial,
     NotStronglyClosed,
     ParseError,
@@ -49,7 +51,12 @@ from fusionkit.errors import (
     TheoremViolation,
 )
 from fusionkit.normal_maps import _first_disagreement, _maximum, _minimum
-from oracles import closure_by_breadth_first, is_normal_by_every_pair
+from oracles import (
+    check_weakly_normal_map_per_call,
+    closure_by_breadth_first,
+    complete_partial_map_per_call,
+    is_normal_by_every_pair,
+)
 
 
 @pytest.fixture(scope="module")
@@ -416,6 +423,21 @@ def test_completing_the_inner_values_of_d8_in_s4_is_inconsistent(s4_inner):
     assert R == V
 
 
+def _cut_down_maps(F, T):
+    """The maps of inner fusion and of the full subcategory on T and, for
+    |P| <= 16, the full subcategory's map with A(R) cut down to the
+    identity at one R."""
+    maps = [aut_map_of(E) for E in (inner_fusion(T, F.p), full_subcategory(F, T))]
+    if len(F.P) <= 16:
+        full = maps[1].assignment
+        maps += [
+            normal_maps.AutMap(T, {**full, R.key: frozenset([R.elements])})
+            for R in F.subgroups()
+            if R <= T and len(full[R.key]) > 1
+        ]
+    return maps
+
+
 def _completed(F, T, partial):
     try:
         return complete_partial_map(F, T, partial)
@@ -457,7 +479,7 @@ def test_axiom_i_and_completion_scan_only_to_name_a_failure(strongly_closed_case
             m.setattr(normal_maps, "_first_disagreement", recorded)
             got = _completed(F, T, partial)
         with monkeypatch.context() as m:
-            m.setattr(normal_maps, "_moved_on_routes", lambda *a: None)
+            m.setattr(normal_maps, "_moved_along", lambda *a: None)
             every_iso = _completed(F, T, partial)
         inconsistent = isinstance(got, InconsistentPartial)
         assert len(scans) == inconsistent
@@ -473,21 +495,84 @@ def test_axiom_i_and_completion_scan_only_to_name_a_failure(strongly_closed_case
     monkeypatch.setattr(normal_maps, "complete_partial_map", completed)
     for F, T in strongly_closed_cases:
         weakly_normal_systems_on(F, T)
-        maps = [aut_map_of(E) for E in (inner_fusion(T, F.p), full_subcategory(F, T))]
-        if len(F.P) <= 16:
-            full = maps[1].assignment
-            maps += [
-                normal_maps.AutMap(T, {**full, R.key: frozenset([R.elements])})
-                for R in F.subgroups()
-                if R <= T and len(full[R.key]) > 1
-            ]
-        for A in maps:
+        for A in _cut_down_maps(F, T):
             checked(F, A)
             try:
                 completed(F, T, {U.key: A.assignment[U.key] for U in partial_domain(F, T)})
             except InconsistentPartial:
                 pass
     assert min(seen.values()) > 0, seen
+
+
+def _outcome(call, *args):
+    """The result of a check or a completion, or the FusionkitError it raised,
+    and the fields compared: the verdict's (ok, axiom, reason, witness), the
+    completed map's carrier and assignment, or the error's type, args and
+    witness."""
+    try:
+        got = call(*args)
+    except FusionkitError as exc:
+        return exc, (type(exc), exc.args, exc.witness)
+    if isinstance(got, MapVerdict):
+        return got, (got.ok, got.axiom, got.reason, got.witness)
+    return got, (got.T, got.assignment)
+
+
+def test_check_and_completion_match_their_per_call_forms(strongly_closed_cases, monkeypatch):
+    """On every candidate map that ``weakly_normal_systems_on`` tries, over
+    every strongly closed T of the catalog systems and of F_P(A4 x D8), and
+    on the maps of ``test_axiom_i_and_completion_scan_only_to_name_a_failure``,
+    ``check_weakly_normal_map`` and ``complete_partial_map`` on T's layout
+    give what the per-call forms in ``tests/oracles.py`` give, verdict,
+    witness, completed map and InconsistentPartial witness alike."""
+    seen = set()
+
+    def compared(name, oracle):
+        call = getattr(normal_maps, name)
+
+        def spy(*args):
+            got, fields = _outcome(call, *args)
+            assert fields == _outcome(oracle, *args)[1], (name, fields)
+            seen.add(fields[1] if isinstance(got, MapVerdict) else type(got).__name__)
+            if isinstance(got, FusionkitError):
+                raise got
+            return got
+
+        monkeypatch.setattr(normal_maps, name, spy)
+        return spy
+
+    checked = compared("check_weakly_normal_map", check_weakly_normal_map_per_call)
+    completed = compared("complete_partial_map", complete_partial_map_per_call)
+    for F, T in strongly_closed_cases:
+        weakly_normal_systems_on(F, T)
+        for A in _cut_down_maps(F, T):
+            checked(F, A)
+            try:
+                completed(F, T, {U.key: A.assignment[U.key] for U in partial_domain(F, T)})
+            except InconsistentPartial:
+                pass
+    assert {None, "i", "ii", "iii", "iv", "v", "AutMap", "InconsistentPartial"} <= seen, seen
+
+
+def test_layout_is_built_once_per_strongly_closed_subgroup(monkeypatch):
+    """On a fresh F_P(A4 x A4), ``based_range(F, P)`` builds P's layout once,
+    and two ``weakly_normal_systems_on(F, T)`` for every strongly closed T
+    then build each other T's layout once."""
+    built, build = [], normal_maps._build_layout
+
+    def spy(F, T):
+        built.append(T.key)
+        return build(F, T)
+
+    monkeypatch.setattr(normal_maps, "_build_layout", spy)
+    F = fusion_of_group(load_group_spec("a4xa4")[0], 2)
+    based_range(F, F.P)
+    assert built == [F.P.key]
+    carriers = strongly_closed_subgroups(F)
+    for T in carriers:
+        weakly_normal_systems_on(F, T)
+        weakly_normal_systems_on(F, T)
+    assert sorted(built) == sorted(T.key for T in carriers) and len(carriers) > 2
 
 
 def test_theorems_a_to_c_on_a4xd8(a4xd8_system):
