@@ -60,12 +60,16 @@ def _transport(send: dict[int, int], domain: Key, mappings: Iterable[Key]) -> tu
     return order(moved), [tuple(map(send.__getitem__, order(m))) for m in mappings]
 
 
-def _stabilizing_restrictions(domain: Key, sub: Key, mappings: Iterable[Key]) -> frozenset[Key]:
-    """Restrictions to ``sub`` of the maps on ``domain`` that map ``sub``
-    onto itself."""
-    subset = set(sub)
-    restricted = map(_picker(_positions(domain, sub)), mappings)
-    return frozenset(r for r in restricted if set(r) == subset)
+def _restriction(V: Subgroup, U: Subgroup) -> tuple:
+    """The picker of U's positions in V, and U's element set."""
+    return _picker(_positions(V.elements, U.elements)), U._set
+
+
+def _restricted(restriction: tuple, mappings: Iterable[Key]) -> frozenset[Key]:
+    """Restrictions to U of the maps on V that map U onto itself, for
+    ``restriction`` = ``_restriction(V, U)``."""
+    on_u, uset = restriction
+    return frozenset(r for r in map(on_u, mappings) if set(r) == uset)
 
 
 def _hom_test(domain: Subgroup, target: Group) -> Callable[[Key], bool]:

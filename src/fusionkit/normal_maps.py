@@ -43,7 +43,8 @@ from .morphisms import (
     AutGroup,
     Morphism,
     _aut_subgroup,
-    _positions,
+    _restricted,
+    _restriction,
     _transport,
 )
 from .saturation import is_saturated
@@ -110,9 +111,6 @@ class BasedRange:
     minimal: FusionSystem
     maximal: FusionSystem
 
-    def __bool__(self) -> bool:
-        return True
-
 
 @dataclass(frozen=True)
 class NotBased:
@@ -156,8 +154,11 @@ class _Layout(NamedTuple):
       C_T(U) <= U, and ``domain_keys``.
     - ``extend``: by key, each other fully normalized U with
       V = U C_T(U) > U and the restriction from V to U (``_restricted``).
-    - ``layers``: one per order, largest first: its subgroups, its fully
-      normalized ones, and the routes of ``_routes`` whose Q0 it holds.
+    - ``layers``: one per order, largest first: the fully normalized U <= T
+      of that order, and the routes of ``_routes`` whose Q0 is one of them.
+      T is strongly closed, so each class of a subgroup of T lies in T; the
+      completion gives its Q0 a value, given or restricted from the larger
+      Q0 C_T(Q0), and the routes carry it to every member.
       Each route is (Q0's key, R's key, send, order): ``send`` maps Q0's
       elements along the route and ``order`` picks a map's images in the
       sorted order of R, so moving a value builds no index and sorts nothing.
@@ -172,7 +173,7 @@ class _Layout(NamedTuple):
     domain: tuple[Subgroup, ...]
     domain_keys: frozenset[Key]
     extend: dict[Key, tuple[Subgroup, Subgroup, tuple]]
-    layers: tuple[tuple[tuple[Subgroup, ...], tuple[Subgroup, ...], tuple], ...]
+    layers: tuple[tuple[tuple[Subgroup, ...], tuple], ...]
     centric: tuple[tuple[Subgroup, AutGroup, tuple], ...]
 
 
@@ -200,12 +201,8 @@ def _build_layout(F: FusionSystem, T: Subgroup) -> _Layout:
                 for R, t in class_routes
             )
     layers = tuple(
-        (
-            tuple(Q for Q in subs if len(Q) == size),
-            tuple(Q for Q in normalized if len(Q) == size),
-            tuple(routes.get(size, ())),
-        )
-        for size in sorted({len(Q) for Q in subs}, reverse=True)
+        (tuple(Q for Q in normalized if len(Q) == size), tuple(routes.get(size, ())))
+        for size in sorted({len(Q) for Q in normalized}, reverse=True)
     )
     centric = []
     for Q in domain:
@@ -226,18 +223,6 @@ def _build_layout(F: FusionSystem, T: Subgroup) -> _Layout:
         layers=layers,
         centric=tuple(centric),
     )
-
-
-def _restriction(V: Subgroup, U: Subgroup) -> tuple:
-    """The picker of U's positions in V, and U's element set."""
-    return _picker(_positions(V.elements, U.elements)), U._set
-
-
-def _restricted(restriction: tuple, mappings) -> frozenset[Key]:
-    """Restrictions to U of the maps on V that map U onto itself, for
-    ``restriction`` = ``_restriction(V, U)``."""
-    on_u, uset = restriction
-    return frozenset(r for r in map(on_u, mappings) if set(r) == uset)
 
 
 def _moved_along(routes, values) -> dict | None:
@@ -304,7 +289,7 @@ def check_weakly_normal_map(F: FusionSystem, A: AutMap) -> MapVerdict:
             ) from None
 
     # (i) A(U phi) = A(U)^phi for every F-isomorphism phi with domain in T.
-    if any(_moved_along(routes, A.assignment) is None for _, _, routes in layout.layers):
+    if any(_moved_along(routes, A.assignment) is None for _, routes in layout.layers):
         return MapVerdict(
             False,
             axiom="i",
@@ -406,7 +391,7 @@ def complete_partial_map(F: FusionSystem, T: Subgroup, partial) -> AutMap:
         )
 
     assigned: dict[Key, frozenset[Key]] = {}
-    for layer, normalized, routes in layout.layers:
+    for normalized, routes in layout.layers:
         for Q in normalized:
             if Q.key in given:
                 assigned[Q.key] = given[Q.key]
@@ -422,12 +407,6 @@ def complete_partial_map(F: FusionSystem, T: Subgroup, partial) -> AutMap:
                 witness=(bad[0], bad[1].codomain),
             )
         assigned.update(moved or {})
-        for Q in layer:
-            if Q.key not in assigned:
-                raise PreconditionFailed(
-                    "a subgroup of T has no fully normalized conjugate",
-                    witness=Q,
-                )
     return AutMap(T, assigned)
 
 
@@ -537,7 +516,7 @@ def weakly_normal_systems_on(F: FusionSystem, T: Subgroup) -> tuple[FusionSystem
         Q = seeds[0]
         ag = F.aut_group(Q)
         full = ag.group.full_subgroup
-        inn_t = _aut_subgroup(ag, F.aut_mappings_of_conjugation(Q, T), check=True)
+        inn_t = _aut_subgroup(ag, F.aut_mappings_of_conjugation(Q, T))
         choices = []
         for S in all_subgroups(full):
             if not (inn_t <= S and S.is_normal_in(full)):
@@ -573,18 +552,20 @@ def weakly_normal_systems_on(F: FusionSystem, T: Subgroup) -> tuple[FusionSystem
 
 
 def _minimum(systems: tuple[FusionSystem, ...], T: Subgroup) -> FusionSystem:
-    """The system contained in all the others; TheoremViolation if none is."""
-    for E in systems:
-        if all(is_subsystem(E, other) for other in systems):
-            return E
+    """The system contained in all the others; TheoremViolation if none is.
+    ``systems`` are in ``weakly_normal_systems_on``'s order, by number of
+    isomorphisms first, and a proper subsystem has fewer, so only the first
+    can be."""
+    if all(is_subsystem(systems[0], other) for other in systems):
+        return systems[0]
     raise TheoremViolation("weakly normal systems on T have no minimum", witness=T)
 
 
 def _maximum(systems: tuple[FusionSystem, ...], T: Subgroup) -> FusionSystem:
-    """The system containing all the others; TheoremViolation if none does."""
-    for E in reversed(systems):
-        if all(is_subsystem(other, E) for other in systems):
-            return E
+    """The system containing all the others; TheoremViolation if none does.
+    Only the last of ``systems``, ordered as for ``_minimum``, can be."""
+    if all(is_subsystem(other, systems[-1]) for other in systems):
+        return systems[-1]
     raise TheoremViolation("weakly normal systems on T have no maximum", witness=T)
 
 
@@ -599,7 +580,6 @@ def based_range(F: FusionSystem, T: Subgroup) -> BasedRange | NotBased:
     checks on every based carrier of the catalog sweep.
     """
     systems = weakly_normal_systems_on(F, T)
-    T = F.require_in_p(T)
     if not systems:
         return NotBased(T=T, reason="no weakly normal subsystem on this subgroup")
     return BasedRange(T=T, minimal=_minimum(systems, T), maximal=_maximum(systems, T))
@@ -623,12 +603,7 @@ def t_core(F: FusionSystem, D: FusionSystem, T: Subgroup) -> FusionSystem:
             "the minimal weakly normal system on T is not contained in D",
             witness=T,
         )
-    inside = [E for E in systems if is_subsystem(E, D)]
-    best = max(inside, key=lambda E: E.iso_count())
-    for E in inside:
-        if not is_subsystem(E, best):
-            raise TheoremViolation("T-core is not unique", witness=E)
-    return best
+    return _maximum(tuple(E for E in systems if is_subsystem(E, D)), T)
 
 
 def _nested_wedge(ambient: FusionSystem, Ea: FusionSystem, Eb: FusionSystem) -> FusionSystem:

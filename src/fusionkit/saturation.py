@@ -8,7 +8,7 @@ from .errors import NotAnIsomorphism, NotASubgroupOfP
 from .fusion import FusionSystem
 from .groups import Subgroup, _inn, _picker, normalizer, p_part
 from .morphisms import (
-    Morphism, _aut_subgroup, _positions, _stabilizing_restrictions, _transport
+    Morphism, _aut_subgroup, _positions, _restricted, _restriction, _transport
 )
 
 
@@ -119,7 +119,7 @@ def has_surjectivity_property(F: FusionSystem, Q: Subgroup) -> bool:
     for R in (R for R in F.subgroups() if lo <= R <= hi):
         aut_r = _aut_subgroup(A, F.aut_mappings_of_conjugation(Q, R))
         needed = normalizer(A.group.full_subgroup, aut_r)
-        restrictions = _stabilizing_restrictions(R.key, Q.key, F.iso_mappings(R, R))
+        restrictions = _restricted(_restriction(R, Q), F.iso_mappings(R, R))
         if not {A.morphisms[i].mapping for i in needed.elements} <= restrictions:
             return False
     return True

@@ -81,7 +81,7 @@ from fusionkit.groups import (
     _conj_rows, _picker, all_subgroups, centralizer, is_p_power, normalizer, p_part
 )
 from fusionkit.morphisms import (
-    Key, _aut_subgroup, _inverse, _positions, _stabilizing_restrictions, _transport
+    Key, _aut_subgroup, _inverse, _positions, _restricted, _restriction, _transport
 )
 from fusionkit.normal_maps import _first_disagreement, _transported
 from fusionkit.perms import perm_mul
@@ -625,7 +625,7 @@ def surjectivity_by_aut_groups(F: FusionSystem, Q: Subgroup) -> bool:
     for R in (R for R in all_subgroups(F.n_p(Q)) if lo <= R):
         aut_r = _aut_subgroup(A, F.aut_mappings_of_conjugation(Q, R))
         needed = normalizer(A.group.full_subgroup, aut_r)
-        restrictions = _stabilizing_restrictions(R.key, Q.key, F.iso_mappings(R, R))
+        restrictions = _restricted(_restriction(R, Q), F.iso_mappings(R, R))
         if not {A.morphisms[i].mapping for i in needed.elements} <= restrictions:
             return False
     return True
@@ -721,7 +721,7 @@ def check_weakly_normal_map_per_call(F: FusionSystem, A: AutMap) -> MapVerdict:
     # for fully normalized U.
     for Q in fully_normalized:
         V = _with_centralizer(F, Q, T)
-        restrictions = _stabilizing_restrictions(V.key, Q.key, A.assignment[V.key])
+        restrictions = _restricted(_restriction(V, Q), A.assignment[V.key])
         missing = A.assignment[Q.key] - restrictions
         if missing:
             return MapVerdict(
@@ -742,7 +742,7 @@ def check_weakly_normal_map_per_call(F: FusionSystem, A: AutMap) -> MapVerdict:
             needed = {
                 m.mapping for m in ag.morphisms_of(normalizer(a_pos, autv_pos))
             }
-            got = _stabilizing_restrictions(V.key, Q.key, A.assignment[V.key])
+            got = _restricted(_restriction(V, Q), A.assignment[V.key])
             if not got <= needed:
                 return MapVerdict(
                     False,
@@ -788,7 +788,7 @@ def complete_partial_map_per_call(F: FusionSystem, T: Subgroup, partial) -> AutM
                 assigned[Q.key] = given[Q.key]
             else:
                 V = _with_centralizer(F, Q, T)
-                assigned[Q.key] = _stabilizing_restrictions(V.key, Q.key, assigned[V.key])
+                assigned[Q.key] = _restricted(_restriction(V, Q), assigned[V.key])
         values = {Q.key: assigned[Q.key] for Q in normalized}
         moved = _moved_on_routes(_routes(F), values)
         bad = _first_disagreement(F, normalized, assigned) if moved is None else None

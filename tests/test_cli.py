@@ -172,6 +172,23 @@ def test_perfect_subcommand(capsys):
     assert code == 0
 
 
+def test_perfect_on_a_system_that_is_not_perfect_prints_one_row(capsys):
+    code, out = run_cli(capsys, "perfect", "--group", "c2", "--prime", "2")
+    assert code == 0
+    assert parse(out)["results"] == [{"holds": False, "predicate": "perfect", "witness": None}]
+
+
+def test_empty_chunks_of_a_sub_text_are_skipped(capsys):
+    reports = []
+    for text in ("(1,2);;(3,4)", "(1,2);(3,4)"):
+        code, out = run_cli(capsys, "normality", "--group", "v4", "--prime", "2", "--sub", text)
+        assert code == 0
+        report = parse(out)
+        assert report["inputs"].pop("sub") == text
+        reports.append(report)
+    assert reports[0] == reports[1]
+
+
 def test_theorem_a_subcommand(capsys):
     code, out = run_cli(capsys, "theorem-a", "--group", "s3xs3",
                         "--sub", "(1,2,3);(1,2)", "--assert")

@@ -13,6 +13,7 @@ from fusionkit import (
     aut_map_from_data,
     aut_map_of,
     aut_map_to_data,
+    automorphisms,
     based_range,
     check_weakly_normal_map,
     complete_partial_map,
@@ -42,9 +43,14 @@ from fusionkit import (
     weakly_normal_systems_on,
     x_subgroup,
 )
+from fusionkit.cli import run
 from fusionkit.errors import (
+    CoreUndefined,
     FusionkitError,
     InconsistentPartial,
+    IndexNotCoprime,
+    NotASubgroup,
+    NotNormalInAutF,
     NotStronglyClosed,
     ParseError,
     PreconditionFailed,
@@ -421,6 +427,119 @@ def test_completing_the_inner_values_of_d8_in_s4_is_inconsistent(s4_inner):
     V, R = info.value.witness
     assert V.describe() == "<(1,2)(3,4), (1,3)(2,4)>"
     assert R == V
+
+
+@pytest.fixture(scope="module")
+def s4_four_group():
+    """F_P(S4) at 2, its normal four-group V, strongly closed with
+    Aut_F(V) = S3, and the two weakly normal systems on V: the inner one
+    and the one with Aut(V) = C3."""
+    G, _ = load_group_spec("s4")
+    F = fusion_of_group(G, 2)
+    V = next(T for T in strongly_closed_subgroups(F) if len(T) == 4)
+    inner, c3 = weakly_normal_systems_on(F, V)
+    return F, V, inner, c3
+
+
+def _aut_f_subgroup(F, V, order):
+    """The mappings of the first subgroup of Aut_F(V) of the given order."""
+    ag = F.aut_group(V)
+    S = next(S for S in all_subgroups(ag.group.full_subgroup) if len(S) == order)
+    return frozenset(m.mapping for m in ag.morphisms_of(S))
+
+
+def _refused_maps(F, V):
+    """Maps the axiom check refuses before testing an axiom, each with the
+    error, message and witness it raises: on a T that is not strongly
+    closed, missing a subgroup of T, with an automorphism of P outside
+    Aut_F(P), and with an A(V) of one automorphism of order 3 and no
+    identity."""
+    C = next(S for S in F.subgroups() if len(S) == 2 and not S <= V)
+    on_c = aut_map_of(inner_fusion(C, 2))
+    on_v = aut_map_of(inner_fusion(V, 2))
+    C2 = next(U for U in F.subgroups() if len(U) == 2 and U <= V)
+    missing = normal_maps.AutMap(V, {k: v for k, v in on_v.assignment.items() if k != C2.key})
+    on_p = aut_map_of(F)
+    outer = next(m.mapping for m in automorphisms(F.P) if m.mapping not in on_p.at(F.P))
+    outside = normal_maps.AutMap(F.P, {**on_p.assignment, F.P.key: on_p.at(F.P) | {outer}})
+    order_3 = _aut_f_subgroup(F, V, 3) - {V.elements}
+    not_a_group = normal_maps.AutMap(V, {**on_v.assignment, V.key: frozenset([min(order_3)])})
+    return [
+        (on_c, NotStronglyClosed, "the map must live on a strongly closed subgroup", C),
+        (missing, PreconditionFailed, "assignment must cover exactly the subgroups of T", None),
+        (outside, PreconditionFailed, "A(U) must be contained in Aut_F(U)", F.P),
+        (not_a_group, PreconditionFailed, "A(U) must be a subgroup of Aut_F(U)", V),
+    ]
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_the_axiom_check_refuses_maps_it_cannot_test(s4_four_group, case, tmp_path, capsys):
+    """Each refusal of ``check_weakly_normal_map`` raises its typed error
+    with its witness, and ``fusionkit map-check --map FILE`` on the same map
+    exits 2 with that error on stderr."""
+    F, V = s4_four_group[:2]
+    A, error, message, witness = _refused_maps(F, V)[case]
+    with pytest.raises(error) as info:
+        check_weakly_normal_map(F, A)
+    assert (info.value.args, info.value.witness) == ((message,), witness)
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(aut_map_to_data(A)))
+    assert run(["map-check", "--group", "s4", "--prime", "2", "--map", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert not out and json.loads(err) == {"error": error.__name__, "message": message}
+
+
+def test_completion_refuses_a_partial_map_on_the_wrong_domain(s4_four_group):
+    F, V, inner, _ = s4_four_group
+    A = aut_map_of(inner)
+    C2 = next(U for U in F.subgroups() if len(U) == 2 and U <= V)
+    for keys in ([], [V.key, C2.key]):
+        with pytest.raises(PreconditionFailed, match="defined exactly on the fully normalized"):
+            complete_partial_map(F, V, {k: A.assignment[k] for k in keys})
+    assert complete_partial_map(F, V, {V.key: A.at(V)}).assignment == A.assignment
+
+
+def test_generation_refuses_a_map_that_fails_an_axiom(s4_four_group):
+    """A(V) of order 2 is not normal in Aut_F(V) = S3, so axiom (i) fails."""
+    F, V, inner, _ = s4_four_group
+    A = normal_maps.AutMap(V, {**aut_map_of(inner).assignment, V.key: _aut_f_subgroup(F, V, 2)})
+    assert check_weakly_normal_map(F, A).axiom == "i"
+    with pytest.raises(PreconditionFailed, match=r"not a weakly normal map: axiom \(i\) fails"):
+        generate_from_map(F, A)
+
+
+def test_enlargement_refusals(s4_four_group):
+    """H from another automorphism group, H missing Aut_E(V), H = C2 not
+    normal in Aut_F(V) = S3, and H = S3 of even index over the inner system
+    are each refused; H = C3 over the inner system gives the other one."""
+    F, V, inner, c3 = s4_four_group
+    full = F.aut_group(V).group.full_subgroup
+    by_order = {len(S): S for S in all_subgroups(full)}
+    C2 = next(S for S in F.subgroups() if len(S) == 2)
+    with pytest.raises(NotASubgroup):
+        enlarge_weakly_normal(F, inner, F.aut_group(C2).group.full_subgroup)
+    with pytest.raises(PreconditionFailed, match="must contain Aut_E"):
+        enlarge_weakly_normal(F, c3, [Morphism.identity(V)])
+    with pytest.raises(NotNormalInAutF) as info:
+        enlarge_weakly_normal(F, inner, by_order[2])
+    assert info.value.witness == by_order[2]
+    with pytest.raises(IndexNotCoprime) as info:
+        enlarge_weakly_normal(F, inner, full)
+    assert info.value.witness == full
+    assert enlarge_weakly_normal(F, inner, by_order[3]) == c3
+
+
+def test_t_core_refusals(s4_four_group):
+    """The container must hold T, and the minimal system on P, all of F,
+    is not inside P's inner system."""
+    F, V, inner, c3 = s4_four_group
+    C = next(S for S in F.subgroups() if len(S) == 2 and not S <= V)
+    with pytest.raises(PreconditionFailed, match="subgroup containing T"):
+        t_core(F, inner_fusion(C, 2), V)
+    with pytest.raises(CoreUndefined) as info:
+        t_core(F, inner_fusion(F.P, 2), F.P)
+    assert info.value.witness == F.P
+    assert (t_core(F, F, V), t_core(F, inner_fusion(F.P, 2), V)) == (c3, inner)
 
 
 def _cut_down_maps(F, T):
