@@ -91,6 +91,9 @@ _INPUT_ERRORS = (
     OrderBoundExceeded,
 )
 
+# The sweep searches weakly normal systems only on T up to this order: the search grows fast.
+_SWEEP_T_BOUND = 16
+
 
 def _parse_subgroup(G: Group, text: str) -> Subgroup:
     """A subgroup from semicolon-separated cycle strings, e.g. '(1,2);(3,4)'."""
@@ -255,7 +258,7 @@ def _theorem_a(args, F: FusionSystem) -> list[Result]:
     ]
 
 
-def _sweep_one(results: list[Result], name: str, G: Group, p: int, *, t_bound: int) -> None:
+def _sweep_one(results: list[Result], name: str, G: Group, p: int) -> None:
     tag = f"{name} p={p}"
     F = fusion_of_group(G, p)
     verdict = is_saturated(F)
@@ -283,7 +286,7 @@ def _sweep_one(results: list[Result], name: str, G: Group, p: int, *, t_bound: i
         pass
     count = 0
     for T in strongly_closed_subgroups(F):
-        if len(T) > t_bound:
+        if len(T) > _SWEEP_T_BOUND:
             continue
         for E in weakly_normal_systems_on(F, T):
             count += 1
@@ -306,7 +309,7 @@ def _sweep(args, F: None) -> list[Result]:
             continue
         primes = [p for p in range(2, len(G) + 1) if len(G) % p == 0 and is_prime(p)]
         for p in primes:
-            _sweep_one(results, name, G, p, t_bound=16)
+            _sweep_one(results, name, G, p)
     return results
 
 

@@ -2,12 +2,12 @@
 perfect systems, and the comparison with group-theoretic centres.
 
 The centre of a saturated system collects the elements fixed by a suitable
-extension of every morphism; iterating on quotients gives Z_i(F) and the
-hypercentre Z_inf(F).  The subgroup X_F, the largest one with
-F = P C_F(X_F), is computed from its own definition; that it equals the
-hypercentre is a theorem, which the ``hypercentre`` and ``sweep`` reports
-state as a predicate and the test suite checks, rather than something each
-call re-derives.
+extension of every morphism, and each Z_i(F) is read off the F-images of
+each element, with no quotient built, up to the hypercentre Z_inf(F).  The
+subgroup X_F, the largest one with F = P C_F(X_F), is computed from its own
+definition; that it equals the hypercentre is a theorem, which the
+``hypercentre`` and ``sweep`` reports state as a predicate and the test
+suite checks, rather than something each call re-derives.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotSaturated, PreconditionFailed, TheoremViolation
-from .fusion import FusionSystem, _images, fusion_of_group, is_strongly_closed, quotient_with_data
+from .fusion import FusionSystem, _images, fusion_of_group, is_strongly_closed
 from .groups import Group, Subgroup, _as_subgroup, o_p_prime_group, sylow, upper_central_series_group
 from .saturation import is_saturated
 from .subsystems import _local_is_all
@@ -92,46 +92,39 @@ def centre_of(F: FusionSystem) -> Subgroup:
     fixing x, and so does every composite of such maps.
     """
     _require_saturated(F)
-    return _centre(F)
+    return _centre(F, F.subgroup((F.group.identity,)))
 
 
-def _centre(F: FusionSystem) -> Subgroup:
-    images = _images(F)
-    fixed = [x for x in F.P.elements if images[x] == {x}]
-    Z = F.group.generated_subgroup(fixed)
-    if len(Z) != len(fixed):
-        raise TheoremViolation("central elements do not form a subgroup", witness=tuple(fixed))
+def _centre(F: FusionSystem, T: Subgroup) -> Subgroup:
+    """The preimage of Z(F/T): the x in P with x^F inside xT."""
+    G, images, tset = F.group, _images(F), T._set
+    central = [x for x in F.P.elements if all(G.mul(G.inv(x), y) in tset for y in images[x])]
+    Z = G.generated_subgroup(central)
+    if len(Z) != len(central):
+        raise TheoremViolation("central elements do not form a subgroup", witness=tuple(central))
     return Z
 
 
 def upper_central_series(F: FusionSystem) -> CentralSeries:
-    """Z_i(F): preimages of the centres of the successive quotients.
-
-    The series stops at the first repetition; every term must come out
-    strongly closed, and a term that does not raises TheoremViolation.
-
-    Saturation is decided once, on F.  Each term is taken as the kernel
-    of a quotient only after it is found strongly closed, and the
-    quotient of a saturated system by a strongly closed subgroup is
-    saturated (Puig), so the centre of each quotient is taken without
-    deciding saturation again.
+    """Z_i(F), the x in P with x^F inside x Z_{i-1}(F), from Z_0(F) = 1 to
+    the first repetition: the preimage of Z(F/Z_{i-1}(F)), with no quotient
+    built, since for saturated F and strongly closed T each F-map on Q
+    agrees modulo T with an F-map on QT (Puig), so (xT)^{F/T} is
+    {yT : y in x^F}.  Saturation is decided once, on F; each term is checked
+    strongly closed, or TheoremViolation is raised, before it is taken as T.
     """
     _require_saturated(F)
-    terms: list[Subgroup] = [_centre(F)]
+    terms = [_centre(F, F.subgroup((F.group.identity,)))]
     while True:
-        prev = terms[-1]
-        if len(prev) == len(F.P):
+        T = terms[-1]
+        if not is_strongly_closed(F, T):
+            raise TheoremViolation("a central series term is not strongly closed", witness=T)
+        if len(T) == len(F.P):
             break
-        Fbar, qd = quotient_with_data(F, prev)
-        nxt = qd.preimage(_centre(Fbar))
-        if nxt.elements == prev.elements:
+        nxt = _centre(F, T)
+        if nxt.elements == T.elements:
             break
         terms.append(nxt)
-    for term in terms:
-        if not is_strongly_closed(F, term):
-            raise TheoremViolation(
-                "a central series term is not strongly closed", witness=term
-            )
     return CentralSeries(tuple(terms), terms[-1])
 
 

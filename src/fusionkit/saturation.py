@@ -156,17 +156,19 @@ def normalizer_map(F: FusionSystem, R: Subgroup, Q: Subgroup) -> Morphism | None
 def is_saturated_puig(F: FusionSystem) -> SaturationVerdict:
     """Puig-style criterion: P fully automized, and each class has a member
     Q reachable from every member's normalizer and having the surjectivity
-    property."""
+    property.
+
+    The class's recorded member Q (``ConjClass.normalized``) decides it,
+    saturated F or not: a member Q' that all members reach is fully
+    normalized (normalizer maps are injective), so Q reaches Q' by an
+    F-isomorphism psi of normalizers, every R reaches Q through Q' and
+    psi^-1, and psi carries the surjectivity property of Q' to Q."""
     if not is_fully_automized(F, F.P):
         return SaturationVerdict(False, witness=F.P, reason="P is not fully automized")
     for cls in F.classes():
-        ok = False
-        for Q in cls.members:
-            if all(normalizer_map(F, R, Q) is not None for R in cls.members):
-                if has_surjectivity_property(F, Q):
-                    ok = True
-                    break
-        if not ok:
+        Q = cls.normalized
+        reached = all(normalizer_map(F, R, Q) is not None for R in cls.members)
+        if not (reached and has_surjectivity_property(F, Q)):
             return SaturationVerdict(
                 False,
                 witness=cls.representative,

@@ -33,17 +33,22 @@ their pairs, as the library did before ``subgroup_closure`` became a coset
 search, ``is_normal_in`` read generators and ``_transport`` moved every map
 on a domain at once.  Perfectness is also decided by building F/T and the
 inner system of P/T for each candidate T and comparing the two, as the
-library did before it read the routes.  The surjectivity property of the
-Puig criterion is also decided by building Aut_F(Q) and its normalizers
-for every Q, as the library did before it answered at once for Q with
-Aut_F(Q) = Aut_P(Q).  Aut_S(Q) is also read off the conjugation row of
-every element of N_S(Q), found by ``normalizer``, and N_phi by testing every
-element of N_P(S), as the library did before it kept Inn(P), one row per
-coset of Z(P).  The weakly normal map check and completion are kept as they
-were before each strongly closed T got its layout, built once per (F, T):
-each call rescans P's lattice for the subgroups of T, the fully normalized
-ones and ``partial_domain``, and moves every value along the routes with a
-fresh index.
+library did before it read the routes, and the upper central series by
+building each quotient F/Z_i(F) and taking its centre by fixed points, as
+the library did before it read the F-images of each element.  The
+surjectivity property of the Puig criterion is also decided by building
+Aut_F(Q) and its normalizers for every Q, as the library did before it
+answered at once for Q with Aut_F(Q) = Aut_P(Q), with its own restriction
+of maps; and the criterion itself by trying every member of each class,
+as the library did before it decided each class on its recorded member.
+Aut_S(Q) is also read off the conjugation row of every element of N_S(Q),
+found by ``normalizer``, and N_phi by testing every element of N_P(S), as
+the library did before it kept Inn(P), one row per coset of Z(P).  The
+weakly normal map check and completion are kept as they were before each
+strongly closed T got its layout, built once per (F, T): each call rescans
+P's lattice for the subgroups of T, the fully normalized ones and
+``partial_domain``, and moves every value along the routes with a fresh
+index.
 """
 
 from __future__ import annotations
@@ -63,8 +68,10 @@ from fusionkit import (
     generated_fusion,
     group_centre,
     inner_fusion,
+    is_fully_automized,
     is_strongly_closed,
     quotient,
+    quotient_with_data,
     strongly_closed_subgroups,
 )
 from fusionkit.errors import (
@@ -85,6 +92,7 @@ from fusionkit.morphisms import (
 )
 from fusionkit.normal_maps import _first_disagreement, _transported
 from fusionkit.perms import perm_mul
+from fusionkit.saturation import has_surjectivity_property, normalizer_map
 from fusionkit.subsystems import _local_is_all
 
 RawIso = tuple[tuple[int, ...], tuple[int, ...]]
@@ -266,6 +274,21 @@ def centre_by_local_tests(F: FusionSystem) -> Subgroup:
             if _local_is_all(F, X, frozenset({X.elements})):
                 fixed.append(x)
     return Subgroup(G, fixed, check=True)
+
+
+def upper_central_series_by_quotients(F: FusionSystem) -> tuple[Subgroup, ...]:
+    """Z_1(F), Z_2(F), ... of a saturated F as the library computed them
+    before it read the F-images of each element: each term is the preimage
+    of the centre of the quotient by the one before, built whole with
+    ``quotient_with_data``, with every centre taken by fixed points."""
+    terms = [centre_by_fixed_points(F)]
+    while len(terms[-1]) < len(F.P):
+        Fbar, qd = quotient_with_data(F, terms[-1])
+        nxt = qd.preimage(centre_by_fixed_points(Fbar))
+        if nxt.elements == terms[-1].elements:
+            break
+        terms.append(nxt)
+    return tuple(terms)
 
 
 def o_p_by_central_series(F: FusionSystem) -> Subgroup:
@@ -619,16 +642,52 @@ def perfect_by_quotients(F: FusionSystem) -> bool:
 def surjectivity_by_aut_groups(F: FusionSystem, Q: Subgroup) -> bool:
     """Whether Aut_F(Q <= R) -> N_{Aut_F(Q)}(Aut_R(Q)) is onto for every R
     between QC_P(Q) and N_P(Q), with Aut_F(Q) and each normalizer built
-    whole for every Q, and the R read off N_P(Q)'s own lattice."""
+    whole for every Q, the R read off N_P(Q)'s own lattice, and the
+    restrictions from R by ``restrictions_by_elements``."""
     F.require_in_p(Q)
     A, lo = F.aut_group(Q), Q.join(F.c_p(Q))
     for R in (R for R in all_subgroups(F.n_p(Q)) if lo <= R):
         aut_r = _aut_subgroup(A, F.aut_mappings_of_conjugation(Q, R))
         needed = normalizer(A.group.full_subgroup, aut_r)
-        restrictions = _restricted(_restriction(R, Q), F.iso_mappings(R, R))
+        restrictions = restrictions_by_elements(F, R, Q)
         if not {A.morphisms[i].mapping for i in needed.elements} <= restrictions:
             return False
     return True
+
+
+def restrictions_by_elements(F: FusionSystem, R: Subgroup, Q: Subgroup) -> set[Key]:
+    """The restrictions to Q <= R of the F-automorphisms of R that map Q
+    onto itself, each image looked up one element at a time."""
+    at = {x: i for i, x in enumerate(R.elements)}
+    restrictions = set()
+    for m in F.iso_mappings(R, R):
+        r = tuple(m[at[x]] for x in Q.elements)
+        if set(r) == Q._set:
+            restrictions.add(r)
+    return restrictions
+
+
+def saturated_puig_by_every_member(F: FusionSystem) -> SaturationVerdict:
+    """The Puig-style criterion as the library decided it before each class
+    was decided on its recorded member: every member Q of a class is tried,
+    until one is reached from every member's normalizer and has the
+    surjectivity property."""
+    if not is_fully_automized(F, F.P):
+        return SaturationVerdict(False, witness=F.P, reason="P is not fully automized")
+    for cls in F.classes():
+        ok = False
+        for Q in cls.members:
+            if all(normalizer_map(F, R, Q) is not None for R in cls.members):
+                if has_surjectivity_property(F, Q):
+                    ok = True
+                    break
+        if not ok:
+            return SaturationVerdict(
+                False,
+                witness=cls.representative,
+                reason="no member satisfies the normalizer-map and surjectivity conditions",
+            )
+    return SaturationVerdict(True)
 
 
 def partial_domain_by_scan(F: FusionSystem, T: Subgroup) -> tuple[Subgroup, ...]:

@@ -48,6 +48,7 @@ from oracles import (
     oracle_subgroup_sets,
     oracle_subsystem_tables,
     saturated_by_every_member,
+    saturated_puig_by_every_member,
     system_from_table,
     system_table,
 )
@@ -355,6 +356,19 @@ def test_is_saturated_matches_the_every_member_scan(saturation_pool, carrier_sub
     pool = list(saturation_pool) + carrier_subsystems
     reference = [saturated_by_every_member(E) for E in pool]
     mismatches = [E for E, want in zip(pool, reference) if is_saturated(E) != want]
+    unsaturated = sum(not want.saturated for want in reference)
+    assert not mismatches, mismatches[:3]
+    assert len(pool) > 1400 and unsaturated > 350, (len(pool), unsaturated)
+
+
+def test_is_saturated_puig_matches_the_every_member_scan(saturation_pool, carrier_subsystems):
+    """Deciding each class of the Puig-style criterion on its recorded
+    fully normalized member gives the verdict, witness and reason of trying
+    every member, on criterion 9's pool and the systems on every carrier of
+    order at least 4 in the catalog p-groups of order at most 16."""
+    pool = list(saturation_pool) + carrier_subsystems
+    reference = [saturated_puig_by_every_member(E) for E in pool]
+    mismatches = [E for E, want in zip(pool, reference) if is_saturated_puig(E) != want]
     unsaturated = sum(not want.saturated for want in reference)
     assert not mismatches, mismatches[:3]
     assert len(pool) > 1400 and unsaturated > 350, (len(pool), unsaturated)

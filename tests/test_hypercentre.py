@@ -28,7 +28,12 @@ from fusionkit import (
 )
 from fusionkit.errors import NotSaturated, PreconditionFailed
 from fusionkit.groups import QuotientData
-from oracles import centre_by_fixed_points, centre_by_local_tests, perfect_by_quotients
+from oracles import (
+    centre_by_fixed_points,
+    centre_by_local_tests,
+    perfect_by_quotients,
+    upper_central_series_by_quotients,
+)
 
 CENTRE_ORDERS = {
     ("s4", 2): 1,
@@ -130,14 +135,17 @@ def test_perfect_from_focal_subgroup_matches_the_quotients(
 def test_centre_and_perfectness_from_images_match_the_oracles(
     catalog_systems, sweep_weakly_normal, ladder_groups, affine_systems
 ):
-    """``centre_of`` reads Z(F) off the x with x^F = {x}, and ``is_perfect``
-    reads foc(F) = P off the same F-images.  Both agree with the oracles:
-    Z(F) by fixed points and by the local test on the routes, perfectness
-    by building each quotient.  The systems are every catalog system, its
+    """``centre_of`` reads Z(F) off the x with x^F = {x}, ``is_perfect``
+    reads foc(F) = P off the same F-images, and ``upper_central_series``
+    reads each term off them too.  All three agree with the oracles: Z(F)
+    by fixed points and by the local test on the routes, perfectness by
+    building each quotient, and the series term by term by building each
+    quotient F/Z_i(F).  The systems are every catalog system, its
     quotient by every proper nontrivial strongly closed T, every weakly
     normal system of the sweep, F_P(G) for the three ladder groups,
     ASL(2,3) and AGL(2,3), and a4xa4, ea16 and ea9_s3 at their primes.
-    Nontrivial centres and both verdicts occur."""
+    Nontrivial centres, both verdicts and series of two or more terms
+    occur."""
     catalog = [F for _, _, F in catalog_systems]
     systems = catalog + [
         quotient(F, T) for F in catalog for T in strongly_closed_subgroups(F)
@@ -148,16 +156,21 @@ def test_centre_and_perfectness_from_images_match_the_oracles(
     for name in ["a4xa4", "ea16", "ea9_s3"]:
         spec = load_catalog(name)
         systems.append(fusion_of_group(make_group(spec), spec.get("prime", 2)))
-    central = perfect = 0
+    central = perfect = several = 0
     for F in systems:
         Z = centre_of(F)
         assert Z.elements == centre_by_fixed_points(F).elements, F
         assert Z.elements == centre_by_local_tests(F).elements, F
         verdict = is_perfect(F)
         assert verdict is perfect_by_quotients(F), F
+        terms = upper_central_series(F).terms
+        want = upper_central_series_by_quotients(F)
+        assert [S.elements for S in terms] == [S.elements for S in want], F
         central += len(Z) > 1
         perfect += verdict
+        several += len(terms) >= 2
     assert len(systems) > 1000 and central > 800 and perfect > 150 and len(systems) - perfect > 800
+    assert several >= 60, several
 
 
 def test_centre_and_perfectness_find_no_routes_and_no_closed_subgroups(monkeypatch):
@@ -184,8 +197,9 @@ def test_centre_and_perfectness_find_no_routes_and_no_closed_subgroups(monkeypat
 
 
 def test_perfect_builds_no_quotient_and_no_inner_system(monkeypatch):
-    """``is_perfect`` on a fresh system constructs no ``QuotientData`` and
-    calls no ``inner_fusion``, from any module of the library."""
+    """``is_perfect`` and ``upper_central_series`` on a fresh system
+    construct no ``QuotientData`` and call no ``inner_fusion``, from any
+    module of the library."""
     built = []
     init = QuotientData.__init__
 
@@ -202,7 +216,9 @@ def test_perfect_builds_no_quotient_and_no_inner_system(monkeypatch):
             )
     for name, p, expected in [("a4", 2, True), ("s4", 2, False), ("sl23", 2, True)]:
         G, _ = load_group_spec(name)
-        assert is_perfect(fusion_of_group(G, p)) is expected
+        F = fusion_of_group(G, p)
+        assert is_perfect(F) is expected
+        upper_central_series(F)
     assert built == []
 
 
@@ -269,8 +285,9 @@ def test_centres_require_saturation():
 
 def test_quotients_by_strongly_closed_subgroups_are_saturated(catalog_systems):
     """F/T is saturated for saturated F and strongly closed T, under both
-    criteria, on every catalog system; ``upper_central_series`` relies on
-    it to take each quotient's centre without deciding saturation again."""
+    criteria, on every catalog system; the oracle
+    ``upper_central_series_by_quotients`` relies on it to take each
+    quotient's centre by fixed points without deciding saturation."""
     checked = 0
     for name, p, F in catalog_systems:
         for T in strongly_closed_subgroups(F):

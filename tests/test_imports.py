@@ -1,8 +1,9 @@
 """Every name a library module imports is used in that module, a module's
 ``__all__`` lists only names the module itself defines, only ``fusion.py``
 names the memo of a system's facts, no fact is computed by a lambda, the
-modules that work on a system build no unchecked ``Subgroup``, and the
-per-candidate steps of the subsystem search do not rescan the lattice.
+modules that work on a system build no unchecked ``Subgroup``, the
+per-candidate steps of the subsystem search do not rescan the lattice, and
+the hypercentre layer builds no quotient.
 
 Package re-exports (``__init__.py``) are exempt.  Uses inside string
 annotations count.
@@ -162,3 +163,14 @@ def test_the_per_candidate_steps_read_the_layout():
             for call in ast.walk(node) if isinstance(call, ast.Call)
         }
         assert not called & banned, f"{name} calls {sorted(called & banned)}"
+
+
+def test_the_hypercentre_builds_no_quotient():
+    """``hypercentre`` reads every term of the upper central series off the
+    F-images of each element, so it names none of ``quotient_with_data``,
+    ``QuotientData`` or ``coset_quotient``, not even in an import."""
+    path = SRC / "hypercentre.py"
+    imported = _imported(ast.parse(path.read_text()))
+    for name in ("quotient_with_data", "QuotientData", "coset_quotient"):
+        named = _lines_naming(path, name)
+        assert name not in imported and not named, f"hypercentre.py names {name} on lines {named}"

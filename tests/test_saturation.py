@@ -25,11 +25,13 @@ from fusionkit import (
     sylow,
 )
 from fusionkit import examples, fusion, groups
+from fusionkit.morphisms import _restricted, _restriction
 from fusionkit.saturation import has_surjectivity_property, n_phi
 from oracles import (
     n_phi_by_every_element,
     n_phi_by_normalizer_scan,
     receptive_by_every_iso,
+    restrictions_by_elements,
     surjectivity_by_aut_groups,
 )
 
@@ -219,6 +221,26 @@ def test_surjectivity_matches_the_aut_group_scan(catalog_systems, carrier_subsys
             refused += not want
             at_once += len(E.iso_mappings(Q, Q)) == len(E.aut_mappings_of_conjugation(Q, E.P))
     assert refused > 100 and 1000 < at_once < checked, (checked, refused, at_once)
+
+
+def test_restrictions_match_the_element_wise_restrictions(catalog_systems, carrier_subsystems):
+    """``_restricted(_restriction(R, Q), ...)``, which the surjectivity
+    property reads, gives the restrictions of Aut_F(R) to Q that map Q onto
+    itself, as looking each image up one element at a time does, for every
+    Q and every R between QC_P(Q) and N_P(Q) of the surjectivity test's
+    systems.  Some automorphisms of R move Q."""
+    pool = [F for _, _, F in catalog_systems] + carrier_subsystems
+    checked = moved = 0
+    for E in pool:
+        for Q in E.subgroups():
+            lo, hi = Q.join(E.c_p(Q)), E.n_p(Q)
+            for R in (R for R in E.subgroups() if lo <= R <= hi):
+                want = restrictions_by_elements(E, R, Q)
+                assert _restricted(_restriction(R, Q), E.iso_mappings(R, R)) == want, (E, Q, R)
+                checked += 1
+                at = [R.elements.index(x) for x in Q.elements]
+                moved += any({m[i] for i in at} != Q._set for m in E.iso_mappings(R, R))
+    assert checked > 6000 and moved > 300, (checked, moved)
 
 
 def test_inner_systems_try_no_map_for_receptivity(monkeypatch):
