@@ -60,7 +60,7 @@ from .morphisms import (
     Morphism,
     _hom_test,
     _inverse,
-    _iso_search,
+    _isomorphisms,
     _positions,
     _restrict,
     _transport,
@@ -400,16 +400,18 @@ def _find_routes(F: FusionSystem) -> list[tuple[Subgroup, list[tuple[Subgroup, K
     out = []
     for cls in F.classes():
         Q0 = cls.normalized
-        routes = [(Q0, m) for m in _generators(Q0.key, F.iso_mappings(Q0, Q0))]
+        routes = [(Q0, m) for m in _generators(Q0.key, F.iso_mappings(Q0, Q0))[0]]
         routes += [(R, F._isos[Q0.key][R.key][0]) for R in cls if R != Q0]
         out.append((Q0, routes))
     return out
 
 
-def _generators(domain: Key, auts: tuple[Key, ...]) -> list[Key]:
-    """A generating set of the group of automorphism mappings ``auts`` on
-    ``domain``: each mapping, in order, that the span of those taken
-    before it misses.  Spans are closed as permutations of positions."""
+def _generators(domain: Key, auts: Iterable[Key]) -> tuple[list[Key], set[Key]]:
+    """A generating set of the group spanned by the automorphism mappings
+    ``auts`` on ``domain``, and that span: each mapping, in order, that the
+    span of those taken before it misses.  Spans are closed as permutations
+    of positions, so a set of mappings is a group exactly when it is as
+    large as its span."""
     span: set[Key] = {tuple(range(len(domain)))}
     gens: list[Key] = []
     for perm in (_positions(domain, m) for m in auts):
@@ -421,7 +423,7 @@ def _generators(domain: Key, auts: tuple[Key, ...]) -> list[Key]:
                 new = {tuple(map(s.__getitem__, x)) for s in gens} - span
                 span |= new
                 reached += new
-    return [_picker(g)(domain) for g in gens]
+    return [_picker(g)(domain) for g in gens], span
 
 
 # -- constructors -----------------------------------------------------------
@@ -764,8 +766,8 @@ def find_fusion_isomorphism(F1: FusionSystem, F2: FusionSystem) -> Morphism | No
     """A group isomorphism P1 -> P2 carrying F1's morphisms onto F2's."""
     if F1.p != F2.p or len(F1.P) != len(F2.P) or F1.iso_count() != F2.iso_count():
         return None
-    for raw in _iso_search(F1.P, F2.P, find_all=True):
-        chi = Morphism(F1.P, F2.P, tuple(raw[x] for x in F1.P.elements))
+    for mapping in _isomorphisms(F1.P, F2.P):
+        chi = Morphism(F1.P, F2.P, mapping)
         if transport_fusion(F1, chi) == F2:
             return chi
     return None

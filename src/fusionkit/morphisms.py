@@ -13,7 +13,8 @@ the public boundary type that pairs one such tuple with its subgroups.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     FusionkitError,
@@ -296,77 +297,53 @@ def _aut_subgroup(ag: AutGroup, mappings: Iterable[Key], *, check: bool = False)
     return Subgroup(ag.group, positions, check=check)
 
 
-def _hom_extend(
-    Gd: Group,
-    Gc: Group,
-    mapping: dict[int, int],
-    used: set[int],
-    g: int,
-    h: int,
-) -> tuple[dict[int, int], set[int]] | None:
-    """Extend a partial injective homomorphism by g -> h, closing under
-    products; returns None when inconsistent."""
-    new_map = dict(mapping)
-    new_used = set(used)
-    queue = [(g, h)]
-    while queue:
-        a, b = queue.pop()
-        if a in new_map:
-            if new_map[a] != b:
+def _extended(A: Subgroup, B: Subgroup, f: dict[int, int], gens: Key, images: Key) -> dict[int, int] | None:
+    """``f``, an injective homomorphism on <gens[:-1]>, extended to the one
+    on <gens> that sends each generator to its image; None when there is
+    none.  It grows along generator edges, as ``groups._join`` grows a
+    subgroup: each reached y sends y.s to f(y).f(s), and an image that
+    clashes with one already set, or repeats one, refuses it.  Agreement on
+    every edge is the homomorphism law."""
+    amul, bmul = A.group._mul, B.group._mul
+    f, used, edges = dict(f), set(f.values()), tuple(zip(gens, images))
+    reached = list(f)
+    for y in reached:
+        for s, t in edges:
+            z, w = amul[y][s], bmul[f[y]][t]
+            if z in f:
+                if f[z] != w:
+                    return None
+            elif w in used:
                 return None
-            continue
-        if b in new_used:
-            return None
-        new_map[a] = b
-        new_used.add(b)
-        for x, y in list(new_map.items()):
-            queue.append((Gd.mul(x, a), Gc.mul(y, b)))
-            queue.append((Gd.mul(a, x), Gc.mul(b, y)))
-    return new_map, new_used
+            else:
+                f[z] = w
+                used.add(w)
+                reached.append(z)
+    return f
 
 
-def _iso_search(
-    A: Subgroup,
-    B: Subgroup,
-    *,
-    find_all: bool,
-    limit: int | None = None,
-) -> list[dict[int, int]]:
-    """All (or the first) isomorphisms A -> B by generator-image search."""
-    Gd, Gc = A.group, B.group
-    if len(A.elements) != len(B.elements):
-        return []
-    orders_a = sorted(Gd.element_order(x) for x in A.elements)
-    orders_b = sorted(Gc.element_order(x) for x in B.elements)
-    if orders_a != orders_b:
-        return []
+def _isomorphisms(A: Subgroup, B: Subgroup) -> Iterator[Key]:
+    """The isomorphisms A -> B, lazily, as mappings aligned to A's elements.
+    Each generator of A takes an image of its order, in B's element order,
+    and each choice is extended to the generators taken so far."""
+    Ga, Gb = A.group, B.group
+    if sorted(map(Ga.element_order, A.elements)) != sorted(map(Gb.element_order, B.elements)):
+        return
     gens = A.generators()
     by_order: dict[int, list[int]] = {}
     for x in B.elements:
-        by_order.setdefault(Gc.element_order(x), []).append(x)
-    results: list[dict[int, int]] = []
+        by_order.setdefault(Gb.element_order(x), []).append(x)
 
-    def rec(i: int, mapping: dict[int, int], used: set[int]):
-        if i == len(gens):
-            if len(mapping) == len(A.elements):
-                results.append(mapping)
-                if limit is not None and len(results) > limit:
-                    raise OrderBoundExceeded(
-                        f"automorphism count exceeds bound {limit}"
-                    )
+    def search(f: dict[int, int], images: Key) -> Iterator[Key]:
+        if len(images) == len(gens):
+            yield tuple(map(f.__getitem__, A.elements))
             return
-        g = gens[i]
-        for h in by_order.get(Gd.element_order(g), []):
-            ext = _hom_extend(Gd, Gc, mapping, used, g, h)
-            if ext is None:
-                continue
-            rec(i + 1, ext[0], ext[1])
-            if results and not find_all:
-                return
+        for h in by_order.get(Ga.element_order(gens[len(images)]), ()):
+            ext = _extended(A, B, f, gens[: len(images) + 1], images + (h,))
+            if ext is not None:
+                yield from search(ext, images + (h,))
 
-    base = {A.group.identity: B.group.identity}
-    rec(0, base, {B.group.identity})
-    return results
+    yield from search({Ga.identity: Gb.identity}, ())
 
 
 def automorphisms(container: Group | Subgroup) -> AutGroup:
@@ -376,12 +353,11 @@ def automorphisms(container: Group | Subgroup) -> AutGroup:
     automorphisms exist; the search aborts early in that case.
     """
     Q = _as_subgroup(container)
-    maps = _iso_search(Q, Q, find_all=True, limit=DEFAULT_ORDER_BOUND)
-    morphs = [
-        Morphism(Q, Q, tuple(m[x] for x in Q.elements)) for m in maps
-    ]
-    return AutGroup(Q, morphs)
+    maps = list(islice(_isomorphisms(Q, Q), DEFAULT_ORDER_BOUND + 1))
+    if len(maps) > DEFAULT_ORDER_BOUND:
+        raise OrderBoundExceeded(f"automorphism count exceeds bound {DEFAULT_ORDER_BOUND}")
+    return AutGroup(Q, [Morphism(Q, Q, m) for m in maps])
 
 
 def is_isomorphic(A: Group | Subgroup, B: Group | Subgroup) -> bool:
-    return bool(_iso_search(_as_subgroup(A), _as_subgroup(B), find_all=False))
+    return next(_isomorphisms(_as_subgroup(A), _as_subgroup(B)), None) is not None

@@ -32,6 +32,7 @@ from .fusion import (
     FusionSystem,
     Key,
     _close,
+    _generators,
     _routes,
     fusion_of_group,
     intersect_raw,
@@ -268,6 +269,11 @@ def check_weakly_normal_map(F: FusionSystem, A: AutMap) -> MapVerdict:
     F-isomorphisms phi with A(Q phi) = A(Q)^phi are closed under
     composition and inverse, so this is exact; if it fails,
     ``_first_disagreement`` names the scan's first failure.
+
+    A(U) inside Aut_F(U) is a subgroup exactly when it is as large as the
+    span that ``_generators`` closes from it.  Only axiom (v) builds A(U)
+    as a subgroup of Aut_F(U)'s permutation group, for the U of
+    ``partial_domain``.
     """
     T = F.require_in_p(A.T)
     if not is_strongly_closed(F, T):
@@ -275,18 +281,16 @@ def check_weakly_normal_map(F: FusionSystem, A: AutMap) -> MapVerdict:
     layout = _layout(F, T)
     if set(A.assignment) != layout.keys:
         raise PreconditionFailed("assignment must cover exactly the subgroups of T")
-    a_subgroups = {}
     for Q, allowed in layout.auts:
-        if not A.assignment[Q.key] <= allowed:
+        value = A.assignment[Q.key]
+        if not value <= allowed:
             raise PreconditionFailed(
                 "A(U) must be contained in Aut_F(U)", witness=Q
             )
-        try:
-            a_subgroups[Q.key] = _aut_subgroup(F.aut_group(Q), A.assignment[Q.key], check=True)
-        except NotASubgroup:
+        if len(_generators(Q.key, value)[1]) != len(value):
             raise PreconditionFailed(
                 "A(U) must be a subgroup of Aut_F(U)", witness=Q
-            ) from None
+            )
 
     # (i) A(U phi) = A(U)^phi for every F-isomorphism phi with domain in T.
     if any(_moved_along(routes, A.assignment) is None for _, routes in layout.layers):
@@ -336,7 +340,7 @@ def check_weakly_normal_map(F: FusionSystem, A: AutMap) -> MapVerdict:
     # V <= T, so V <= N_P(U) is V <= N_T(U).  Aut_V(U) is a group by construction,
     # and inside A(U) by (ii).  V = U holds: Aut_U(U) is normal in Aut(U).
     for Q, ag, above in layout.centric:
-        a_pos = a_subgroups[Q.key]
+        a_pos = _aut_subgroup(ag, A.assignment[Q.key])
         for V, restriction, autv_pos in above:
             needed = {
                 m.mapping for m in ag.morphisms_of(normalizer(a_pos, autv_pos))

@@ -48,7 +48,9 @@ weakly normal map check and completion are kept as they were before each
 strongly closed T got its layout, built once per (F, T): each call rescans
 P's lattice for the subgroups of T, the fully normalized ones and
 ``partial_domain``, and moves every value along the routes with a fresh
-index.
+index.  Isomorphisms between subgroups are also searched for by closing
+each partial map under the products of all pairs of its elements, as the
+library did before it extended each choice along generator edges.
 """
 
 from __future__ import annotations
@@ -80,6 +82,7 @@ from fusionkit.errors import (
     NotASubgroup,
     NotASubgroupOfP,
     NotStronglyClosed,
+    OrderBoundExceeded,
     PreconditionFailed,
     SeedNotInjective,
 )
@@ -688,6 +691,80 @@ def saturated_puig_by_every_member(F: FusionSystem) -> SaturationVerdict:
                 reason="no member satisfies the normalizer-map and surjectivity conditions",
             )
     return SaturationVerdict(True)
+
+
+def _hom_extend(
+    Gd: Group,
+    Gc: Group,
+    mapping: dict[int, int],
+    used: set[int],
+    g: int,
+    h: int,
+) -> tuple[dict[int, int], set[int]] | None:
+    """Extend a partial injective homomorphism by g -> h, closing under
+    products; returns None when inconsistent."""
+    new_map = dict(mapping)
+    new_used = set(used)
+    queue = [(g, h)]
+    while queue:
+        a, b = queue.pop()
+        if a in new_map:
+            if new_map[a] != b:
+                return None
+            continue
+        if b in new_used:
+            return None
+        new_map[a] = b
+        new_used.add(b)
+        for x, y in list(new_map.items()):
+            queue.append((Gd.mul(x, a), Gc.mul(y, b)))
+            queue.append((Gd.mul(a, x), Gc.mul(b, y)))
+    return new_map, new_used
+
+
+def isomorphisms_by_pair_closure(
+    A: Subgroup,
+    B: Subgroup,
+    *,
+    find_all: bool,
+    limit: int | None = None,
+) -> list[dict[int, int]]:
+    """All (or the first) isomorphisms A -> B by generator-image search,
+    each choice closed under the products of all pairs of its elements."""
+    Gd, Gc = A.group, B.group
+    if len(A.elements) != len(B.elements):
+        return []
+    orders_a = sorted(Gd.element_order(x) for x in A.elements)
+    orders_b = sorted(Gc.element_order(x) for x in B.elements)
+    if orders_a != orders_b:
+        return []
+    gens = A.generators()
+    by_order: dict[int, list[int]] = {}
+    for x in B.elements:
+        by_order.setdefault(Gc.element_order(x), []).append(x)
+    results: list[dict[int, int]] = []
+
+    def rec(i: int, mapping: dict[int, int], used: set[int]):
+        if i == len(gens):
+            if len(mapping) == len(A.elements):
+                results.append(mapping)
+                if limit is not None and len(results) > limit:
+                    raise OrderBoundExceeded(
+                        f"automorphism count exceeds bound {limit}"
+                    )
+            return
+        g = gens[i]
+        for h in by_order.get(Gd.element_order(g), []):
+            ext = _hom_extend(Gd, Gc, mapping, used, g, h)
+            if ext is None:
+                continue
+            rec(i + 1, ext[0], ext[1])
+            if results and not find_all:
+                return
+
+    base = {A.group.identity: B.group.identity}
+    rec(0, base, {B.group.identity})
+    return results
 
 
 def partial_domain_by_scan(F: FusionSystem, T: Subgroup) -> tuple[Subgroup, ...]:

@@ -147,10 +147,10 @@ def test_the_per_candidate_steps_read_the_layout():
     """``check_weakly_normal_map`` and ``complete_partial_map`` run once per
     candidate map of the subsystem search, so they read what depends on
     (F, T) alone off T's layout: their bodies call none of
-    ``F.subgroups()``, ``partial_domain``, ``is_fully_normalized`` or
-    ``_positions``."""
+    ``F.subgroups()``, ``partial_domain``, ``is_fully_normalized``,
+    ``_positions`` or ``F.aut_group``."""
     tree = ast.parse((SRC / "normal_maps.py").read_text())
-    banned = {"subgroups", "partial_domain", "is_fully_normalized", "_positions"}
+    banned = {"subgroups", "partial_domain", "is_fully_normalized", "_positions", "aut_group"}
     bodies = {
         node.name: node for node in tree.body
         if isinstance(node, ast.FunctionDef)

@@ -1,17 +1,33 @@
 """Morphisms: the mapping-tuple helpers against the raw-table operations of
-the oracles, and the isomorphism check behind inverse and AutGroup."""
+the oracles, the isomorphism check behind inverse and AutGroup, and the
+isomorphism search against the all-pairs closure it replaced."""
+
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fusionkit import AutGroup, Morphism, Subgroup, fusion_of_group, load_group_spec
-from fusionkit.errors import FusionkitError, NotAnIsomorphism
-from fusionkit.morphisms import _compose, _inverse, _positions, _restrict, _transport
+from fusionkit import (
+    AutGroup,
+    Morphism,
+    Subgroup,
+    automorphisms,
+    find_fusion_isomorphism,
+    fusion_of_group,
+    load_group_spec,
+    transport_fusion,
+)
+from fusionkit.errors import FusionkitError, NotAnIsomorphism, OrderBoundExceeded
+from fusionkit.morphisms import (
+    _compose, _inverse, _isomorphisms, _positions, _restrict, _transport
+)
 from oracles import _compose as raw_compose
 from oracles import _invert as raw_invert
 from oracles import _restrictions as raw_restrictions
-from oracles import homomorphism_witness_pairwise, transport_pairwise
+from oracles import (
+    homomorphism_witness_pairwise, isomorphisms_by_pair_closure, transport_pairwise
+)
 
 
 def _raw_restrict(iso, S):
@@ -133,3 +149,65 @@ def test_build_witness_is_the_first_failing_pair_of_the_pairwise_scan(catalog_sy
                 else:
                     assert expected is None
     assert failing > 2000
+
+
+def _by_pair_closure(A, B, **limit):
+    """The oracle's isomorphisms A -> B, in its order, as mapping tuples."""
+    return [
+        tuple(m[x] for x in A.elements)
+        for m in isomorphisms_by_pair_closure(A, B, find_all=True, **limit)
+    ]
+
+
+def _automorphisms_or_error(make):
+    try:
+        return make().morphisms
+    except OrderBoundExceeded as exc:
+        return exc.args
+
+
+def _fusion_isomorphism_by_pair_closure(F1, F2):
+    """``find_fusion_isomorphism`` as it was before the search was lazy:
+    every isomorphism P1 -> P2 is found first, then the first that carries
+    F1 onto F2 is taken."""
+    if F1.p != F2.p or len(F1.P) != len(F2.P) or F1.iso_count() != F2.iso_count():
+        return None
+    for mapping in _by_pair_closure(F1.P, F2.P):
+        chi = Morphism(F1.P, F2.P, mapping)
+        if transport_fusion(F1, chi) == F2:
+            return chi
+    return None
+
+
+def test_isomorphisms_match_the_pair_closure_search(catalog_systems):
+    """The lazy search along generator edges finds the isomorphisms of the
+    all-pairs closure, in the same order: ``automorphisms`` of every catalog
+    group of order <= 24 (ea16 and ea9sc2 exceed the order bound, and both
+    forms raise the same error), the isomorphism lists of every subgroup of
+    their Sylow subgroups, and ``find_fusion_isomorphism`` on every pair of
+    their systems at the same prime, pairs of different orders included."""
+    groups = {name: F.group for name, _, F in catalog_systems}
+    raised = []
+    for name, G in groups.items():
+        Q = G.full_subgroup
+        got = _automorphisms_or_error(lambda: automorphisms(G))
+        want = _automorphisms_or_error(
+            lambda: AutGroup(Q, [Morphism(Q, Q, m) for m in _by_pair_closure(Q, Q, limit=400)])
+        )
+        assert got == want, name
+        if got == ("automorphism count exceeds bound 400",):
+            raised.append(name)
+    assert sorted(raised) == ["ea16", "ea9sc2"]
+
+    subgroups = [S for _, _, F in catalog_systems for S in F.subgroups()]
+    assert len(subgroups) == 681
+    for S in subgroups:
+        assert list(_isomorphisms(S, S)) == _by_pair_closure(S, S)
+
+    found = 0
+    for (_, p, F1), (_, q, F2) in combinations_with_replacement(catalog_systems, 2):
+        if p == q:
+            chi = find_fusion_isomorphism(F1, F2)
+            assert chi == _fusion_isomorphism_by_pair_closure(F1, F2)
+            found += chi is not None
+    assert found == 430

@@ -452,8 +452,9 @@ def _refused_maps(F, V):
     """Maps the axiom check refuses before testing an axiom, each with the
     error, message and witness it raises: on a T that is not strongly
     closed, missing a subgroup of T, with an automorphism of P outside
-    Aut_F(P), and with an A(V) of one automorphism of order 3 and no
-    identity."""
+    Aut_F(P), with an A(V) of one automorphism of order 3 and no
+    identity, and with an A(V) of the identity and one automorphism of
+    order 3, which is not closed."""
     C = next(S for S in F.subgroups() if len(S) == 2 and not S <= V)
     on_c = aut_map_of(inner_fusion(C, 2))
     on_v = aut_map_of(inner_fusion(V, 2))
@@ -464,15 +465,19 @@ def _refused_maps(F, V):
     outside = normal_maps.AutMap(F.P, {**on_p.assignment, F.P.key: on_p.at(F.P) | {outer}})
     order_3 = _aut_f_subgroup(F, V, 3) - {V.elements}
     not_a_group = normal_maps.AutMap(V, {**on_v.assignment, V.key: frozenset([min(order_3)])})
+    not_closed = normal_maps.AutMap(
+        V, {**on_v.assignment, V.key: frozenset([V.elements, min(order_3)])}
+    )
     return [
         (on_c, NotStronglyClosed, "the map must live on a strongly closed subgroup", C),
         (missing, PreconditionFailed, "assignment must cover exactly the subgroups of T", None),
         (outside, PreconditionFailed, "A(U) must be contained in Aut_F(U)", F.P),
         (not_a_group, PreconditionFailed, "A(U) must be a subgroup of Aut_F(U)", V),
+        (not_closed, PreconditionFailed, "A(U) must be a subgroup of Aut_F(U)", V),
     ]
 
 
-@pytest.mark.parametrize("case", range(4))
+@pytest.mark.parametrize("case", range(5))
 def test_the_axiom_check_refuses_maps_it_cannot_test(s4_four_group, case, tmp_path, capsys):
     """Each refusal of ``check_weakly_normal_map`` raises its typed error
     with its witness, and ``fusionkit map-check --map FILE`` on the same map
