@@ -127,7 +127,6 @@ class Morphism:
             if got != want:
                 j = next(j for j, (x, y) in enumerate(zip(got, want)) if x != y)
                 raise FusionkitError("not a homomorphism", witness=(a, els[j]))
-        return m
 
     @classmethod
     def identity(cls, Q: Subgroup) -> "Morphism":

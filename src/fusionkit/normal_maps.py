@@ -273,7 +273,8 @@ def check_weakly_normal_map(F: FusionSystem, A: AutMap) -> MapVerdict:
     A(U) inside Aut_F(U) is a subgroup exactly when it is as large as the
     span that ``_generators`` closes from it.  Only axiom (v) builds A(U)
     as a subgroup of Aut_F(U)'s permutation group, for the U of
-    ``partial_domain``.
+    ``partial_domain``.  Axioms (ii)-(v) are ``_check_ii_to_v``, which the
+    subsystem search calls alone on each map it completes.
     """
     T = F.require_in_p(A.T)
     if not is_strongly_closed(F, T):
@@ -300,6 +301,26 @@ def check_weakly_normal_map(F: FusionSystem, A: AutMap) -> MapVerdict:
             reason="conjugation transport disagrees with the assignment",
             witness=_first_disagreement(F, layout.subs, A.assignment),
         )
+    return _check_ii_to_v(F, A, layout)
+
+
+def _check_ii_to_v(F: FusionSystem, A: AutMap, layout: _Layout) -> MapVerdict:
+    """Axioms (ii)-(v) of ``check_weakly_normal_map``, in its order and with
+    its witnesses, on T's layout, for a map that meets its preconditions and
+    axiom (i).
+
+    A map that ``_complete`` has made from subgroups of Aut_F(U) does, so
+    the subsystem search and ``_nested_wedge`` check it here alone.  It
+    assigns exactly the layout's keys: every class of a subgroup of T has
+    its Q0 among the fully normalized U <= T, and the routes carry Q0's
+    value to every member.  Each value is a given subgroup of Aut_F(U), or
+    one moved along an F-isomorphism, or the restriction of A(U C_T(U));
+    ``_restricted`` keeps only the maps that send U onto itself, so that is
+    the image of a group under restriction, a homomorphism into Aut_F(U).
+    And the completion has run ``_moved_along`` on every layer's routes,
+    the A(Q0)^beta = A(Q0) routes among them, which are the routes that
+    axiom (i) tests."""
+    T = A.T
 
     # (ii) Aut_T(U) <= A(U) for fully normalized U.
     for Q, aut_t in layout.aut_t:
@@ -383,34 +404,48 @@ def complete_partial_map(F: FusionSystem, T: Subgroup, partial) -> AutMap:
     T = F.require_in_p(T)
     if not is_strongly_closed(F, T):
         raise NotStronglyClosed("the map must live on a strongly closed subgroup", witness=T)
-    if isinstance(partial, AutMap):
-        given = {k: frozenset(v) for k, v in partial.assignment.items()}
-    else:
-        given = {k: frozenset(v) for k, v in dict(partial).items()}
+    values = partial.assignment if isinstance(partial, AutMap) else dict(partial)
+    given = {k: frozenset(v) for k, v in values.items()}
     layout = _layout(F, T)
     if set(given) != layout.domain_keys:
         raise PreconditionFailed(
             "partial map must be defined exactly on the fully normalized "
             "subgroups of T that contain their T-centralizer"
         )
+    return _complete(F, T, layout, given)
 
+
+def _complete(F: FusionSystem, T: Subgroup, layout: _Layout, given) -> AutMap:
+    """The completion of ``complete_partial_map`` on T's layout, from
+    ``given`` values on fully normalized U <= T that cover the first member
+    of each class that meets ``partial_domain``.
+
+    Layers run by descending order.  Each fully normalized U takes its given
+    value, or, outside ``partial_domain``, the restriction from U C_T(U);
+    a member of ``partial_domain`` given no value is left to the routes.
+    A class's Q0 is its first fully normalized member, so it is either the
+    class's first member of ``partial_domain``, which is given, or outside
+    it.  The routes then carry Q0's value to every member, and one that
+    meets a different value raises InconsistentPartial, naming the first
+    disagreement of ``_first_disagreement``'s scan."""
     assigned: dict[Key, frozenset[Key]] = {}
     for normalized, routes in layout.layers:
         for Q in normalized:
             if Q.key in given:
                 assigned[Q.key] = given[Q.key]
-            else:
+            elif Q.key in layout.extend:
                 _, V, restriction = layout.extend[Q.key]
                 assigned[Q.key] = _restricted(restriction, assigned[V.key])
-        values = {Q.key: assigned[Q.key] for Q in normalized}
-        moved = _moved_along(routes, values)
-        bad = _first_disagreement(F, normalized, assigned) if moved is None else None
-        if bad:
-            raise InconsistentPartial(
-                "conjugation transport disagrees between two routes",
-                witness=(bad[0], bad[1].codomain),
-            )
-        assigned.update(moved or {})
+        moved = _moved_along(routes, assigned)
+        if moved is None:
+            bad = _first_disagreement(F, [Q for Q in normalized if Q.key in assigned], assigned)
+            if bad:
+                raise InconsistentPartial(
+                    "conjugation transport disagrees between two routes",
+                    witness=(bad[0], bad[1].codomain),
+                )
+        else:
+            assigned.update(moved)
     return AutMap(T, assigned)
 
 
@@ -501,57 +536,50 @@ def weakly_normal_systems_on(F: FusionSystem, T: Subgroup) -> tuple[FusionSystem
     """All weakly normal subsystems of F on the strongly closed subgroup T.
 
     Searches over the possible values of a weakly normal map on the
-    defining subgroups, one choice per F-class; each surviving map is
-    completed, checked, and generated.  The search is exhaustive because
-    every weakly normal subsystem restricts to such an assignment.
+    defining subgroups, one choice per F-class, given at the class's first
+    member of ``partial_domain``; the routes carry it to the others.  Each
+    surviving map is completed and generated, and checked on axioms
+    (ii)-(v) alone, which is all a completed map leaves open
+    (``_check_ii_to_v``).  The search is exhaustive because every weakly
+    normal subsystem restricts to such an assignment.
     """
     T = F.require_in_p(T)
     if not is_strongly_closed(F, T):
         raise NotStronglyClosed("T must be strongly closed", witness=T)
-    domain = partial_domain(F, T)
-    by_class: dict[Key, list[Subgroup]] = {}
-    for Q in domain:
-        rep = F.conjugacy_class(Q).representative
-        by_class.setdefault(rep.key, []).append(Q)
+    layout = _layout(F, T)
+    firsts: dict[Key, Subgroup] = {}
+    for Q in layout.domain:
+        firsts.setdefault(F.conjugacy_class(Q).representative.key, Q)
 
-    class_choices: list[tuple[Subgroup, list[Subgroup], list[frozenset[Key]]]] = []
+    class_choices: list[list[frozenset[Key]]] = []
     total = 1
-    for seeds in by_class.values():
-        Q = seeds[0]
+    for Q in firsts.values():
         ag = F.aut_group(Q)
         full = ag.group.full_subgroup
         inn_t = _aut_subgroup(ag, F.aut_mappings_of_conjugation(Q, T))
-        choices = []
-        for S in all_subgroups(full):
-            if not (inn_t <= S and S.is_normal_in(full)):
-                continue
-            if Q == T and p_part(len(S), F.p) != len(inn_t):
-                continue
-            choices.append(
-                frozenset(m.mapping for m in ag.morphisms_of(S))
-            )
-        class_choices.append((Q, seeds, choices))
+        choices = [
+            frozenset(m.mapping for m in ag.morphisms_of(S))
+            for S in all_subgroups(full)
+            if inn_t <= S and S.is_normal_in(full)
+            and (Q != T or p_part(len(S), F.p) == len(inn_t))
+        ]
+        class_choices.append(choices)
         total *= len(choices)
         if total > SEARCH_CAP:
             raise FusionkitError(
                 f"seed assignment search space exceeds {SEARCH_CAP}"
             )
 
+    keys = [Q.key for Q in firsts.values()]
     found: dict[tuple, FusionSystem] = {}
-    for combo in itertools.product(*(c for _, _, c in class_choices)):
-        partial: dict[Key, frozenset[Key]] = {}
-        for (rep, seeds, _), value in zip(class_choices, combo):
-            partial[rep.key] = value
-            for Q in seeds[1:]:
-                partial[Q.key] = _transported(rep, value, F.iso_mappings(rep, Q)[0])
+    for combo in itertools.product(*class_choices):
         try:
-            A = complete_partial_map(F, T, partial)
+            A = _complete(F, T, layout, dict(zip(keys, combo)))
         except InconsistentPartial:
             continue
-        if not check_weakly_normal_map(F, A):
-            continue
-        E = _generate(F, A)
-        found.setdefault(E.to_key(), E)
+        if _check_ii_to_v(F, A, layout):
+            E = _generate(F, A)
+            found.setdefault(E.to_key(), E)
     return tuple(sorted(found.values(), key=lambda E: (E.iso_count(), E.to_key())))
 
 
@@ -624,7 +652,7 @@ def _nested_wedge(ambient: FusionSystem, Ea: FusionSystem, Eb: FusionSystem) -> 
         for Q in partial_domain(ambient, T)
     }
     A = complete_partial_map(ambient, T, partial)
-    verdict = check_weakly_normal_map(ambient, A)
+    verdict = _check_ii_to_v(ambient, A, _layout(ambient, T))
     if not verdict:
         raise TheoremViolation(
             f"intersection map fails axiom ({verdict.axiom}): {verdict.reason}",

@@ -427,8 +427,13 @@ def test_closed_build_multiplies_permutations_only_for_generator_rows(monkeypatc
 
 
 def test_aut_group_rejects_a_set_not_closed_under_composition():
+    """One automorphism of order 3 of V4 is refused as a permutation group;
+    the two of order 3, closed once the identity is added, reach
+    ``AutGroup``'s own refusal."""
     G, _ = load_group_spec("v4")
     A = automorphisms(G.full_subgroup)
-    rotation = next(m for i, m in enumerate(A.morphisms) if A.group.element_order(i) == 3)
+    rotations = [m for i, m in enumerate(A.morphisms) if A.group.element_order(i) == 3]
     with pytest.raises(FusionkitError):
-        AutGroup(G.full_subgroup, [rotation])
+        AutGroup(G.full_subgroup, rotations[:1])
+    with pytest.raises(FusionkitError, match="^automorphism set is not closed under composition$"):
+        AutGroup(G.full_subgroup, rotations)

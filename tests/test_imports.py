@@ -144,25 +144,32 @@ def test_system_modules_build_no_unchecked_subgroup():
 
 
 def test_the_per_candidate_steps_read_the_layout():
-    """``check_weakly_normal_map`` and ``complete_partial_map`` run once per
-    candidate map of the subsystem search, so they read what depends on
-    (F, T) alone off T's layout: their bodies call none of
-    ``F.subgroups()``, ``partial_domain``, ``is_fully_normalized``,
-    ``_positions`` or ``F.aut_group``."""
+    """``check_weakly_normal_map``, ``complete_partial_map`` and their
+    private steps ``_check_ii_to_v`` and ``_complete`` run once per candidate
+    map of the subsystem search, so they read what depends on (F, T) alone
+    off T's layout: their bodies call none of ``F.subgroups()``,
+    ``partial_domain``, ``is_fully_normalized``, ``_positions`` or
+    ``F.aut_group``.  The search itself calls the private steps, so it names
+    none of ``check_weakly_normal_map``, ``complete_partial_map`` or
+    ``_transported``."""
     tree = ast.parse((SRC / "normal_maps.py").read_text())
     banned = {"subgroups", "partial_domain", "is_fully_normalized", "_positions", "aut_group"}
+    steps = ("check_weakly_normal_map", "complete_partial_map", "_check_ii_to_v", "_complete")
     bodies = {
         node.name: node for node in tree.body
-        if isinstance(node, ast.FunctionDef)
-        and node.name in ("check_weakly_normal_map", "complete_partial_map")
+        if isinstance(node, ast.FunctionDef) and node.name in (*steps, "weakly_normal_systems_on")
     }
-    assert len(bodies) == 2
-    for name, node in bodies.items():
+    assert len(bodies) == 5
+    for name in steps:
         called = {
             getattr(call.func, "id", getattr(call.func, "attr", None))
-            for call in ast.walk(node) if isinstance(call, ast.Call)
+            for call in ast.walk(bodies[name]) if isinstance(call, ast.Call)
         }
         assert not called & banned, f"{name} calls {sorted(called & banned)}"
+    named = {
+        node.id for node in ast.walk(bodies["weakly_normal_systems_on"]) if isinstance(node, ast.Name)
+    } & {"check_weakly_normal_map", "complete_partial_map", "_transported"}
+    assert not named, f"weakly_normal_systems_on names {sorted(named)}"
 
 
 def test_the_hypercentre_builds_no_quotient():

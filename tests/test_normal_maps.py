@@ -547,6 +547,30 @@ def test_t_core_refusals(s4_four_group):
     assert (t_core(F, F, V), t_core(F, inner_fusion(F.P, 2), V)) == (c3, inner)
 
 
+def test_search_refuses_a_seed_space_above_the_cap(s4_four_group, monkeypatch):
+    """On V, Aut_F(V) = S3 gives two seed choices of odd order, so with the
+    cap at 1 the search refuses before it completes a candidate."""
+    F, V = s4_four_group[:2]
+    monkeypatch.setattr(normal_maps, "SEARCH_CAP", 1)
+    with pytest.raises(FusionkitError) as info:
+        weakly_normal_systems_on(F, V)
+    assert type(info.value) is FusionkitError
+    assert info.value.args == ("seed assignment search space exceeds 1",)
+
+
+def test_wedge_refuses_an_intersection_map_that_fails_an_axiom(s4_four_group, monkeypatch):
+    """With the (ii)-(v) step refusing every map, the wedge of the two
+    weakly normal systems on V raises TheoremViolation naming the axiom,
+    the reason and the witness of that verdict."""
+    F, V, inner, c3 = s4_four_group
+    refusal = MapVerdict(False, "v", "restriction map is not onto the normalizer of Aut_V(U) in A(U)", (V, V))
+    monkeypatch.setattr(normal_maps, "_check_ii_to_v", lambda *args: refusal)
+    with pytest.raises(TheoremViolation) as info:
+        intersection_wedge(F, inner, c3)
+    assert info.value.args == (f"intersection map fails axiom (v): {refusal.reason}",)
+    assert info.value.witness == (V, V)
+
+
 def _cut_down_maps(F, T):
     """The maps of inner fusion and of the full subcategory on T and, for
     |P| <= 16, the full subcategory's map with A(R) cut down to the
@@ -562,69 +586,90 @@ def _cut_down_maps(F, T):
     return maps
 
 
-def _completed(F, T, partial):
+def _completed(call, *args):
     try:
-        return complete_partial_map(F, T, partial)
+        return call(*args)
     except InconsistentPartial as exc:
         return exc
 
 
+def _on_domain(F, T, A):
+    """A's values on ``partial_domain(F, T)``."""
+    return {U.key: A.assignment[U.key] for U in partial_domain(F, T)}
+
+
+def _search_calls(F, T, monkeypatch):
+    """The calls that ``weakly_normal_systems_on(F, T)`` makes of the private
+    steps ``_complete`` and ``_check_ii_to_v``, in order, as (name, args)."""
+    calls = []
+    with monkeypatch.context() as m:
+        for name in ("_complete", "_check_ii_to_v"):
+
+            def spy(*args, name=name, call=getattr(normal_maps, name)):
+                calls.append((name, args))
+                return call(*args)
+
+            m.setattr(normal_maps, name, spy)
+        weakly_normal_systems_on(F, T)
+    return calls
+
+
 def test_axiom_i_and_completion_scan_only_to_name_a_failure(strongly_closed_cases, monkeypatch):
-    """On every candidate map that ``weakly_normal_systems_on`` tries, over
-    every strongly closed T of the catalog systems and of F_P(A4 x D8), on
-    the maps of inner fusion and of the full subcategory on each T, and, for
-    the catalog systems, on the full subcategory's map with A(R) cut down to
-    the identity at one R (so that some fail on one route alone):
+    """On every candidate map that ``weakly_normal_systems_on`` completes and
+    checks, over every strongly closed T of the catalog systems and of
+    F_P(A4 x D8), on the maps of inner fusion and of the full subcategory on
+    each T, and, for the catalog systems, on the full subcategory's map with
+    A(R) cut down to the identity at one R (so that some fail on one route
+    alone):
 
     - axiom (i) fails exactly when ``_first_disagreement``, the scan over
-      every F-isomorphism, finds a failure, and with its witness;
-    - ``complete_partial_map`` gives the same map, or the same
-      InconsistentPartial witness, as with every layer moved by that scan,
-      and calls the scan only to name a disagreement."""
-    check = normal_maps.check_weakly_normal_map
-    seen = {"i": 0, "ok": 0, "inconsistent": 0, "completed": 0}
+      every F-isomorphism, finds a failure, and with its witness; it never
+      fails on a map the search has completed;
+    - the search's ``_complete`` and ``complete_partial_map`` give the same
+      map, or the same InconsistentPartial witness, as with every layer
+      moved by that scan, and call the scan only to name a disagreement."""
+    seen = {"i": 0, "ok": 0, "inconsistent": 0, "completed": 0, "searched": 0}
 
     def checked(F, A):
-        verdict = check(F, A)
+        verdict = check_weakly_normal_map(F, A)
         scan = _first_disagreement(F, [Q for Q in F.subgroups() if Q <= A.T], dict(A.assignment))
         assert (verdict.axiom == "i") == (scan is not None)
         assert scan is None or verdict.witness == scan
         seen["i" if scan else "ok"] += 1
         return verdict
 
-    def completed(F, T, partial):
+    def completed(call, *args):
         scans = []
 
-        def recorded(*args):
-            scans.append(args)
-            return _first_disagreement(*args)
+        def recorded(*scanned):
+            scans.append(scanned)
+            return _first_disagreement(*scanned)
 
         with monkeypatch.context() as m:
             m.setattr(normal_maps, "_first_disagreement", recorded)
-            got = _completed(F, T, partial)
+            got = _completed(call, *args)
         with monkeypatch.context() as m:
             m.setattr(normal_maps, "_moved_along", lambda *a: None)
-            every_iso = _completed(F, T, partial)
+            every_iso = _completed(call, *args)
         inconsistent = isinstance(got, InconsistentPartial)
         assert len(scans) == inconsistent
         if inconsistent:
             assert (got.args, got.witness) == (every_iso.args, every_iso.witness)
             seen["inconsistent"] += 1
-            raise got
+            return
         assert got.assignment == every_iso.assignment
         seen["completed"] += 1
-        return got
 
-    monkeypatch.setattr(normal_maps, "check_weakly_normal_map", checked)
-    monkeypatch.setattr(normal_maps, "complete_partial_map", completed)
     for F, T in strongly_closed_cases:
-        weakly_normal_systems_on(F, T)
+        for name, args in _search_calls(F, T, monkeypatch):
+            if name == "_complete":
+                seen["searched"] += 1
+                completed(normal_maps._complete, *args)
+            else:
+                assert checked(*args[:2]).axiom != "i"
         for A in _cut_down_maps(F, T):
             checked(F, A)
-            try:
-                completed(F, T, {U.key: A.assignment[U.key] for U in partial_domain(F, T)})
-            except InconsistentPartial:
-                pass
+            completed(complete_partial_map, F, T, _on_domain(F, T, A))
     assert min(seen.values()) > 0, seen
 
 
@@ -643,38 +688,36 @@ def _outcome(call, *args):
 
 
 def test_check_and_completion_match_their_per_call_forms(strongly_closed_cases, monkeypatch):
-    """On every candidate map that ``weakly_normal_systems_on`` tries, over
-    every strongly closed T of the catalog systems and of F_P(A4 x D8), and
-    on the maps of ``test_axiom_i_and_completion_scan_only_to_name_a_failure``,
+    """On every candidate map that ``weakly_normal_systems_on`` completes and
+    checks, over every strongly closed T of the catalog systems and of
+    F_P(A4 x D8), and on the maps of
+    ``test_axiom_i_and_completion_scan_only_to_name_a_failure``,
     ``check_weakly_normal_map`` and ``complete_partial_map`` on T's layout
     give what the per-call forms in ``tests/oracles.py`` give, verdict,
-    witness, completed map and InconsistentPartial witness alike."""
+    witness, completed map and InconsistentPartial witness alike.  On each
+    search candidate, the public check also gives the search's own
+    (ii)-(v) verdict, and the map ``_complete`` makes from one value per
+    class is what both completions make from its values on
+    ``partial_domain``."""
     seen = set()
 
-    def compared(name, oracle):
-        call = getattr(normal_maps, name)
+    def compared(call, oracle, *args):
+        got, fields = _outcome(call, *args)
+        assert fields == _outcome(oracle, *args)[1], (call.__name__, fields)
+        seen.add(fields[1] if isinstance(got, MapVerdict) else type(got).__name__)
+        return fields
 
-        def spy(*args):
-            got, fields = _outcome(call, *args)
-            assert fields == _outcome(oracle, *args)[1], (name, fields)
-            seen.add(fields[1] if isinstance(got, MapVerdict) else type(got).__name__)
-            if isinstance(got, FusionkitError):
-                raise got
-            return got
-
-        monkeypatch.setattr(normal_maps, name, spy)
-        return spy
-
-    checked = compared("check_weakly_normal_map", check_weakly_normal_map_per_call)
-    completed = compared("complete_partial_map", complete_partial_map_per_call)
     for F, T in strongly_closed_cases:
-        weakly_normal_systems_on(F, T)
+        for name, args in _search_calls(F, T, monkeypatch):
+            got, fields = _outcome(getattr(normal_maps, name), *args)
+            if name == "_check_ii_to_v":
+                assert compared(check_weakly_normal_map, check_weakly_normal_map_per_call, *args[:2]) == fields
+            elif isinstance(got, normal_maps.AutMap):
+                partial = _on_domain(F, T, got)
+                assert compared(complete_partial_map, complete_partial_map_per_call, F, T, partial) == fields
         for A in _cut_down_maps(F, T):
-            checked(F, A)
-            try:
-                completed(F, T, {U.key: A.assignment[U.key] for U in partial_domain(F, T)})
-            except InconsistentPartial:
-                pass
+            compared(check_weakly_normal_map, check_weakly_normal_map_per_call, F, A)
+            compared(complete_partial_map, complete_partial_map_per_call, F, T, _on_domain(F, T, A))
     assert {None, "i", "ii", "iii", "iv", "v", "AutMap", "InconsistentPartial"} <= seen, seen
 
 
