@@ -43,6 +43,7 @@ from .groups import (
     _as_subgroup,
     _conj_rows,
     _inn,
+    _lattice_member,
     _maximal_subgroups,
     _p_normalizer,
     _picker,
@@ -136,13 +137,14 @@ class FusionSystem:
     # -- basic queries -------------------------------------------------
 
     def subgroups(self) -> tuple[Subgroup, ...]:
-        return all_subgroups(self.P)
+        return self._fact("subgroups", None, all_subgroups, self.P)
 
     def subgroup(self, key: Key) -> Subgroup:
         """The subgroup of P with element key ``key``, as P's lattice's own object."""
-        if (S := _subgroup_index(self.P).get(key)) is None:
-            raise NotASubgroupOfP("not a subgroup of P", witness=key)
-        return S
+        try:
+            return _lattice_member(self.P, key)
+        except KeyError:
+            raise NotASubgroupOfP("not a subgroup of P", witness=key) from None
 
     def require_in_p(self, Q: Subgroup) -> Subgroup:
         if Q.group != self.group or not Q <= self.P:
@@ -541,9 +543,9 @@ def _close(P: Subgroup, base: IsoTable, seeds: Iterable[tuple[Key, Key]]) -> Iso
     domain, as P's lattice recorded them, and those restrictions are
     popped in turn: every S < Q lies on a chain of subgroups each of index
     p in the next.  A domain that gains no map keeps base's buckets."""
-    subgroup, covers = _subgroup_index(P), _maximal_subgroups(P)
+    keys, covers = _subgroup_index(P), _maximal_subgroups(P)
     isos: dict[Key, set[Key]] = {
-        key: {m for ms in base.get(key, {}).values() for m in ms} for key in subgroup
+        key: {m for ms in base.get(key, {}).values() for m in ms} for key in keys
     }
     # per domain, on first use: its maximal subgroups with their positions
     maximal: dict[Key, list[tuple[Key, Key]]] = {}
@@ -561,9 +563,9 @@ def _close(P: Subgroup, base: IsoTable, seeds: Iterable[tuple[Key, Key]]) -> Iso
         if m in isos[qk]:
             continue
         if qk not in tests:
-            tests[qk] = _hom_test(subgroup[qk], P.group)
+            tests[qk] = _hom_test(_lattice_member(P, qk), P.group)
         if len(m) != len(qk) or not tests[qk](m):
-            Morphism.build(subgroup[qk], P, m)
+            Morphism.build(_lattice_member(P, qk), P, m)
         push(qk, m)
 
     while queue:
@@ -794,7 +796,7 @@ def validate_fusion(F: FusionSystem) -> None:
     if set(F._isos) != set(lattice):
         raise FusionkitError("iso table does not range over the subgroups of P")
     for qk, targets in F._isos.items():
-        is_hom = _hom_test(lattice[qk], F.group)
+        is_hom = _hom_test(F.subgroup(qk), F.group)
         for rk, ms in targets.items():
             if rk not in lattice:
                 raise FusionkitError("target is not a subgroup of P", witness=rk)
@@ -802,8 +804,8 @@ def validate_fusion(F: FusionSystem) -> None:
                 if tuple(sorted(m)) != rk:
                     raise FusionkitError("mapping does not match its target key", witness=m)
                 if len(m) != len(qk) or not is_hom(m):
-                    Morphism.build(lattice[qk], lattice[rk], m)
-    gens = {qk: S.generators() for qk, S in lattice.items()}
+                    Morphism.build(F.subgroup(qk), F.subgroup(rk), m)
+    gens = {S.key: S.generators() for S in F.subgroups()}
     index = {qk: {x: i for i, x in enumerate(qk)} for qk in lattice}
     on_gens = {qk: _picker([index[qk][x] for x in gens[qk]]) for qk in lattice}
     stored = {qk: {on_gens[qk](m) for ms in t.values() for m in ms} for qk, t in F._isos.items()}
@@ -836,5 +838,5 @@ def validate_fusion(F: FusionSystem) -> None:
     except FusionkitError:
         # a smaller subgroup lies in Q when its generators do
         check(lambda qk: [sk for sk in F._isos
-                          if len(sk) < len(qk) and lattice[qk].contains_all(gens[sk])])
+                          if len(sk) < len(qk) and F.subgroup(qk).contains_all(gens[sk])])
         raise

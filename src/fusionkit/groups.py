@@ -6,9 +6,13 @@ integer indexing.  Subgroups are immutable sorted index tuples inside a
 fixed ambient group, which makes them usable as dictionary keys and
 keeps every enumeration in the library deterministic.
 
-Each ambient group keeps one memo of subgroup lattices, keyed by the
-carrier's element key, so :func:`all_subgroups` builds the lattice of a
-carrier at most once while the group lives.  A p-group is built layer by
+The lattice of a carrier ``Subgroup`` is memoized on the carrier itself,
+and its group finds it, by the carrier's element key, only while some
+carrier with that key lives.  So :func:`all_subgroups` builds a lattice
+once for all live carriers with one key, and a dropped group, its table
+and its lattices are freed by reference counting: no memo refers back
+to the carrier that owns it, and the group refers to none of them
+strongly.  A p-group is built layer by
 layer, each subgroup of order p^(k+1) as a normal subgroup of index p
 plus one element, which reaches all of them because every non-trivial
 p-group has a normal subgroup of index p.  The maximal subgroups of a
@@ -24,6 +28,7 @@ carries with each subgroup the short generator tuple it was reached by.
 from __future__ import annotations
 
 import math
+import weakref
 from functools import reduce
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
@@ -94,6 +99,7 @@ class Group:
         "identity",
         "_full",
         "_lattices",
+        "__weakref__",
     )
 
     def __init__(
@@ -139,8 +145,11 @@ class Group:
             self.generator_indices = tuple(self._lookup[tuple(g)] for g in generators)
         else:
             self.generator_indices = None
-        self._full = None
-        self._lattices: dict[tuple[int, ...], tuple[tuple[Subgroup, ...], dict, dict | None, tuple | None]] = {}
+        # weak, as every subgroup refers to its group: see the module docstring
+        self._full: weakref.ref | None = None
+        self._lattices: weakref.WeakValueDictionary[tuple[int, ...], _Lattice] = (
+            weakref.WeakValueDictionary()
+        )
 
     @property
     def order(self) -> int:
@@ -177,9 +186,12 @@ class Group:
 
     @property
     def full_subgroup(self) -> "Subgroup":
-        if self._full is None:
-            self._full = Subgroup(self, range(len(self.perms)), check=False)
-        return self._full
+        """The subgroup of all elements, one object while something holds it."""
+        full = None if self._full is None else self._full()
+        if full is None:
+            full = Subgroup(self, range(len(self.perms)), check=False)
+            self._full = weakref.ref(full)
+        return full
 
     def subgroup(self, indices: Iterable[int]) -> "Subgroup":
         return Subgroup(self, indices)
@@ -254,13 +266,14 @@ def _closure(seed: list[Perm], degree: int, order_bound: int | None) -> set[Perm
 class Subgroup:
     """A subgroup of a fixed ambient :class:`Group`, as sorted element indices."""
 
-    __slots__ = ("group", "elements", "_set", "_gens")
+    __slots__ = ("group", "elements", "_set", "_gens", "_lattice", "__weakref__")
 
     def __init__(self, group: Group, elements: Iterable[int], *, check: bool = True):
         self.group = group
         self.elements: tuple[int, ...] = tuple(sorted(set(elements)))
         self._set = frozenset(self.elements)
         self._gens = None
+        self._lattice: _Lattice | None = None
         if check:
             if not self.elements:
                 raise NotASubgroup("a subgroup cannot be empty")
@@ -385,26 +398,39 @@ def _require_subgroup_of(H: Subgroup, container: Group | Subgroup) -> Subgroup:
 def all_subgroups(container: Group | Subgroup) -> tuple[Subgroup, ...]:
     """Every subgroup of ``container``, sorted by (order, element key).
 
-    The lattice of a carrier is built once per ambient group: it is kept
-    in the group's ``_lattices`` memo under the carrier's element key, so
-    every ``Subgroup`` with that key, and the group itself for its full
-    subgroup, reads the same tuple and the same index of it by key; its
-    top is the carrier first asked for.  The memo goes with the group.
-    A p-group carrier takes the layer build, which also records there the
-    maximal subgroups of each member and the carrier's Inn(P); any other
-    carrier the join closure.
+    The lattice is built once for all live carriers with one element key:
+    it is memoized on the carrier (``_Lattice``), which the group finds by
+    key while the carrier lives, so every ``Subgroup`` with that key, and
+    the group itself for its full subgroup, reads the same members and
+    the same index of them by key.  Its top is the carrier first asked
+    for while that carrier lives.  The memo goes with the last carrier
+    that holds it.  A p-group carrier takes the layer build, which also
+    records the maximal subgroups of each member and the carrier's
+    Inn(P); any other carrier the join closure.
     """
-    return _lattice_entry(_as_subgroup(container))[0]
+    amb = _as_subgroup(container)
+    entry = _lattice_entry(amb)
+    return entry.below + (_top(amb, entry),)
 
 
-def _subgroup_index(amb: Subgroup) -> dict[tuple[int, ...], Subgroup]:
-    """The lattice's own ``Subgroup`` of each subgroup of ``amb``, by key."""
-    return _lattice_entry(amb)[1]
+def _subgroup_index(amb: Subgroup) -> dict[tuple[int, ...], Subgroup | None]:
+    """Each subgroup key of ``amb``, in lattice order, to the lattice's own
+    ``Subgroup``; the top's key, last, maps to None, as the memo does not
+    refer to its carrier (``_lattice_member`` reads it)."""
+    return _lattice_entry(amb).index
+
+
+def _lattice_member(amb: Subgroup, key: tuple[int, ...]) -> Subgroup:
+    """The lattice's own ``Subgroup`` of ``amb`` with element key ``key``,
+    its top included; KeyError when no subgroup of ``amb`` has that key."""
+    entry = _lattice_entry(amb)
+    S = entry.index[key]
+    return _top(amb, entry) if S is None else S
 
 
 def _maximal_subgroups(P: Subgroup) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
     """The maximal subgroups' keys of each subgroup of the p-group P, in lattice order."""
-    return _lattice_entry(P)[2]
+    return _lattice_entry(P).maximal
 
 
 def _inn(P: Subgroup) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
@@ -413,19 +439,50 @@ def _inn(P: Subgroup) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     conjugation row x -> x^g of P's group for its least element g.  Every
     element of the coset conjugates P as g does, so the row is theirs on P;
     off P the rows of a coset may differ, and no caller reads them there."""
-    return _lattice_entry(P)[3]
+    return _lattice_entry(P).inn
 
 
-def _lattice_entry(amb: Subgroup) -> tuple[tuple[Subgroup, ...], dict, dict | None, tuple | None]:
-    lattices = amb.group._lattices
-    entry = lattices.get(amb.elements)
+class _Lattice:
+    """The lattice memo of one carrier key: the subgroups ``below`` the top,
+    in lattice order; ``index``, each subgroup's key to the lattice's own
+    object (the top's to None); the ``maximal`` subgroup record and
+    ``inn``, Inn(P), of a p-group carrier (None for any other); and ``top``,
+    a weak reference to the carrier first asked for.  Its carriers own it
+    through their ``_lattice`` slot and the group keeps it weakly, and
+    nothing in it refers to a carrier strongly, so it forms no cycle."""
+
+    __slots__ = ("below", "index", "maximal", "inn", "top", "__weakref__")
+
+    def __init__(self, amb: Subgroup, lattice: tuple[Subgroup, ...], maximal, inn):
+        self.below = lattice[:-1]
+        self.index = {S.elements: S for S in self.below}
+        self.index[amb.elements] = None
+        self.maximal = maximal
+        self.inn = inn
+        self.top = weakref.ref(amb)
+
+
+def _lattice_entry(amb: Subgroup) -> _Lattice:
+    entry = amb._lattice
     if entry is None:
-        n = len(amb.elements)
-        p = min((d for d in range(2, n + 1) if n % d == 0), default=2)
-        lattice, *rest = _layer_lattice(amb, p) if is_p_power(n, p) else (_subgroup_lattice(amb), None, None)
-        lattice = (*lattice[:-1], amb)
-        entry = lattices[amb.elements] = (lattice, {S.key: S for S in lattice}, *rest)
+        lattices = amb.group._lattices
+        entry = lattices.get(amb.elements)
+        if entry is None:
+            n = len(amb.elements)
+            p = min((d for d in range(2, n + 1) if n % d == 0), default=2)
+            built = _layer_lattice(amb, p) if is_p_power(n, p) else (_subgroup_lattice(amb), None, None)
+            entry = lattices[amb.elements] = _Lattice(amb, *built)
+        amb._lattice = entry
     return entry
+
+
+def _top(amb: Subgroup, entry: _Lattice) -> Subgroup:
+    """The top of ``amb``'s lattice: the carrier first asked for, or
+    ``amb`` once that carrier is gone."""
+    top = entry.top()
+    if top is None:
+        top, entry.top = amb, weakref.ref(amb)
+    return top
 
 
 def _layer_lattice(amb: Subgroup, p: int) -> tuple[tuple[Subgroup, ...], dict, tuple]:
@@ -562,7 +619,7 @@ def _p_normalizer(P: Subgroup, Q: Subgroup, fixing: bool = False) -> Subgroup:
     gens = Q.generators()
     on_gens, keep = _picker(gens), gens.__eq__ if fixing else Q._set.issuperset
     members = (x for row, coset in _inn(P) if keep(on_gens(row)) for x in coset)
-    return _subgroup_index(P)[tuple(sorted(members))]
+    return _lattice_member(P, tuple(sorted(members)))
 
 
 def _conj_rows(G: Group, gs: Iterable[int]) -> dict[int, tuple[int, ...]]:

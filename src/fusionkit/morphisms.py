@@ -241,7 +241,7 @@ class AutGroup:
     that incarnation.
     """
 
-    __slots__ = ("subject", "morphisms", "group", "_index")
+    __slots__ = ("subject", "morphisms", "group", "_index", "_full")
 
     def __init__(self, subject: Subgroup, morphisms: Iterable[Morphism]):
         morphs = sorted(set(morphisms))
@@ -260,6 +260,9 @@ class AutGroup:
         self.morphisms = tuple(by_perm[p] for p in group.perms)
         self.group = group
         self._index = {m.mapping: i for i, m in enumerate(self.morphisms)}
+        # the group holds its full subgroup weakly; holding it here keeps
+        # the lattice of Aut(subject) as long as this AutGroup
+        self._full = group.full_subgroup
 
     @property
     def order(self) -> int:
@@ -332,17 +335,23 @@ def _isomorphisms(A: Subgroup, B: Subgroup) -> Iterator[Key]:
     by_order: dict[int, list[int]] = {}
     for x in B.elements:
         by_order.setdefault(Gb.element_order(x), []).append(x)
+    choices = [by_order.get(Ga.element_order(g), ()) for g in gens]
+    yield from _search(A, B, gens, choices, {Ga.identity: Gb.identity}, ())
 
-    def search(f: dict[int, int], images: Key) -> Iterator[Key]:
-        if len(images) == len(gens):
-            yield tuple(map(f.__getitem__, A.elements))
-            return
-        for h in by_order.get(Ga.element_order(gens[len(images)]), ()):
-            ext = _extended(A, B, f, gens[: len(images) + 1], images + (h,))
-            if ext is not None:
-                yield from search(ext, images + (h,))
 
-    yield from search({Ga.identity: Gb.identity}, ())
+def _search(A: Subgroup, B: Subgroup, gens: Key, choices: list, f: dict[int, int], images: Key) -> Iterator[Key]:
+    """The isomorphisms of ``_isomorphisms`` that extend ``f``, which sends
+    the first generators ``gens`` of A to ``images``; ``choices`` lists
+    each generator's candidate images.  A module-level function, unlike a
+    nested one that calls itself, leaves no reference cycle behind."""
+    k = len(images)
+    if k == len(gens):
+        yield tuple(map(f.__getitem__, A.elements))
+        return
+    for h in choices[k]:
+        ext = _extended(A, B, f, gens[: k + 1], images + (h,))
+        if ext is not None:
+            yield from _search(A, B, gens, choices, ext, images + (h,))
 
 
 def automorphisms(container: Group | Subgroup) -> AutGroup:

@@ -2,7 +2,9 @@
 
 import itertools
 import json
+import operator
 import random
+import weakref
 from functools import partial
 
 import pytest
@@ -620,8 +622,10 @@ def test_a_system_reads_the_rows_of_p_and_of_one_rep_per_coset_of_p(monkeypatch)
 def test_p_is_the_top_of_its_own_lattice(catalog_systems, ladder_groups):
     """On the catalog and ladder systems, F.P is its lattice's own object:
     the top of ``all_subgroups(F.P)``, what ``F.subgroup`` returns for its
-    key, and N_P of each normal subgroup of P.  A second F_P(G) on the same
-    group object gets the same P."""
+    key, and N_P of each normal subgroup of P.  While F lives, a second
+    F_P(G) on the same group object gets the same P and the same members.
+    F.P owns the lattice, so a dropped system takes P and its lattice with
+    it, and the next F_P(G) builds both afresh."""
     systems = [F for _, _, F in catalog_systems]
     systems += [fusion_of_group(G, 2) for G in ladder_groups]
     for F in systems:
@@ -630,7 +634,15 @@ def test_p_is_the_top_of_its_own_lattice(catalog_systems, ladder_groups):
         for Q in F.subgroups():
             if Q.is_normal_in(F.P):
                 assert F.n_p(Q) is F.P, (F, Q.elements)
-        assert fusion_of_group(F.group, F.p).P is F.P, F
+        again = fusion_of_group(F.group, F.p)
+        assert again.P is F.P and all(map(operator.is_, again.subgroups(), F.subgroups())), F
+    G = make_group(load_catalog("s4"))
+    F = fusion_of_group(G, 2)
+    P, bottom = weakref.ref(F.P), weakref.ref(F.subgroups()[0])
+    del F
+    assert P() is None and bottom() is None and not G._lattices
+    F = fusion_of_group(G, 2)
+    assert list(G._lattices) == [F.P.key]
 
 
 def test_each_class_records_its_first_member_with_the_largest_n_p(catalog_systems, a4xd8_system):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import operator
 
 import pytest
 from hypothesis import given, settings
@@ -177,7 +178,9 @@ def test_the_carrier_asked_for_is_the_top_of_its_lattice():
     """Both lattice builds put the carrier they were asked for at the top,
     not an equal copy: the join closure on each catalog group that is not
     a p-group, and the layer build on each catalog p-group and each
-    proper Sylow subgroup."""
+    proper Sylow subgroup.  The carrier owns the memo, which does not
+    refer back to it: the index keeps the top's key, last, with no object,
+    and a lookup by that key returns the carrier."""
     builds = set()
     for name in sorted(catalog_names()):
         G = make_group(load_catalog(name))
@@ -186,7 +189,10 @@ def test_the_carrier_asked_for_is_the_top_of_its_lattice():
         ]
         for S in dict.fromkeys(carriers):
             assert all_subgroups(S)[-1] is S, (name, S)
-            assert groups._subgroup_index(S)[S.key] is S, (name, S)
+            index = groups._subgroup_index(S)
+            assert list(index)[-1] == S.key and index[S.key] is None, (name, S)
+            assert groups._lattice_member(S, S.key) is S, (name, S)
+            assert S._lattice is G._lattices[S.key], (name, S)
             builds.add(groups._maximal_subgroups(S) is None)
     assert builds == {False, True}
 
@@ -232,14 +238,32 @@ def test_join_matches_the_closure_of_the_union():
             assert H.join(K).key == G.generated_subgroup(H.elements + K.elements).key
 
 
+def _same_objects(xs, ys):
+    return len(xs) == len(ys) and all(map(operator.is_, xs, ys))
+
+
 def test_lattice_memo_is_shared_by_carriers_with_one_key():
+    """Live carriers with one key read one memo: the same member objects,
+    topped by the carrier first asked for while it lives and by the asker
+    once it is gone.  The group keeps a key only while a carrier with it
+    lives."""
     G, _ = load_group_spec("s4")
     P = sylow(G.full_subgroup, 2)
     twin = Subgroup(G, reversed(P.elements))
     assert twin is not P
-    assert all_subgroups(twin) is all_subgroups(P)
-    assert all_subgroups(G) is all_subgroups(G.full_subgroup)
+    lattice = all_subgroups(P)
+    assert _same_objects(all_subgroups(twin), lattice) and twin._lattice is P._lattice
+    full = all_subgroups(G)
+    assert _same_objects(all_subgroups(G.full_subgroup), full)
     assert set(G._lattices) == {P.key, G.full_subgroup.key}
+    below = lattice[:-1]
+    del P, lattice
+    again = all_subgroups(twin)
+    assert _same_objects(again[:-1], below) and again[-1] is twin
+    del twin, again
+    assert set(G._lattices) == {full[-1].key}
+    del full
+    assert not G._lattices
 
 
 def test_lattice_of_a_subgroup_carrier_is_the_filtered_lattice():
@@ -249,12 +273,17 @@ def test_lattice_of_a_subgroup_carrier_is_the_filtered_lattice():
 
 
 def test_an_equal_group_starts_with_an_empty_lattice_memo():
+    """An equal group object builds its own lattice, and a lattice lives
+    only as long as a carrier holds it."""
     G, _ = load_group_spec("d8")
-    all_subgroups(G)
+    lattice = all_subgroups(G)
     H = Group(G.perms, G.degree)
     assert H == G and G._lattices and not H._lattices
-    assert all_subgroups(H) is not all_subgroups(G)
-    assert all_subgroups(H) == all_subgroups(G)
+    assert all_subgroups(H) == lattice
+    assert not any(map(operator.is_, all_subgroups(H), lattice))
+    assert not H._lattices
+    del lattice
+    assert not G._lattices
 
 
 def test_sylow_orders():

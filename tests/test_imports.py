@@ -102,14 +102,16 @@ def test_only_fusion_names_the_memo():
 
 
 def test_only_groups_names_the_lattice_memo():
-    """``groups`` is the one reader and writer of ``Group._lattices``: other
-    modules read a lattice through ``all_subgroups``, its index by key
-    through ``_subgroup_index`` and its maximal subgroups through
-    ``_maximal_subgroups``."""
+    """``groups`` is the one reader and writer of the lattice memo, the
+    carrier's ``Subgroup._lattice`` and the group's weak ``Group._lattices``:
+    other modules read a lattice through ``all_subgroups``, its members by
+    key through ``_subgroup_index`` and ``_lattice_member`` and its maximal
+    subgroups through ``_maximal_subgroups``."""
     for path in sorted(SRC.glob("*.py")):
         if path.name != "groups.py":
-            named = _lines_naming(path, "_lattices")
-            assert not named, f"{path.name} names _lattices on lines {named}"
+            for name in ("_lattices", "_lattice"):
+                named = _lines_naming(path, name)
+                assert not named, f"{path.name} names {name} on lines {named}"
 
 
 def test_no_fact_is_computed_by_a_lambda():

@@ -558,6 +558,25 @@ def test_search_refuses_a_seed_space_above_the_cap(s4_four_group, monkeypatch):
     assert info.value.args == ("seed assignment search space exceeds 1",)
 
 
+def test_search_goes_on_past_an_inconsistent_candidate(s4_four_group, monkeypatch):
+    """On V the search completes two candidates: the trivial seed first,
+    which gives the inner system, then C3.  With the completion refusing
+    the first as inconsistent, the search skips it, completes the second
+    and returns the C3 system alone."""
+    F, V, inner, c3 = s4_four_group
+    complete, seeds = normal_maps._complete, []
+
+    def refuse_first(*args):
+        seeds.append(args[3])
+        if len(seeds) == 1:
+            raise InconsistentPartial("refused", witness=V)
+        return complete(*args)
+
+    monkeypatch.setattr(normal_maps, "_complete", refuse_first)
+    assert weakly_normal_systems_on(F, V) == (c3,)
+    assert seeds[0] == {V.key: frozenset([V.elements])} and len(seeds) == 2
+
+
 def test_wedge_refuses_an_intersection_map_that_fails_an_axiom(s4_four_group, monkeypatch):
     """With the (ii)-(v) step refusing every map, the wedge of the two
     weakly normal systems on V raises TheoremViolation naming the axiom,
