@@ -20,7 +20,7 @@ from .fusion import (
     is_subsystem,
 )
 from .groups import group_centre, p_part, sylow
-from .morphisms import _positions, _restrict
+from .morphisms import _restricted, _restriction
 from .normal_maps import (
     aut_map_of,
     based_range,
@@ -111,11 +111,10 @@ def run_a4xa4() -> list[Result]:
         ("the raw intersection has a nontrivial automorphism on <a, b>",
          len(sigma) == 2, len(sigma) + 1)
     )
-    extendable = False
-    for V in raw.subgroups():
-        if Q < V:
-            idx = _positions(V.elements, Q.elements)
-            extendable |= any(_restrict(m, idx) in sigma for m in raw.iso_mappings(V, V))
+    extendable = any(
+        not _restricted(_restriction(V, Q), raw.iso_mappings(V, V)).isdisjoint(sigma)
+        for V in raw.subgroups() if Q < V
+    )
     results.append(
         ("the automorphism extends to no overgroup inside the intersection",
          not extendable, Q)

@@ -41,6 +41,7 @@ from .groups import (
     QuotientData,
     Subgroup,
     _as_subgroup,
+    _closure,
     _conj_rows,
     _inn,
     _lattice_member,
@@ -345,8 +346,9 @@ def deserialize(data: dict) -> FusionSystem:
         raise ParseError("fusion data group entries are not cycle strings")
     perms = [perm_from_cycles(parse_cycles(s), degree) for s in data["group"]]
     group = Group(perms, degree, closed=True)
-    if len(group) != len(perms):
-        raise FusionkitError("serialized group element list is not closed")
+    # every index below names an element of the sorted list, as serialize wrote it
+    if group.perms != tuple(perms):
+        raise ParseError("fusion data group entries are not the sorted elements of a group")
     if not all(type(x) is int and 0 <= x < len(group) for x in data["P"]):
         raise ParseError("fusion data P entries are not element indices")
     P = Subgroup(group, data["P"])
@@ -411,20 +413,15 @@ def _find_routes(F: FusionSystem) -> list[tuple[Subgroup, list[tuple[Subgroup, K
 def _generators(domain: Key, auts: Iterable[Key]) -> tuple[list[Key], set[Key]]:
     """A generating set of the group spanned by the automorphism mappings
     ``auts`` on ``domain``, and that span: each mapping, in order, that the
-    span of those taken before it misses.  Spans are closed as permutations
-    of positions, so a set of mappings is a group exactly when it is as
-    large as its span."""
+    span of those taken before it misses.  Spans are closed by
+    ``groups._closure`` as permutations of positions, so a set of mappings
+    is a group exactly when it is as large as its span."""
     span: set[Key] = {tuple(range(len(domain)))}
     gens: list[Key] = []
     for perm in (_positions(domain, m) for m in auts):
         if perm not in span:
             gens.append(perm)
-            reached = list(span)
-            for x in reached:
-                # x then s sends position i to s[x[i]]
-                new = {tuple(map(s.__getitem__, x)) for s in gens} - span
-                span |= new
-                reached += new
+            span = _closure(gens, len(domain), None)
     return [_picker(g)(domain) for g in gens], span
 
 

@@ -631,13 +631,11 @@ def _conj_rows(G: Group, gs: Iterable[int]) -> dict[int, tuple[int, ...]]:
 
 
 def centralizer(container: Group | Subgroup, H: Subgroup) -> Subgroup:
+    """C(H) inside ``container``: g centralizes H when it commutes with
+    H's generators, as ``normalizer`` tests."""
     amb = _require_subgroup_of(H, container)
-    G = H.group
-    members = []
-    for g in amb.elements:
-        row = G._mul[g]
-        if all(row[x] == G._mul[x][g] for x in H.elements):
-            members.append(g)
+    G, gens = H.group, H.generators()
+    members = [g for g in amb.elements if all(G._mul[g][x] == G._mul[x][g] for x in gens)]
     return Subgroup(G, members, check=False)
 
 
@@ -686,17 +684,15 @@ def commutator_subgroup(container: Group | Subgroup, A: Subgroup, B: Subgroup) -
 
 
 def upper_central_series_group(container: Group | Subgroup) -> list[Subgroup]:
-    """[Z_1, Z_2, ...] up to stabilization, computed inside ``container``."""
+    """[Z_1, Z_2, ...] up to stabilization, computed inside ``container``.
+    g lies in Z_i when [g, x] lies in Z_(i-1) for the container's
+    generators x alone: Z_(i-1) is normal and [g, xy] = [g, y] [g, x]^y."""
     amb = _as_subgroup(container)
-    G = amb.group
+    G, gens = amb.group, amb.generators()
     series: list[Subgroup] = []
     current = {G.identity}
     while True:
-        nxt = [
-            g
-            for g in amb.elements
-            if all(G.comm(g, x) in current for x in amb.elements)
-        ]
+        nxt = [g for g in amb.elements if all(G.comm(g, x) in current for x in gens)]
         term = Subgroup(G, nxt, check=False)
         if series and term.elements == series[-1].elements:
             break

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 from .errors import NotSaturated, PreconditionFailed, TheoremViolation
 from .fusion import FusionSystem, _images, fusion_of_group, is_strongly_closed
 from .groups import Group, Subgroup, _as_subgroup, o_p_prime_group, sylow, upper_central_series_group
+from .morphisms import _hom_test
 from .saturation import is_saturated
-from .subsystems import _local_is_all
+from .subsystems import _join_passing, _local_is_all
 
 __all__ = [
     "CentralSeries",
@@ -155,15 +156,10 @@ def x_subgroup(F: FusionSystem) -> XSubgroup:
     an element of Aut_P(Q)) and is not tested.
     """
     _require_saturated(F)
-    X = F.subgroups()[0]
-    for Q in F.subgroups():
-        if _has_central_quotient(F, Q):
-            X = F.subgroup(X.join(Q).key)
-    if not _has_central_quotient(F, X):
-        raise TheoremViolation(
-            "the join of subgroups with F = P C_F(Q) loses the property",
-            witness=X,
-        )
+    X = _join_passing(
+        F, F.subgroups(), lambda Q: _has_central_quotient(F, Q),
+        "the join of subgroups with F = P C_F(Q) loses the property",
+    )
     if not is_strongly_closed(F, X):
         raise TheoremViolation("X_F is not strongly closed", witness=X)
     return XSubgroup(X)
@@ -197,13 +193,14 @@ def _focal_is_all(F: FusionSystem) -> bool:
 def verify_perfect_z2(F: FusionSystem) -> PerfectCentreReport:
     """For perfect F, check Z_2(F) = Z(F) along with the argument's
     ingredients: each x in Z_2(F) gives a homomorphism g |-> [x, g] from P
-    into Z(F), which perfectness forces to be trivial."""
+    into Z(F), which perfectness forces to be trivial.  The law is
+    ``_hom_test``'s, on P's generators."""
     if not is_perfect(F):
         raise PreconditionFailed("the system is not perfect", witness=F)
     series = upper_central_series(F)
     z1 = series.terms[0]
     z2 = series.terms[1] if len(series.terms) > 1 else z1
-    G = F.group
+    G, is_hom = F.group, _hom_test(F.P, F.group)
     tables = []
     for x in z2.elements:
         row = tuple((g, G.comm(x, g)) for g in F.P.elements)
@@ -212,14 +209,8 @@ def verify_perfect_z2(F: FusionSystem) -> PerfectCentreReport:
                 raise TheoremViolation(
                     "lambda_x does not land in the centre", witness=(x, g)
                 )
-        for g in F.P.elements:
-            for h in F.P.elements:
-                lhs = G.comm(x, G.mul(g, h))
-                rhs = G.mul(G.comm(x, g), G.comm(x, h))
-                if lhs != rhs:
-                    raise TheoremViolation(
-                        "lambda_x is not a homomorphism", witness=(x, g, h)
-                    )
+        if not is_hom(tuple(value for _, value in row)):
+            raise TheoremViolation("lambda_x is not a homomorphism", witness=x)
         tables.append((x, row))
     if z2.elements != z1.elements:
         raise TheoremViolation(

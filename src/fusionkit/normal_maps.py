@@ -148,11 +148,10 @@ class _Layout(NamedTuple):
     """What the axiom check and completion read of F on T, built once per
     (F, T) by ``_build_layout``; nothing in it depends on a map.
 
-    - ``subs``: the subgroups of T in lattice order, and ``keys``, theirs;
-      ``auts`` pairs each with Aut_F(U), for the containment precondition.
+    - ``subs``: the subgroups of T in lattice order.
     - ``aut_t``: the fully normalized U <= T, each with Aut_T(U).
     - ``domain``: ``partial_domain``, the fully normalized U with
-      C_T(U) <= U, and ``domain_keys``.
+      C_T(U) <= U.
     - ``extend``: by key, each other fully normalized U with
       V = U C_T(U) > U and the restriction from V to U (``_restricted``).
     - ``layers``: one per order, largest first: the fully normalized U <= T
@@ -168,11 +167,8 @@ class _Layout(NamedTuple):
       subgroup of Aut_F(U)."""
 
     subs: tuple[Subgroup, ...]
-    keys: frozenset[Key]
-    auts: tuple[tuple[Subgroup, frozenset[Key]], ...]
     aut_t: tuple[tuple[Subgroup, frozenset[Key]], ...]
     domain: tuple[Subgroup, ...]
-    domain_keys: frozenset[Key]
     extend: dict[Key, tuple[Subgroup, Subgroup, tuple]]
     layers: tuple[tuple[tuple[Subgroup, ...], tuple], ...]
     centric: tuple[tuple[Subgroup, AutGroup, tuple], ...]
@@ -215,11 +211,8 @@ def _build_layout(F: FusionSystem, T: Subgroup) -> _Layout:
         centric.append((Q, ag, above))
     return _Layout(
         subs=subs,
-        keys=frozenset(Q.key for Q in subs),
-        auts=tuple((Q, frozenset(F.iso_mappings(Q, Q))) for Q in subs),
         aut_t=tuple((Q, F.aut_mappings_of_conjugation(Q, T)) for Q in normalized),
         domain=tuple(domain),
-        domain_keys=frozenset(Q.key for Q in domain),
         extend=extend,
         layers=layers,
         centric=tuple(centric),
@@ -261,9 +254,9 @@ def check_weakly_normal_map(F: FusionSystem, A: AutMap) -> MapVerdict:
     being a subgroup of Aut_F(U).
 
     Everything that depends on (F, T) alone is read off T's layout
-    (``_Layout``), built once per (F, T): the subgroups of T and their
-    automizers, the fully normalized ones, U C_T(U) with the restriction to
-    U, Aut_V(U) for axiom (v), and the routes of ``_routes`` with Q0 <= T.
+    (``_Layout``), built once per (F, T): the subgroups of T, the fully
+    normalized ones, U C_T(U) with the restriction to U, Aut_V(U) for
+    axiom (v), and the routes of ``_routes`` with Q0 <= T.
     Axiom (i) is tested on those routes: A(Q0)^beta = A(Q0) for generators
     beta of Aut_F(Q0), and A(R) = A(Q0)^t_R for each other member R.  The
     F-isomorphisms phi with A(Q phi) = A(Q)^phi are closed under
@@ -280,11 +273,11 @@ def check_weakly_normal_map(F: FusionSystem, A: AutMap) -> MapVerdict:
     if not is_strongly_closed(F, T):
         raise NotStronglyClosed("the map must live on a strongly closed subgroup", witness=T)
     layout = _layout(F, T)
-    if set(A.assignment) != layout.keys:
+    if set(A.assignment) != {Q.key for Q in layout.subs}:
         raise PreconditionFailed("assignment must cover exactly the subgroups of T")
-    for Q, allowed in layout.auts:
+    for Q in layout.subs:
         value = A.assignment[Q.key]
-        if not value <= allowed:
+        if not value.issubset(F.iso_mappings(Q, Q)):
             raise PreconditionFailed(
                 "A(U) must be contained in Aut_F(U)", witness=Q
             )
@@ -407,7 +400,7 @@ def complete_partial_map(F: FusionSystem, T: Subgroup, partial) -> AutMap:
     values = partial.assignment if isinstance(partial, AutMap) else dict(partial)
     given = {k: frozenset(v) for k, v in values.items()}
     layout = _layout(F, T)
-    if set(given) != layout.domain_keys:
+    if set(given) != {Q.key for Q in layout.domain}:
         raise PreconditionFailed(
             "partial map must be defined exactly on the fully normalized "
             "subgroups of T that contain their T-centralizer"

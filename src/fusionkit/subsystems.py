@@ -275,13 +275,23 @@ def o_p(F: FusionSystem) -> Subgroup:
     g in P passes (c_g on QR normalizes Q) and is not tested."""
     if not is_saturated(F).saturated:
         raise NotSaturated("O_p needs a saturated system", witness=F)
-    result = F.subgroups()[0]
-    for Q in strongly_closed_subgroups(F):
-        if F.n_p(Q) == F.P and _local_is_all(F, Q, None):
-            result = F.subgroup(result.join(Q).key)
-    if not (F.n_p(result) == F.P and _local_is_all(F, result, None)):
-        raise TheoremViolation("join of normal subgroups is not normal", witness=result)
-    return result
+    return _join_passing(
+        F, strongly_closed_subgroups(F), lambda Q: F.n_p(Q) == F.P and _local_is_all(F, Q, None),
+        "join of normal subgroups is not normal",
+    )
+
+
+def _join_passing(F: FusionSystem, candidates, passes, message: str) -> Subgroup:
+    """The join of the ``candidates`` that pass the test ``passes``, which
+    the join must pass too, or TheoremViolation(``message``) is raised;
+    ``o_p`` and ``hypercentre.x_subgroup`` share it."""
+    X = F.subgroups()[0]
+    for Q in candidates:
+        if passes(Q):
+            X = F.subgroup(X.join(Q).key)
+    if not passes(X):
+        raise TheoremViolation(message, witness=X)
+    return X
 
 
 def o_p_prime_subsystem(E: FusionSystem) -> FusionSystem:

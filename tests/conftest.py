@@ -49,6 +49,13 @@ def catalog_systems():
 
 
 @pytest.fixture(scope="session")
+def every_catalog_system():
+    """F_P(G) for every catalog group G, of any order, and every prime
+    dividing |G|."""
+    return [fusion_of_group(G, p) for _, p, G in sweep_pairs(max_order=10**9)]
+
+
+@pytest.fixture(scope="session")
 def carrier_subsystems(catalog_systems):
     """The subsystems ``enumerate_subsystems_on`` finds, at most 400 a
     carrier, on every carrier of order at least 4 in the catalog p-groups

@@ -50,7 +50,12 @@ P's lattice for the subgroups of T, the fully normalized ones and
 ``partial_domain``, and moves every value along the routes with a fresh
 index.  Isomorphisms between subgroups are also searched for by closing
 each partial map under the products of all pairs of its elements, as the
-library did before it extended each choice along generator edges.
+library did before it extended each choice along generator edges.  The
+span of a set of automorphisms is also closed by a breadth-first loop of
+its own, C(H) tested against every element of H, and the upper central
+series of a group against every element of the group, as the library did
+before ``fusion._generators`` called ``groups._closure`` and the two
+group-wide tests read generators.
 """
 
 from __future__ import annotations
@@ -88,7 +93,15 @@ from fusionkit.errors import (
 )
 from fusionkit.fusion import _iso_table, _routes
 from fusionkit.groups import (
-    _conj_rows, _picker, all_subgroups, centralizer, is_p_power, normalizer, p_part
+    _as_subgroup,
+    _conj_rows,
+    _picker,
+    _require_subgroup_of,
+    all_subgroups,
+    centralizer,
+    is_p_power,
+    normalizer,
+    p_part,
 )
 from fusionkit.morphisms import (
     Key, _aut_subgroup, _inverse, _positions, _restricted, _restriction, _transport
@@ -941,3 +954,56 @@ def complete_partial_map_per_call(F: FusionSystem, T: Subgroup, partial) -> AutM
                     witness=Q,
                 )
     return AutMap(T, assigned)
+
+
+def generators_by_breadth_first(domain: Key, auts) -> tuple[list[Key], set[Key]]:
+    """``fusion._generators`` with its own breadth-first closure of each
+    span: the generators it picks, each mapping in order that the span of
+    those taken before misses, and the span of ``auts``."""
+    span: set[Key] = {tuple(range(len(domain)))}
+    gens: list[Key] = []
+    for perm in (_positions(domain, m) for m in auts):
+        if perm not in span:
+            gens.append(perm)
+            reached = list(span)
+            for x in reached:
+                # x then s sends position i to s[x[i]]
+                new = {tuple(map(s.__getitem__, x)) for s in gens} - span
+                span |= new
+                reached += new
+    return [_picker(g)(domain) for g in gens], span
+
+
+def centralizer_by_every_element(container: Group | Subgroup, H: Subgroup) -> Subgroup:
+    """C(H) inside ``container``, each g tested against every element of H."""
+    amb = _require_subgroup_of(H, container)
+    G = H.group
+    members = []
+    for g in amb.elements:
+        row = G._mul[g]
+        if all(row[x] == G._mul[x][g] for x in H.elements):
+            members.append(g)
+    return Subgroup(G, members, check=False)
+
+
+def upper_central_series_by_every_element(container: Group | Subgroup) -> list[Subgroup]:
+    """[Z_1, Z_2, ...] of a group up to stabilization, each [g, x] tested
+    for every x in ``container``."""
+    amb = _as_subgroup(container)
+    G = amb.group
+    series: list[Subgroup] = []
+    current = {G.identity}
+    while True:
+        nxt = [
+            g
+            for g in amb.elements
+            if all(G.comm(g, x) in current for x in amb.elements)
+        ]
+        term = Subgroup(G, nxt, check=False)
+        if series and term.elements == series[-1].elements:
+            break
+        series.append(term)
+        if len(term.elements) == len(amb.elements):
+            break
+        current = term._set
+    return series

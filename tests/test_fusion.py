@@ -5,7 +5,7 @@ import json
 import operator
 import random
 import weakref
-from functools import partial
+from functools import partial, reduce
 
 import pytest
 from hypothesis import given, settings
@@ -54,7 +54,14 @@ from fusionkit import (
 )
 from fusionkit import fusion, groups, hypercentre, normal_maps, saturation, subsystems
 from fusionkit.errors import (
-    FusionkitError, NotASubgroup, NotASubgroupOfP, NotStronglyClosed, ParseError
+    FusionkitError,
+    NotAPGroup,
+    NotASubgroup,
+    NotASubgroupOfP,
+    NotStronglyClosed,
+    NotSylow,
+    ParseError,
+    PrimeMismatch,
 )
 from fusionkit.fusion import _close, _routes
 from fusionkit.morphisms import _compose
@@ -162,6 +169,95 @@ def test_deserialize_rejects_a_non_closed_group_list():
     data["group"] = data["group"][:-1]
     with pytest.raises(FusionkitError):
         deserialize(data)
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda group: group[::-1], id="reversed"),
+    pytest.param(lambda group: group + group[:1], id="duplicated-entry"),
+])
+def test_deserialize_refuses_a_group_list_out_of_sorted_order(edit):
+    """Every index in P and the isos names an element of the sorted list
+    that ``serialize`` writes, so a list in any other order is refused, not
+    read against a sorted copy: reversed, F_P(S3)'s P = [0, 3, 4] names three
+    transpositions in the document's own order, yet loaded as the 3-cycles."""
+    G, _ = load_group_spec("s3")
+    data = fusion_of_group(G, 3).serialize()
+    data["group"] = edit(data["group"])
+    with pytest.raises(ParseError) as info:
+        deserialize(data)
+    assert str(info.value) == "fusion data group entries are not the sorted elements of a group"
+
+
+def _group(name):
+    return load_group_spec(name)[0]
+
+
+def _d8_factors(*words):
+    """F_P(D8) for D8 = <r, s>, and the cyclic subgroup generated by each
+    word of ``words`` over r and s."""
+    G = _group("d8")
+    letters = dict(zip("rs", G.generator_indices))
+    return fusion_of_group(G, 2), *(G.generated_subgroup([reduce(G.mul, map(letters.get, w))]) for w in words)
+
+
+FUSION_REFUSALS = {
+    "system-p-of-another-group": (
+        NotASubgroup, "P must be a subgroup of the ambient group",
+        lambda: FusionSystem(_group("s3"), fusion_of_group(_group("d8"), 2).P, 2, {})),
+    "system-p-not-a-p-group": (
+        NotAPGroup, "P has order 6, not a power of 3",
+        lambda: FusionSystem(_group("s3"), _group("s3").full_subgroup, 3, {})),
+    "fusion-of-group-p-outside": (
+        NotASubgroup, "P must be a subgroup of the acting group",
+        lambda: fusion_of_group(_group("s3"), 3, fusion_of_group(_group("d8"), 2).P)),
+    "fusion-of-group-p-not-sylow": (
+        NotSylow, "|P| = 3 is not the 2-part of |G| = 6",
+        lambda: fusion_of_group(_group("s3"), 2, fusion_of_group(_group("s3"), 3).P)),
+    "inner-fusion-trivial-without-prime": (
+        NotAPGroup, "the trivial group needs an explicit prime",
+        lambda: inner_fusion(_group("s3").generated_subgroup([]))),
+    "inner-fusion-not-a-p-group": (
+        NotAPGroup, "order 6 is not a power of 3",
+        lambda: inner_fusion(_group("s3"), 3)),
+    "generated-fusion-not-a-p-group": (
+        NotAPGroup, "order 6 is not a power of 2",
+        lambda: generated_fusion(_group("s3").full_subgroup, 2, [])),
+    "intersect-raw-two-groups": (
+        FusionkitError, "intersection needs a common ambient group",
+        lambda: intersect_raw(fusion_of_group(_group("d8"), 2), fusion_of_group(_group("s3"), 3))),
+    "intersect-raw-two-primes": (
+        PrimeMismatch, "3 != 2",
+        lambda: intersect_raw(fusion_of_group(_group("s3"), 3), fusion_of_group(_group("s3"), 2))),
+    "direct-product-two-primes": (
+        PrimeMismatch, "3 != 2",
+        lambda: direct_product(fusion_of_group(_group("s3"), 3), fusion_of_group(_group("d8"), 2))),
+    "internal-product-meeting-factors": (
+        FusionkitError, "factors intersect nontrivially",
+        lambda: internal_direct_product(*_d8_factors("r", "rr"))),
+    "internal-product-not-spanning": (
+        FusionkitError, "factors do not span an internal direct product",
+        lambda: internal_direct_product(*_d8_factors("s", "rs"))),
+    "internal-product-not-commuting": (
+        FusionkitError, "factors do not commute elementwise",
+        lambda: internal_direct_product(*_d8_factors("r", "s"))),
+    "transport-off-p": (
+        FusionkitError, "transport needs an isomorphism defined on P",
+        lambda: transport_fusion(
+            fusion_of_group(_group("s3"), 3), Morphism.identity(_group("s3").full_subgroup))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FUSION_REFUSALS))
+def test_fusion_constructors_refuse_what_they_cannot_build(case):
+    """Each public constructor of ``fusion`` refuses an input it cannot
+    build a system from with its own error class and message: a P outside
+    the group or not a p-group, a P that is not Sylow, two systems of other
+    groups or primes, factors that do not form an internal direct product
+    (on D8 = <r, s>), and a transport map that is not defined on P."""
+    error, message, call = FUSION_REFUSALS[case]
+    with pytest.raises(FusionkitError) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
 
 
 @pytest.mark.parametrize("key", ["degree", "group", "P", "isos", "p"])

@@ -34,12 +34,14 @@ from fusionkit.groups import is_prime
 from fusionkit.perms import perm_mul
 from oracles import (
     cayley_table_by_perm_mul,
+    centralizer_by_every_element,
     closure_by_breadth_first,
     generators_by_closure,
     is_normal_by_every_pair,
     maximal_subgroups_by_containment,
     normalizer_by_every_element,
     oracle_subgroup_sets,
+    upper_central_series_by_every_element,
 )
 
 # counts of isomorphism types per order, as published for orders 1..24
@@ -360,6 +362,31 @@ def test_upper_central_series_group():
     G, _ = load_group_spec("s4")
     series = upper_central_series_group(G.full_subgroup)
     assert [len(S) for S in series] == [1]
+
+
+def test_centralizer_matches_the_every_element_test(every_catalog_system, a4xd8_system, s4xd8_system):
+    """``centralizer`` tests each g against H's generators alone and finds
+    what the test against every element of H found: C_P(Q) for every
+    subgroup Q of P in F_P(G) for every catalog group G and prime, in
+    F_P(A4 x D8) and in F_P(S4 x D8), and the centre of every catalog group."""
+    systems = every_catalog_system + [a4xd8_system, s4xd8_system]
+    pairs = [(F.P, Q) for F in systems for Q in F.subgroups()]
+    for P, Q in pairs:
+        assert centralizer(P, Q) == centralizer_by_every_element(P, Q), Q
+    assert len(pairs) == 1358
+    for name in catalog_names():
+        G = make_group(load_catalog(name))
+        assert group_centre(G) == centralizer_by_every_element(G, G.full_subgroup), name
+
+
+def test_upper_central_series_group_matches_the_every_element_test(ladder_groups):
+    """``upper_central_series_group`` tests [g, x] for the container's
+    generators x alone and finds the terms that the test for every x found,
+    on every catalog group and the three ladder products."""
+    every = [make_group(load_catalog(name)) for name in sorted(catalog_names())] + ladder_groups
+    for G in every:
+        assert upper_central_series_group(G) == upper_central_series_by_every_element(G), G
+    assert len(every) == 81
 
 
 def test_o_p_prime_group():

@@ -2,8 +2,9 @@
 ``__all__`` lists only names the module itself defines, only ``fusion.py``
 names the memo of a system's facts, no fact is computed by a lambda, the
 modules that work on a system build no unchecked ``Subgroup``, the
-per-candidate steps of the subsystem search do not rescan the lattice, and
-the hypercentre layer builds no quotient.
+per-candidate steps of the subsystem search do not rescan the lattice, the
+hypercentre layer builds no quotient, and only ``groups`` and ``morphisms``
+grow a list while a loop walks it.
 
 Package re-exports (``__init__.py``) are exempt.  Uses inside string
 annotations count.
@@ -183,3 +184,36 @@ def test_the_hypercentre_builds_no_quotient():
     for name in ("quotient_with_data", "QuotientData", "coset_quotient"):
         named = _lines_naming(path, name)
         assert name not in imported and not named, f"hypercentre.py names {name} on lines {named}"
+
+
+def _grows(loop: ast.For, name: str) -> bool:
+    """Whether the body of ``loop`` appends to, extends or adds to the list ``name``."""
+    for node in ast.walk(loop):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            target, grown = node.func.value, node.func.attr in ("append", "extend")
+        elif isinstance(node, ast.AugAssign):
+            target, grown = node.target, isinstance(node.op, ast.Add)
+        else:
+            continue
+        if grown and isinstance(target, ast.Name) and target.id == name:
+            return True
+    return False
+
+
+def test_only_groups_and_morphisms_grow_a_list_they_walk():
+    """A ``for`` loop over a list that its body grows, by ``append``,
+    ``extend`` or ``+=``, is a closure search.  The library keeps its
+    closure searches in ``groups`` (``_closure``, ``_join``,
+    ``_cayley_rows``) and ``morphisms`` (``_extended``), and every other
+    module calls them: ``fusion._generators`` closes spans of
+    automorphisms with ``groups._closure``."""
+    for path in MODULES:
+        if path.name in ("groups.py", "morphisms.py"):
+            continue
+        tree = ast.parse(path.read_text())
+        lines = [
+            node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.For) and isinstance(node.iter, ast.Name)
+            and _grows(node, node.iter.id)
+        ]
+        assert not lines, f"{path.name} grows the list a loop walks on lines {lines}"

@@ -56,11 +56,13 @@ from fusionkit.errors import (
     PreconditionFailed,
     TheoremViolation,
 )
+from fusionkit.fusion import _generators
 from fusionkit.normal_maps import _first_disagreement, _maximum, _minimum
 from oracles import (
     check_weakly_normal_map_per_call,
     closure_by_breadth_first,
     complete_partial_map_per_call,
+    generators_by_breadth_first,
     is_normal_by_every_pair,
 )
 
@@ -492,6 +494,26 @@ def test_the_axiom_check_refuses_maps_it_cannot_test(s4_four_group, case, tmp_pa
     assert run(["map-check", "--group", "s4", "--prime", "2", "--map", str(path)]) == 2
     out, err = capsys.readouterr()
     assert not out and json.loads(err) == {"error": error.__name__, "message": message}
+
+
+def test_spans_close_as_the_breadth_first_loop_did(
+    every_catalog_system, a4xd8_system, s4xd8_system, s4_four_group
+):
+    """``_generators`` closes each span through ``groups._closure`` and
+    picks the same generators, in the same order, with the same span, as
+    the breadth-first loop of its own that it replaced: on Aut_F(Q) for
+    every Q of F_P(G) for every catalog group G and prime, of F_P(A4 x D8)
+    and of F_P(S4 x D8), and on the values at V of the maps the axiom check refuses, two of
+    which are not closed."""
+    systems = every_catalog_system + [a4xd8_system, s4xd8_system]
+    cases = [(Q.key, F.iso_mappings(Q, Q)) for F in systems for Q in F.subgroups()]
+    F, V = s4_four_group[:2]
+    refused = [A.at(V) for A, *_ in _refused_maps(F, V) if A.T == V]
+    cases += [(V.key, value) for value in refused]
+    for domain, auts in cases:
+        assert _generators(domain, auts) == generators_by_breadth_first(domain, auts), domain
+    assert len(cases) == 1358 + 3
+    assert sum(len(_generators(V.key, value)[1]) != len(value) for value in refused) == 2
 
 
 def test_completion_refuses_a_partial_map_on_the_wrong_domain(s4_four_group):

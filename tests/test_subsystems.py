@@ -5,6 +5,7 @@ import json
 import pytest
 
 from fusionkit import (
+    Morphism,
     based_range,
     Subgroup,
     centralizer,
@@ -33,7 +34,16 @@ from fusionkit import (
     weakly_normal_systems_on,
     x_subgroup,
 )
-from fusionkit.errors import NotFullyCentralized, NotFullyNormalized, PreconditionFailed
+from fusionkit.errors import (
+    FusionkitError,
+    InputError,
+    NotASubsystem,
+    NotFullyCentralized,
+    NotFullyNormalized,
+    NotSaturated,
+    NotStronglyClosed,
+    PreconditionFailed,
+)
 from fusionkit.fusion import _close
 from fusionkit.groups import _join_normalized, is_p_power
 from fusionkit.morphisms import _compose
@@ -237,6 +247,64 @@ def test_theorem_a_requires_weak_normality():
     assert not is_saturated(E).saturated
     with pytest.raises(PreconditionFailed):
         verify_theorem_a(F, E)
+
+
+def _s4_system():
+    """F_P(S4), its strongly closed four-group V, and a subgroup C of
+    order 2 outside V, which is not strongly closed."""
+    G, _ = load_group_spec("s4")
+    F = fusion_of_group(G, 2)
+    V = next(T for T in strongly_closed_subgroups(F) if len(T) == 4)
+    C = next(S for S in F.subgroups() if len(S) == 2 and not S <= V)
+    return F, V, C
+
+
+def _v4_in_a4_unsaturated():
+    """The system on V4 that the order-2 maps of F_V4(A4) generate, which
+    is not saturated (the ``v4_a4`` worked example)."""
+    G, _ = load_group_spec("a4")
+    F = fusion_of_group(G, 2)
+    seeds = [phi for Q in F.subgroups() if len(Q) <= 2
+             for phi in F.isos_from(Q) if len(phi.codomain) <= 2]
+    return generated_fusion(F.P, 2, seeds)
+
+
+SUBSYSTEM_REFUSALS = {
+    "normality-status-not-a-subsystem": (
+        NotASubsystem, "E is not a subsystem of F",
+        lambda F, V, C: normality_status(inner_fusion(F.P, 2), F)),
+    "normality-status-not-strongly-closed": (
+        NotStronglyClosed, "E does not live on a strongly closed subgroup",
+        lambda F, V, C: normality_status(F, inner_fusion(C, 2))),
+    "frattini-decompose-outside-t": (
+        NotASubsystem, "morphism does not live inside T",
+        lambda F, V, C: frattini_decompose(F, inner_fusion(V, 2), Morphism.identity(F.P))),
+    "local-subsystem-unknown-kind": (
+        InputError, "unknown local subsystem kind: 'bogus'",
+        lambda F, V, C: local_subsystem(F, V, "bogus")),
+    "o-p-not-saturated": (
+        NotSaturated, "O_p needs a saturated system",
+        lambda F, V, C: o_p(_v4_in_a4_unsaturated())),
+    "o-p-prime-not-saturated": (
+        NotSaturated, "O^{p'} needs a saturated system",
+        lambda F, V, C: o_p_prime_subsystem(_v4_in_a4_unsaturated())),
+    "enumeration-past-its-limit": (
+        InputError, "more than 1 subsystems on the carrier",
+        lambda F, V, C: enumerate_subsystems_on(F, V, limit=1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SUBSYSTEM_REFUSALS))
+def test_subsystem_queries_refuse_inputs_outside_their_hypotheses(case):
+    """Each public query of ``subsystems`` refuses an input outside its
+    hypotheses with its own error class and message: a system that is not
+    a subsystem of F or lives on a subgroup that is not strongly closed, a
+    morphism outside T, an unknown kind of local subsystem, a system that
+    is not saturated, and more subsystems on a carrier than the limit."""
+    error, message, call = SUBSYSTEM_REFUSALS[case]
+    with pytest.raises(FusionkitError) as info:
+        call(*_s4_system())
+    assert type(info.value) is error and str(info.value) == message
 
 
 def test_frattini_decomposition_of_a_weakly_normal_pair():
