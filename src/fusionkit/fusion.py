@@ -31,6 +31,7 @@ from .errors import (
     NotASubgroupOfP,
     NotStronglyClosed,
     NotSylow,
+    OrderBoundExceeded,
     ParseError,
     PrimeMismatch,
     SeedNotInjective,
@@ -352,21 +353,20 @@ def deserialize(data: dict) -> FusionSystem:
     if not all(type(x) is int and 0 <= x < len(group) for x in data["P"]):
         raise ParseError("fusion data P entries are not element indices")
     P = Subgroup(group, data["P"])
-    # Looking an entry up here both rejects what is not an element of P and
-    # turns a JSON number such as 1.0 into the index itself; a JSON true,
-    # equal to 1, would be looked up as 1, so booleans are refused first.
-    elements = {x: x for x in P.elements}
+    pset = P._set
     isos: dict[Key, list[Key]] = {}
     try:
         for qlist, mappings in data["isos"]:
-            if bool in set(map(type, chain(qlist, *mappings))):
-                raise ValueError("a JSON boolean is not an element index")
-            qk = tuple(map(elements.__getitem__, qlist))
-            ms = [tuple(map(elements.__getitem__, m)) for m in mappings]
+            qk, ms = tuple(qlist), [tuple(m) for m in mappings]
+            # type(x) is int: a JSON 1.0 or true equals an index and would pass P's set
+            if not {int}.issuperset(map(type, chain(qk, *ms))):
+                raise ValueError("an entry holds a value that is not an integer")
+            if not pset.issuperset(chain(qk, *ms)):
+                raise ValueError("an entry holds an integer that is not an element of P")
             if any(len(m) != len(qk) for m in ms):
                 raise ParseError("fusion data iso mapping is not as long as its domain", witness=qk)
             isos.setdefault(qk, []).extend(ms)
-    except (KeyError, TypeError, ValueError):
+    except (TypeError, ValueError):
         raise ParseError(
             "fusion data isos entries are not [domain, mappings] pairs of element indices of P"
         ) from None
@@ -410,18 +410,22 @@ def _find_routes(F: FusionSystem) -> list[tuple[Subgroup, list[tuple[Subgroup, K
     return out
 
 
-def _generators(domain: Key, auts: Iterable[Key]) -> tuple[list[Key], set[Key]]:
+def _generators(
+    domain: Key, auts: Iterable[Key], order_bound: int | None = None
+) -> tuple[list[Key], set[Key]]:
     """A generating set of the group spanned by the automorphism mappings
     ``auts`` on ``domain``, and that span: each mapping, in order, that the
     span of those taken before it misses.  Spans are closed by
     ``groups._closure`` as permutations of positions, so a set of mappings
-    is a group exactly when it is as large as its span."""
+    is a group exactly when it is as large as its span; a span that grows
+    past ``order_bound`` raises OrderBoundExceeded."""
     span: set[Key] = {tuple(range(len(domain)))}
     gens: list[Key] = []
-    for perm in (_positions(domain, m) for m in auts):
+    at = {x: i for i, x in enumerate(domain)}.__getitem__
+    for perm in (tuple(map(at, m)) for m in auts):
         if perm not in span:
             gens.append(perm)
-            span = _closure(gens, len(domain), None)
+            span = _closure(gens, len(domain), order_bound)
     return [_picker(g)(domain) for g in gens], span
 
 
@@ -781,14 +785,113 @@ def is_isomorphic_fusion(F1: FusionSystem, F2: FusionSystem) -> bool:
 
 def validate_fusion(F: FusionSystem) -> None:
     """Check every stored axiom; raises FusionkitError on the first failure.
-    Each mapping is tested against the homomorphism law on its domain's
-    generators, and ``Morphism.build`` runs only to name a failure.  A
-    homomorphism is fixed by its images of generators, so the later checks
-    compare the images of generators against one set per domain.
-    Restrictions are checked on the maximal subgroups of each domain alone:
-    every S < Q lies on a chain of subgroups each of index p in the next, so
-    by induction on |Q| all restrictions are then stored.  The check over
-    every smaller subgroup runs only to name the first failure."""
+
+    A fusion system is a category whose classes are groupoids, so validity
+    is decided class by class (``_is_valid``), each stored map read once.
+    Only a table that decision refuses runs the check over every pair of
+    maps (``_name_failure``), to name the first failure, as ``Morphism.build``
+    does for the homomorphism law."""
+    if not _is_valid(F):
+        _name_failure(F)
+
+
+def _is_valid(F: FusionSystem) -> bool:
+    """Whether F's table is a fusion system on P, read one class at a time.
+
+    Take the domains in table order; each not yet seen is the base Q0 of a
+    class whose members C are Q0's targets.  Let A = S(Q0, Q0) and t_R the
+    first stored map Q0 -> R.  The table is accepted exactly when
+      1. its domains are P's lattice;
+      2. every member's targets are exactly C, and C lies in the lattice;
+      3. each a in A has image key Q0, and the generators that
+         ``_generators`` picks from A pass ``_hom_test``.  The span of A is
+         closed with ``order_bound`` |A|, so a set of bijections spanning
+         far more stops at once;
+      4. each t_R has |Q0| entries and image key R, and for R != Q0 passes
+         ``_hom_test`` (t_Q0 lies in A);
+      5. for all R, R' in C, S(R, R') is {t_R^-1 . a . t_R' : a in the span
+         of A}, maps written left to right.  For R = R' = Q0 this says that
+         A is its span, a group of automorphisms;
+      6. the restrictions of A's generators and of each t_R with R != Q0 to
+         each maximal subgroup of Q0 are stored;
+      7. the rows of Inn(P), read on P, are stored in S(P, P).
+
+    Why that is validity.  By 5 every stored map is t_R^-1 . a . t_R', a
+    composite of the homomorphisms of 3 and 4, with the image key of its
+    bucket.  As A is a group, 5 closes each class under composition and
+    inversion and puts the identity in each S(R, R), and by 2 no map leaves
+    its class.  Each map is a word in A's generators and the t_R and t_R^-1
+    with R != Q0; its restriction to a maximal subgroup of its domain is the
+    composite of the letters' restrictions to the successive images, each
+    stored by 6 or the inverse of a map stored by 6, and the empty word
+    restricts to an identity.  Every S < Q lies on a chain of subgroups each
+    of index p in the next, so by induction every restriction is stored,
+    and c_g on Q, the restriction of c_g on P, is stored by 7.  Conversely,
+    in a fusion system t_R . f . t_R'^-1 lies in A for every f in S(R, R'),
+    so 1-7 hold.  A valid table is refused here only when it has an empty
+    bucket, and ``_name_failure`` then passes it."""
+    isos, lattice = F._isos, _subgroup_index(F.P)
+    if isos.keys() != lattice.keys():
+        return False
+    covers, seen = _maximal_subgroups(F.P), set()
+    for q0, targets in isos.items():
+        if q0 in seen:
+            continue
+        seen.update(targets)
+        if not lattice.keys() >= targets.keys():
+            return False
+        if any(isos[rk].keys() != targets.keys() for rk in targets):
+            return False
+        auts = targets.get(q0, ())
+        if not auts:
+            return False
+        if any(tuple(sorted(a)) != q0 for a in auts):
+            return False
+        try:
+            gens, span = _generators(q0, auts, len(set(auts)))
+        except OrderBoundExceeded:
+            return False
+        firsts = {rk: ms[0] for rk, ms in targets.items() if ms}
+        if len(firsts) != len(targets):
+            return False
+        if any(len(t) != len(q0) for t in firsts.values()):
+            return False
+        if any(tuple(sorted(t)) != rk for rk, t in firsts.items()):
+            return False
+        # t_Q0 lies in A, so A's generators stand for it
+        letters = gens + [t for rk, t in firsts.items() if rk != q0]
+        if letters and not all(map(_hom_test(F.subgroup(q0), F.group), letters)):
+            return False
+        for rk, t in firsts.items():
+            # t_R^-1 . a . t_R' takes R's j-th element to t_R'[a[back[j]]]
+            back = _picker(_positions(t, rk))
+            composites = [_picker(back(a)) for a in span]
+            for rk2, t2 in firsts.items():
+                if set(isos[rk][rk2]) != {c(t2) for c in composites}:
+                    return False
+        if letters:
+            at = {x: i for i, x in enumerate(q0)}.__getitem__
+            for mk in covers[q0]:
+                restrictions = map(_picker(tuple(map(at, mk))), letters)
+                if not all(r in isos[mk].get(tuple(sorted(r)), ()) for r in restrictions):
+                    return False
+    on_p = _picker(F.P.key)
+    if not {on_p(row) for row, _ in _inn(F.P)} <= set(isos[F.P.key].get(F.P.key, ())):
+        return False
+    return True
+
+
+def _name_failure(F: FusionSystem) -> None:
+    """The first failure of the check over every pair of stored maps,
+    raised as FusionkitError.  Each mapping is tested against the
+    homomorphism law on its domain's generators, and ``Morphism.build``
+    runs only to name a failure.  A homomorphism is fixed by its images of
+    generators, so the later checks compare the images of generators
+    against one set per domain.  Restrictions are checked on the maximal
+    subgroups of each domain alone: every S < Q lies on a chain of
+    subgroups each of index p in the next, so by induction on |Q| all
+    restrictions are then stored.  The check over every smaller subgroup
+    runs only to name the first failure."""
     lattice = _subgroup_index(F.P)
     if set(F._isos) != set(lattice):
         raise FusionkitError("iso table does not range over the subgroups of P")

@@ -64,7 +64,7 @@ from fusionkit.errors import (
     PrimeMismatch,
 )
 from fusionkit.fusion import _close, _routes
-from fusionkit.morphisms import _compose
+from fusionkit.morphisms import _compose, _inverse, _isomorphisms
 from oracles import (
     aut_s_by_normalizer_rows,
     fusion_by_every_element,
@@ -301,6 +301,8 @@ def test_deserialize_malformed_field_is_a_parse_error(field, value):
     pytest.param([[0, 3, 4], [0, 3, 4]], id="mapping-not-a-list"),
     pytest.param([[0, 1, 2], [[0, 1, 2]]], id="domain-outside-P"),
     pytest.param([[0, None, 4], [[0, 3, 4]]], id="domain-null-index"),
+    pytest.param([[0, 3, 4.0], [[0, 3, 4]]], id="domain-integral-float-index"),
+    pytest.param([[0, 3, 4], [[0, 3.0, 4]]], id="mapping-integral-float-index"),
 ])
 def test_deserialize_malformed_iso_entry_is_a_parse_error(entry):
     G, _ = load_group_spec("s3")
@@ -944,27 +946,132 @@ def _swaps(F):
                     yield qk, rk, ms[:j] + (swapped,) + ms[j + 1 :]
 
 
-def test_validate_fusion_fails_first_where_the_full_tuple_check_does(ladder_groups):
-    # every removal and neighbouring swap on three small systems, a fixed
-    # sample of both on the |P| = 32 ladder system, and three tables of the
-    # wrong shape on F_P(S4): a domain missing, a bucket keyed by a subset
-    # that is no subgroup, and mappings stored under another image's key
+def _without_bucket(F, qk, rk):
+    isos = {k: dict(targets) for k, targets in F._isos.items()}
+    del isos[qk][rk]
+    return FusionSystem(F.group, F.P, F.p, isos)
+
+
+def _foreign_automorphisms(F):
+    """Each automizer S(Q, Q) with the first automorphism of Q that it lacks
+    added, and each one-element automizer replaced by the first
+    automorphism of Q other than the identity."""
+    for qk, targets in F._isos.items():
+        auts, Q = targets[qk], F.subgroup(qk)
+        lacking = next((m for m in _isomorphisms(Q, Q) if m not in auts), None)
+        if lacking is not None:
+            yield qk, qk, auts + (lacking,)
+            if len(auts) == 1:
+                yield qk, qk, (next(m for m in _isomorphisms(Q, Q) if m != qk),)
+
+
+def _grown_by_a_swap(F):
+    """Each automizer S(Q, Q) with |Q| >= 3 grown by the identity of Q with
+    its second and third images swapped, a bijection that fixes 1."""
+    for qk, targets in F._isos.items():
+        if len(qk) >= 3:
+            yield qk, qk, targets[qk] + ((qk[0], qk[2], qk[1]) + qk[3:],)
+
+
+def _cut_off(F):
+    """For each F-class and each member R but the first, the table with
+    every bucket between R and another member dropped, both ways, as a
+    dict."""
+    seen = set()
+    for qk, targets in F._isos.items():
+        if qk not in seen:
+            seen.update(targets)
+            for rk in list(targets)[1:]:
+                isos = {k: dict(t) for k, t in F._isos.items()}
+                for other in targets:
+                    if other != rk:
+                        del isos[other][rk], isos[rk][other]
+                yield isos
+
+
+def _generated_by_one_iso(G, p, order):
+    """The system on the p-group G generated by the first isomorphism
+    between the first two isomorphic subgroups Q, R of G of ``order``,
+    with Q and R."""
+    pairs = itertools.combinations([S for S in all_subgroups(G.full_subgroup) if len(S) == order], 2)
+    Q, R = next((Q, R) for Q, R in pairs if next(_isomorphisms(Q, R), None))
+    E = generated_fusion(G.full_subgroup, p, [Morphism(Q, R, next(_isomorphisms(Q, R)))])
+    return E, Q, R
+
+
+def test_validate_fusion_fails_first_where_the_full_tuple_check_does(ladder_groups, monkeypatch):
+    # Each table below is judged as the full-tuple oracle judges it:
+    # - on seven small systems, five F_P(G) and two generated by one map
+    #   (C2^3 by a map of four-groups, C3 x C9 by a map of cyclic subgroups
+    #   of order 9): every removal and neighbouring swap, every automizer
+    #   grown by a foreign automorphism or a swapped identity, every
+    #   one-element automizer replaced by a foreign automorphism, every
+    #   bucket between two members dropped, and every member cut off from
+    #   its class;
+    # - on C3 x C9, the generating map Q -> R with two images of order 9
+    #   swapped, and its inverse, and the table with every map into Q dropped;
+    # - on the |P| = 32 ladder system, a fixed sample of removals and swaps,
+    #   and a swap inside Aut_F(P);
+    # - on F_P(S4), seven tables of the wrong shape: a domain missing, a
+    #   bucket keyed by a subset that is no subgroup, mappings stored under
+    #   another image's key in a bucket between two members and in an
+    #   automizer, a class whose members differ in order, in table order and
+    #   reversed, and Aut_F(P) cut to the identity.
+    # Some fail one step of the decision alone: a swapped identity on C5 and
+    # the bent map on C3 x C9 only the homomorphism law, a cut restriction
+    # on C2^3 only the restriction of the generating map, and the table
+    # without maps into Q only the identity of Q.
     cases = []
-    for name, p in [("s4", 2), ("s3xs3", 3), ("sl23", 2)]:
-        F = fusion_of_group(load_group_spec(name)[0], p)
-        cases += [partial(_with_bucket, F, *c) for c in [*_removals(F), *_swaps(F)]]
+    c3xc9 = direct_product_groups(*(make_group(load_catalog(n)) for n in ("c3", "c9"))).group
+    E, Q, R = _generated_by_one_iso(c3xc9, 3, 9)
+    (t,) = E._isos[Q.key][R.key]
+    i, j = [k for k, x in enumerate(Q.key) if c3xc9.element_order(x) == 9][:2]
+    bent = tuple(t[j] if k == i else t[i] if k == j else y for k, y in enumerate(t))
+    bent_table = {k: dict(targets) for k, targets in E._isos.items()}
+    bent_table[Q.key][R.key], bent_table[R.key][Q.key] = (bent,), (_inverse(Q.key, bent),)
+    unfixed = {k: dict(targets) for k, targets in E._isos.items()}
+    del unfixed[Q.key][Q.key], unfixed[R.key][Q.key]
+    cases += [partial(FusionSystem, E.group, E.P, E.p, table) for table in (bent_table, unfixed)]
+    systems = [fusion_of_group(load_group_spec(name)[0], p)
+               for name, p in [("s4", 2), ("s3xs3", 3), ("sl23", 2), ("c8", 2), ("c5", 5)]]
+    systems += [E, _generated_by_one_iso(make_group(load_catalog("ea8")), 2, 4)[0]]
+    for F in systems:
+        cases += [partial(_with_bucket, F, *c) for c in [
+            *_removals(F), *_swaps(F), *_foreign_automorphisms(F), *_grown_by_a_swap(F)
+        ]]
+        cases += [partial(_without_bucket, F, qk, rk)
+                  for qk, targets in F._isos.items() for rk in targets if rk != qk]
+        cases += [partial(FusionSystem, F.group, F.P, F.p, table) for table in _cut_off(F)]
     F = fusion_of_group(ladder_groups[0], 2)
+    pk = F.P.key
     cases += [partial(_with_bucket, F, *c)
               for c in [*list(_removals(F))[::20], *list(_swaps(F))[::200]]]
+    # this neighbouring swap in the identity of Aut_F(P), |Aut_F(P)| = 12,
+    # spans 165888 permutations of P, so the decision closes spans with a
+    # bound; ``bounded`` below fails a closure without one
+    cases += [partial(_with_bucket, F, pk, pk, c[2]) for c in _swaps(F) if c[:2] == (pk, pk)][9:10]
     F = fusion_of_group(load_group_spec("s4")[0], 2)
-    pk = F.P.key
+    pk, ek = F.P.key, F.P.key[:1]
     qk, targets = next((qk, t) for qk, t in F._isos.items() if len(t) > 1)
     (_, ms), (other, _) = list(targets.items())[:2]
+    unequal = {k: dict(t) for k, t in F._isos.items()}
+    unequal[ek][pk], unequal[pk][ek] = (pk,), (ek,)
     cases += [
         partial(FusionSystem, F.group, F.P, F.p, {k: t for k, t in F._isos.items() if k != pk}),
         partial(_with_bucket, F, pk, pk[:-1], F._isos[pk][pk]),
         partial(_with_bucket, F, qk, other, ms),
+        partial(_with_bucket, F, qk, qk, F._isos[qk][other]),
+        partial(FusionSystem, F.group, F.P, F.p, unequal),
+        partial(FusionSystem, F.group, F.P, F.p, dict(reversed(unequal.items()))),
+        partial(_with_bucket, F, pk, pk, (pk,)),
     ]
+    closure = fusion._closure
+
+    def bounded(gens, degree, order_bound):
+        assert order_bound is not None
+        return closure(gens, degree, order_bound)
+
+    monkeypatch.setattr(fusion, "_closure", bounded)
     messages = set()
     for make in cases:
         expected = _outcome(validate_fusion_by_full_tuples, make())
@@ -1024,16 +1131,47 @@ def test_validate_fusion_names_a_missing_deep_restriction_as_the_full_tuple_chec
 def test_validate_fusion_builds_no_morphism_on_a_valid_table(ladder_groups, monkeypatch):
     F = fusion_of_group(ladder_groups[1], 2)
     build, calls = Morphism.build.__func__, []
+    name_failure, named = fusion._name_failure, []
 
     def counted(cls, *args):
         calls.append(args)
         return build(cls, *args)
 
+    def naming(E):
+        named.append(E)
+        return name_failure(E)
+
     monkeypatch.setattr(Morphism, "build", classmethod(counted))
+    monkeypatch.setattr(fusion, "_name_failure", naming)
     validate_fusion(F)
-    assert calls == []
+    assert calls == [] and named == []
     # one mapping that breaks the law is built, to name the failing pair
     qk, rk, ms = next(c for c in _swaps(F) if len(c[0]) > 2)
     with pytest.raises(FusionkitError, match="not a homomorphism"):
         validate_fusion(_with_bucket(F, qk, rk, ms))
-    assert len(calls) == 1
+    assert len(calls) == 1 and len(named) == 1
+
+
+def test_validate_fusion_decides_every_valid_system_class_by_class(
+    every_catalog_system, carrier_subsystems, ladder_groups, monkeypatch
+):
+    """F_P(G) for every catalog group at every prime, the three ladder
+    groups and three products at odd p, and the subsystems on the small
+    catalog carriers, are all accepted without the every-pair check."""
+
+    def naming(E):
+        raise AssertionError(f"the every-pair check ran on {E!r}")
+
+    odd = [
+        (direct_product_groups(make_group(load_catalog(a)), make_group(load_catalog(b))).group, p)
+        for a, b, p in [("ea9", "ea9", 3), ("ea9", "c9", 3), ("c5", "c5", 5)]
+    ]
+    systems = [
+        *every_catalog_system,
+        *(fusion_of_group(G, 2) for G in ladder_groups),
+        *(fusion_of_group(G, p) for G, p in odd),
+        *carrier_subsystems,
+    ]
+    monkeypatch.setattr(fusion, "_name_failure", naming)
+    for F in systems:
+        validate_fusion(F)
