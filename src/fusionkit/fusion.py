@@ -790,7 +790,7 @@ def validate_fusion(F: FusionSystem) -> None:
     is decided class by class (``_is_valid``), each stored map read once.
     Only a table that decision refuses runs the check over every pair of
     maps (``_name_failure``), to name the first failure, as ``Morphism.build``
-    does for the homomorphism law."""
+    does for the homomorphism law, or else an empty bucket."""
     if not _is_valid(F):
         _name_failure(F)
 
@@ -829,7 +829,8 @@ def _is_valid(F: FusionSystem) -> bool:
     and c_g on Q, the restriction of c_g on P, is stored by 7.  Conversely,
     in a fusion system t_R . f . t_R'^-1 lies in A for every f in S(R, R'),
     so 1-7 hold.  A valid table is refused here only when it has an empty
-    bucket, and ``_name_failure`` then passes it."""
+    bucket, which ``_name_failure`` names, so ``validate_fusion`` accepts
+    exactly the tables accepted here."""
     isos, lattice = F._isos, _subgroup_index(F.P)
     if isos.keys() != lattice.keys():
         return False
@@ -885,13 +886,10 @@ def _name_failure(F: FusionSystem) -> None:
     """The first failure of the check over every pair of stored maps,
     raised as FusionkitError.  Each mapping is tested against the
     homomorphism law on its domain's generators, and ``Morphism.build``
-    runs only to name a failure.  A homomorphism is fixed by its images of
-    generators, so the later checks compare the images of generators
-    against one set per domain.  Restrictions are checked on the maximal
-    subgroups of each domain alone: every S < Q lies on a chain of
-    subgroups each of index p in the next, so by induction on |Q| all
-    restrictions are then stored.  The check over every smaller subgroup
-    runs only to name the first failure."""
+    runs only to name a failure.  Then inner fusion, inverses, restrictions
+    to every smaller subgroup and composites are each looked up as a whole
+    mapping in one set per domain.  A table that passes all of that and
+    that ``_is_valid`` refuses has an empty bucket, named last."""
     lattice = _subgroup_index(F.P)
     if set(F._isos) != set(lattice):
         raise FusionkitError("iso table does not range over the subgroups of P")
@@ -905,38 +903,27 @@ def _name_failure(F: FusionSystem) -> None:
                     raise FusionkitError("mapping does not match its target key", witness=m)
                 if len(m) != len(qk) or not is_hom(m):
                     Morphism.build(F.subgroup(qk), F.subgroup(rk), m)
-    gens = {S.key: S.generators() for S in F.subgroups()}
-    index = {qk: {x: i for i, x in enumerate(qk)} for qk in lattice}
-    on_gens = {qk: _picker([index[qk][x] for x in gens[qk]]) for qk in lattice}
-    stored = {qk: {on_gens[qk](m) for ms in t.values() for m in ms} for qk, t in F._isos.items()}
+    stored = {qk: set(chain(*targets.values())) for qk, targets in F._isos.items()}
     rows = [row for row, _ in _inn(F.P)]
     for Q in F.subgroups():
-        # rows that agree on Q's generators agree on Q
-        on_q = _picker(Q.elements)
-        for images, row in dict(zip(map(_picker(gens[Q.key]), rows), rows)).items():
-            if images not in stored[Q.key]:
-                raise FusionkitError("inner fusion missing", witness=(Q.key, on_q(row)))
-
-    def check(below: Callable[[Key], Iterable[Key]]) -> None:
-        for qk, targets in F._isos.items():
-            at = index[qk]
-            contained = [(sk, _picker([at[x] for x in gens[sk]])) for sk in below(qk)]
-            for rk, ms in targets.items():
-                for m in ms:
-                    if tuple(qk[m.index(y)] for y in gens[rk]) not in stored[rk]:
-                        raise FusionkitError("not closed under inversion", witness=m)
-                    for sk, on_sk in contained:
-                        if on_sk(m) not in stored[sk]:
-                            raise FusionkitError("not closed under restriction", witness=(m, sk))
-                    then = _picker([index[rk][y] for y in on_gens[qk](m)])
-                    for m2 in chain(*F._isos[rk].values()):
-                        if then(m2) not in stored[qk]:
-                            raise FusionkitError("not closed under composition", witness=(m, m2))
-
-    try:
-        check(_maximal_subgroups(F.P).__getitem__)
-    except FusionkitError:
-        # a smaller subgroup lies in Q when its generators do
-        check(lambda qk: [sk for sk in F._isos
-                          if len(sk) < len(qk) and F.subgroup(qk).contains_all(gens[sk])])
-        raise
+        for mapping in map(_picker(Q.key), rows):
+            if mapping not in stored[Q.key]:
+                raise FusionkitError("inner fusion missing", witness=(Q.key, mapping))
+    for qk, targets in F._isos.items():
+        qset = set(qk)
+        contained = [(sk, _picker(_positions(qk, sk))) for sk in F._isos if set(sk) < qset]
+        for rk, ms in targets.items():
+            for m in ms:
+                if _inverse(qk, m) not in stored[rk]:
+                    raise FusionkitError("not closed under inversion", witness=m)
+                for sk, on_sk in contained:
+                    if on_sk(m) not in stored[sk]:
+                        raise FusionkitError("not closed under restriction", witness=(m, sk))
+                then = _picker(_positions(rk, m))
+                for m2 in chain(*F._isos[rk].values()):
+                    if then(m2) not in stored[qk]:
+                        raise FusionkitError("not closed under composition", witness=(m, m2))
+    for qk, targets in F._isos.items():
+        for rk, ms in targets.items():
+            if not ms:
+                raise FusionkitError("empty iso bucket", witness=(qk, rk))

@@ -13,7 +13,7 @@ the public boundary type that pairs one such tuple with its subgroups.
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import islice, product
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -106,8 +106,8 @@ class Morphism:
     ) -> "Morphism":
         """Validated constructor: checks injectivity, containment, and
         the homomorphism law, on the domain's generators; a mapping that
-        fails is scanned row by row for the first (a, b) with
-        f(ab) != f(a)f(b)."""
+        fails is scanned pair by pair, in element order, for the first
+        (a, b) with f(ab) != f(a)f(b)."""
         m = cls(domain, codomain, mapping)
         if len(m.mapping) != len(domain.elements):
             raise FusionkitError("mapping length does not match the domain")
@@ -117,16 +117,11 @@ class Morphism:
             raise ImageNotContained("image is not inside the codomain", witness=m)
         if _hom_test(domain, codomain.group)(m.mapping):
             return m
-        # f(a.b) against f(a).f(b) one row a at a time; the first b that fails
-        els, mapping = domain.elements, m.mapping
+        els, f = domain.elements, dict(zip(domain.elements, m.mapping))
         dmul, cmul = domain.group._mul, codomain.group._mul
-        on_domain, on_images, image = _picker(els), _picker(mapping), dict(zip(els, mapping))
-        for a, fa in zip(els, mapping):
-            got = tuple(map(image.get, on_domain(dmul[a])))
-            want = on_images(cmul[fa])
-            if got != want:
-                j = next(j for j, (x, y) in enumerate(zip(got, want)) if x != y)
-                raise FusionkitError("not a homomorphism", witness=(a, els[j]))
+        for a, b in product(els, repeat=2):
+            if f[dmul[a][b]] != cmul[f[a]][f[b]]:
+                raise FusionkitError("not a homomorphism", witness=(a, b))
 
     @classmethod
     def identity(cls, Q: Subgroup) -> "Morphism":

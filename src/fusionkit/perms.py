@@ -27,13 +27,6 @@ def perm_mul(a: Perm, b: Perm) -> Perm:
     return itemgetter(*a)(b) if len(a) > 1 else tuple(b[x] for x in a)
 
 
-def perm_inv(a: Perm) -> Perm:
-    out = [0] * len(a)
-    for i, x in enumerate(a):
-        out[x] = i
-    return tuple(out)
-
-
 def perm_cycles(a: Perm) -> list[list[int]]:
     """Decompose into cycles of length >= 2, each starting at its least point."""
     seen = [False] * len(a)

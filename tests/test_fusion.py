@@ -1175,3 +1175,46 @@ def test_validate_fusion_decides_every_valid_system_class_by_class(
     monkeypatch.setattr(fusion, "_name_failure", naming)
     for F in systems:
         validate_fusion(F)
+
+
+def _with_empty_buckets(F):
+    """For each pair of subgroups Q, R of P that are not F-conjugate, the
+    table with an empty bucket Q -> R added, and (Q, R)."""
+    for qk, targets in F._isos.items():
+        for rk in F._isos:
+            if rk not in targets:
+                yield _with_bucket(F, qk, rk, ()), (qk, rk)
+
+
+def test_validate_fusion_refuses_an_empty_bucket():
+    # An empty bucket between two classes breaks no axiom that the
+    # full-tuple check reads, but the class-by-class decision refuses it,
+    # and the library reads such a table as one class: on F_P(S4) an empty
+    # bucket between two order-2 subgroups that are not F-conjugate merges
+    # their classes, and the routes then raise a bare KeyError.
+    for name, p in [("s4", 2), ("s3xs3", 3)]:
+        F = fusion_of_group(load_group_spec(name)[0], p)
+        tables = list(_with_empty_buckets(F))
+        assert tables
+        for E, witness in tables:
+            assert _outcome(validate_fusion_by_full_tuples, E) is None
+            assert not fusion._is_valid(E)
+            assert _outcome(validate_fusion, E) == (FusionkitError, "empty iso bucket", witness)
+
+
+def test_validate_fusion_accepts_exactly_what_the_class_by_class_decision_accepts():
+    # On every mutated table of three small systems, and on each with an
+    # empty bucket added, validate_fusion raises exactly when _is_valid
+    # refuses.
+    for name, p in [("s4", 2), ("s3xs3", 3), ("c8", 2)]:
+        F = fusion_of_group(load_group_spec(name)[0], p)
+        tables = [_with_bucket(F, *c) for c in [
+            *_removals(F), *_swaps(F), *_foreign_automorphisms(F), *_grown_by_a_swap(F)
+        ]]
+        tables += [FusionSystem(F.group, F.P, F.p, table) for table in _cut_off(F)]
+        tables += [E for E, _ in _with_empty_buckets(F)]
+        tables.append(F)
+        verdicts = {fusion._is_valid(E) for E in tables}
+        assert verdicts == {True, False}
+        for E in tables:
+            assert (_outcome(validate_fusion, E) is None) == fusion._is_valid(E)

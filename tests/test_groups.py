@@ -17,19 +17,28 @@ from fusionkit import (
     catalog_names,
     centralizer,
     commutator_subgroup,
+    coset_quotient,
     direct_product_groups,
+    fusion_of_group,
     group_centre,
     load_catalog,
     load_group_spec,
     make_group,
     normalizer,
     o_p_prime_group,
+    parse_perm,
     subgroup_closure,
     sylow,
     upper_central_series_group,
 )
 import fusionkit.groups as groups
-from fusionkit.errors import FusionkitError
+from fusionkit.errors import (
+    FusionkitError,
+    InvalidPermutation,
+    NotASubgroup,
+    OrderBoundExceeded,
+    PreconditionFailed,
+)
 from fusionkit.groups import is_prime
 from fusionkit.perms import perm_mul
 from oracles import (
@@ -493,3 +502,64 @@ def test_aut_group_rejects_a_set_not_closed_under_composition():
         AutGroup(G.full_subgroup, rotations[:1])
     with pytest.raises(FusionkitError, match="^automorphism set is not closed under composition$"):
         AutGroup(G.full_subgroup, rotations)
+
+
+# name: (call on S3 and its subgroups, in lattice order 1, <(1,2)>, <(1,3)>,
+# <(2,3)>, A3, S3; the error class; its message)
+GROUP_REFUSALS = {
+    "sylow-at-1": (lambda G, subs: sylow(G, 1), PreconditionFailed, "1 is not a prime"),
+    "fusion-at-0": (
+        lambda G, subs: fusion_of_group(G, 0), PreconditionFailed, "0 is not a prime"
+    ),
+    "not-a-permutation": (
+        lambda G, subs: Group([(0, 0, 1)], 3),
+        FusionkitError, "not a permutation of degree 3: (0, 0, 1)",
+    ),
+    "closed-list-above-bound": (
+        lambda G, subs: Group(G.perms, 3, closed=True, order_bound=5),
+        OrderBoundExceeded, "group order 6 exceeds bound 5",
+    ),
+    "empty-subgroup": (
+        lambda G, subs: Subgroup(G, []), NotASubgroup, "a subgroup cannot be empty"
+    ),
+    "subgroup-without-inverses": (
+        lambda G, subs: Subgroup(G, subs[4].elements[:2]),
+        NotASubgroup, "not closed under inversion",
+    ),
+    "quotient-by-a-non-normal-kernel": (
+        lambda G, subs: coset_quotient(G, subs[1]), NotASubgroup, "kernel is not normal"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GROUP_REFUSALS))
+def test_group_layer_refuses_malformed_input(case):
+    make, error, message = GROUP_REFUSALS[case]
+    G = load_group_spec("s3")[0]
+    with pytest.raises(FusionkitError) as info:
+        make(G, all_subgroups(G.full_subgroup))
+    assert (type(info.value), str(info.value)) == (error, message)
+
+
+PERM_REFUSALS = {
+    "stray-text": ("(1,2)x", None, "stray text outside cycles: '(1,2)x'"),
+    "bad-point": ("(1,a)", None, "bad cycle point 'a' in '(1,a)'"),
+    "point-0": ("(0,1)", None, "cycle points are 1-based: '(0,1)'"),
+    "point-above-the-degree": ("(1,5)", 3, "cycle point 5 exceeds degree 3"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PERM_REFUSALS))
+def test_parse_perm_refuses_malformed_cycles(case):
+    text, degree, message = PERM_REFUSALS[case]
+    with pytest.raises(FusionkitError) as info:
+        parse_perm(text, degree)
+    assert (type(info.value), str(info.value)) == (InvalidPermutation, message)
+
+
+@pytest.mark.parametrize(
+    "text, degree, perm",
+    [("()()", 2, (0, 1)), ("(1)(2,3)()", 3, (0, 2, 1)), ("(1,3)", None, (2, 1, 0))],
+)
+def test_parse_perm_skips_empty_cycles_and_takes_the_largest_point_as_degree(text, degree, perm):
+    assert parse_perm(text, degree) == perm

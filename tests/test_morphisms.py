@@ -12,13 +12,23 @@ from fusionkit import (
     AutGroup,
     Morphism,
     Subgroup,
+    all_subgroups,
     automorphisms,
+    conj_morphism,
+    enlarge_weakly_normal,
     find_fusion_isomorphism,
     fusion_of_group,
+    inner_fusion,
     load_group_spec,
     transport_fusion,
 )
-from fusionkit.errors import FusionkitError, NotAnIsomorphism, OrderBoundExceeded
+from fusionkit.errors import (
+    FusionkitError,
+    ImageNotContained,
+    NotAnIsomorphism,
+    NotASubgroup,
+    OrderBoundExceeded,
+)
 from fusionkit.morphisms import (
     _compose, _inverse, _isomorphisms, _positions, _restrict, _transport
 )
@@ -211,3 +221,74 @@ def test_isomorphisms_match_the_pair_closure_search(catalog_systems):
             assert chi == _fusion_isomorphism_by_pair_closure(F1, F2)
             found += chi is not None
     assert found == 430
+
+
+# name: (call on S3 and its subgroups, in lattice order 1, <(1,2)>, <(1,3)>,
+# <(2,3)>, A3, S3; the error class; its message).  A3's elements are
+# 0, 3 = (1,2,3) and 4 = (1,3,2).
+MORPHISM_REFUSALS = {
+    "build-not-injective": (
+        lambda G, s: Morphism.build(s[4], s[4], (0, 0, 3)),
+        NotAnIsomorphism, "mapping is not injective",
+    ),
+    "build-outside-the-codomain": (
+        lambda G, s: Morphism.build(s[1], s[2], s[1].elements),
+        ImageNotContained, "image is not inside the codomain",
+    ),
+    "then-outside-the-next-domain": (
+        lambda G, s: Morphism.identity(s[1]).then(Morphism.identity(s[2])),
+        ImageNotContained, "composition undefined",
+    ),
+    "restrict-outside-the-domain": (
+        lambda G, s: Morphism.identity(s[1]).restrict(s[2]),
+        NotASubgroup, "restriction target not inside domain",
+    ),
+    "conjugated-by-a-map-on-a-smaller-domain": (
+        lambda G, s: Morphism.identity(s[4]).conjugated_by(Morphism.identity(s[1])),
+        NotASubgroup, "automorphism domain not inside the transport map",
+    ),
+    "conjugated-by-a-map-that-is-not-injective": (
+        lambda G, s: Morphism.identity(s[4]).conjugated_by(Morphism(s[4], s[5], (0, 0, 0))),
+        NotAnIsomorphism, "not onto the codomain",
+    ),
+    "conj-outside-the-container": (
+        lambda G, s: conj_morphism(s[4], 1, s[1], s[1]),
+        NotASubgroup, "subgroups must live in the given group",
+    ),
+    "conj-by-an-element-outside-the-container": (
+        lambda G, s: conj_morphism(s[4], 1, s[4], s[4]),
+        NotASubgroup, "conjugating element not in the group",
+    ),
+    "conj-outside-the-codomain": (
+        lambda G, s: conj_morphism(G, 3, s[1], s[1]),
+        ImageNotContained, "conjugate does not land in the codomain",
+    ),
+    "index-of-a-foreign-automorphism": (
+        lambda G, s: AutGroup(s[4], [Morphism.identity(s[4])]).index_of(
+            Morphism(s[4], s[4], (0, 4, 3))
+        ),
+        NotASubgroup, "automorphism not in this group",
+    ),
+    "morphisms-of-another-group": (
+        lambda G, s: AutGroup(s[4], [Morphism.identity(s[4])]).morphisms_of(
+            AutGroup(s[1], [Morphism.identity(s[1])]).group.full_subgroup
+        ),
+        NotASubgroup, "subgroup of a different automorphism group",
+    ),
+    # Aut_E(A3) = Aut(A3) does not lie in Aut_F(A3) = 1
+    "enlarge-by-a-system-outside-f": (
+        lambda G, s: enlarge_weakly_normal(
+            inner_fusion(s[4], 3), fusion_of_group(G, 3), [Morphism.identity(s[4])]
+        ),
+        NotASubgroup, "automorphism not in this group",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MORPHISM_REFUSALS))
+def test_morphism_layer_refuses_malformed_input(case):
+    make, error, message = MORPHISM_REFUSALS[case]
+    G = load_group_spec("s3")[0]
+    with pytest.raises(FusionkitError) as info:
+        make(G, all_subgroups(G.full_subgroup))
+    assert (type(info.value), str(info.value)) == (error, message)

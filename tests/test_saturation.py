@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from fusionkit import (
     AutGroup,
+    Morphism,
     Subgroup,
     extend_morphism,
     fusion_of_group,
@@ -25,6 +26,7 @@ from fusionkit import (
     sylow,
 )
 from fusionkit import examples, fusion, groups
+from fusionkit.errors import FusionkitError, NotAnIsomorphism, NotASubgroupOfP
 from fusionkit.morphisms import _restricted, _restriction
 from fusionkit.saturation import has_surjectivity_property, n_phi
 from oracles import (
@@ -314,3 +316,26 @@ def test_intervals_of_p_build_no_lattice_of_their_own(monkeypatch):
     assert built
     for amb, under_builder in built:
         assert len(amb) == len(amb.group) or under_builder, (len(amb), amb.elements)
+
+
+# name: (call on S3's system at p = 3 and the inner system of A3, on
+# A3 = {0, 3, 4}; the error class; its message)
+SATURATION_REFUSALS = {
+    "n-phi-of-a-map-outside-f": (
+        lambda F, inner: n_phi(inner, Morphism(inner.P, inner.P, (0, 4, 3))),
+        NotAnIsomorphism, "phi must be an isomorphism of the system",
+    ),
+    "extend-to-a-subgroup-without-the-domain": (
+        lambda F, inner: extend_morphism(F, Morphism.identity(F.P), F.subgroups()[0]),
+        NotASubgroupOfP, "extension domain must contain the domain of phi",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SATURATION_REFUSALS))
+def test_saturation_layer_refuses_malformed_input(case):
+    make, error, message = SATURATION_REFUSALS[case]
+    F = fusion_of_group(load_group_spec("s3")[0], 3)
+    with pytest.raises(FusionkitError) as info:
+        make(F, inner_fusion(F.P, 3))
+    assert (type(info.value), str(info.value)) == (error, message)

@@ -22,12 +22,19 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from fusionkit.groups import Group, sylow
 from fusionkit.morphisms import is_isomorphic
-from fusionkit.perms import format_cycles, identity_perm, perm_inv, perm_mul
+from fusionkit.perms import Perm, format_cycles, identity_perm, perm_mul
 
 CATALOG_DIR = ROOT / "src" / "fusionkit" / "catalog"
 
 # Number of isomorphism classes of groups of each order from 1 to 24.
 EXPECTED_COUNTS = [1, 1, 1, 2, 1, 2, 1, 5, 2, 2, 1, 5, 1, 2, 1, 14, 1, 5, 1, 5, 2, 2, 1, 15]
+
+
+def perm_inv(a: Perm) -> Perm:
+    out = [0] * len(a)
+    for i, x in enumerate(a):
+        out[x] = i
+    return tuple(out)
 
 
 def cyclic(n: int, name: str) -> Group:

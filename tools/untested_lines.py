@@ -11,13 +11,15 @@ The lines that count are those of functions, methods, lambdas and
 comprehensions, as their code objects record them.  Module-level lines and
 class bodies run at import and are left out, and so is each function's
 ``def`` line.  One line is printed per line never run, as
-``path:line: source``, grouped by file; the exit code is pytest's.
+``path:line: source``, grouped by file, and the last line gives the total
+and the count for each module; the exit code is pytest's.
 """
 
 from __future__ import annotations
 
 import inspect
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -84,7 +86,10 @@ def main(argv: list[str]) -> int:
     for path, line in missed:
         text = sources.setdefault(path, path.read_text().splitlines())[line - 1].strip()
         print(f"{path.relative_to(ROOT)}:{line}: {text}")
-    print(f"{len(missed)} lines of src/fusionkit never ran")
+    # most_common keeps the files' order among equal counts
+    counts = Counter(path.stem for path, _ in missed).most_common()
+    per_module = ", ".join(f"{name} {n}" for name, n in counts)
+    print(f"{len(missed)} lines of src/fusionkit never ran: {per_module}")
     return int(code)
 
 
