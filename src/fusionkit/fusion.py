@@ -44,6 +44,7 @@ from .groups import (
     _as_subgroup,
     _closure,
     _conj_rows,
+    _generating,
     _inn,
     _lattice_member,
     _maximal_subgroups,
@@ -468,7 +469,7 @@ def fusion_of_group(container: Group | Subgroup, p: int, P: Subgroup | None = No
     inner: dict[Key, dict[Key, list[Key]]] = {}
     moves: dict[Key, list[Key]] = {}
     for Q in lattice:
-        gens, on_q = Q.generators(), _picker(Q.elements)
+        gens, on_q = _generating(Q), _picker(Q.elements)
         on_gens = _picker(gens)
         buckets = inner[Q.key] = {}
         for row in dict(zip(map(on_gens, inner_rows), inner_rows)).values():

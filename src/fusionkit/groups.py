@@ -22,7 +22,8 @@ with Inn(P): one conjugation row of the p-group P per coset of Z(P),
 which is all that P-local questions (N_P, C_P, Aut_P) read.
 Any other carrier may have subgroups no such chain reaches (A5 in S5),
 and is built as a join closure of cyclic subgroups.  Either build
-carries with each subgroup the short generator tuple it was reached by.
+carries with each subgroup the short generator tuple it was reached by,
+and keeps it on the subgroup, where ``_generating`` reads it.
 """
 
 from __future__ import annotations
@@ -266,13 +267,13 @@ def _closure(seed: list[Perm], degree: int, order_bound: int | None) -> set[Perm
 class Subgroup:
     """A subgroup of a fixed ambient :class:`Group`, as sorted element indices."""
 
-    __slots__ = ("group", "elements", "_set", "_gens", "_lattice", "__weakref__")
+    __slots__ = ("group", "elements", "_set", "_gens", "_reached", "_lattice", "__weakref__")
 
     def __init__(self, group: Group, elements: Iterable[int], *, check: bool = True):
         self.group = group
         self.elements: tuple[int, ...] = tuple(sorted(set(elements)))
         self._set = frozenset(self.elements)
-        self._gens = None
+        self._gens = self._reached = None
         self._lattice: _Lattice | None = None
         if check:
             if not self.elements:
@@ -352,8 +353,8 @@ class Subgroup:
         this subgroup into it, as ``normalizer`` tests."""
         if not self <= other:
             return False
-        G, gens = self.group, self.generators()
-        return all(G.conj(x, g) in self._set for g in other.generators() for x in gens)
+        G, gens = self.group, _generating(self)
+        return all(G.conj(x, g) in self._set for g in _generating(other) for x in gens)
 
     def join(self, other: "Subgroup") -> "Subgroup":
         span = _join(self.group, self.elements, self.elements + other.elements)
@@ -375,6 +376,12 @@ class Subgroup:
 
     def centre(self) -> "Subgroup":
         return centralizer(self, self)
+
+
+def _generating(S: Subgroup) -> tuple[int, ...]:
+    """A generating tuple of S: the one a lattice build reached S by (at
+    most log_p |S| elements for a p-group), or else ``S.generators()``."""
+    return S.generators() if S._reached is None else S._reached
 
 
 def subgroup_closure(group: Group, indices: Iterable[int]) -> Subgroup:
@@ -446,12 +453,14 @@ class _Lattice:
     """The lattice memo of one carrier key: the subgroups ``below`` the top,
     in lattice order; ``index``, each subgroup's key to the lattice's own
     object (the top's to None); the ``maximal`` subgroup record and
-    ``inn``, Inn(P), of a p-group carrier (None for any other); and ``top``,
-    a weak reference to the carrier first asked for.  Its carriers own it
-    through their ``_lattice`` slot and the group keeps it weakly, and
-    nothing in it refers to a carrier strongly, so it forms no cycle."""
+    ``inn``, Inn(P), of a p-group carrier (None for any other); ``top``,
+    a weak reference to the carrier first asked for; and ``gens``, the
+    tuple the build reached the top by, which each carrier keeps.  Its
+    carriers own it through their ``_lattice`` slot and the group keeps it
+    weakly, and nothing in it refers to a carrier strongly, so it forms no
+    cycle."""
 
-    __slots__ = ("below", "index", "maximal", "inn", "top", "__weakref__")
+    __slots__ = ("below", "index", "maximal", "inn", "top", "gens", "__weakref__")
 
     def __init__(self, amb: Subgroup, lattice: tuple[Subgroup, ...], maximal, inn):
         self.below = lattice[:-1]
@@ -460,6 +469,7 @@ class _Lattice:
         self.maximal = maximal
         self.inn = inn
         self.top = weakref.ref(amb)
+        self.gens = lattice[-1]._reached
 
 
 def _lattice_entry(amb: Subgroup) -> _Lattice:
@@ -473,6 +483,8 @@ def _lattice_entry(amb: Subgroup) -> _Lattice:
             built = _layer_lattice(amb, p) if is_p_power(n, p) else (_subgroup_lattice(amb), None, None)
             entry = lattices[amb.elements] = _Lattice(amb, *built)
         amb._lattice = entry
+        if amb._reached is None:
+            amb._reached = entry.gens
     return entry
 
 
@@ -487,43 +499,54 @@ def _top(amb: Subgroup, entry: _Lattice) -> Subgroup:
 
 def _layer_lattice(amb: Subgroup, p: int) -> tuple[tuple[Subgroup, ...], dict, tuple]:
     """The subgroups of the p-group ``amb``, one layer per order, the
-    maximal subgroups of each, and Inn(amb): each M of a layer, with the
-    generators it was reached by, yields <M, g> = M u gM u ... u g^(p-1)M
-    for each g whose row sends those generators into M with g^p in M,
-    unless g lies in a <M, g'> found before.  So each maximal M of J, of
-    index p, is reached once, and in lattice order as each layer is taken
-    by key.  Two elements conjugate ``amb`` alike exactly when their rows
-    agree at the generators the top was reached by, that is, when they lie
-    in one coset of Z(amb); one row per such coset is kept."""
+    maximal subgroups of each, and Inn(amb).  Each M of a layer, with the
+    generators it was reached by, is first a maximal subgroup of each
+    <M', g'> found before in its layer that holds those generators, and
+    then yields <M, g> = M u gM u ... u g^(p-1)M for each g outside them
+    whose row sends those generators into M with g^p in M; a g that fails
+    rules out its coset gM, each member of which fails alike.  So each
+    maximal M of J, of index p, is recorded once, in lattice order as each
+    layer is taken by key, and each J keeps the tuple it was reached by.
+    Two elements conjugate ``amb`` alike exactly when their rows agree at
+    the generators the top was reached by, that is, when they lie in one
+    coset of Z(amb); one row per such coset is kept."""
     G, mul = amb.group, amb.group._mul
     pth = {g: reduce(lambda x, _: mul[x][g], range(p - 1), g) for g in amb.elements}
     conj = _conj_rows(G, amb.elements)
     triv = Subgroup(G, (G.identity,), check=False)
-    lattice, maximal = [triv], {triv.key: []}
-    layer: list[tuple[Subgroup, tuple[int, ...]]] = [(triv, ())]
+    triv._reached = ()
+    lattice, maximal, layer = [triv], {triv.key: []}, [triv]
     while layer:
-        new = []
-        for M, gens in layer:
-            mset, coset, on_gens = M._set, _picker(M.elements), _picker(gens)
-            done = set(M.elements)
+        new: list[Subgroup] = []
+        holding: dict[int, list[Subgroup]] = {}  # each element's overgroups in new
+        for M in layer:
+            mset, coset, gens = M._set, _picker(M.elements), M._reached
+            on_gens, done = _picker(gens), set(M.elements)
+            for J in holding.get(M.elements[-1], ()):
+                if J._set.issuperset(gens):
+                    maximal[J.elements].append(M.elements)
+                    done.update(J.elements)
             for g in amb.elements:
-                if g in done or pth[g] not in mset or not mset.issuperset(on_gens(conj[g])):
+                if g in done:
+                    continue
+                if pth[g] not in mset or not mset.issuperset(on_gens(conj[g])):
+                    done.update(coset(mul[g]))
                     continue
                 span, power = list(M.elements), g
                 for _ in range(p - 1):
                     span += coset(mul[power])
                     power = mul[power][g]
                 done.update(span)
-                key = tuple(sorted(span))
-                if key not in maximal:
-                    maximal[key] = []
-                    new.append((Subgroup(G, key, check=False), gens + (g,)))
-                maximal[key].append(M.elements)
-        new.sort(key=lambda pair: pair[0].elements)
-        lattice += [J for J, _ in new]
+                J = Subgroup(G, span, check=False)
+                J._reached, maximal[J.elements] = gens + (g,), [M.elements]
+                new.append(J)
+                for x in J.elements:
+                    holding.setdefault(x, []).append(J)
+        new.sort(key=lambda J: J.elements)
+        lattice += new
         last, layer = layer, new
     cosets: dict[tuple[int, ...], list[int]] = {}
-    on_top = _picker(last[0][1])  # the generators of the top, amb
+    on_top = _picker(last[0]._reached)  # the generators of the top, amb
     for g in amb.elements:
         cosets.setdefault(on_top(conj[g]), []).append(g)
     return tuple(lattice), maximal, tuple((conj[c[0]], tuple(c)) for c in cosets.values())
@@ -554,18 +577,21 @@ def _subgroup_lattice(amb: Subgroup) -> tuple[Subgroup, ...]:
                 covered.add(power)
             power = mul[power][x]
     triv = Subgroup(G, (identity,), check=False)
+    triv._reached = ()
     found: dict[tuple[int, ...], Subgroup] = {triv.key: triv}
-    frontier: list[tuple[Subgroup, tuple[int, ...]]] = [(triv, ())]
+    frontier = [triv]
     while frontier:
         new = []
-        for H, gens in frontier:
+        for H in frontier:
             for x in cyclic_gens:
                 if x in H._set:
                     continue
-                key = tuple(sorted(_join(G, H.elements, gens + (x,))))
+                gens = H._reached + (x,)
+                key = tuple(sorted(_join(G, H.elements, gens)))
                 if key not in found:
                     found[key] = J = Subgroup(G, key, check=False)
-                    new.append((J, gens + (x,)))
+                    J._reached = gens
+                    new.append(J)
         frontier = new
     return tuple(sorted(found.values(), key=lambda s: (len(s.elements), s.elements)))
 
@@ -600,7 +626,7 @@ def normalizer(container: Group | Subgroup, H: Subgroup) -> Subgroup:
     generators into H.  As H <= N(H), a left coset gH lies wholly inside
     N(H) or wholly outside it, so one g is tested per coset."""
     amb = _require_subgroup_of(H, container)
-    G, hset, gens, coset = H.group, H._set, H.generators(), _picker(H.elements)
+    G, hset, gens, coset = H.group, H._set, _generating(H), _picker(H.elements)
     members, decided = [], set()
     for g in amb.elements:
         if g not in decided:
@@ -616,7 +642,7 @@ def _p_normalizer(P: Subgroup, Q: Subgroup, fixing: bool = False) -> Subgroup:
     as P's lattice's own object: the union of the cosets of Z(P) whose
     Inn(P) row sends Q's generators into Q, or fixes each of them."""
     _require_subgroup_of(Q, P)
-    gens = Q.generators()
+    gens = _generating(Q)
     on_gens, keep = _picker(gens), gens.__eq__ if fixing else Q._set.issuperset
     members = (x for row, coset in _inn(P) if keep(on_gens(row)) for x in coset)
     return _lattice_member(P, tuple(sorted(members)))
@@ -634,7 +660,7 @@ def centralizer(container: Group | Subgroup, H: Subgroup) -> Subgroup:
     """C(H) inside ``container``: g centralizes H when it commutes with
     H's generators, as ``normalizer`` tests."""
     amb = _require_subgroup_of(H, container)
-    G, gens = H.group, H.generators()
+    G, gens = H.group, _generating(H)
     members = [g for g in amb.elements if all(G._mul[g][x] == G._mul[x][g] for x in gens)]
     return Subgroup(G, members, check=False)
 
@@ -654,10 +680,10 @@ def sylow(container: Group | Subgroup, p: int) -> Subgroup:
     if target == len(amb.elements):
         return amb
     S = Subgroup(G, (G.identity,), check=False)
+    # while |S| is below the Sylow order, p divides |N(S):S| (S lies in a
+    # Sylow P' and S < N_P'(S)), so by Cauchy some g in N(S) - S has g^p in S
     while len(S.elements) < target:
-        N = normalizer(amb, S)
-        grown = False
-        for g in N.elements:
+        for g in normalizer(amb, S).elements:
             if g in S:
                 continue
             power = g
@@ -665,10 +691,7 @@ def sylow(container: Group | Subgroup, p: int) -> Subgroup:
                 power = G.mul(power, g)
             if power in S:
                 S = subgroup_closure(G, S.elements + (g,))
-                grown = True
                 break
-        if not grown:
-            raise FusionkitError("Sylow growth stalled", witness=S)
     return S
 
 
@@ -688,7 +711,7 @@ def upper_central_series_group(container: Group | Subgroup) -> list[Subgroup]:
     g lies in Z_i when [g, x] lies in Z_(i-1) for the container's
     generators x alone: Z_(i-1) is normal and [g, xy] = [g, y] [g, x]^y."""
     amb = _as_subgroup(container)
-    G, gens = amb.group, amb.generators()
+    G, gens = amb.group, _generating(amb)
     series: list[Subgroup] = []
     current = {G.identity}
     while True:

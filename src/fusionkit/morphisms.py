@@ -23,7 +23,7 @@ from .errors import (
     NotASubgroup,
     OrderBoundExceeded,
 )
-from .groups import DEFAULT_ORDER_BOUND, Group, Subgroup, _as_subgroup, _picker
+from .groups import DEFAULT_ORDER_BOUND, Group, Subgroup, _as_subgroup, _generating, _picker
 
 Key = tuple[int, ...]
 
@@ -79,7 +79,7 @@ def _hom_test(domain: Subgroup, target: Group) -> Callable[[Key], bool]:
     s = 1 when there is none).  This is the whole law: f(1) = 1 follows,
     and the s that satisfy it are closed under products."""
     els, mul = domain.elements, domain.group._mul
-    gens = domain.generators() or (domain.group.identity,)
+    gens = _generating(domain) or (domain.group.identity,)
     law = [(els.index(s), _picker(_positions(els, _picker(els)(mul[s])))) for s in gens]
 
     def test(mapping: Key) -> bool:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 from .errors import NotAnIsomorphism, NotASubgroupOfP
 from .fusion import FusionSystem
-from .groups import Subgroup, _inn, _picker, normalizer, p_part
+from .groups import Subgroup, _generating, _inn, _picker, normalizer, p_part
 from .morphisms import (
     Morphism, _aut_subgroup, _positions, _restricted, _restriction, _transport
 )
@@ -41,7 +41,7 @@ def n_phi(F: FusionSystem, phi: Morphism) -> Subgroup:
         raise NotAnIsomorphism("phi must be an isomorphism of the system", witness=phi)
     # c_g on S is known by its images of S's generators, so each member of
     # Aut_P(S) is transported once and each row of Inn(P) is matched by those.
-    gens = S.generators()
+    gens = _generating(S)
     at_gens = _picker(_positions(S.elements, gens))
     auts = list(F.aut_mappings_of_conjugation(S, F.P))
     image, moved = _transport(dict(zip(S.elements, phi.mapping)), S.elements, auts)

@@ -27,7 +27,7 @@ from .fusion import (
     is_strongly_closed,
     is_subsystem,
 )
-from .groups import Subgroup, _inn, _join, _join_normalized, _picker, all_subgroups, is_p_power
+from .groups import Subgroup, _generating, _inn, _join, _join_normalized, _picker, all_subgroups, is_p_power
 from .morphisms import Key, Morphism, _compose, _inverse, _positions, _restrict, _transport
 from .saturation import is_centric, is_saturated
 
@@ -204,7 +204,7 @@ def local_subsystem(F: FusionSystem, Q: Subgroup, kind: str) -> FusionSystem:
     kept: dict[Key, tuple[dict[int, int], list[Key]]] = {}
     for R in all_subgroups(carrier):
         # the carrier normalizes Q, so QR is the join of Q with R's generators
-        QR = F.subgroup(tuple(sorted(_join(G, Q.elements, R.generators()))))
+        QR = F.subgroup(tuple(sorted(_join(G, Q.elements, _generating(R)))))
         if QR.key not in kept:
             index = {x: i for i, x in enumerate(QR.elements)}
             on_q = _picker([index[x] for x in Q.elements])
@@ -235,11 +235,11 @@ def _local_is_all(F: FusionSystem, Q: Subgroup, allowed: frozenset[Key] | None) 
     Aut_P(Q), or to be None."""
     qset = Q._set
     for Q0, routes in F._fact("routes_beyond_p", None, _routes_beyond_p, F):
-        QR = _join_normalized(Q, Q0.generators())
+        QR = _join_normalized(Q, _generating(Q0))
         on_q = _picker(_positions(QR.elements, Q.elements))
         on_r = _picker(_positions(QR.elements, Q0.elements))
         for R, t in routes:
-            target = QR if R == Q0 else _join_normalized(Q, R.generators())
+            target = QR if R == Q0 else _join_normalized(Q, _generating(R))
             if not any(
                 on_r(m) == t and set(on_q(m)) == qset and (allowed is None or on_q(m) in allowed)
                 for m in F.iso_mappings(QR, target)
@@ -256,7 +256,7 @@ def _routes_beyond_p(F: FusionSystem) -> list[tuple[Subgroup, list[tuple[Subgrou
     rows = [row for row, _ in _inn(F.P)]
     out = []
     for Q0, routes in _routes(F):
-        gens = Q0.generators()
+        gens = _generating(Q0)
         by_p = set(map(_picker(gens), rows))
         at_gens = _picker(_positions(Q0.elements, gens))
         kept = [(R, t) for R, t in routes if at_gens(t) not in by_p]

@@ -364,6 +364,39 @@ def test_generators_are_the_greedy_choice_of_the_closure_scan(ladder_groups):
         assert H.generators() == generators_by_closure(H), H
 
 
+def test_each_lattice_member_keeps_a_tuple_that_generates_it(monkeypatch, ladder_groups):
+    """Each member of a lattice, its top included, keeps the tuple the build
+    reached it by, and ``groups._generating`` reads that tuple with no
+    greedy search: its join from the trivial subgroup is exactly the member,
+    and a p-group member's has at most log_p |Q| entries.  On every catalog
+    group's Sylow subgroup at each prime and the three ladder P (the layer
+    build), and on each catalog group of order <= 24 (the join closure)."""
+    carriers = [sylow(G, 2) for G in ladder_groups]
+    closures = []
+    for name in sorted(catalog_names()):
+        G = make_group(load_catalog(name))
+        carriers += [sylow(G, p) for p in range(2, len(G) + 1) if len(G) % p == 0 and is_prime(p)]
+        if len(G) <= 24:
+            closures.append(G.full_subgroup)
+
+    def searched(self):
+        raise AssertionError(f"greedy generator search on {self!r}")
+
+    monkeypatch.setattr(Subgroup, "generators", searched)
+    lattices = [all_subgroups(P) for P in carriers]
+    lattices += [groups._subgroup_lattice(G) for G in closures]
+    checked = 0
+    for lattice in lattices:
+        for Q in lattice:
+            G, gens, n = Q.group, groups._generating(Q), len(Q)
+            assert groups._join(G, (G.identity,), gens) == Q._set, Q
+            p = min((d for d in range(2, n + 1) if n % d == 0), default=2)
+            if groups.is_p_power(n, p):
+                assert p ** len(gens) <= n, (Q, gens)
+            checked += 1
+    assert checked > 2500
+
+
 def test_upper_central_series_group():
     G, _ = load_group_spec("d8")
     series = upper_central_series_group(G.full_subgroup)

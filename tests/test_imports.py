@@ -12,6 +12,7 @@ annotations count.
 
 import ast
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 
@@ -113,6 +114,32 @@ def test_only_groups_names_the_lattice_memo():
             for name in ("_lattices", "_lattice"):
                 named = _lines_naming(path, name)
                 assert not named, f"{path.name} names {name} on lines {named}"
+
+
+def _scopes_naming(tree: ast.AST, name: str, scope: str = "") -> Iterator[tuple[str, int]]:
+    """(qualified name of the enclosing definition, line) of each
+    ``.name`` attribute below ``tree``."""
+    for node in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{node.name}" if scope else node.name
+        elif isinstance(node, ast.Attribute) and node.attr == name:
+            yield scope, node.lineno
+        yield from _scopes_naming(node, name, inner)
+
+
+def test_only_reports_and_the_iso_search_run_the_greedy_generator_search():
+    """``Subgroup.generators()``'s greedy, element-ordered choice fixes the
+    bytes of ``describe`` and ``Morphism.__repr__`` and the order of the
+    ``_isomorphisms`` search.  Every other step that needs some generating
+    tuple reads ``groups._generating``, which returns the tuple a lattice
+    build reached the subgroup by, so those three and the accessor are the
+    only definitions that name ``.generators``."""
+    allowed = {"Subgroup.describe", "Morphism.__repr__", "_isomorphisms", "_generating"}
+    for path in sorted(SRC.glob("*.py")):
+        named = [f"{scope}:{line}" for scope, line in _scopes_naming(ast.parse(path.read_text()), "generators")
+                 if scope not in allowed]
+        assert not named, f"{path.name} names .generators in {named}"
 
 
 def test_no_fact_is_computed_by_a_lambda():

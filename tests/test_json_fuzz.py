@@ -167,6 +167,14 @@ def test_make_group_rejects_a_cycle_that_is_not_a_list():
         make_group({"degree": 4, "generators": [[None], "(1,2)"]})
 
 
+def test_make_group_rejects_generators_that_are_not_a_list():
+    """A ``generators`` field that is not a JSON list, here one cycle
+    string, is refused as it is, before any permutation is parsed."""
+    with pytest.raises(ParseError, match="^generators must be a list of permutations$") as err:
+        make_group({"degree": 4, "generators": "(1,2)"})
+    assert err.value.witness == "(1,2)"
+
+
 # JSON true and false are no numbers, although isinstance(True, int) holds.
 
 
