@@ -58,6 +58,7 @@ from .hypercentre import (
     x_subgroup,
 )
 from .normal_maps import (
+    _generate,
     aut_map_from_data,
     aut_map_of,
     based_range,
@@ -201,7 +202,7 @@ def _map_check(args, F: FusionSystem) -> list[Result]:
         bool(verdict), {"axiom": verdict.axiom, "reason": verdict.reason},
     )]
     if verdict:
-        results.append(("generated subsystem", True, generate_from_map(F, A)))
+        results.append(("generated subsystem", True, _generate(F, A)))
     return results
 
 

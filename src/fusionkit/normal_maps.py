@@ -138,12 +138,6 @@ def aut_map_of(E: FusionSystem) -> AutMap:
     return AutMap(E.P, assignment)
 
 
-def _transported(Q: Subgroup, mappings, image: Key) -> frozenset[Key]:
-    """The automorphisms ``mappings`` of Q moved along the isomorphism with
-    ``image`` from Q."""
-    return frozenset(_transport(dict(zip(Q.elements, image)), Q.elements, mappings)[1])
-
-
 class _Layout(NamedTuple):
     """What the axiom check and completion read of F on T, built once per
     (F, T) by ``_build_layout``; nothing in it depends on a map.
@@ -239,7 +233,7 @@ def _first_disagreement(F: FusionSystem, subs, values) -> tuple[Subgroup, Morphi
     for Q in subs:
         base = values[Q.key]
         for phi in F.isos_from(Q):
-            value = _transported(Q, base, phi.mapping)
+            value = frozenset(_transport(dict(zip(Q.elements, phi.mapping)), Q.elements, base)[1])
             if values.setdefault(phi.codomain.key, value) != value:
                 return Q, phi
     return None
@@ -499,20 +493,20 @@ def enlarge_weakly_normal(F: FusionSystem, E: FusionSystem, H) -> FusionSystem:
             "|H : Aut_E(T)| must be prime to p", witness=h_pos
         )
 
-    h_morphs = ag.morphisms_of(h_pos)
-    seeds = [(T.key, h.mapping) for h in h_morphs]
+    h_maps = [h.mapping for h in ag.morphisms_of(h_pos)]
+    seeds = [(T.key, h) for h in h_maps]
     E2 = FusionSystem(F.group, T, F.p, _close(T, E._isos, seeds))
 
-    if frozenset(E2.iso_mappings(T, T)) != {m.mapping for m in h_morphs}:
+    if frozenset(E2.iso_mappings(T, T)) != set(h_maps):
         raise PostconditionViolation("Aut of the enlargement is not H", witness=E2)
     index = {x: i for i, x in enumerate(T.elements)}
     for Q in E2.subgroups():
-        lhs = {m.mapping for m in E2.hom_set(Q, T)}
+        lhs = {m for ms in E2._isos.get(Q.key, {}).values() for m in ms}
         rhs = set()
-        for psi in E.hom_set(Q, T):
-            # psi then h, for each h: h's images at psi's images
-            then = _picker([index[x] for x in psi.mapping])
-            rhs.update(then(h.mapping) for h in h_morphs)
+        for ms in E._isos.get(Q.key, {}).values():
+            for psi in ms:
+                # psi then h, for each h: h's images at psi's images
+                rhs.update(map(_picker([index[x] for x in psi]), h_maps))
         if lhs != rhs:
             raise PostconditionViolation(
                 "hom-sets of the enlargement do not match Hom_E(Q, T) . H",
@@ -636,16 +630,18 @@ def _nested_wedge(ambient: FusionSystem, Ea: FusionSystem, Eb: FusionSystem) -> 
 
     Seeds A(Q) = Aut_{Ea}(Q) n Aut_{Eb}(Q) on the defining subgroups of
     T = Ea.P, then completes, checks, and generates over the ambient.
+    Ea is weakly normal in the ambient or is the ambient, so T is strongly
+    closed there, and the seeds cover T's layout's domain: the checks of
+    ``complete_partial_map`` hold, and its private step runs alone.
     """
     T = Ea.P
-    partial = {
-        Q.key: frozenset(
-            set(Ea.iso_mappings(Q, Q)) & set(Eb.iso_mappings(Q, Q))
-        )
-        for Q in partial_domain(ambient, T)
+    layout = _layout(ambient, T)
+    given = {
+        Q.key: frozenset(Ea.iso_mappings(Q, Q)).intersection(Eb.iso_mappings(Q, Q))
+        for Q in layout.domain
     }
-    A = complete_partial_map(ambient, T, partial)
-    verdict = _check_ii_to_v(ambient, A, _layout(ambient, T))
+    A = _complete(ambient, T, layout, given)
+    verdict = _check_ii_to_v(ambient, A, layout)
     if not verdict:
         raise TheoremViolation(
             f"intersection map fails axiom ({verdict.axiom}): {verdict.reason}",

@@ -106,7 +106,6 @@ from fusionkit.groups import (
 from fusionkit.morphisms import (
     Key, _aut_subgroup, _inverse, _positions, _restricted, _restriction, _transport
 )
-from fusionkit.normal_maps import _first_disagreement, _transported
 from fusionkit.perms import perm_mul
 from fusionkit.saturation import has_surjectivity_property, normalizer_map
 from fusionkit.subsystems import _local_is_all
@@ -795,6 +794,25 @@ def _with_centralizer(F: FusionSystem, Q: Subgroup, T: Subgroup) -> Subgroup:
     return Q.join(F.c_p(Q).meet(T))
 
 
+def _transported(Q: Subgroup, mappings, image: Key) -> frozenset[Key]:
+    """The automorphisms ``mappings`` of Q moved along the isomorphism with
+    ``image`` from Q."""
+    return frozenset(_transport(dict(zip(Q.elements, image)), Q.elements, mappings)[1])
+
+
+def first_disagreement_by_scan(F: FusionSystem, subs, values):
+    """The scan that names a failure of axiom (i) or of completion, kept
+    apart from the library's: move the value of each Q in ``subs`` along
+    every F-isomorphism from Q, in order, giving it to each image that has
+    none; the first (Q, phi) whose image has a different value, or None."""
+    for Q in subs:
+        for phi in F.isos_from(Q):
+            value = _transported(Q, values[Q.key], phi.mapping)
+            if values.setdefault(phi.codomain.key, value) != value:
+                return Q, phi
+    return None
+
+
 def _moved_on_routes(routes, values) -> dict | None:
     """For each class whose Q0 has a value, that value moved along the
     routes to every member; None when a member that has a value, Q0 among
@@ -840,7 +858,7 @@ def check_weakly_normal_map_per_call(F: FusionSystem, A: AutMap) -> MapVerdict:
             False,
             axiom="i",
             reason="conjugation transport disagrees with the assignment",
-            witness=_first_disagreement(F, subs, A.assignment),
+            witness=first_disagreement_by_scan(F, subs, A.assignment),
         )
 
     fully_normalized = [Q for Q in subs if F.is_fully_normalized(Q)]
@@ -940,7 +958,7 @@ def complete_partial_map_per_call(F: FusionSystem, T: Subgroup, partial) -> AutM
                 assigned[Q.key] = _restricted(_restriction(V, Q), assigned[V.key])
         values = {Q.key: assigned[Q.key] for Q in normalized}
         moved = _moved_on_routes(_routes(F), values)
-        bad = _first_disagreement(F, normalized, assigned) if moved is None else None
+        bad = first_disagreement_by_scan(F, normalized, assigned) if moved is None else None
         if bad:
             raise InconsistentPartial(
                 "conjugation transport disagrees between two routes",

@@ -351,6 +351,24 @@ def test_quotient_requires_strongly_closed_kernel():
         quotient(F, Z)
 
 
+def test_membership_is_false_across_groups_primes_and_carriers():
+    """``contains_morphism`` answers False for a map whose domain lies
+    outside P and for one whose image leaves P; ``is_subsystem`` answers
+    False for a system of another group, of another prime, and on a carrier
+    outside the other's.  On S3 at p = 2, P is one of the three subgroups of
+    order 2 and Q another; the system itself answers True."""
+    G = _group("s3")
+    F = fusion_of_group(G, 2)
+    Q = next(S for S in all_subgroups(G.full_subgroup) if len(S) == 2 and S != F.P)
+    assert F.contains_morphism(Morphism.identity(F.P))
+    assert not F.contains_morphism(Morphism.identity(Q))
+    assert not F.contains_morphism(Morphism(F.P, G.full_subgroup, Q.elements))
+    assert is_subsystem(F, F)
+    assert not is_subsystem(fusion_of_group(_group("d8"), 2), F)
+    assert not is_subsystem(fusion_of_group(G, 3), F)
+    assert not is_subsystem(fusion_of_group(G, 2, Q), F)
+
+
 def test_quotient_refuses_a_map_that_breaks_the_kernel_cosets():
     """An unvalidated table on P = C2^3 whose extra map on P fixes T = <t>
     pointwise, so T stays strongly closed, but swaps a and b, which lie in

@@ -555,6 +555,9 @@ GROUP_REFUSALS = {
     "empty-subgroup": (
         lambda G, subs: Subgroup(G, []), NotASubgroup, "a subgroup cannot be empty"
     ),
+    "subgroup-without-identity": (
+        lambda G, subs: Subgroup(G, subs[1].elements[1:]), NotASubgroup, "missing identity"
+    ),
     "subgroup-without-inverses": (
         lambda G, subs: Subgroup(G, subs[4].elements[:2]),
         NotASubgroup, "not closed under inversion",
@@ -579,6 +582,7 @@ PERM_REFUSALS = {
     "bad-point": ("(1,a)", None, "bad cycle point 'a' in '(1,a)'"),
     "point-0": ("(0,1)", None, "cycle points are 1-based: '(0,1)'"),
     "point-above-the-degree": ("(1,5)", 3, "cycle point 5 exceeds degree 3"),
+    "list-repeating-a-point": ([[1, 2], [2, 3]], None, "point 2 repeated in [[1, 2], [2, 3]]"),
 }
 
 

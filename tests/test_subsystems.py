@@ -43,6 +43,7 @@ from fusionkit.errors import (
     NotSaturated,
     NotStronglyClosed,
     PreconditionFailed,
+    TheoremViolation,
 )
 from fusionkit.fusion import _close
 from fusionkit.groups import _join_normalized, is_p_power
@@ -213,13 +214,20 @@ def test_first_factor_of_s3xs3_is_normal():
     assert status.invariant and status.weakly_normal and status.normal
 
 
-def test_first_factor_in_the_index_two_subgroup_is_only_weakly_normal():
+def _first_factor_in_the_index_two_subgroup():
+    """F_P(H) and F_Q(K) on S3 x S3 at p = 3, for K the first factor S3 and
+    H the index-two subgroup <r1, r2, s1 s2>."""
     G, _ = load_group_spec("s3xs3")
     r1, s1, r2, s2 = G.generator_indices
     K = G.generated_subgroup([r1, s1])
     EK = fusion_of_group(K, 3, G.generated_subgroup([r1]))
     H = G.generated_subgroup([r1, r2, G.mul(s1, s2)])
     FH = fusion_of_group(H, 3, G.generated_subgroup([r1, r2]))
+    return FH, EK
+
+
+def test_first_factor_in_the_index_two_subgroup_is_only_weakly_normal():
+    FH, EK = _first_factor_in_the_index_two_subgroup()
     status = normality_status(FH, EK)
     assert status.invariant and status.weakly_normal
     assert not status.normal
@@ -227,15 +235,23 @@ def test_first_factor_in_the_index_two_subgroup_is_only_weakly_normal():
 
 
 def test_theorem_a_on_the_weakly_normal_case():
-    G, _ = load_group_spec("s3xs3")
-    r1, s1, r2, s2 = G.generator_indices
-    K = G.generated_subgroup([r1, s1])
-    EK = fusion_of_group(K, 3, G.generated_subgroup([r1]))
-    H = G.generated_subgroup([r1, r2, G.mul(s1, s2)])
-    FH = fusion_of_group(H, 3, G.generated_subgroup([r1, r2]))
+    FH, EK = _first_factor_in_the_index_two_subgroup()
     report = verify_theorem_a(FH, EK)
     assert report.holds
     assert report.subsystem == inner_fusion(EK.P, 3)
+
+
+def test_theorem_a_refuses_an_o_p_prime_that_is_not_normal(monkeypatch):
+    """The one guard of ``verify_theorem_a`` past its precondition.  With
+    O^{p'} made to return its argument, F_Q(K), which is weakly normal but
+    not normal in F_P(H), stands for its own O^{p'}: TheoremViolation "O^{p'}(E)
+    is not normal in F", with F_Q(K)'s verdict as witness."""
+    FH, EK = _first_factor_in_the_index_two_subgroup()
+    monkeypatch.setattr(subsystems, "o_p_prime_subsystem", lambda E: E)
+    with pytest.raises(TheoremViolation) as info:
+        verify_theorem_a(FH, EK)
+    assert str(info.value) == "O^{p'}(E) is not normal in F"
+    assert info.value.witness == normality_status(FH, EK)
 
 
 def test_theorem_a_requires_weak_normality():

@@ -12,7 +12,9 @@ comprehensions, as their code objects record them.  Module-level lines and
 class bodies run at import and are left out, and so is each function's
 ``def`` line.  One line is printed per line never run, as
 ``path:line: source``, grouped by file, and the last line gives the total
-and the count for each module; the exit code is pytest's.
+and the count for each module; the exit code is pytest's.  Hypothesis
+runs derandomized under the tool, so the same examples, and the same
+lines, are drawn on every run.
 """
 
 from __future__ import annotations
@@ -60,8 +62,14 @@ class LineTracer:
         return self._line
 
     # The tests' conftest imports the package; tracing starts before it loads.
+    # The profile is loaded before the test modules, whose @settings inherit it.
     @pytest.hookimpl(tryfirst=True)
     def pytest_load_initial_conftests(self, early_config, parser, args):
+        # imported here: imported before pytest.main, hypothesis warns it cannot be rewritten
+        from hypothesis import settings
+
+        settings.register_profile("untested-lines", derandomize=True)
+        settings.load_profile("untested-lines")
         sys.settrace(self._call)
 
     def pytest_unconfigure(self, config):
